@@ -7,6 +7,9 @@ eigenbasis (exact dephasing over degenerate blocks at tau = infinity).  Each
 is a convex mixture of unitary conjugations, hence trace preserving,
 positivity preserving, and entropy non-decreasing.
 
+`MomentumSectors` evaluates the uniform average as what it is, the
+projection onto the momentum sectors of the translation, block by block.
+
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
 averaged entropy production dies off with system size.
@@ -129,6 +132,71 @@ def average_translates(a: np.ndarray, t: UnitaryOperator, n_terms: int) -> np.nd
     return _translate_conjugations(a, t, n_terms, np.full(n_terms, 1.0 / n_terms))
 
 
+class MomentumSectors:
+    """Block-diagonalizer of the uniform translation average.
+
+    The uniform average of X over the N translates is the projection onto the
+    eigenspaces of T, so in the momentum basis F it keeps exactly the N
+    diagonal blocks of F^dag X F.  The basis is built from the orbits r of
+    the basis permutation: with L_r the orbit length, sector k holds the
+    orbits with N | k L_r, through the vectors
+
+        |r, k> = (sqrt(L_r) / N) sum_{n < N} e^{-2 pi i k n / N} T^n |r>,
+
+    which satisfy T |r, k> = e^{2 pi i k / N} |r, k>.  The sector dimensions
+    sum to dim (Sandvik, arXiv:1101.3281, section 4).
+    """
+
+    def __init__(self, t: UnitaryOperator, n_terms: int):
+        if n_terms < 1:
+            raise ValueError("need at least one term")
+        if t.permutation is None:
+            raise ValueError(
+                "momentum sectors need a translation that carries its basis permutation"
+            )
+        dim = t.dim
+        # shifts[n, i] is the basis index of T^n e_i
+        shifts = np.empty((n_terms, dim), dtype=np.intp)
+        shifts[0] = np.arange(dim)
+        for n in range(1, n_terms):
+            shifts[n] = t.permutation[shifts[n - 1]]
+        if not np.array_equal(t.permutation[shifts[-1]], shifts[0]):
+            raise ValueError(f"translation operator does not have order {n_terms}")
+        reps = np.nonzero(shifts.min(axis=0) == shifts[0])[0]
+        self.dim = dim
+        self._orbits = shifts[:, reps].T
+        returns = shifts[1:, reps] == reps
+        lengths = np.where(returns.any(axis=0), returns.argmax(axis=0) + 1, n_terms)
+        self._scale = np.sqrt(np.outer(lengths, lengths)) / n_terms
+        k = np.arange(n_terms)
+        self._phases = np.exp(-2j * np.pi * np.outer(k, k) / n_terms)
+        allowed = np.outer(k, lengths) % n_terms == 0
+        self._members = [np.nonzero(row)[0] for row in allowed]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Sector dimensions in momentum order k = 0 .. N-1."""
+        return tuple(m.size for m in self._members)
+
+    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
+        """The N diagonal blocks of F^dag a F, in momentum order.
+
+        One orbit's rows are gathered at a time and transformed by an FFT
+        over the shift index, so the transient stays near N x dim entries.
+        """
+        a = np.asarray(a)
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"dimension mismatch: matrix {a.shape}, sectors {self.dim}")
+        n_orbits, n = self._orbits.shape
+        cols = self._orbits.ravel()
+        full = np.empty((n_orbits, n, n_orbits), dtype=np.complex128)
+        for r, rows in enumerate(self._orbits):
+            slab = np.fft.ifft(a[np.ix_(rows, cols)].reshape(n, n_orbits, n), axis=0)
+            full[r] = np.einsum("krm,km->kr", slab, self._phases)
+        full *= self._scale[:, np.newaxis, :]
+        return [full[np.ix_(m, [k], m)][:, 0, :] for k, m in enumerate(self._members)]
+
+
 def distance_weights(n_terms: int, scale: float) -> np.ndarray:
     """Normalized weights exp(-min(n, N-n) / R) over the cyclic shifts."""
     if not np.isfinite(scale) or scale <= 0:
@@ -200,12 +268,14 @@ class ConjugatedPerturbation:
     The dense trace here can only be trusted to round-off at the scale of
     the largest entry of E, so the tolerance grows with that scale; the
     factory certifies the same identity to 1e-9 at every beta through a
-    positive-term evaluation in the energy eigenbasis.
+    positive-term evaluation in the energy eigenbasis and records that value
+    as `normalization` (None when the pair was built by hand).
     """
 
     u: np.ndarray
     E: HermitianOperator
     state: ThermalState
+    normalization: float | None = None
 
     def __post_init__(self):
         norm = trace_product(self.state.rho.matrix, self.E.matrix).real
@@ -254,7 +324,7 @@ def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> Conjugat
     conj = (grow[:, np.newaxis] * u_tilde) * shrink[np.newaxis, :]
     u_full = state.hamiltonian_decomp.from_eigenbasis(conj)
     e_full = u_full @ u_full.conj().T
-    return ConjugatedPerturbation(u_full, HermitianOperator(e_full), state)
+    return ConjugatedPerturbation(u_full, HermitianOperator(e_full), state, stable_norm)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    BlockDensityMatrix,
     DensityMatrix,
     OverflowGuardError,
     SUPPORT_RTOL,
@@ -69,16 +70,22 @@ def _clamped(value: float) -> float:
     return max(float(value), 0.0)
 
 
-def von_neumann_entropy(state: DensityMatrix | ThermalState) -> EntropyValue:
+def von_neumann_entropy(
+    state: DensityMatrix | BlockDensityMatrix | ThermalState,
+) -> EntropyValue:
     """-sum p log p over the spectrum, with 0 log 0 = 0.
 
-    Thermal states are read off their analytic populations; plain density
-    matrices go through the eigensolver.
+    Thermal states are read off their analytic populations, block states off
+    the spectrum their construction certified; plain density matrices go
+    through the eigensolver.
     """
     if isinstance(state, ThermalState):
         return EntropyValue(_clamped(eta(state.populations).sum()))
-    w = np.clip(np.linalg.eigvalsh(state.matrix), 0.0, None)
-    return EntropyValue(_clamped(eta(w).sum()))
+    if isinstance(state, BlockDensityMatrix):
+        w = state.eigenvalues
+    else:
+        w = np.linalg.eigvalsh(state.matrix)
+    return EntropyValue(_clamped(eta(np.clip(w, 0.0, None)).sum()))
 
 
 def _support_split(w: np.ndarray) -> np.ndarray:

@@ -25,8 +25,8 @@ from .averaging import (
     WEIGHTED_SPATIAL,
     AveragingKind,
     DeviationReport,
+    MomentumSectors,
     average_translates,
-    conjugate_normalization,
     conjugated_perturbation,
     frame_average,
     temporal_average,
@@ -46,6 +46,7 @@ from .lattice import (
     translation_operator,
 )
 from .operators import (
+    BlockDensityMatrix,
     DensityMatrix,
     commutator,
     max_norm,
@@ -353,14 +354,14 @@ class _SizeContext:
         WorkReport(self.work, self.beta_w, self.rel_ent_prime)
         self.conjugated = conjugated_perturbation(self.state, self.kick)
         # kind-independent: every averaging frame fixes rho, so tr(rho ME)
-        # equals tr(rho E) and one conditioned evaluation covers all records
-        self.normalization = conjugate_normalization(self.state, self.kick)
+        # equals tr(rho E) and the factory's conditioned evaluation covers
+        # all records
+        self.normalization = self.conjugated.normalization
+        self.sectors = MomentumSectors(self.translation, n)
 
 
 def _averaged_state(ctx: _SizeContext, kind: AveragingKind) -> DensityMatrix:
     n = ctx.lattice.sites
-    if kind.kind == UNIFORM_SPATIAL:
-        return frame_average(ctx.rho_prime, ctx.translation, n)
     if kind.kind == WEIGHTED_SPATIAL:
         return weighted_frame_average(ctx.rho_prime, ctx.translation, n, kind.parameter)
     return temporal_average(ctx.rho_prime, ctx.state.hamiltonian_decomp, kind.parameter)
@@ -369,8 +370,6 @@ def _averaged_state(ctx: _SizeContext, kind: AveragingKind) -> DensityMatrix:
 def _averaged_E(ctx: _SizeContext, kind: AveragingKind) -> np.ndarray:
     n = ctx.lattice.sites
     e = ctx.conjugated.E.matrix
-    if kind.kind == UNIFORM_SPATIAL:
-        return average_translates(e, ctx.translation, n)
     if kind.kind == WEIGHTED_SPATIAL:
         return weighted_average_translates(e, ctx.translation, n, kind.parameter)
     return temporal_average_matrix(e, ctx.state.hamiltonian_decomp, kind.parameter)
@@ -384,10 +383,19 @@ def _averaged_E_stats(averaged_e: np.ndarray, state: ThermalState) -> tuple[Devi
     averaging frames; evaluating it through ME keeps large-beta sweeps away
     from the ill-conditioned rho^{-1/2} arithmetic.
     """
-    herm = (averaged_e + averaged_e.conj().T) / 2
-    w, v = np.linalg.eigh(herm)
-    weighted_v = state.rho.matrix @ v
-    q = np.einsum("ik,ik->k", v.conj(), weighted_v).real
+    return _spectral_E_stats(*_weighted_spectrum(averaged_e, state.rho.matrix))
+
+
+def _weighted_spectrum(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Hermitian part of a, and the weight rho puts on
+    each eigenvector."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return w, np.einsum("ik,ik->k", v.conj(), rho @ v).real
+
+
+def _spectral_E_stats(w: np.ndarray, q: np.ndarray) -> tuple[DeviationReport, float]:
+    """Deviation report and -tr[rho eta(ME)] from the spectrum w of ME and
+    the rho-weights q of its eigenvectors."""
     dev = w - 1.0
     report = DeviationReport(
         op_norm=float(np.abs(dev).max()),
@@ -399,19 +407,43 @@ def _averaged_E_stats(averaged_e: np.ndarray, state: ThermalState) -> tuple[Devi
     return report, bs_value
 
 
+def _uniform_stats(ctx: _SizeContext) -> tuple[float, float, DeviationReport, float]:
+    """S(M rho'), tr(H M rho'), the ME deviation report and the BS value for
+    the uniform frame, from per-sector eigensolves.
+
+    M rho' and ME are block-diagonal over the momentum sectors.  The state
+    route and the operator route transform rho' and E separately, and the
+    energy pairs the blocks of M rho' with those of H itself.
+    """
+    sectors = ctx.sectors
+    averaged = BlockDensityMatrix(tuple(sectors.blocks(ctx.rho_prime.matrix)))
+    s_m = von_neumann_entropy(averaged).nats
+    energy = sum(
+        trace_product(h, b).real
+        for h, b in zip(sectors.blocks(ctx.state.hamiltonian.matrix), averaged.blocks)
+    )
+    del averaged
+    e_blocks = sectors.blocks(ctx.conjugated.E.matrix)
+    rho_blocks = sectors.blocks(ctx.state.rho.matrix)
+    spectra, weights = zip(*(_weighted_spectrum(e, rho) for e, rho in zip(e_blocks, rho_blocks)))
+    report, bs_value = _spectral_E_stats(np.concatenate(spectra), np.concatenate(weights))
+    return s_m, energy, report, bs_value
+
+
 def _record_for(cfg: ExperimentConfig, contexts: dict, n: int, kind: AveragingKind) -> ExperimentRecord:
     start = time.perf_counter()
     if n not in contexts:
         contexts[n] = _SizeContext(cfg, n)
     ctx = contexts[n]
-    averaged = _averaged_state(ctx, kind)
-    s_m = von_neumann_entropy(averaged).nats
-    rel_ent_avg = max(
-        0.0,
-        -s_m + cfg.beta * ctx.state.energy(averaged.matrix) + ctx.state.log_partition,
-    )
-    del averaged
-    report, bs_value = _averaged_E_stats(_averaged_E(ctx, kind), ctx.state)
+    if kind.kind == UNIFORM_SPATIAL:
+        s_m, energy, report, bs_value = _uniform_stats(ctx)
+    else:
+        averaged = _averaged_state(ctx, kind)
+        s_m = von_neumann_entropy(averaged).nats
+        energy = ctx.state.energy(averaged.matrix)
+        del averaged
+        report, bs_value = _averaged_E_stats(_averaged_E(ctx, kind), ctx.state)
+    rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + ctx.state.log_partition)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(
             f"tr(rho ME) = {ctx.normalization!r} drifted from 1 at N={n}, {kind.kind}"

@@ -12,8 +12,11 @@ from frameavg import (
 )
 from frameavg.averaging import (
     AveragingKind,
+    ConjugatedPerturbation,
+    MomentumSectors,
     averaged_E_deviation,
     average_translates,
+    conjugate_normalization,
     conjugated_perturbation,
     deviation_report,
     distance_weights,
@@ -24,6 +27,7 @@ from frameavg.averaging import (
     weighted_frame_average,
 )
 from frameavg.entropy import relative_entropy, von_neumann_entropy
+from frameavg.operators import BlockDensityMatrix, UnitaryOperator
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
@@ -120,6 +124,79 @@ class TestFrameAverage:
         a = average_translates(rho_prime.matrix, t, 4)
         b = average_translates(rho_prime.matrix, t, 4)
         assert np.array_equal(a, b)
+
+
+SECTOR_MODELS = (
+    ("free-spins", {"h": 1.0}),
+    ("transverse-field-ising", {"J": 1.0, "g": 0.9}),
+    ("heisenberg-xxz", {"J": 1.0, "delta": 0.5}),
+)
+
+
+class TestMomentumSectors:
+    @pytest.mark.parametrize("model,couplings", SECTOR_MODELS)
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 8))
+    @pytest.mark.parametrize("beta", (0.2, 1.0, 2.0))
+    def test_spectrum_matches_dense_average(self, model, couplings, n, beta):
+        # N = 2..8 covers short orbits (the all-equal and period-dividing
+        # configurations) and odd N
+        lat = LatticeSpec(n)
+        state = thermal_state(build_hamiltonian(lat, HamiltonianSpec(model, couplings)), beta)
+        rho_prime = perturb(state, local_kick(lat, PerturbationSpec(0, sigma_x, 0.7)))
+        t = translation_operator(lat)
+        sectors = MomentumSectors(t, n)
+        assert sum(sectors.dims) == lat.dim
+        blocks = sectors.blocks(rho_prime.matrix)
+        assert [b.shape for b in blocks] == [(d, d) for d in sectors.dims]
+        averaged = BlockDensityMatrix(tuple(blocks))
+        dense = np.linalg.eigvalsh(average_translates(rho_prime.matrix, t, n))
+        assert np.abs(np.sort(averaged.eigenvalues) - dense).max() <= 1e-12
+
+    def test_blocks_are_invariant_under_the_average(self):
+        # the uniform average is the projection onto the diagonal blocks, so
+        # averaging first changes no block of an arbitrary matrix
+        lat = LatticeSpec(6)
+        t = translation_operator(lat)
+        sectors = MomentumSectors(t, 6)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        direct = sectors.blocks(a)
+        averaged = sectors.blocks(average_translates(a, t, 6))
+        assert max(max_norm(x - y) for x, y in zip(direct, averaged)) < 1e-12
+        assert abs(sum(b.trace() for b in direct) - a.trace()) < 1e-12
+
+    def test_non_hermitian_input_rejected(self):
+        _, _, _, rho_prime, t = ising_setup()
+        rng = np.random.default_rng(5)
+        skew = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        blocks = MomentumSectors(t, 4).blocks(rho_prime.matrix + 1e-6 * skew)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BlockDensityMatrix(tuple(blocks))
+
+    def test_trace_off_one_rejected(self):
+        _, _, _, rho_prime, t = ising_setup()
+        blocks = MomentumSectors(t, 4).blocks(1.5 * rho_prime.matrix)
+        with pytest.raises(ValueError, match="is not 1 within"):
+            BlockDensityMatrix(tuple(blocks))
+
+    def test_eigenvalue_below_floor_rejected(self):
+        _, _, _, _, t = ising_setup()
+        # |0000> is its own orbit, so its negative weight survives the average
+        diag = np.full(16, 1.1 / 15)
+        diag[0] = -0.1
+        blocks = MomentumSectors(t, 4).blocks(np.diag(diag).astype(complex))
+        with pytest.raises(ValueError, match="not positive semidefinite: min eigenvalue"):
+            BlockDensityMatrix(tuple(blocks))
+
+    def test_translation_without_permutation_rejected(self):
+        _, _, _, _, t = ising_setup()
+        with pytest.raises(ValueError, match="permutation"):
+            MomentumSectors(UnitaryOperator(t.matrix), 4)
+
+    def test_wrong_order_rejected(self):
+        _, _, _, _, t = ising_setup()
+        with pytest.raises(ValueError, match="does not have order 3"):
+            MomentumSectors(t, 3)
 
 
 class TestWeightedAverage:
@@ -272,6 +349,12 @@ class TestConjugatedPerturbation:
         inv_sqrt = (v * (w**-0.5)[np.newaxis, :]) @ v.conj().T
         ref = inv_sqrt @ rho_prime.matrix @ inv_sqrt
         assert max_norm(cp.E.matrix - ref) < 1e-8
+
+    def test_carries_the_certified_normalization(self):
+        lat, state, u, _, _ = ising_setup(beta=1.5)
+        cp = conjugated_perturbation(state, u)
+        assert cp.normalization == conjugate_normalization(state, u)
+        assert ConjugatedPerturbation(cp.u, cp.E, state).normalization is None
 
     def test_overflow_guard(self):
         lat = LatticeSpec(4)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from frameavg.averaging import average_translates, deviation_report
-from frameavg.entropy import bs_relative_entropy
+from frameavg.averaging import average_translates, deviation_report, frame_average
+from frameavg.entropy import bs_relative_entropy, von_neumann_entropy
 from frameavg.experiments import (
     CSV_HEADER,
     IDENTITY_TOLERANCES,
@@ -13,6 +13,7 @@ from frameavg.experiments import (
     ExperimentConfig,
     ExperimentRecord,
     _averaged_E_stats,
+    _SizeContext,
     config_from_mapping,
     convergence_sweep,
     emit_csv,
@@ -427,6 +428,45 @@ class TestFusedStats:
             DensityMatrix(average_translates(averaged.matrix, t, 4)), state
         ).nats
         assert abs(bs_fast - bs_direct) < 1e-9
+
+
+class TestUniformSectorRoute:
+    @pytest.mark.parametrize(
+        "model",
+        (
+            {"name": "free-spins", "couplings": {"h": 1.0}},
+            {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}},
+            {"name": "heisenberg-xxz", "couplings": {"J": 1.0, "delta": 0.5}},
+        ),
+        ids=lambda m: m["name"],
+    )
+    @pytest.mark.parametrize("beta", (0.2, 1.0, 2.0))
+    def test_record_matches_dense_route(self, model, beta):
+        # the sweep evaluates the uniform frame per momentum sector; the
+        # dense average of rho' and of E is the reference
+        cfg = config_from_mapping(base_mapping(model=model, sizes=[2, 3, 4, 5, 6, 8], beta=beta))
+        # at beta = 2 the BS value carries the dense-ME floor of criterion 4
+        bs_tol = 1e-8 if beta == 2.0 else 1e-10
+
+        def close(value, reference, tol=1e-10):
+            # ||ME - 1|| reaches 4.5e6 for XXZ at beta = 2, so the tolerance
+            # is relative once a value exceeds 1
+            return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+        for record in convergence_sweep(cfg):
+            n = record.n
+            ctx = _SizeContext(cfg, n)
+            averaged = frame_average(ctx.rho_prime, ctx.translation, n)
+            s_m = von_neumann_entropy(averaged).nats
+            rel_ent_avg = max(
+                0.0, -s_m + beta * ctx.state.energy(averaged.matrix) + ctx.state.log_partition
+            )
+            me = average_translates(ctx.conjugated.E.matrix, ctx.translation, n)
+            report, bs_value = _averaged_E_stats(me, ctx.state)
+            assert close(record.s_m_rho_prime, s_m)
+            assert close(record.rel_ent_avg, rel_ent_avg)
+            assert close(record.me_deviation, report.op_norm)
+            assert close(record.bs_rel_ent_avg, bs_value, bs_tol)
 
 
 class TestCsv:
