@@ -24,17 +24,12 @@ from .averaging import (
     UNIFORM_SPATIAL,
     WEIGHTED_SPATIAL,
     AveragingKind,
-    DeviationReport,
-    MomentumSectors,
     average_translates,
+    averaged_E_stats,
     conjugated_perturbation,
     frame_average,
-    temporal_average,
-    temporal_average_matrix,
-    weighted_average_translates,
-    weighted_frame_average,
 )
-from .entropy import bs_relative_entropy, eta, relative_entropy, von_neumann_entropy
+from .entropy import bs_relative_entropy, relative_entropy, von_neumann_entropy
 from .lattice import (
     HamiltonianSpec,
     LatticeSizeError,
@@ -47,14 +42,13 @@ from .lattice import (
 )
 from .operators import (
     BlockDensityMatrix,
-    DensityMatrix,
     commutator,
     max_norm,
     operator_norm,
     random_density_matrix,
     trace_product,
 )
-from .thermal import PerturbationSpec, ThermalState, WorkReport, local_kick, perturb, thermal_state, work
+from .thermal import PerturbationSpec, WorkReport, local_kick, perturb, thermal_state, work
 
 CSV_HEADER = (
     "model,N,beta,kick_site,kick_strength,avg_kind,avg_param,"
@@ -171,6 +165,10 @@ def _parse_generator(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+# the config key that carries each kind's parameter
+_PARAMETER_KEYS = {UNIFORM_SPATIAL: None, WEIGHTED_SPATIAL: "R", TEMPORAL: "tau"}
+
+
 def _parse_averaging(entries, where: str) -> tuple[AveragingKind, ...]:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{where} must be a nonempty list of channel objects")
@@ -180,18 +178,13 @@ def _parse_averaging(entries, where: str) -> tuple[AveragingKind, ...]:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"{spot} must be an object with a 'kind' key")
         kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in _PARAMETER_KEYS:
+            raise ConfigError(f"{spot}.kind is unknown: {kind!r}")
+        key = _PARAMETER_KEYS[kind]
         try:
-            if kind == UNIFORM_SPATIAL:
-                _require_keys(entry, ("kind",), (), spot)
-                kinds.append(AveragingKind.uniform_spatial())
-            elif kind == WEIGHTED_SPATIAL:
-                _require_keys(entry, ("kind", "R"), (), spot)
-                kinds.append(AveragingKind.weighted_spatial(_parse_number(entry["R"], f"{spot}.R")))
-            elif kind == TEMPORAL:
-                _require_keys(entry, ("kind", "tau"), (), spot)
-                kinds.append(AveragingKind.temporal(_parse_number(entry["tau"], f"{spot}.tau")))
-            else:
-                raise ConfigError(f"{spot}.kind is unknown: {kind!r}")
+            _require_keys(entry, ("kind",) if key is None else ("kind", key), (), spot)
+            parameter = None if key is None else _parse_number(entry[key], f"{spot}.{key}")
+            kinds.append(AveragingKind(kind, parameter))
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -326,8 +319,7 @@ class ExperimentRecord:
             )
 
     def sort_key(self):
-        param = self.avg_param if self.avg_param is not None else -math.inf
-        return (self.n, self.avg_kind, param)
+        return (self.n, *AveragingKind(self.avg_kind, self.avg_param).sort_key())
 
 
 class _SizeContext:
@@ -357,97 +349,30 @@ class _SizeContext:
         # equals tr(rho E) and the factory's conditioned evaluation covers
         # all records
         self.normalization = self.conjugated.normalization
-        self.sectors = MomentumSectors(self.translation, n)
 
 
-def _averaged_state(ctx: _SizeContext, kind: AveragingKind) -> DensityMatrix:
-    n = ctx.lattice.sites
-    if kind.kind == WEIGHTED_SPATIAL:
-        return weighted_frame_average(ctx.rho_prime, ctx.translation, n, kind.parameter)
-    return temporal_average(ctx.rho_prime, ctx.state.hamiltonian_decomp, kind.parameter)
+def _record_for(cfg: ExperimentConfig, ctx: _SizeContext, kind: AveragingKind) -> ExperimentRecord:
+    """One sweep row; its wall time covers the channel work, not the size setup.
 
-
-def _averaged_E(ctx: _SizeContext, kind: AveragingKind) -> np.ndarray:
-    n = ctx.lattice.sites
-    e = ctx.conjugated.E.matrix
-    if kind.kind == WEIGHTED_SPATIAL:
-        return weighted_average_translates(e, ctx.translation, n, kind.parameter)
-    return temporal_average_matrix(e, ctx.state.hamiltonian_decomp, kind.parameter)
-
-
-def _averaged_E_stats(averaged_e: np.ndarray, state: ThermalState) -> tuple[DeviationReport, float]:
-    """Deviation report plus -tr[rho eta(ME)] from a single eigendecomposition.
-
-    -tr[rho eta(ME)] equals the operator-convex relative entropy
-    S_BS(M rho' | rho) because every function of rho is invariant under the
-    averaging frames.  Sweeps take this route because the deviation report
-    needs the same eigendecomposition, not for accuracy: the entries of ME
-    grow like exp(beta (E_i + E_j) / 2), and holding ME in float64 costs an
-    absolute error near eps ||ME||_op (1 + max|ln lambda(ME)|).  At
-    heisenberg-xxz N = 6, beta = 2 that is 3e-8, while the state route
-    `bs_relative_entropy` stays within 2e-11 of a 40-digit value.
+    The state route and the operator route transform rho' and E separately,
+    block by block in the channel's basis, and the energy pairs the blocks of
+    M rho' with those of H itself.
     """
-    return _spectral_E_stats(*_weighted_spectrum(averaged_e, state.rho.matrix))
-
-
-def _weighted_spectrum(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the Hermitian part of a, and the weight rho puts on
-    each eigenvector."""
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return w, np.einsum("ik,ik->k", v.conj(), rho @ v).real
-
-
-def _spectral_E_stats(w: np.ndarray, q: np.ndarray) -> tuple[DeviationReport, float]:
-    """Deviation report and -tr[rho eta(ME)] from the spectrum w of ME and
-    the rho-weights q of its eigenvectors."""
-    dev = w - 1.0
-    report = DeviationReport(
-        op_norm=float(np.abs(dev).max()),
-        frobenius_norm=float(np.sqrt((dev**2).sum())),
-        state_weighted=float(np.sqrt(max((q * dev**2).sum(), 0.0))),
-        state_trace=float((q * w).sum()),
-    )
-    bs_value = max(-float(np.dot(eta(w), q)), 0.0)
-    return report, bs_value
-
-
-def _uniform_stats(ctx: _SizeContext) -> tuple[float, float, DeviationReport, float]:
-    """S(M rho'), tr(H M rho'), the ME deviation report and the BS value for
-    the uniform frame, from per-sector eigensolves.
-
-    M rho' and ME are block-diagonal over the momentum sectors.  The state
-    route and the operator route transform rho' and E separately, and the
-    energy pairs the blocks of M rho' with those of H itself.
-    """
-    sectors = ctx.sectors
-    averaged = BlockDensityMatrix(tuple(sectors.blocks(ctx.rho_prime.matrix)))
+    start = time.perf_counter()
+    n = ctx.lattice.sites
+    state = ctx.state
+    channel = kind.bind(state, ctx.translation, n)
+    averaged = BlockDensityMatrix(tuple(channel.blocks(ctx.rho_prime.matrix)))
     s_m = von_neumann_entropy(averaged).nats
     energy = sum(
         trace_product(h, b).real
-        for h, b in zip(sectors.blocks(ctx.state.hamiltonian.matrix), averaged.blocks)
+        for h, b in zip(channel.fixed_blocks(state.hamiltonian.matrix), averaged.blocks)
     )
     del averaged
-    e_blocks = sectors.blocks(ctx.conjugated.E.matrix)
-    rho_blocks = sectors.blocks(ctx.state.rho.matrix)
-    spectra, weights = zip(*(_weighted_spectrum(e, rho) for e, rho in zip(e_blocks, rho_blocks)))
-    report, bs_value = _spectral_E_stats(np.concatenate(spectra), np.concatenate(weights))
-    return s_m, energy, report, bs_value
-
-
-def _record_for(cfg: ExperimentConfig, contexts: dict, n: int, kind: AveragingKind) -> ExperimentRecord:
-    start = time.perf_counter()
-    if n not in contexts:
-        contexts[n] = _SizeContext(cfg, n)
-    ctx = contexts[n]
-    if kind.kind == UNIFORM_SPATIAL:
-        s_m, energy, report, bs_value = _uniform_stats(ctx)
-    else:
-        averaged = _averaged_state(ctx, kind)
-        s_m = von_neumann_entropy(averaged).nats
-        energy = ctx.state.energy(averaged.matrix)
-        del averaged
-        report, bs_value = _averaged_E_stats(_averaged_E(ctx, kind), ctx.state)
-    rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + ctx.state.log_partition)
+    report, bs_value = averaged_E_stats(
+        channel.blocks(ctx.conjugated.E.matrix), channel.fixed_blocks(state.rho.matrix)
+    )
+    rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(
             f"tr(rho ME) = {ctx.normalization!r} drifted from 1 at N={n}, {kind.kind}"
@@ -481,11 +406,11 @@ def convergence_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
     the interpreter lock); records are sorted before return either way, so the
     output order never depends on scheduling.
     """
-    kinds = sorted(cfg.averaging, key=lambda k: (k.kind, k.parameter if k.parameter is not None else -math.inf))
+    kinds = sorted(cfg.averaging, key=AveragingKind.sort_key)
 
     def run_size(n: int) -> list[ExperimentRecord]:
-        contexts: dict = {}
-        return [_record_for(cfg, contexts, n, kind) for kind in kinds]
+        ctx = _SizeContext(cfg, n)
+        return [_record_for(cfg, ctx, kind) for kind in kinds]
 
     if jobs > 1 and len(cfg.sizes) > 1:
         with ThreadPoolExecutor(max_workers=min(jobs, len(cfg.sizes))) as pool:
@@ -532,10 +457,8 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
     probe_time = float(probe_time)
     if not np.isfinite(probe_time):
         raise ConfigError(f"probe time must be finite, got {probe_time!r}")
-    contexts: dict = {}
     n = cfg.sizes[0]
-    contexts[n] = _SizeContext(cfg, n)
-    ctx = contexts[n]
+    ctx = _SizeContext(cfg, n)
     decomp = ctx.state.hamiltonian_decomp
     phases = np.exp(
         1j
@@ -595,9 +518,7 @@ class IdentityReport:
 def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     """Run the exact-identity suite at the smallest configured size."""
     n = cfg.sizes[0]
-    contexts: dict = {}
-    contexts[n] = _SizeContext(cfg, n)
-    ctx = contexts[n]
+    ctx = _SizeContext(cfg, n)
     state = ctx.state
     checks = []
 
@@ -638,7 +559,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     )
 
     me = average_translates(ctx.conjugated.E.matrix, ctx.translation, n)
-    _, bs_from_me = _averaged_E_stats(me, state)
+    _, bs_from_me = averaged_E_stats([me], [state.rho.matrix])
     checks.append(
         IdentityCheck(
             "bs-equality", abs(bs_direct - bs_from_me), cfg.tolerance("bs-equality")
@@ -657,22 +578,11 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     worst = 0.0
     rng = np.random.default_rng(cfg.seed)
     for kind in cfg.averaging:
+        channel = kind.bind(state, ctx.translation, n)
         for _ in range(5):
             rho = random_density_matrix(ctx.lattice.dim, int(rng.integers(1 << 31))).matrix
-            c = commutator(h, rho)
-            if kind.kind == UNIFORM_SPATIAL:
-                lhs = average_translates(c, ctx.translation, n)
-                rhs = commutator(h, average_translates(rho, ctx.translation, n))
-            elif kind.kind == WEIGHTED_SPATIAL:
-                lhs = weighted_average_translates(c, ctx.translation, n, kind.parameter)
-                rhs = commutator(
-                    h, weighted_average_translates(rho, ctx.translation, n, kind.parameter)
-                )
-            else:
-                lhs = temporal_average_matrix(c, state.hamiltonian_decomp, kind.parameter)
-                rhs = commutator(
-                    h, temporal_average_matrix(rho, state.hamiltonian_decomp, kind.parameter)
-                )
+            lhs = channel.apply(commutator(h, rho))
+            rhs = commutator(h, channel.apply(rho))
             worst = max(worst, max_norm(lhs - rhs))
     checks.append(IdentityCheck("gracefulness", worst, cfg.tolerance("gracefulness")))
 

@@ -133,6 +133,34 @@ SECTOR_MODELS = (
 )
 
 
+class TestChannel:
+    @pytest.mark.parametrize(
+        "kind, dense",
+        (
+            (AveragingKind.uniform_spatial(), lambda a, t, decomp: average_translates(a, t, 4)),
+            (
+                AveragingKind.weighted_spatial(2.0),
+                lambda a, t, decomp: weighted_average_translates(a, t, 4, 2.0),
+            ),
+            (AveragingKind.temporal(1.5), lambda a, t, decomp: temporal_average_matrix(a, decomp, 1.5)),
+        ),
+        ids=("uniform-spatial", "weighted-spatial", "temporal"),
+    )
+    def test_blocks_carry_the_dense_average(self, kind, dense):
+        # apply is the kind's dense average; the blocks hold its spectrum,
+        # and paired with the fixed blocks of H they give tr(H M rho')
+        _, state, _, rho_prime, t = ising_setup()
+        channel = kind.bind(state, t, 4)
+        averaged = channel.apply(rho_prime.matrix)
+        assert np.array_equal(averaged, dense(rho_prime.matrix, t, state.hamiltonian_decomp))
+        blocks = channel.blocks(rho_prime.matrix)
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        assert np.abs(spectrum - np.linalg.eigvalsh(averaged)).max() < 1e-12
+        h = state.hamiltonian.matrix
+        energy = sum(np.trace(y @ b) for y, b in zip(channel.fixed_blocks(h), blocks))
+        assert abs(energy - np.trace(h @ averaged)) < 1e-12
+
+
 class TestMomentumSectors:
     @pytest.mark.parametrize("model,couplings", SECTOR_MODELS)
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 8))

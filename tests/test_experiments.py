@@ -1,10 +1,18 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from frameavg.averaging import average_translates, deviation_report, frame_average
+from frameavg.averaging import (
+    average_translates,
+    averaged_E_stats,
+    deviation_report,
+    frame_average,
+    temporal_average_matrix,
+    weighted_average_translates,
+)
 from frameavg.entropy import bs_relative_entropy, von_neumann_entropy
 from frameavg.experiments import (
     CSV_HEADER,
@@ -12,7 +20,6 @@ from frameavg.experiments import (
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
-    _averaged_E_stats,
     _SizeContext,
     config_from_mapping,
     convergence_sweep,
@@ -23,7 +30,7 @@ from frameavg.experiments import (
     saturation_scan,
     verify_identities,
 )
-from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, translation_operator
+from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, pauli, translation_operator
 from frameavg.operators import DensityMatrix
 from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
 from frameavg.averaging import conjugated_perturbation
@@ -402,32 +409,59 @@ class TestVerifyIdentities:
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)
 
 
-class TestFusedStats:
-    def test_matches_direct_routes(self):
-        # the single-eigh fast path must agree with the standalone
-        # deviation report and the generic operator-convex entropy
+class TestDeviationReport:
+    @pytest.mark.parametrize(
+        "average",
+        (
+            lambda a, t, decomp: average_translates(a, t, 4),
+            lambda a, t, decomp: weighted_average_translates(a, t, 4, 2.0),
+            lambda a, t, decomp: temporal_average_matrix(a, decomp, 1.5),
+        ),
+        ids=("uniform-spatial", "weighted-spatial", "temporal"),
+    )
+    def test_matches_numpy_and_the_state_route(self, average):
+        # each field against a direct numpy evaluation on the dense ME, and
+        # the operator route -tr[rho eta(ME)] against the state route
         lat = LatticeSpec(4)
         h = build_hamiltonian(
             lat, HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9})
         )
         state = thermal_state(h, 1.3)
-        u = local_kick(lat, PerturbationSpec(1, np.array([[0, 1], [1, 0]], dtype=complex), 0.7))
+        u = local_kick(lat, PerturbationSpec(1, pauli("X"), 0.7))
         t = translation_operator(lat)
-        cp = conjugated_perturbation(state, u)
-        me = average_translates(cp.E.matrix, t, 4)
+        decomp = state.hamiltonian_decomp
+        rho = state.rho.matrix
+        me = average(conjugated_perturbation(state, u).E.matrix, t, decomp)
 
-        report, bs_fast = _averaged_E_stats(me, state)
-        direct = deviation_report(me, state)
-        assert abs(report.op_norm - direct.op_norm) < 1e-10
-        assert abs(report.frobenius_norm - direct.frobenius_norm) < 1e-10
-        assert abs(report.state_weighted - direct.state_weighted) < 1e-10
-        assert abs(report.state_trace - direct.state_trace) < 1e-10
+        report = deviation_report(me, state)
+        dev = me - np.eye(lat.dim)
+        dev = (dev + dev.conj().T) / 2
+        assert abs(report.op_norm - np.abs(np.linalg.eigvalsh(dev)).max()) < 1e-10
+        assert abs(report.frobenius_norm - np.linalg.norm(dev)) < 1e-10
+        assert abs(report.state_weighted - np.sqrt(np.trace(rho @ dev @ dev).real)) < 1e-10
+        assert abs(report.state_trace - np.trace(rho @ me).real) < 1e-10
 
-        averaged = perturb(state, u)
-        bs_direct = bs_relative_entropy(
-            DensityMatrix(average_translates(averaged.matrix, t, 4)), state
-        ).nats
-        assert abs(bs_fast - bs_direct) < 1e-9
+        _, bs_from_me = averaged_E_stats([me], [rho])
+        averaged = DensityMatrix(average(perturb(state, u).matrix, t, decomp))
+        assert abs(bs_from_me - bs_relative_entropy(averaged, state).nats) < 1e-9
+
+
+class TestWallTime:
+    def test_rows_exclude_the_size_setup(self, monkeypatch):
+        # every row of a size shares one setup, built before any row's timer
+        build = _SizeContext.__init__
+
+        def slow_build(self, cfg, n):
+            time.sleep(0.3)
+            build(self, cfg, n)
+
+        monkeypatch.setattr(_SizeContext, "__init__", slow_build)
+        cfg = config_from_mapping(
+            base_mapping(averaging=[{"kind": "uniform-spatial"}, {"kind": "temporal", "tau": 1.0}])
+        )
+        rows = convergence_sweep(cfg)
+        assert len(rows) == 2
+        assert all(row.wall_time_s < 0.3 for row in rows)
 
 
 class TestUniformSectorRoute:
@@ -462,7 +496,7 @@ class TestUniformSectorRoute:
                 0.0, -s_m + beta * ctx.state.energy(averaged.matrix) + ctx.state.log_partition
             )
             me = average_translates(ctx.conjugated.E.matrix, ctx.translation, n)
-            report, bs_value = _averaged_E_stats(me, ctx.state)
+            report, bs_value = averaged_E_stats([me], [ctx.state.rho.matrix])
             assert close(record.s_m_rho_prime, s_m)
             assert close(record.rel_ent_avg, rel_ent_avg)
             assert close(record.me_deviation, report.op_norm)

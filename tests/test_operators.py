@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frameavg import (
+    BlockDensityMatrix,
     DensityMatrix,
     HermitianOperator,
     MatrixFunctionDomainError,
@@ -60,6 +61,26 @@ class TestConstruction:
 
     def test_density_accepts_boundary_rank_deficient(self):
         DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+
+
+class TestBlockGateParity:
+    @pytest.mark.parametrize(
+        "matrix",
+        (
+            [[0.5, 0.1], [0.0, 0.5]],
+            [[0.5, 0.0], [0.0, 0.5 + 1e-9]],
+            [[1.0 + 1e-9, 0.0], [0.0, -1e-9]],
+            [[0.5, 0.0], [0.0, np.nan]],
+        ),
+        ids=("non-hermitian", "trace-off", "negative-eigenvalue", "non-finite"),
+    )
+    def test_one_block_rejects_what_density_matrix_rejects(self, matrix):
+        # the sweep gates every averaged state through BlockDensityMatrix
+        with pytest.raises(ValueError) as dense:
+            DensityMatrix(matrix)
+        with pytest.raises(ValueError) as block:
+            BlockDensityMatrix((np.asarray(matrix, dtype=complex),))
+        assert str(block.value) == str(dense.value)
 
 
 class TestSpectralDecompose:
