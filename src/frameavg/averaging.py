@@ -337,7 +337,22 @@ def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.matrix)
+    return _normalization(state, _kick_in_energy_basis(state.hamiltonian_decomp, u))
+
+
+def _kick_in_energy_basis(decomp: SpectralDecomposition, u: UnitaryOperator) -> np.ndarray:
+    """u~ = V^dag (U V), with U V from the kick's own apply.
+
+    That is one dense product for a dense eigenbasis and none when H is
+    diagonal, where V only reorders the computational basis.
+    """
+    if decomp.basis_permutation is not None:
+        return decomp.to_eigenbasis(u.apply(np.eye(decomp.dim)))
+    v = decomp.eigenvectors
+    return v.conj().T @ u.apply(v)
+
+
+def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
     return float((state.populations[np.newaxis, :] * np.abs(u_tilde) ** 2).sum())
 
 
@@ -346,26 +361,41 @@ def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> Conjugat
 
     In the energy eigenbasis the conjugation is the entrywise factor
     e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
-    of rho is ever formed.
+    of rho is ever formed.  The kick is rotated into that basis once, and
+    tr(rho E) is certified from the same rotation.  For diagonal H,
+    E = G (U S^2 U^dag) G with G = e^{beta H/2} and S = e^{-beta H/2} both
+    diagonal, which the kick's own conjugation evaluates without a dense
+    product.
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    energies = state.hamiltonian_decomp.eigenvalues
+    decomp = state.hamiltonian_decomp
+    energies = decomp.eigenvalues
     radius = max(abs(energies[0]), abs(energies[-1]))
     if state.beta * radius > 700.0:
         raise OverflowGuardError(
             f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
             "the 700 overflow guard; reduce beta or the chain size"
         )
-    stable_norm = conjugate_normalization(state, u)
+    u_tilde = _kick_in_energy_basis(decomp, u)
+    stable_norm = _normalization(state, u_tilde)
     if abs(stable_norm - 1.0) > 1e-9:
         raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
     grow = np.exp(state.beta * energies / 2)
     shrink = np.exp(-state.beta * energies / 2)
-    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.matrix)
-    conj = (grow[:, np.newaxis] * u_tilde) * shrink[np.newaxis, :]
-    u_full = state.hamiltonian_decomp.from_eigenbasis(conj)
-    e_full = u_full @ u_full.conj().T
+    # scaled in place into the eigenbasis u_beta, G u~ S
+    u_tilde *= grow[:, np.newaxis]
+    u_tilde *= shrink[np.newaxis, :]
+    u_full = decomp.from_eigenbasis(u_tilde)
+    del u_tilde
+    if decomp.basis_permutation is None:
+        e_full = u_full @ u_full.conj().T
+    else:
+        g = np.empty_like(grow)
+        g[decomp.basis_permutation] = grow
+        e_full = u.conjugate(decomp.diagonal_from_eigenbasis(shrink**2))
+        e_full *= g[:, np.newaxis]
+        e_full *= g[np.newaxis, :]
     return ConjugatedPerturbation(u_full, HermitianOperator(e_full), state, stable_norm)
 
 

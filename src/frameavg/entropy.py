@@ -77,14 +77,14 @@ def von_neumann_entropy(
 
     Thermal states are read off their analytic populations, block states off
     the spectrum their construction certified; plain density matrices go
-    through the eigensolver.
+    through the eigensolver once and keep the spectrum.
     """
     if isinstance(state, ThermalState):
         return EntropyValue(_clamped(eta(state.populations).sum()))
     if isinstance(state, BlockDensityMatrix):
         w = state.eigenvalues
     else:
-        w = np.linalg.eigvalsh(state.matrix)
+        w = state.spectrum()
     return EntropyValue(_clamped(eta(np.clip(w, 0.0, None)).sum()))
 
 

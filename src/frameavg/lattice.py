@@ -135,8 +135,8 @@ class SiteOperator:
         )
 
 
-def embed_site_operator(lattice: LatticeSpec, op: SiteOperator) -> np.ndarray:
-    """1 x ... x a x ... x 1 with a at position op.site."""
+def _outer_dims(lattice: LatticeSpec, op: SiteOperator) -> tuple[int, int]:
+    """Dimensions of the identities left and right of op's site."""
     if op.site >= lattice.sites:
         raise ValueError(f"site {op.site} out of range for {lattice.sites} sites")
     d = lattice.local_dim
@@ -144,18 +144,20 @@ def embed_site_operator(lattice: LatticeSpec, op: SiteOperator) -> np.ndarray:
         raise ValueError(
             f"local matrix has dim {op.local_matrix.shape[0]}, lattice expects {d}"
         )
-    left = np.eye(d**op.site, dtype=complex)
-    right = np.eye(d ** (lattice.sites - 1 - op.site), dtype=complex)
-    return np.kron(np.kron(left, op.local_matrix), right)
+    return d**op.site, d ** (lattice.sites - 1 - op.site)
 
 
-def _embed_factors(lattice: LatticeSpec, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Kronecker chain with the given site factors, identity elsewhere."""
-    out = np.eye(1, dtype=complex)
-    eye = np.eye(lattice.local_dim, dtype=complex)
-    for site in range(lattice.sites):
-        out = np.kron(out, factors.get(site, eye))
-    return out
+def embed_site_operator(lattice: LatticeSpec, op: SiteOperator) -> np.ndarray:
+    """1 x ... x a x ... x 1 with a at position op.site."""
+    left, right = _outer_dims(lattice, op)
+    return np.kron(
+        np.kron(np.eye(left, dtype=complex), op.local_matrix), np.eye(right, dtype=complex)
+    )
+
+
+def site_unitary(lattice: LatticeSpec, op: SiteOperator) -> UnitaryOperator:
+    """The unitary 1 x ... x u x ... x 1, held as its single-site factor u."""
+    return UnitaryOperator(factor=op.local_matrix, outer=_outer_dims(lattice, op))
 
 
 def translation_operator(lattice: LatticeSpec) -> UnitaryOperator:
@@ -163,14 +165,12 @@ def translation_operator(lattice: LatticeSpec) -> UnitaryOperator:
 
     T maps |s_0 s_1 ... s_{N-1}> to |s_{N-1} s_0 ... s_{N-2}>, so on basis
     indices T e_i = e_{perm[i]} with perm[i] = (i mod d) * d^(N-1) + i div d.
-    The permutation rides along on the operator for fast conjugation.
+    The operator is held as that permutation; its dense matrix is built only
+    when read.
     """
     d, dim = lattice.local_dim, lattice.dim
     idx = np.arange(dim)
-    perm = (idx % d) * (dim // d) + idx // d
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[perm, idx] = 1.0
-    return UnitaryOperator(mat, permutation=perm)
+    return UnitaryOperator(permutation=(idx % d) * (dim // d) + idx // d)
 
 
 def _diagonal_zz_field(lattice: LatticeSpec, field_coeff: float, bond_coeff: float) -> np.ndarray:
@@ -202,22 +202,28 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     free-spins:             h * sum_i Z_i
     transverse-field-ising: -J * sum_i Z_i Z_{i+1} - g * sum_i X_i
     heisenberg-xxz:         J * sum_i (X_i X_{i+1} + Y_i Y_{i+1} + delta * Z_i Z_{i+1})
+
+    The off-diagonal entries are written straight from basis bit flips: X_s
+    flips bit s, and X_i X_j + Y_i Y_j maps |..0..1..> to 2 |..1..0..> and
+    annihilates aligned pairs, so it flips both bits where they differ.
     """
     if lattice.local_dim != 2:
         raise ValueError("the chain models are defined for local dimension 2")
     c = spec.couplings
     n = lattice.sites
+    idx = np.arange(lattice.dim)
+    bits = [1 << (n - 1 - s) for s in range(n)]
     if spec.model == FREE_SPINS:
         h = np.diag(_diagonal_zz_field(lattice, c["h"], 0.0).astype(complex))
     elif spec.model == TRANSVERSE_FIELD_ISING:
         h = np.diag(_diagonal_zz_field(lattice, 0.0, -c["J"]).astype(complex))
-        for i in range(n):
-            h -= c["g"] * embed_site_operator(lattice, SiteOperator(i, sigma_x))
+        for bit in bits:
+            h[idx, idx ^ bit] = -c["g"]
     else:
         h = np.diag(_diagonal_zz_field(lattice, 0.0, c["J"] * c["delta"]).astype(complex))
         for i, j in _bonds(n):
-            h += c["J"] * _embed_factors(lattice, {i: sigma_x, j: sigma_x})
-            h += c["J"] * _embed_factors(lattice, {i: sigma_y, j: sigma_y})
+            rows = idx[((idx & bits[i]) == 0) != ((idx & bits[j]) == 0)]
+            h[rows, rows ^ (bits[i] | bits[j])] = 2 * c["J"]
     out = HermitianOperator(h)
     t = translation_operator(lattice)
     if translation_defect(out.matrix, t) > 1e-10:
@@ -226,12 +232,8 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
 
 
 def translation_defect(matrix: np.ndarray, t: UnitaryOperator) -> float:
-    """max-norm of T A T^dag - A, via the permutation when available."""
-    if t.permutation is not None:
-        inv = np.empty_like(t.permutation)
-        inv[t.permutation] = np.arange(t.permutation.size)
-        return max_norm(matrix[np.ix_(inv, inv)] - matrix)
-    return max_norm(t.matrix @ matrix @ t.matrix.conj().T - matrix)
+    """max-norm of T A T^dag - A; a permutation T only reindexes A."""
+    return max_norm(t.conjugate(matrix) - matrix)
 
 
 def reduce_to_site(lattice: LatticeSpec, matrix: np.ndarray, site: int) -> np.ndarray:

@@ -120,43 +120,106 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
 class UnitaryOperator:
-    """Square complex matrix certified unitary at construction.
+    """A unitary certified at construction, held in one of three forms.
 
-    When the matrix is a basis permutation, `permutation` holds the index map
-    (column i carries a single unit entry in row permutation[i]).  Conjugation
-    by a permutation reduces to fancy indexing, which downstream averaging
-    exploits; the dense product check is skipped in that case because a
-    verified bijection is unitary by construction.
+    - `matrix`: a dense square matrix, certified by |U^dag U - 1| <= UNITARITY_ATOL.
+    - `permutation`: a basis permutation, U e_i = e_{permutation[i]}; a
+      verified bijection is unitary by construction.
+    - `factor` with `outer` = (L, R): U = 1_L x u x 1_R for a d x d unitary u.
+      U^dag U - 1 = 1 x (u^dag u - 1) x 1, so checking u certifies U exactly
+      as the dense check would.
+
+    apply(a) = U a and conjugate(a) = U a U^dag never form U: a permutation
+    reindexes, a factor acts on one axis of the reshaped array in O(d dim^2).
+    `matrix` is built on first read for the two structured forms.
     """
 
-    matrix: np.ndarray
-    permutation: np.ndarray | None = None
-
-    def __post_init__(self):
-        a = as_square_complex(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        if self.permutation is not None:
-            perm = np.asarray(self.permutation, dtype=np.intp)
-            dim = a.shape[0]
-            if perm.shape != (dim,) or np.bincount(perm, minlength=dim).max() != 1:
+    def __init__(self, matrix=None, permutation=None, *, factor=None, outer=(1, 1)):
+        if sum(x is not None for x in (matrix, permutation, factor)) != 1:
+            raise ValueError("provide exactly one of matrix, permutation or factor")
+        self._matrix = None
+        self.permutation = None
+        self.factor = None
+        self.outer = None
+        if matrix is not None:
+            a = as_square_complex(matrix)
+            _check_unitary(a)
+            self._matrix = a
+            self.dim = a.shape[0]
+        elif permutation is not None:
+            perm = np.asarray(permutation, dtype=np.intp)
+            if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
                 raise ValueError("permutation is not a bijection on the basis")
-            cols = np.arange(dim)
-            if max_norm(a[perm, cols] - 1.0) > 1e-12:
-                raise ValueError("permutation does not match the matrix entries")
-            object.__setattr__(self, "permutation", perm)
-            return
-        defect = max_norm(a.conj().T @ a - np.eye(a.shape[0]))
-        if defect > UNITARITY_ATOL:
-            raise ValueError(
-                f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} "
-                f"exceeds {UNITARITY_ATOL:g}"
-            )
+            self.permutation = perm
+            self._inverse = np.empty_like(perm)
+            self._inverse[perm] = np.arange(perm.size)
+            self.dim = perm.size
+        else:
+            u = as_square_complex(factor, "factor")
+            left, right = (int(x) for x in outer)
+            if left < 1 or right < 1:
+                raise ValueError(f"outer dimensions must be >= 1, got {outer!r}")
+            _check_unitary(u)
+            self.factor = u
+            self.outer = (left, right)
+            self.dim = left * u.shape[0] * right
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense matrix; built and kept on first read for the structured forms."""
+        if self._matrix is None:
+            self._matrix = self._dense()
+        return self._matrix
+
+    def _dense(self) -> np.ndarray:
+        if self.permutation is not None:
+            m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            m[self.permutation, np.arange(self.dim)] = 1.0
+            return m
+        left, right = self.outer
+        return np.kron(
+            np.kron(np.eye(left, dtype=complex), self.factor), np.eye(right, dtype=complex)
+        )
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """U a for an array whose leading axis has length dim."""
+        a = np.asarray(a)
+        if a.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: array {a.shape}, unitary {self.dim}")
+        if self.permutation is not None:
+            return a[self._inverse]
+        if self.factor is not None:
+            left, _ = self.outer
+            d = self.factor.shape[0]
+            # the factor multiplies the site axis of (L, d, everything else)
+            return (self.factor @ a.reshape(left, d, -1)).reshape(a.shape)
+        return self._matrix @ a
+
+    def conjugate(self, a: np.ndarray) -> np.ndarray:
+        """U a U^dag for a dim x dim matrix."""
+        a = np.asarray(a)
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"dimension mismatch: array {a.shape}, unitary {self.dim}")
+        if self.permutation is not None:
+            return a[np.ix_(self._inverse, self._inverse)]
+        if self.factor is not None:
+            _, right = self.outer
+            d = self.factor.shape[0]
+            b = self.apply(a)
+            # (b U^dag) takes conj(u) on the site axis of the column index
+            return (self.factor.conj() @ b.reshape(-1, d, right)).reshape(a.shape)
+        m = self._matrix
+        return m @ a @ m.conj().T
+
+
+def _check_unitary(a: np.ndarray) -> None:
+    defect = max_norm(a.conj().T @ a - np.eye(a.shape[0]))
+    if defect > UNITARITY_ATOL:
+        raise ValueError(
+            f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} "
+            f"exceeds {UNITARITY_ATOL:g}"
+        )
 
 
 class SpectralDecomposition:
@@ -290,17 +353,27 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
+    _spectrum: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = HermitianOperator(self.matrix).matrix
         _check_unit_trace(a.trace().real)
         if not _shifted_cholesky_succeeds(a):
-            _check_psd_floor(float(np.linalg.eigvalsh(a).min()))
+            w = np.linalg.eigvalsh(a)
+            _check_psd_floor(float(w.min()))
+            object.__setattr__(self, "_spectrum", w)
         object.__setattr__(self, "matrix", a)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues in ascending order, solved at most once per state (the
+        positivity gate's fallback may already have solved them)."""
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", np.linalg.eigvalsh(self.matrix))
+        return self._spectrum
 
 
 def _shifted_cholesky_succeeds(a: np.ndarray) -> bool:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, embed_site_operator, SiteOperator
+from .lattice import LatticeSpec, SiteOperator, site_unitary
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -100,7 +100,10 @@ def thermal_state(hamiltonian: HermitianOperator, beta: float) -> ThermalState:
 
 
 def local_kick(lattice: LatticeSpec, p: PerturbationSpec) -> UnitaryOperator:
-    """U = exp(-i lambda a) acting on one site, identity elsewhere."""
+    """U = exp(-i lambda a) acting on one site, identity elsewhere.
+
+    U is held as its d x d factor, so applying it costs O(d dim^2).
+    """
     d = lattice.local_dim
     if p.generator.shape[0] != d:
         raise ValueError(
@@ -108,15 +111,14 @@ def local_kick(lattice: LatticeSpec, p: PerturbationSpec) -> UnitaryOperator:
         )
     w, v = np.linalg.eigh(p.generator)
     small = (v * np.exp(-1j * p.strength * w)[np.newaxis, :]) @ v.conj().T
-    full = embed_site_operator(lattice, SiteOperator(p.site, small))
-    return UnitaryOperator(full)
+    return site_unitary(lattice, SiteOperator(p.site, small))
 
 
 def perturb(state: ThermalState, u: UnitaryOperator) -> DensityMatrix:
     """rho' = U rho U^dag."""
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    return DensityMatrix(u.matrix @ state.rho.matrix @ u.matrix.conj().T)
+    return DensityMatrix(u.conjugate(state.rho.matrix))
 
 
 def work(

@@ -384,6 +384,35 @@ class TestConjugatedPerturbation:
         assert cp.normalization == conjugate_normalization(state, u)
         assert ConjugatedPerturbation(cp.u, cp.E, state).normalization is None
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9}),
+            HamiltonianSpec("free-spins", {"h": 1.0}),
+        ],
+        ids=lambda spec: spec.model,
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_the_dense_formula(self, n, spec, beta):
+        # u = V G u~ S V^dag with u~ = V^dag U V from the dense U, and E = u u^dag
+        lat = LatticeSpec(n)
+        h = build_hamiltonian(lat, spec)
+        state = thermal_state(h, beta)
+        w, v = np.linalg.eigh(h.matrix)
+        rng = np.random.default_rng(n)
+        for site in range(n):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            kick = local_kick(lat, PerturbationSpec(site, g + g.conj().T, 0.7))
+            dense = kick.matrix
+            u_tilde = v.conj().T @ dense @ v
+            conj = np.exp(beta * w / 2)[:, np.newaxis] * u_tilde * np.exp(-beta * w / 2)
+            u_ref = v @ conj @ v.conj().T
+            e_ref = u_ref @ u_ref.conj().T
+            cp = conjugated_perturbation(state, kick)
+            assert max_norm(cp.u - u_ref) <= 1e-12 * max_norm(u_ref)
+            assert max_norm(cp.E.matrix - e_ref) <= 1e-12 * max_norm(e_ref)
+
     def test_overflow_guard(self):
         lat = LatticeSpec(4)
         h = build_hamiltonian(lat, HamiltonianSpec("free-spins", {"h": 1.0}))

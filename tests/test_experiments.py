@@ -31,7 +31,7 @@ from frameavg.experiments import (
     verify_identities,
 )
 from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, pauli, translation_operator
-from frameavg.operators import DensityMatrix
+from frameavg.operators import DensityMatrix, UnitaryOperator
 from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
 from frameavg.averaging import conjugated_perturbation
 
@@ -407,6 +407,47 @@ class TestVerifyIdentities:
         lines = report.lines()
         assert len(lines) == len(report.checks)
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)
+
+    def test_each_state_is_eigensolved_once(self, monkeypatch):
+        # rho' and its frame average each get one dense eigvalsh, however many
+        # identities read their entropy
+        cfg = config_from_mapping(
+            base_mapping(
+                model={"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+            )
+        )
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
+        assert verify_identities(cfg).passed
+        assert calls == [(16, 16), (16, 16)]
+
+
+class TestStructuredUnitaries:
+    def test_only_the_probe_builds_a_dense_kick_or_translation(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix of a structured unitary")
+
+        monkeypatch.setattr(UnitaryOperator, "_dense", refuse)
+        tfi = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+        channels = [
+            {"kind": "uniform-spatial"},
+            {"kind": "weighted-spatial", "R": 2.0},
+            {"kind": "temporal", "tau": 1.5},
+        ]
+        sweep = config_from_mapping(base_mapping(model=tfi, sizes=[4, 6], averaging=channels))
+        assert len(convergence_sweep(sweep)) == 6
+        scan = config_from_mapping(
+            base_mapping(
+                model=tfi,
+                sizes=[6],
+                averaging=[{"kind": "weighted-spatial", "R": r} for r in (0.5, 2.0)],
+            )
+        )
+        assert len(saturation_scan(scan)) == 2
+        assert verify_identities(config_from_mapping(base_mapping(model=tfi, averaging=channels))).passed
+        with pytest.raises(AssertionError, match="dense matrix"):
+            locality_probe(config_from_mapping(base_mapping(model=tfi)), 0.4)
 
 
 class TestDeviationReport:

@@ -9,9 +9,11 @@ from frameavg.lattice import (
     SiteOperator,
     build_hamiltonian,
     embed_site_operator,
+    _diagonal_zz_field,
     pauli,
     reduce_to_site,
     sigma_x,
+    sigma_y,
     sigma_z,
     translation_defect,
     translation_operator,
@@ -181,6 +183,46 @@ class TestHamiltonians:
         lat = LatticeSpec(n)
         h = build_hamiltonian(lat, spec)
         assert translation_defect(h.matrix, translation_operator(lat)) <= 1e-10
+
+
+def _kronecker_hamiltonian(lat, spec):
+    """H with every off-diagonal term summed as a dense Kronecker chain."""
+    n, c = lat.sites, spec.couplings
+    bonds = [(0, 1)] if n == 2 else [(i, (i + 1) % n) for i in range(n)]
+
+    def chain(factors):
+        out = np.eye(1, dtype=complex)
+        for site in range(n):
+            out = np.kron(out, factors.get(site, np.eye(2, dtype=complex)))
+        return out
+
+    if spec.model == "free-spins":
+        return np.diag(_diagonal_zz_field(lat, c["h"], 0.0).astype(complex))
+    if spec.model == "transverse-field-ising":
+        h = np.diag(_diagonal_zz_field(lat, 0.0, -c["J"]).astype(complex))
+        for i in range(n):
+            h -= c["g"] * chain({i: sigma_x})
+        return h
+    h = np.diag(_diagonal_zz_field(lat, 0.0, c["J"] * c["delta"]).astype(complex))
+    for i, j in bonds:
+        h += c["J"] * chain({i: sigma_x, j: sigma_x})
+        h += c["J"] * chain({i: sigma_y, j: sigma_y})
+    return h
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HamiltonianSpec("free-spins", {"h": 0.8}),
+        HamiltonianSpec("transverse-field-ising", {"J": 1.3, "g": 0.7}),
+        HamiltonianSpec("heisenberg-xxz", {"J": 0.9, "delta": 1.4}),
+    ],
+    ids=lambda spec: spec.model,
+)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_bit_flip_build_equals_kronecker_build(spec, n):
+    lat = LatticeSpec(n)
+    assert np.array_equal(build_hamiltonian(lat, spec).matrix, _kronecker_hamiltonian(lat, spec))
 
 
 def test_reduce_to_site_product_state():

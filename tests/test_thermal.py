@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from frameavg import HermitianOperator, max_norm
+from frameavg import HermitianOperator, UnitaryOperator, max_norm, random_unitary
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
+    SiteOperator,
     build_hamiltonian,
+    embed_site_operator,
     reduce_to_site,
     sigma_x,
     sigma_z,
@@ -159,6 +161,69 @@ class TestPerturb:
         st = thermal_state(h, beta=1.3)
         u = local_kick(lat, PerturbationSpec(1, sigma_z, 0.9))
         assert max_norm(perturb(st, u).matrix - st.rho.matrix) < 1e-10
+
+
+def _random_generator(rng):
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return g + g.conj().T
+
+
+def _kick_cases():
+    rng = np.random.default_rng(41)
+    return [
+        (n, site, _random_generator(rng), float(rng.uniform(0.1, 2.0)))
+        for n in (2, 3, 5)
+        for site in range(n)
+    ]
+
+
+class TestKickForms:
+    """The kick held as its single-site factor against its dense matrix."""
+
+    @pytest.mark.parametrize("n,site,gen,strength", _kick_cases())
+    def test_dense_matrix_is_the_embedded_factor(self, n, site, gen, strength):
+        lat = LatticeSpec(n)
+        u = local_kick(lat, PerturbationSpec(site, gen, strength))
+        assert u.factor is not None
+        assert np.array_equal(u.matrix, embed_site_operator(lat, SiteOperator(site, u.factor)))
+
+    @pytest.mark.parametrize("n,site,gen,strength", _kick_cases())
+    def test_apply_and_conjugate_match_the_dense_products(self, n, site, gen, strength):
+        lat = LatticeSpec(n)
+        rng = np.random.default_rng(n * 10 + site)
+        a = rng.standard_normal((lat.dim, lat.dim)) + 1j * rng.standard_normal((lat.dim, lat.dim))
+        structured = local_kick(lat, PerturbationSpec(site, gen, strength))
+        m = UnitaryOperator(structured.matrix).matrix
+        scale = max_norm(a)
+        assert max_norm(structured.apply(a) - m @ a) <= 1e-14 * scale
+        assert max_norm(structured.conjugate(a) - m @ a @ m.conj().T) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_permutation_apply_and_conjugate_match_the_dense_products(self, n):
+        lat = LatticeSpec(n)
+        t = translation_operator(lat)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((lat.dim, lat.dim)) + 1j * rng.standard_normal((lat.dim, lat.dim))
+        m = t.matrix
+        assert np.array_equal(t.apply(a), m @ a)
+        assert np.array_equal(t.conjugate(a), m @ a @ m.conj().T)
+
+    def test_non_unitary_factor_rejected(self):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            UnitaryOperator(factor=np.array([[1.0, 1.0], [0.0, 1.0]]), outer=(2, 4))
+
+    def test_kick_site_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            local_kick(LatticeSpec(3), PerturbationSpec(3, sigma_x, 0.7))
+
+    def test_perturb_takes_a_dense_unitary(self):
+        lat = LatticeSpec(3)
+        h = build_hamiltonian(lat, HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.8}))
+        st = thermal_state(h, beta=1.0)
+        u = random_unitary(lat.dim, 5)
+        assert u.factor is None and u.permutation is None
+        expected = u.matrix @ st.rho.matrix @ u.matrix.conj().T
+        assert np.array_equal(perturb(st, u).matrix, HermitianOperator(expected).matrix)
 
 
 class TestWork:
