@@ -13,11 +13,16 @@ also hands back the blocks of its output in a basis where it acts block by
 block: `MomentumSectors` gives the N momentum sectors of the uniform average;
 the weighted and temporal averages give one block, the dense averaged matrix.
 Operators the channel fixes (H, rho) come back in the same basis, so
-entropies, energies and the ME statistics are sums over blocks.
+entropies, energies and the ME statistics are sums over blocks.  When H is
+held in sector form, the joint H-T eigenbasis diagonalises H, rho and T
+together, and there every channel is a Schur multiplier (`Channel.eigen`,
+a `SchurMultiplier`): the sweep works in that basis.
 
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
-averaged entropy production dies off with system size.
+averaged entropy production dies off with system size, in the computational
+basis (`conjugated_perturbation`) or, with rho', in the eigenbasis of H
+(`eigenbasis_kick`, `kicked_in_eigenbasis`, `conjugated_in_eigenbasis`).
 
 Summation order inside every average is fixed left to right, so repeated runs
 produce bit-identical results.
@@ -30,12 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import eta
+from .lattice import MomentumSectors
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
+    hermitian_part,
     max_norm,
     trace_product,
 )
@@ -50,6 +57,9 @@ TAU_IDENTITY_FLOOR = 1e-12
 
 # eigenvalues closer than this fraction of the spectral width dephase as one block
 DEGENERACY_RTOL = 1e-10
+
+# rows of a Schur multiplier's weights built at a time
+_WEIGHT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,19 +109,57 @@ class AveragingKind:
 
     def bind(self, state: ThermalState, t: UnitaryOperator, n_terms: int) -> "Channel":
         """This kind as a channel on the n_terms-site chain of `state`, whose
-        translation is t."""
+        translation is t.
+
+        When H is held in sector form for this same translation, the channel
+        also carries its Schur multiplier in the joint H-T eigenbasis
+        (`Channel.eigen`); the temporal average has one for any H."""
+        decomp = state.hamiltonian_decomp
+        momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
         if self.kind == UNIFORM_SPATIAL:
             sectors = MomentumSectors(t, n_terms)
+            eigen = None
+            if momenta is not None:
+                eigen = SchurMultiplier(
+                    sectors=[np.nonzero(momenta == k)[0] for k in range(n_terms)]
+                )
             return Channel(
-                lambda a: average_translates(a, t, n_terms), sectors.blocks, sectors.blocks
+                lambda a: average_translates(a, t, n_terms),
+                sectors.blocks,
+                sectors.blocks,
+                eigen,
             )
         if self.kind == WEIGHTED_SPATIAL:
             def apply(a):
                 return weighted_average_translates(a, t, n_terms, self.parameter)
+
+            def weights():
+                # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so M scales
+                # entry (i, j) by w^(k_i - k_j) = sum_n w_n e^{2 pi i (k_i - k_j) n / N},
+                # real because w_n = w_{N-n}
+                w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
+                return lambda rows: w_hat[
+                    np.subtract.outer(momenta[rows], momenta) % n_terms
+                ]
+
+            eigen = None if momenta is None else SchurMultiplier(weights)
         else:
             def apply(a):
-                return temporal_average_matrix(a, state.hamiltonian_decomp, self.parameter)
-        return Channel(apply, lambda a: [apply(a)], lambda a: [a])
+                return temporal_average_matrix(a, decomp, self.parameter)
+
+            def weights():
+                return lambda rows: _temporal_weights(decomp.eigenvalues, self.parameter, rows)
+
+            eigen = SchurMultiplier(weights)
+        return Channel(apply, lambda a: [apply(a)], lambda a: [a], eigen)
+
+
+def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
+    """Whether decomp is in sector form for the translation t of order n_terms."""
+    if decomp.momenta is None or t.permutation is None:
+        return False
+    sectors = decomp.frame.sectors
+    return sectors.n_terms == n_terms and np.array_equal(sectors.permutation, t.permutation)
 
 
 @dataclass(frozen=True)
@@ -122,12 +170,54 @@ class Channel:
     basis where M X is block-diagonal, and fixed_blocks(Y) the blocks of an
     operator M leaves fixed (H, rho) in the same basis, so tr(Y M X) and the
     spectrum of M X are sums and unions over blocks: the N momentum sectors
-    for the uniform average, one block (the whole matrix) otherwise.
+    for the uniform average, one block (the whole matrix) otherwise.  All
+    three take computational-basis matrices.
+
+    `eigen` is the same map in the eigenbasis of H, where it acts entry by
+    entry (a `SchurMultiplier`), or None where H has no such form.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     blocks: Callable[[np.ndarray], list[np.ndarray]]
     fixed_blocks: Callable[[np.ndarray], list[np.ndarray]]
+    eigen: "SchurMultiplier | None" = None
+
+
+@dataclass(frozen=True)
+class SchurMultiplier:
+    """An averaging map in the joint H-T eigenbasis: (M X)~ = W o X~.
+
+    H commutes with T, so one basis diagonalises H, rho and T together, and
+    each frame average multiplies X~ = V^dag X V entry by entry: the uniform
+    average keeps the entries inside each momentum sector (`sectors`, its
+    index sets, which are also its blocks), the weighted one scales entry
+    (i, j) by w^(k_i - k_j), and the temporal one by 1 / (1 + i (E_i - E_j) tau).
+    `weights()` is called once per application and gives the rows of W for
+    a slice of rows (None for the identity), so W is never held whole.
+
+    blocks(X~) are the blocks of (M X)~ and fixed_blocks(d) the matching
+    pieces of a diagonal operator diag(d), such as H and rho here, so the
+    energy and the ME statistics pair diagonals with blocks.
+    """
+
+    weights: Callable[[], Callable[[slice], np.ndarray | None]] | None = None
+    sectors: list[np.ndarray] | None = None
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        if self.sectors is not None:
+            return [x[np.ix_(s, s)] for s in self.sectors]
+        rows_of = self.weights()
+        out = np.empty_like(x)
+        for start in range(0, x.shape[0], _WEIGHT_ROWS):
+            rows = slice(start, start + _WEIGHT_ROWS)
+            w = rows_of(rows)
+            out[rows] = x[rows] if w is None else x[rows] * w
+        return [out]
+
+    def fixed_blocks(self, d: np.ndarray) -> list[np.ndarray]:
+        if self.sectors is not None:
+            return [d[s] for s in self.sectors]
+        return [d]
 
 
 def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, weights):
@@ -174,71 +264,6 @@ def average_translates(a: np.ndarray, t: UnitaryOperator, n_terms: int) -> np.nd
     return _translate_conjugations(a, t, n_terms, np.full(n_terms, 1.0 / n_terms))
 
 
-class MomentumSectors:
-    """Block-diagonalizer of the uniform translation average.
-
-    The uniform average of X over the N translates is the projection onto the
-    eigenspaces of T, so in the momentum basis F it keeps exactly the N
-    diagonal blocks of F^dag X F.  The basis is built from the orbits r of
-    the basis permutation: with L_r the orbit length, sector k holds the
-    orbits with N | k L_r, through the vectors
-
-        |r, k> = (sqrt(L_r) / N) sum_{n < N} e^{-2 pi i k n / N} T^n |r>,
-
-    which satisfy T |r, k> = e^{2 pi i k / N} |r, k>.  The sector dimensions
-    sum to dim (Sandvik, arXiv:1101.3281, section 4).
-    """
-
-    def __init__(self, t: UnitaryOperator, n_terms: int):
-        if n_terms < 1:
-            raise ValueError("need at least one term")
-        if t.permutation is None:
-            raise ValueError(
-                "momentum sectors need a translation that carries its basis permutation"
-            )
-        dim = t.dim
-        # shifts[n, i] is the basis index of T^n e_i
-        shifts = np.empty((n_terms, dim), dtype=np.intp)
-        shifts[0] = np.arange(dim)
-        for n in range(1, n_terms):
-            shifts[n] = t.permutation[shifts[n - 1]]
-        if not np.array_equal(t.permutation[shifts[-1]], shifts[0]):
-            raise ValueError(f"translation operator does not have order {n_terms}")
-        reps = np.nonzero(shifts.min(axis=0) == shifts[0])[0]
-        self.dim = dim
-        self._orbits = shifts[:, reps].T
-        returns = shifts[1:, reps] == reps
-        lengths = np.where(returns.any(axis=0), returns.argmax(axis=0) + 1, n_terms)
-        self._scale = np.sqrt(np.outer(lengths, lengths)) / n_terms
-        k = np.arange(n_terms)
-        self._phases = np.exp(-2j * np.pi * np.outer(k, k) / n_terms)
-        allowed = np.outer(k, lengths) % n_terms == 0
-        self._members = [np.nonzero(row)[0] for row in allowed]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Sector dimensions in momentum order k = 0 .. N-1."""
-        return tuple(m.size for m in self._members)
-
-    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
-        """The N diagonal blocks of F^dag a F, in momentum order.
-
-        One orbit's rows are gathered at a time and transformed by an FFT
-        over the shift index, so the transient stays near N x dim entries.
-        """
-        a = np.asarray(a)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"dimension mismatch: matrix {a.shape}, sectors {self.dim}")
-        n_orbits, n = self._orbits.shape
-        cols = self._orbits.ravel()
-        full = np.empty((n_orbits, n, n_orbits), dtype=np.complex128)
-        for r, rows in enumerate(self._orbits):
-            slab = np.fft.ifft(a[np.ix_(rows, cols)].reshape(n, n_orbits, n), axis=0)
-            full[r] = np.einsum("krm,km->kr", slab, self._phases)
-        full *= self._scale[:, np.newaxis, :]
-        return [full[np.ix_(m, [k], m)][:, 0, :] for k, m in enumerate(self._members)]
-
-
 def distance_weights(n_terms: int, scale: float) -> np.ndarray:
     """Normalized weights exp(-min(n, N-n) / R) over the cyclic shifts."""
     if not np.isfinite(scale) or scale <= 0:
@@ -268,18 +293,26 @@ def temporal_average_matrix(
     a = np.asarray(a, dtype=complex)
     if a.shape[0] != decomp.dim:
         raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, spectrum {decomp.dim}")
-    if not np.isinf(tau) and tau < TAU_IDENTITY_FLOOR:
+    weights = _temporal_weights(decomp.eigenvalues, tau)
+    if weights is None:
         return a.copy()
-    energies = decomp.eigenvalues
-    gaps = energies[:, np.newaxis] - energies[np.newaxis, :]
+    return decomp.from_eigenbasis(decomp.to_eigenbasis(a) * weights)
+
+
+def _temporal_weights(
+    energies: np.ndarray, tau: float, rows: slice = slice(None)
+) -> np.ndarray | None:
+    """Those rows of the energy-basis weights of the temporal average; None
+    for the identity."""
+    if not np.isinf(tau) and tau < TAU_IDENTITY_FLOOR:
+        return None
+    gaps = energies[rows, np.newaxis] - energies[np.newaxis, :]
     if np.isinf(tau):
         width = energies[-1] - energies[0]
         if width == 0.0:
-            return a.copy()
-        weights = (np.abs(gaps) < DEGENERACY_RTOL * width).astype(complex)
-    else:
-        weights = 1.0 / (1.0 + 1j * gaps * tau)
-    return decomp.from_eigenbasis(decomp.to_eigenbasis(a) * weights)
+            return None
+        return (np.abs(gaps) < DEGENERACY_RTOL * width).astype(complex)
+    return 1.0 / (1.0 + 1j * gaps * tau)
 
 
 def frame_average(rho: DensityMatrix, t: UnitaryOperator, n_terms: int) -> DensityMatrix:
@@ -311,16 +344,23 @@ class ConjugatedPerturbation:
     the largest entry of E, so the tolerance grows with that scale; the
     factory certifies the same identity to 1e-9 at every beta through a
     positive-term evaluation in the energy eigenbasis and records that value
-    as `normalization` (None when the pair was built by hand).
+    as `normalization` (None when the pair was built by hand).  With
+    `in_eigenbasis`, E is given in the eigenbasis of H, where rho is
+    diag(populations) and the trace reads its diagonal, and u is not kept
+    (None).
     """
 
-    u: np.ndarray
+    u: np.ndarray | None
     E: HermitianOperator
     state: ThermalState
     normalization: float | None = None
+    in_eigenbasis: bool = False
 
     def __post_init__(self):
-        norm = trace_product(self.state.rho.matrix, self.E.matrix).real
+        if self.in_eigenbasis:
+            norm = float(np.dot(self.state.populations, np.diagonal(self.E.matrix).real))
+        else:
+            norm = trace_product(self.state.rho.matrix, self.E.matrix).real
         slack = 1e-9 + self.E.dim * np.finfo(np.float64).eps * max_norm(self.E.matrix)
         if abs(norm - 1.0) > slack:
             raise ValueError(f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
@@ -341,10 +381,12 @@ def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
 
 
 def _kick_in_energy_basis(decomp: SpectralDecomposition, u: UnitaryOperator) -> np.ndarray:
-    """u~ = V^dag (U V), with U V from the kick's own apply.
+    """u~ = V^dag (U V), with U applied through its own structured form.
 
-    That is one dense product for a dense eigenbasis and none when H is
-    diagonal, where V only reorders the computational basis.
+    A structured eigenbasis (a basis permutation, with or without a sector
+    frame) rotates U's columns as it rotates any matrix, at no dense product
+    for diagonal H and O(dim^3 / N) in sector form; a dense eigenbasis takes
+    one dense product.
     """
     if decomp.basis_permutation is not None:
         return decomp.to_eigenbasis(u.apply(np.eye(decomp.dim)))
@@ -356,43 +398,74 @@ def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
     return float((state.populations[np.newaxis, :] * np.abs(u_tilde) ** 2).sum())
 
 
-def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> ConjugatedPerturbation:
-    """Build u and E = u u^dag through the analytic gap form.
-
-    In the energy eigenbasis the conjugation is the entrywise factor
-    e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
-    of rho is ever formed.  The kick is rotated into that basis once, and
-    tr(rho E) is certified from the same rotation.  For diagonal H,
-    E = G (U S^2 U^dag) G with G = e^{beta H/2} and S = e^{-beta H/2} both
-    diagonal, which the kick's own conjugation evaluates without a dense
-    product.
-    """
+def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
+    """u~ = V^dag (U V) and tr(rho E) from it, behind the overflow guard and
+    the 1e-9 check; in sector form, with no dense eigenvector matrix."""
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    decomp = state.hamiltonian_decomp
-    energies = decomp.eigenvalues
+    energies = state.hamiltonian_decomp.eigenvalues
     radius = max(abs(energies[0]), abs(energies[-1]))
     if state.beta * radius > 700.0:
         raise OverflowGuardError(
             f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
             "the 700 overflow guard; reduce beta or the chain size"
         )
-    u_tilde = _kick_in_energy_basis(decomp, u)
+    u_tilde = _kick_in_energy_basis(state.hamiltonian_decomp, u)
     stable_norm = _normalization(state, u_tilde)
     if abs(stable_norm - 1.0) > 1e-9:
         raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
-    grow = np.exp(state.beta * energies / 2)
-    shrink = np.exp(-state.beta * energies / 2)
-    # scaled in place into the eigenbasis u_beta, G u~ S
-    u_tilde *= grow[:, np.newaxis]
-    u_tilde *= shrink[np.newaxis, :]
-    u_full = decomp.from_eigenbasis(u_tilde)
+    return u_tilde, stable_norm
+
+
+def _scale_to_u_beta(state: ThermalState, u_tilde: np.ndarray) -> np.ndarray:
+    """u~ scaled in place into the eigenbasis u_beta = G u~ S, with
+    G = e^{beta H/2} and S = e^{-beta H/2}."""
+    energies = state.hamiltonian_decomp.eigenvalues
+    u_tilde *= np.exp(state.beta * energies / 2)[:, np.newaxis]
+    u_tilde *= np.exp(-state.beta * energies / 2)[np.newaxis, :]
+    return u_tilde
+
+
+def kicked_in_eigenbasis(state: ThermalState, u_tilde: np.ndarray) -> DensityMatrix:
+    """rho' = u~ diag(p) u~^dag in the eigenbasis of H: one dense product,
+    through the DensityMatrix gate."""
+    return DensityMatrix((u_tilde * state.populations[np.newaxis, :]) @ u_tilde.conj().T)
+
+
+def conjugated_in_eigenbasis(
+    state: ThermalState, u_tilde: np.ndarray, normalization: float
+) -> ConjugatedPerturbation:
+    """E = u_beta u_beta^dag in the eigenbasis of H, for u_beta = G u~ S: one
+    dense product, through the HermitianOperator gate and the tr(rho E)
+    check.  u~ is scaled in place into u_beta, which the pair does not keep
+    (sweeps and verify read E only)."""
+    u_beta = _scale_to_u_beta(state, u_tilde)
+    e = HermitianOperator(u_beta @ u_beta.conj().T)
+    return ConjugatedPerturbation(None, e, state, normalization, in_eigenbasis=True)
+
+
+def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> ConjugatedPerturbation:
+    """Build u and E = u u^dag through the analytic gap form.
+
+    In the energy eigenbasis the conjugation is the entrywise factor
+    e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
+    of rho is ever formed.  The kick is rotated into that basis once, and
+    tr(rho E) is certified from the same rotation; u comes back to the
+    computational basis through the eigenbasis rotation.  For diagonal H,
+    E = G (U S^2 U^dag) G with G = e^{beta H/2} and S = e^{-beta H/2} both
+    diagonal, which the kick's own conjugation evaluates without a dense
+    product.
+    """
+    decomp = state.hamiltonian_decomp
+    u_tilde, stable_norm = eigenbasis_kick(state, u)
+    u_full = decomp.from_eigenbasis(_scale_to_u_beta(state, u_tilde))
     del u_tilde
-    if decomp.basis_permutation is None:
+    if decomp.basis_permutation is None or decomp.frame is not None:
         e_full = u_full @ u_full.conj().T
     else:
-        g = np.empty_like(grow)
-        g[decomp.basis_permutation] = grow
+        g = np.empty(decomp.dim)
+        g[decomp.basis_permutation] = np.exp(state.beta * decomp.eigenvalues / 2)
+        shrink = np.exp(-state.beta * decomp.eigenvalues / 2)
         e_full = u.conjugate(decomp.diagonal_from_eigenbasis(shrink**2))
         e_full *= g[:, np.newaxis]
         e_full *= g[np.newaxis, :]
@@ -420,21 +493,33 @@ def averaged_E_stats(
     """Deviation report of ME plus -tr[rho eta(ME)], from one eigensolve per
     block of ME paired with the same block of rho.
 
+    A block of rho is a matrix, or a 1d array where rho is diagonal (in the
+    joint eigenbasis of H, it holds the populations): then the weight on
+    eigenvector v_k is sum_i p_i |v_ik|^2, read without a product with rho.
+
     -tr[rho eta(ME)] equals the operator-convex relative entropy
     S_BS(M rho' | rho) because every function of rho is invariant under the
     averaging frames.  Sweeps take this route because the deviation report
-    needs the same eigendecompositions, not for accuracy: the entries of ME
-    grow like exp(beta (E_i + E_j) / 2), and holding ME in float64 costs an
-    absolute error near eps ||ME||_op (1 + max|ln lambda(ME)|).  At
-    heisenberg-xxz N = 6, beta = 2 that is 3e-8, while the state route
-    `bs_relative_entropy` stays within 2e-11 of a 40-digit value.
+    needs the same eigendecompositions.  The entries of ME grow like
+    exp(beta (E_i + E_j) / 2), and holding ME in float64 costs an absolute
+    error near eps ||ME||_op (1 + max|ln lambda(ME)|), which pairing ME with
+    the exact populations of the joint eigenbasis keeps near its low end: at
+    heisenberg-xxz N = 6, beta = 2 the sector blocks land within 3e-9 of a
+    40-digit value, where a float64 rho in the computational basis added
+    4e-8.
     """
     spectra, weights = [], []
     for e, rho in zip(e_blocks, rho_blocks):
-        w, v = np.linalg.eigh((e + e.conj().T) / 2)
+        # eigh reads one triangle; a block that is Hermitian only to round-off
+        # (a momentum-sector block built by FFT) is symmetrized first, while
+        # the joint-basis blocks are exactly Hermitian and need no copy
+        w, v = np.linalg.eigh(e if _exactly_hermitian(e) else hermitian_part(e)[0])
         spectra.append(w)
         # the weight rho puts on each eigenvector of the block
-        weights.append(np.einsum("ik,ik->k", v.conj(), rho @ v).real)
+        if rho.ndim == 1:
+            weights.append(rho @ (v.real**2 + v.imag**2))
+        else:
+            weights.append(np.einsum("ik,ik->k", v.conj(), rho @ v).real)
     w, q = np.concatenate(spectra), np.concatenate(weights)
     dev = w - 1.0
     report = DeviationReport(
@@ -444,6 +529,15 @@ def averaged_E_stats(
         state_trace=float((q * w).sum()),
     )
     return report, max(-float(np.dot(eta(w), q)), 0.0)
+
+
+def _exactly_hermitian(a: np.ndarray) -> bool:
+    """Whether a equals its conjugate transpose bit for bit, tile by tile."""
+    for i in range(0, a.shape[0], _WEIGHT_ROWS):
+        rows = slice(i, i + _WEIGHT_ROWS)
+        if not np.array_equal(a[rows], a[:, rows].conj().T):
+            return False
+    return True
 
 
 def deviation_report(averaged_e: np.ndarray, state: ThermalState) -> DeviationReport:

@@ -24,10 +24,14 @@ from .averaging import (
     UNIFORM_SPATIAL,
     WEIGHTED_SPATIAL,
     AveragingKind,
-    average_translates,
+    Channel,
+    SchurMultiplier,
     averaged_E_stats,
+    conjugated_in_eigenbasis,
     conjugated_perturbation,
+    eigenbasis_kick,
     frame_average,
+    kicked_in_eigenbasis,
 )
 from .entropy import bs_relative_entropy, relative_entropy, von_neumann_entropy
 from .lattice import (
@@ -323,7 +327,21 @@ class ExperimentRecord:
 
 
 class _SizeContext:
-    """Everything one chain size contributes to every averaging kind."""
+    """Everything one chain size contributes to every averaging kind.
+
+    Here rho' and the conjugated pair are computational-basis matrices.
+    The subclasses hold the pair (`joint_pair`), and for sweeps rho' too
+    (`joint_state`), in the joint H-T eigenbasis instead, wherever H was
+    diagonalised sector by sector (`in_eigenbasis`).  In that basis
+    rho = diag(p) and H = diag(E), every channel is a Schur multiplier
+    (`route`), and `fixed_h` and `fixed_rho` hold those diagonals; otherwise
+    they are the dense H and rho.  A diagonal H (free spins) stays in the
+    computational basis, where the kick's factor builds rho' and E without a
+    dense product.
+    """
+
+    joint_pair = False
+    joint_state = False
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.lattice = LatticeSpec(n)
@@ -331,46 +349,90 @@ class _SizeContext:
         self.state = thermal_state(hamiltonian, cfg.beta)
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
-        self.rho_prime = perturb(self.state, self.kick)
+        decomp = self.state.hamiltonian_decomp
+        self.in_eigenbasis = self.joint_pair and decomp.momenta is not None
+        if self.in_eigenbasis:
+            u_tilde, normalization = eigenbasis_kick(self.state, self.kick)
+        if self.in_eigenbasis and self.joint_state:
+            self.rho_prime = kicked_in_eigenbasis(self.state, u_tilde)
+            energies = decomp.eigenvalues
+            energy_prime = float(np.dot(energies, np.diagonal(self.rho_prime.matrix).real))
+            self.work = energy_prime - float(np.dot(energies, self.state.populations))
+        else:
+            self.rho_prime = perturb(self.state, self.kick)
+            energy_prime = self.state.energy(self.rho_prime.matrix)
+            self.work = work(hamiltonian, self.state.rho, self.rho_prime)
         self.s_rho = von_neumann_entropy(self.state).nats
         self.s_rho_prime = von_neumann_entropy(self.rho_prime).nats
-        self.work = work(hamiltonian, self.state.rho, self.rho_prime)
         self.beta_w = cfg.beta * self.work
         self.rel_ent_prime = max(
-            0.0,
-            -self.s_rho_prime
-            + cfg.beta * self.state.energy(self.rho_prime.matrix)
-            + self.state.log_partition,
+            0.0, -self.s_rho_prime + cfg.beta * energy_prime + self.state.log_partition
         )
         # type-level gate: beta W and the relative entropy must agree
         WorkReport(self.work, self.beta_w, self.rel_ent_prime)
-        self.conjugated = conjugated_perturbation(self.state, self.kick)
+        if self.in_eigenbasis:
+            self.conjugated = conjugated_in_eigenbasis(self.state, u_tilde, normalization)
+            del u_tilde
+            self.fixed_h, self.fixed_rho = decomp.eigenvalues, self.state.populations
+        else:
+            self.conjugated = conjugated_perturbation(self.state, self.kick)
+            self.fixed_h, self.fixed_rho = hamiltonian.matrix, self.state.rho.matrix
         # kind-independent: every averaging frame fixes rho, so tr(rho ME)
         # equals tr(rho E) and the factory's conditioned evaluation covers
         # all records
         self.normalization = self.conjugated.normalization
 
+    def route(self, channel: Channel) -> Channel | SchurMultiplier:
+        """The channel as it acts in the working basis."""
+        if not self.in_eigenbasis:
+            return channel
+        if channel.eigen is None:
+            raise ValueError("the channel has no form in the eigenbasis H was solved in")
+        return channel.eigen
 
-def _record_for(cfg: ExperimentConfig, ctx: _SizeContext, kind: AveragingKind) -> ExperimentRecord:
+
+class _VerifyContext(_SizeContext):
+    """The conjugated pair in the joint eigenbasis, rho' in the computational
+    basis, where verify's state route averages it over translations."""
+
+    joint_pair = True
+
+
+class _SweepContext(_SizeContext):
+    """rho' and the conjugated pair both in the joint eigenbasis."""
+
+    joint_pair = True
+    joint_state = True
+
+
+def _pair_trace(y: np.ndarray, b: np.ndarray) -> float:
+    """tr(Y B) for a fixed block Y held as a matrix or as its diagonal."""
+    if y.ndim == 1:
+        return float(np.dot(y, np.diagonal(b).real))
+    return trace_product(y, b).real
+
+
+def _record_for(
+    cfg: ExperimentConfig, ctx: _SweepContext, kind: AveragingKind
+) -> ExperimentRecord:
     """One sweep row; its wall time covers the channel work, not the size setup.
 
     The state route and the operator route transform rho' and E separately,
-    block by block in the channel's basis, and the energy pairs the blocks of
+    block by block in the working basis, and the energy pairs the blocks of
     M rho' with those of H itself.
     """
     start = time.perf_counter()
     n = ctx.lattice.sites
     state = ctx.state
-    channel = kind.bind(state, ctx.translation, n)
-    averaged = BlockDensityMatrix(tuple(channel.blocks(ctx.rho_prime.matrix)))
+    route = ctx.route(kind.bind(state, ctx.translation, n))
+    averaged = BlockDensityMatrix(tuple(route.blocks(ctx.rho_prime.matrix)))
     s_m = von_neumann_entropy(averaged).nats
     energy = sum(
-        trace_product(h, b).real
-        for h, b in zip(channel.fixed_blocks(state.hamiltonian.matrix), averaged.blocks)
+        _pair_trace(h, b) for h, b in zip(route.fixed_blocks(ctx.fixed_h), averaged.blocks)
     )
     del averaged
     report, bs_value = averaged_E_stats(
-        channel.blocks(ctx.conjugated.E.matrix), channel.fixed_blocks(state.rho.matrix)
+        route.blocks(ctx.conjugated.E.matrix), route.fixed_blocks(ctx.fixed_rho)
     )
     rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
@@ -409,7 +471,7 @@ def convergence_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
     kinds = sorted(cfg.averaging, key=AveragingKind.sort_key)
 
     def run_size(n: int) -> list[ExperimentRecord]:
-        ctx = _SizeContext(cfg, n)
+        ctx = _SweepContext(cfg, n)
         return [_record_for(cfg, ctx, kind) for kind in kinds]
 
     if jobs > 1 and len(cfg.sizes) > 1:
@@ -476,9 +538,7 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
                 site=site,
                 distance=min(offset, n - offset),
                 kick_commutator=operator_norm(commutator(ctx.kick.matrix, evolved)),
-                conjugated_commutator=operator_norm(
-                    commutator(ctx.conjugated.u, evolved)
-                ),
+                conjugated_commutator=operator_norm(commutator(ctx.conjugated.u, evolved)),
             )
         )
     return rows
@@ -518,7 +578,7 @@ class IdentityReport:
 def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     """Run the exact-identity suite at the smallest configured size."""
     n = cfg.sizes[0]
-    ctx = _SizeContext(cfg, n)
+    ctx = _VerifyContext(cfg, n)
     state = ctx.state
     checks = []
 
@@ -558,8 +618,13 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
         IdentityCheck("bs-chain", chain_violation, cfg.tolerance("bs-chain"))
     )
 
-    me = average_translates(ctx.conjugated.E.matrix, ctx.translation, n)
-    _, bs_from_me = averaged_E_stats([me], [state.rho.matrix])
+    # the operator route: the uniform average of E block by block in the
+    # working basis, paired with rho there (the exact populations in the
+    # joint eigenbasis); the state route above ran in the computational basis
+    uniform = ctx.route(AveragingKind.uniform_spatial().bind(state, ctx.translation, n))
+    _, bs_from_me = averaged_E_stats(
+        uniform.blocks(ctx.conjugated.E.matrix), uniform.fixed_blocks(ctx.fixed_rho)
+    )
     checks.append(
         IdentityCheck(
             "bs-equality", abs(bs_direct - bs_from_me), cfg.tolerance("bs-equality")

@@ -1,7 +1,7 @@
 """Finite periodic spin chains.
 
-Site-local operator embedding, the cyclic translation unitary, and the model
-Hamiltonians.  Basis convention: site 0 is the most significant digit of the
+Site-local operator embedding, the cyclic translation unitary and its
+momentum sectors, and the model Hamiltonians.  Basis convention: site 0 is the most significant digit of the
 computational-basis index, so for qubits the index bits read left to right as
 sites 0 .. N-1.
 """
@@ -173,6 +173,104 @@ def translation_operator(lattice: LatticeSpec) -> UnitaryOperator:
     return UnitaryOperator(permutation=(idx % d) * (dim // d) + idx // d)
 
 
+class MomentumSectors:
+    """The momentum basis F of a translation, built from its basis permutation.
+
+    With r running over the orbits of the permutation and L_r the orbit
+    length, sector k holds the orbits with N | k L_r, through the vectors
+
+        |r, k> = (sqrt(L_r) / N) sum_{n < N} e^{-2 pi i k n / N} T^n |r>,
+
+    which satisfy T |r, k> = e^{2 pi i k / N} |r, k>.  The sector dimensions
+    sum to dim (Sandvik, arXiv:1101.3281, section 4).  The uniform average
+    of X over the N translates is the projection onto the eigenspaces of T,
+    so it keeps exactly the N diagonal blocks of F^dag X F (`blocks`).
+
+    `to_sectors` and `from_sectors` apply F^dag and F to the rows of an
+    array through an FFT over the shift index of each orbit, in O(dim log N)
+    per column; their sector-major order lists sector 0, then sector 1, and
+    so on, and `momenta` gives the sector of each position.
+    """
+
+    def __init__(self, t: UnitaryOperator, n_terms: int):
+        if n_terms < 1:
+            raise ValueError("need at least one term")
+        if t.permutation is None:
+            raise ValueError(
+                "momentum sectors need a translation that carries its basis permutation"
+            )
+        dim = t.dim
+        self.permutation = t.permutation
+        self.n_terms = n_terms
+        # shifts[n, i] is the basis index of T^n e_i
+        shifts = np.empty((n_terms, dim), dtype=np.intp)
+        shifts[0] = np.arange(dim)
+        for n in range(1, n_terms):
+            shifts[n] = t.permutation[shifts[n - 1]]
+        if not np.array_equal(t.permutation[shifts[-1]], shifts[0]):
+            raise ValueError(f"translation operator does not have order {n_terms}")
+        reps = np.nonzero(shifts.min(axis=0) == shifts[0])[0]
+        self.dim = dim
+        self._orbits = shifts[:, reps].T
+        returns = shifts[1:, reps] == reps
+        lengths = np.where(returns.any(axis=0), returns.argmax(axis=0) + 1, n_terms)
+        self._root_lengths = np.sqrt(lengths)
+        self._scale = np.sqrt(np.outer(lengths, lengths)) / n_terms
+        k = np.arange(n_terms)
+        self._phases = np.exp(-2j * np.pi * np.outer(k, k) / n_terms)
+        allowed = np.outer(k, lengths) % n_terms == 0
+        self._members = [np.nonzero(row)[0] for row in allowed]
+        # |r, k> sits at r * N + k of the (orbit, momentum) layout; basis state
+        # T^n |r> at r * N + n for its first shift n < L_r
+        self._select = np.concatenate([m * n_terms + q for q, m in enumerate(self._members)])
+        first = k[np.newaxis, :] < lengths[:, np.newaxis]
+        self._position = np.empty(dim, dtype=np.intp)
+        self._position[self._orbits[first]] = np.nonzero(first.ravel())[0]
+        self.momenta = np.repeat(k, self.dims)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Sector dimensions in momentum order k = 0 .. N-1."""
+        return tuple(m.size for m in self._members)
+
+    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
+        """The N diagonal blocks of F^dag a F, in momentum order.
+
+        One orbit's rows are gathered at a time and transformed by an FFT
+        over the shift index, so the transient stays near N x dim entries.
+        """
+        a = np.asarray(a)
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"dimension mismatch: matrix {a.shape}, sectors {self.dim}")
+        n_orbits, n = self._orbits.shape
+        cols = self._orbits.ravel()
+        full = np.empty((n_orbits, n, n_orbits), dtype=np.complex128)
+        for r, rows in enumerate(self._orbits):
+            slab = np.fft.ifft(a[np.ix_(rows, cols)].reshape(n, n_orbits, n), axis=0)
+            full[r] = np.einsum("krm,km->kr", slab, self._phases)
+        full *= self._scale[:, np.newaxis, :]
+        return [full[np.ix_(m, [k], m)][:, 0, :] for k, m in enumerate(self._members)]
+
+    def to_sectors(self, x: np.ndarray) -> np.ndarray:
+        """F^dag x in sector-major order, for x whose leading axis has length dim."""
+        n_orbits, n = self._orbits.shape
+        # <r, k | x> = sqrt(L_r) (1/N) sum_n e^{2 pi i k n / N} x[T^n r]
+        g = np.fft.ifft(x[self._orbits], axis=1)
+        g *= self._root_lengths.reshape(-1, *[1] * x.ndim)
+        return g.reshape(n_orbits * n, *x.shape[1:])[self._select]
+
+    def from_sectors(self, y: np.ndarray) -> np.ndarray:
+        """F y for y in sector-major order; the inverse of `to_sectors`."""
+        n_orbits, n = self._orbits.shape
+        z = np.zeros((n_orbits * n, *y.shape[1:]), dtype=np.complex128)
+        z[self._select] = y
+        # <T^n r | r, k> = e^{-2 pi i k n / N} / sqrt(L_r): an orbit of length
+        # L_r < N repeats N / L_r times in the defining sum
+        z = np.fft.fft(z.reshape(n_orbits, n, *y.shape[1:]), axis=1)
+        z /= self._root_lengths.reshape(-1, *[1] * y.ndim)
+        return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
+
+
 def _diagonal_zz_field(lattice: LatticeSpec, field_coeff: float, bond_coeff: float) -> np.ndarray:
     """Diagonal of field_coeff * sum_i Z_i + bond_coeff * sum_bonds Z_i Z_j for qubits."""
     n, dim = lattice.sites, lattice.dim
@@ -205,7 +303,9 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
 
     The off-diagonal entries are written straight from basis bit flips: X_s
     flips bit s, and X_i X_j + Y_i Y_j maps |..0..1..> to 2 |..1..0..> and
-    annihilates aligned pairs, so it flips both bits where they differ.
+    annihilates aligned pairs, so it flips both bits where they differ.  The
+    operator carries the momentum sectors of the chain's translation, so
+    `spectral_decompose` diagonalises it sector by sector.
     """
     if lattice.local_dim != 2:
         raise ValueError("the chain models are defined for local dimension 2")
@@ -224,8 +324,8 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
         for i, j in _bonds(n):
             rows = idx[((idx & bits[i]) == 0) != ((idx & bits[j]) == 0)]
             h[rows, rows ^ (bits[i] | bits[j])] = 2 * c["J"]
-    out = HermitianOperator(h)
     t = translation_operator(lattice)
+    out = HermitianOperator(h, sectors=MomentumSectors(t, n))
     if translation_defect(out.matrix, t) > 1e-10:
         raise AssertionError("built Hamiltonian does not commute with translation")
     return out

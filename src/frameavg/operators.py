@@ -22,6 +22,9 @@ PSD_EIGENVALUE_FLOOR = -1e-12
 # relative cutoff separating a genuine spectral kernel from round-off
 SUPPORT_RTOL = 1e-14
 
+# edge of the square tiles HermitianOperator symmetrizes at a time
+_TILE = 256
+
 
 class EigensolverError(RuntimeError):
     """Eigendecomposition failed to converge."""
@@ -50,13 +53,22 @@ class OverflowGuardError(ValueError):
     """An exponential-scaling step would overflow double precision."""
 
 
-def as_square_complex(matrix, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite square complex128 array."""
+def _as_square(matrix, name: str) -> np.ndarray:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be square with dim >= 1, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    return a
+
+
+def _check_finite(finite: bool, name: str) -> None:
+    if not finite:
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def as_square_complex(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite square complex128 array."""
+    a = _as_square(matrix, name)
+    _check_finite(np.isfinite(a).all(), name)
     return a
 
 
@@ -93,6 +105,27 @@ def trace_product(a, b) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
+def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a + a^dag) / 2 and max|a - a^dag|, in one pass over square tiles.
+
+    The tile at (j, i) of the output is the conjugate transpose of the one
+    at (i, j), so each pair is formed once, and no transposed copy of the
+    whole array is made.  The result equals (a + a.conj().T) / 2 bit for bit.
+    """
+    dim = a.shape[0]
+    out = np.empty_like(a)
+    defect = 0.0
+    for i in range(0, dim, _TILE):
+        for j in range(i, dim, _TILE):
+            upper = a[i : i + _TILE, j : j + _TILE]
+            lower = a[j : j + _TILE, i : i + _TILE].conj().T
+            defect = max(defect, max_norm(upper - lower))
+            out[i : i + _TILE, j : j + _TILE] = (upper + lower) / 2
+            if j > i:
+                out[j : j + _TILE, i : i + _TILE] = out[i : i + _TILE, j : j + _TILE].conj().T
+    return out, defect
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Square complex matrix certified Hermitian at construction.
@@ -103,17 +136,22 @@ class HermitianOperator:
     """
 
     matrix: np.ndarray
+    # momentum sectors of a translation the operator commutes with (set by
+    # build_hamiltonian); spectral_decompose then solves it sector by sector
+    sectors: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        a = as_square_complex(self.matrix)
+        a = _as_square(self.matrix, "matrix")
+        # |a|.max() is finite exactly when every entry is
         scale = max_norm(a)
-        defect = max_norm(a - a.conj().T)
+        _check_finite(np.isfinite(scale), "matrix")
+        out, defect = hermitian_part(a)
         if defect > HERMITICITY_RTOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
                 f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}"
             )
-        object.__setattr__(self, "matrix", (a + a.conj().T) / 2)
+        object.__setattr__(self, "matrix", out)
 
     @property
     def dim(self) -> int:
@@ -225,14 +263,24 @@ def _check_unitary(a: np.ndarray) -> None:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
 
-    Operators that are diagonal in the computational basis get a compact
-    representation: `basis_permutation` records which basis vector carries
-    each eigenvalue and the dense eigenvector matrix is materialized lazily.
-    All basis rotations go through the helper methods so both representations
-    share one code path at call sites.
+    Three forms share one interface:
+
+    - `eigenvectors`: a dense eigenvector matrix V;
+    - `basis_permutation` alone, for an operator diagonal in the
+      computational basis: V e_j = e_{basis_permutation[j]};
+    - `basis_permutation` with a `frame` W (`SectorFrame`), for an operator
+      that commutes with a translation: V e_j = W e_{basis_permutation[j]},
+      where W = F (+)_k V_k is the momentum basis F followed by the
+      eigenvectors of each momentum sector.  `momenta` gives the momentum of
+      each eigenvector, so this eigenbasis is a joint eigenbasis of H and T.
+
+    The structured forms rotate through index gathers and, with a frame, an
+    FFT over orbit shifts plus per-sector products, in O(dim^2 log N +
+    dim^3 / N); their dense eigenvector matrix is built on first read of
+    `eigenvectors`.
     """
 
-    def __init__(self, eigenvalues, eigenvectors=None, basis_permutation=None):
+    def __init__(self, eigenvalues, eigenvectors=None, basis_permutation=None, frame=None):
         w = np.asarray(eigenvalues, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("eigenvalues must form a nonempty 1d array")
@@ -240,9 +288,13 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be sorted ascending")
         if (eigenvectors is None) == (basis_permutation is None):
             raise ValueError("provide exactly one of eigenvectors or basis_permutation")
+        if frame is not None and basis_permutation is None:
+            raise ValueError("a frame goes with a basis_permutation")
         self.eigenvalues = w
         self._vectors = None
         self.basis_permutation = None
+        self.frame = frame
+        self.momenta = None
         if eigenvectors is not None:
             v = as_square_complex(eigenvectors, "eigenvectors")
             if v.shape[0] != w.size:
@@ -253,6 +305,10 @@ class SpectralDecomposition:
             if perm.shape != (w.size,) or np.bincount(perm, minlength=w.size).max() != 1:
                 raise ValueError("basis_permutation is not a bijection")
             self.basis_permutation = perm
+            if frame is not None:
+                if frame.dim != w.size:
+                    raise ValueError(f"frame has dim {frame.dim}, spectrum {w.size}")
+                self.momenta = frame.momenta[perm]
 
     @property
     def dim(self) -> int:
@@ -263,12 +319,14 @@ class SpectralDecomposition:
         if self._vectors is None:
             v = np.zeros((self.dim, self.dim), dtype=np.complex128)
             v[self.basis_permutation, np.arange(self.dim)] = 1.0
-            self._vectors = v
+            self._vectors = v if self.frame is None else self.frame.apply(v)
         return self._vectors
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V^dag a V."""
         if self.basis_permutation is not None:
+            if self.frame is not None:
+                a = self.frame.to_frame(a)
             p = self.basis_permutation
             return a[np.ix_(p, p)]
         v = self._vectors
@@ -279,7 +337,8 @@ class SpectralDecomposition:
         if self.basis_permutation is not None:
             inv = np.empty(self.dim, dtype=np.intp)
             inv[self.basis_permutation] = np.arange(self.dim)
-            return b[np.ix_(inv, inv)]
+            b = b[np.ix_(inv, inv)]
+            return b if self.frame is None else self.frame.from_frame(b)
         v = self._vectors
         return v @ b @ v.conj().T
 
@@ -289,6 +348,8 @@ class SpectralDecomposition:
         if self.basis_permutation is not None:
             d = np.zeros(self.dim, dtype=values.dtype)
             d[self.basis_permutation] = values
+            if self.frame is not None:
+                return self.frame.diagonal(d)
             return np.diag(d.astype(np.complex128))
         v = self._vectors
         return (v * values[np.newaxis, :]) @ v.conj().T
@@ -297,12 +358,72 @@ class SpectralDecomposition:
         return self.diagonal_from_eigenbasis(self.eigenvalues)
 
 
+class SectorFrame:
+    """The unitary W = F (+)_k V_k: a momentum basis F, then a unitary V_k
+    inside each sector k.
+
+    `sectors` supplies F as `to_sectors` (F^dag x) and `from_sectors` (F y)
+    in sector-major order, with the sector dimensions `dims` and the
+    momentum of each position `momenta` (`lattice.MomentumSectors`).  The
+    rotations are O(dim log N) per column for F and O(dim^2 / N) per column
+    for the sector blocks.
+    """
+
+    def __init__(self, sectors, vectors):
+        self.sectors = sectors
+        self.vectors = list(vectors)
+        self.dim = sectors.dim
+        self.momenta = sectors.momenta
+        self.slices = _sector_slices(sectors.dims)
+        if [v.shape for v in self.vectors] != [(d, d) for d in sectors.dims]:
+            raise ValueError("sector vectors do not match the sector dimensions")
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x for x whose leading axis has length dim."""
+        y = np.empty_like(x, dtype=np.complex128)
+        for sl, v in zip(self.slices, self.vectors):
+            y[sl] = v @ x[sl]
+        return self.sectors.from_sectors(y)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """W^dag x for x whose leading axis has length dim."""
+        y = self.sectors.to_sectors(x)
+        for sl, v in zip(self.slices, self.vectors):
+            y[sl] = v.conj().T @ y[sl]
+        return y
+
+    def to_frame(self, a: np.ndarray) -> np.ndarray:
+        """W^dag a W = (W^dag (W^dag a)^dag)^dag."""
+        return self.adjoint(self.adjoint(a).conj().T).conj().T
+
+    def from_frame(self, b: np.ndarray) -> np.ndarray:
+        """W b W^dag = (W (W b)^dag)^dag."""
+        return self.apply(self.apply(b).conj().T).conj().T
+
+    def diagonal(self, d: np.ndarray) -> np.ndarray:
+        """W diag(d) W^dag, through the block-diagonal F^dag W diag(d) W^dag F."""
+        y = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for sl, v in zip(self.slices, self.vectors):
+            y[sl, sl] = (v * d[sl][np.newaxis, :]) @ v.conj().T
+        f = self.sectors.from_sectors
+        return f(f(y).conj().T).conj().T
+
+
+def _sector_slices(dims) -> list[slice]:
+    """The rows of each sector in sector-major order."""
+    edges = np.cumsum((0, *dims))
+    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
     Exactly diagonal inputs take a sort-only path that stores a basis
     permutation instead of a dense eigenvector matrix; the chain models with
     purely diagonal Hamiltonians rely on this to stay cheap at large dims.
+    An operator that carries momentum `sectors` is diagonalised sector by
+    sector in the momentum basis (`_sector_decompose`); everything else
+    takes one dense eigensolve.
     """
     m = a.matrix
     diag = np.diagonal(m)
@@ -311,6 +432,8 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
         return SpectralDecomposition(
             diag.real[order], basis_permutation=np.asarray(order, dtype=np.intp)
         )
+    if a.sectors is not None:
+        return _sector_decompose(m, a.sectors)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -320,6 +443,44 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     if resid > RECONSTRUCTION_RTOL * max(1.0, max_norm(m)):
         raise EigensolverError(m.shape[0], max_norm(m))
     return decomp
+
+
+def _sector_decompose(m: np.ndarray, sectors) -> SpectralDecomposition:
+    """One eigensolve per momentum sector of F^dag m F.
+
+    The blocks of F^dag m F between different sectors must vanish (m
+    commutes with the translation), and each sector's eigenpairs must
+    reconstruct its block, both within RECONSTRUCTION_RTOL of the scale.
+    """
+    scale = max_norm(m)
+    tol = RECONSTRUCTION_RTOL * max(1.0, scale)
+    # F^dag m^dag F, which is F^dag m F for Hermitian m
+    x = sectors.to_sectors(sectors.to_sectors(m).conj().T)
+    values, vectors, off = [], [], 0.0
+    for sl in _sector_slices(sectors.dims):
+        rows = x[sl]
+        outside = np.concatenate((rows[:, : sl.start], rows[:, sl.stop :]), axis=1)
+        if outside.size:
+            off = max(off, max_norm(outside))
+        block, _ = hermitian_part(rows[:, sl])
+        try:
+            w, v = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(m.shape[0], scale) from exc
+        if block.size and max_norm((v * w[np.newaxis, :]) @ v.conj().T - block) > tol:
+            raise EigensolverError(m.shape[0], scale)
+        values.append(w)
+        vectors.append(v)
+    if off > tol:
+        raise ValueError(
+            "operator does not commute with the translation of its sectors: "
+            f"off-sector entries reach {off:.3e}, above {tol:.3e}"
+        )
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    return SpectralDecomposition(
+        w[order], basis_permutation=order, frame=SectorFrame(sectors, vectors)
+    )
 
 
 def matrix_function(decomp: SpectralDecomposition, f) -> HermitianOperator:

@@ -6,11 +6,11 @@ large inverse temperatures stay finite, and log rho is always the analytic
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, SiteOperator, site_unitary
+from .lattice import LatticeSpec, SiteOperator, pauli, site_unitary
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -26,18 +26,28 @@ class ThermalState:
     """Gibbs state exp(-beta H) / Z together with its defining data.
 
     Carrying the Hamiltonian and its decomposition lets every downstream
-    entropy take the stable analytic route for log rho.
+    entropy take the stable analytic route for log rho.  In the eigenbasis
+    of H the state is diag(populations); `rho`, the certified dense matrix
+    in the computational basis, is built on first read.
     """
 
-    rho: DensityMatrix
     beta: float
     log_partition: float
     hamiltonian: HermitianOperator
     hamiltonian_decomp: SpectralDecomposition
+    _rho: DensityMatrix | None = field(init=False, default=None, repr=False, compare=False)
+
+    @property
+    def rho(self) -> DensityMatrix:
+        if self._rho is None:
+            weights, _ = _gibbs_weights(self.hamiltonian_decomp.eigenvalues, self.beta)
+            rho = DensityMatrix(self.hamiltonian_decomp.diagonal_from_eigenbasis(weights))
+            object.__setattr__(self, "_rho", rho)
+        return self._rho
 
     @property
     def dim(self) -> int:
-        return self.rho.dim
+        return self.hamiltonian_decomp.dim
 
     @property
     def populations(self) -> np.ndarray:
@@ -51,14 +61,20 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A single-site Hermitian generator applied with strength lambda."""
+    """A single-site Hermitian generator applied with strength lambda.
+
+    The generator is a Hermitian matrix or a Pauli letter (X, Y or Z).
+    """
 
     site: int
-    generator: np.ndarray
+    generator: np.ndarray | str
     strength: float
 
     def __post_init__(self):
-        gen = HermitianOperator(self.generator).matrix
+        gen = self.generator
+        if isinstance(gen, str):
+            gen = pauli(gen)
+        gen = HermitianOperator(gen).matrix
         object.__setattr__(self, "generator", gen)
         if self.site < 0:
             raise ValueError(f"site must be nonnegative, got {self.site}")
@@ -90,13 +106,17 @@ def thermal_state(hamiltonian: HermitianOperator, beta: float) -> ThermalState:
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     decomp = spectral_decompose(hamiltonian)
-    x = -beta * decomp.eigenvalues
+    _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
+    return ThermalState(beta, log_partition, hamiltonian, decomp)
+
+
+def _gibbs_weights(energies: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """exp(-beta E) / Z and log Z, through a max-shifted exponential."""
+    x = -beta * energies
     shift = x.max()
     weights = np.exp(x - shift)
     total = weights.sum()
-    log_partition = float(shift + np.log(total))
-    rho = DensityMatrix(decomp.diagonal_from_eigenbasis(weights / total))
-    return ThermalState(rho, beta, log_partition, hamiltonian, decomp)
+    return weights / total, float(shift + np.log(total))
 
 
 def local_kick(lattice: LatticeSpec, p: PerturbationSpec) -> UnitaryOperator:

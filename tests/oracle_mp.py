@@ -1,20 +1,30 @@
-"""40-digit reference for S_BS(M rho'|rho) on a small periodic XXZ chain.
+"""High-precision references for the kicked, frame-averaged spin chains.
 
 Everything here is built from literal Pauli matrices in mpmath, with no
 shared code with the package under test: the Hamiltonian from Kronecker
-products, the Gibbs state and rho^{-1/2} from a 40-digit eigendecomposition
-of H, the uniform frame average by permuting basis labels, and the
+products, the Gibbs state and rho^{-1/2} from a high-precision
+eigendecomposition of H, the spatial averages as explicit weighted sums over
+translates (permuting basis labels), the temporal averages from the
+Lorentzian 1 / (1 + i (E_m - E_n) tau) on the eigenbasis of H (and, at
+tau = inf, the projection onto the degenerate eigenspaces of H), and the
 Belavkin-Staszewski relative entropy from its definition
 
     S_BS(sigma|rho) = tr[rho X log X],   X = rho^{-1/2} sigma rho^{-1/2}.
 
-At 40 digits the rounding of every stage sits far below float64, so the
-result is a reference for both of the package's routes.  Run as a script to
-print the reference value.
+X is also the averaged conjugated kick ME, because every frame average
+commutes with functions of H; its spectrum gives ||ME - 1||_op.  The chains
+are periodic with the bonds (i, i+1 mod N), which needs N >= 3.
+
+At 30 or 40 digits the rounding of every stage sits far below float64, so
+the results are references for every route of the package.  Run as a script
+to print the XXZ reference value.
 """
+import math
+
 from mpmath import mp
 
 DIGITS = 40
+CHANNEL_DIGITS = 30
 
 
 def _kron(a, b):
@@ -48,52 +58,127 @@ def _function_of(values, vectors, f):
     return vectors * mp.diag([f(x) for x in values]) * vectors.H
 
 
-def xxz_state_and_conjugated(n, j, delta, beta, strength):
-    """rho and X = rho^{-1/2} M rho' rho^{-1/2} (which is ME) at the working
-    precision of the caller."""
-    x = mp.matrix([[0, 1], [1, 0]])
-    y = mp.matrix([[0, -1j], [1j, 0]])
-    z = mp.matrix([[1, 0], [0, -1]])
-    j, delta, beta, strength = (mp.mpf(v) for v in (j, delta, beta, strength))
+def _paulis():
+    return (
+        mp.matrix([[0, 1], [1, 0]]),
+        mp.matrix([[0, -1j], [1j, 0]]),
+        mp.matrix([[1, 0], [0, -1]]),
+    )
 
+
+def chain_hamiltonian(model, couplings, n):
+    """transverse-field-ising: -J sum Z_i Z_{i+1} - g sum X_i;
+    heisenberg-xxz: J sum (X_i X_{i+1} + Y_i Y_{i+1} + delta Z_i Z_{i+1})."""
+    x, y, z = _paulis()
     dim = 2**n
     h = mp.matrix(dim, dim)
     for site in range(n):
         bond = (site, (site + 1) % n)
-        h += j * _embed(n, dict.fromkeys(bond, x))
-        h += j * _embed(n, dict.fromkeys(bond, y))
-        h += j * delta * _embed(n, dict.fromkeys(bond, z))
-    energies, q = mp.eigh(h)
-    ground = min(energies)
-    weights = [mp.exp(-beta * (e - ground)) for e in energies]
-    populations = [w / mp.fsum(weights) for w in weights]
-    rho = _function_of(populations, q, lambda p: p)
-    inv_sqrt = _function_of(populations, q, lambda p: 1 / mp.sqrt(p))
+        if model == "transverse-field-ising":
+            j, g = (mp.mpf(couplings[k]) for k in ("J", "g"))
+            h += -j * _embed(n, dict.fromkeys(bond, z))
+            h += -g * _embed(n, {site: x})
+        elif model == "heisenberg-xxz":
+            j, delta = (mp.mpf(couplings[k]) for k in ("J", "delta"))
+            h += j * _embed(n, dict.fromkeys(bond, x))
+            h += j * _embed(n, dict.fromkeys(bond, y))
+            h += j * delta * _embed(n, dict.fromkeys(bond, z))
+        else:
+            raise ValueError(f"no reference for model {model!r}")
+    return h
 
-    # exp(-i s X) = cos s - i sin s X, since X^2 = 1
-    kick = _embed(n, {0: mp.cos(strength) * mp.eye(2) - 1j * mp.sin(strength) * x})
-    rho_prime = kick * rho * kick.H
 
-    averaged = mp.matrix(dim, dim)
-    labels = list(range(dim))
-    for _ in range(n):
-        for a in range(dim):
-            for b in range(dim):
-                averaged[labels[a], labels[b]] += rho_prime[a, b] / n
-        labels = [_shift(label, n) for label in labels]
+class KickedChain:
+    """H, its eigenbasis, rho, rho^{-1/2} and rho' = U rho U^dag for an X
+    kick exp(-i s X) at site 0, at the working precision of the caller."""
 
-    conjugated = inv_sqrt * averaged * inv_sqrt
-    return rho, (conjugated + conjugated.H) / 2
+    def __init__(self, model, couplings, n, beta, strength):
+        x, _, _ = _paulis()
+        beta, strength = mp.mpf(beta), mp.mpf(strength)
+        self.n = n
+        self.dim = 2**n
+        self.energies, self.vectors = mp.eigh(chain_hamiltonian(model, couplings, n))
+        ground = min(self.energies)
+        weights = [mp.exp(-beta * (e - ground)) for e in self.energies]
+        populations = [w / mp.fsum(weights) for w in weights]
+        self.rho = _function_of(populations, self.vectors, lambda p: p)
+        self.inv_sqrt = _function_of(populations, self.vectors, lambda p: 1 / mp.sqrt(p))
+        # exp(-i s X) = cos s - i sin s X, since X^2 = 1
+        kick = _embed(n, {0: mp.cos(strength) * mp.eye(2) - 1j * mp.sin(strength) * x})
+        self.rho_prime = kick * self.rho * kick.H
+
+    def translate_average(self, a, weights):
+        """sum_n weights[n] T^n a T^-n, by moving basis labels."""
+        out = mp.matrix(self.dim, self.dim)
+        labels = list(range(self.dim))
+        for w in weights:
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    out[labels[i], labels[j]] += w * a[i, j]
+            labels = [_shift(label, self.n) for label in labels]
+        return out
+
+    def temporal_average(self, a, tau):
+        """Entry (m, n) of the energy-basis matrix times 1 / (1 + i (E_m - E_n) tau);
+        tau = inf keeps the degenerate blocks only."""
+        q = self.vectors
+        b = q.H * a * q
+        width = self.energies[-1] - self.energies[0]
+        for m in range(self.dim):
+            for k in range(self.dim):
+                gap = self.energies[m] - self.energies[k]
+                if math.isinf(tau):
+                    b[m, k] = b[m, k] if abs(gap) < mp.mpf(10) ** -20 * width else 0
+                else:
+                    b[m, k] = b[m, k] / (1 + 1j * gap * mp.mpf(tau))
+        return q * b * q.H
+
+    def averaged(self, kind, parameter=None):
+        """M rho' for a channel given as the package's kind and parameter."""
+        n = self.n
+        if kind == "uniform-spatial":
+            return self.translate_average(self.rho_prime, [mp.mpf(1) / n] * n)
+        if kind == "weighted-spatial":
+            raw = [mp.exp(-mp.mpf(min(k, n - k)) / mp.mpf(parameter)) for k in range(n)]
+            return self.translate_average(self.rho_prime, [w / mp.fsum(raw) for w in raw])
+        if kind == "temporal":
+            return self.temporal_average(self.rho_prime, parameter)
+        raise ValueError(f"unknown channel {kind!r}")
+
+    def bs_spectrum(self, sigma):
+        """S_BS(sigma|rho) and the spectrum of X = rho^{-1/2} sigma rho^{-1/2}."""
+        x = self.inv_sqrt * sigma * self.inv_sqrt
+        values, vectors = mp.eigh((x + x.H) / 2)
+        rho_vectors = self.rho * vectors
+        weights = [
+            mp.re(mp.fsum(mp.conj(vectors[i, k]) * rho_vectors[i, k] for i in range(self.dim)))
+            for k in range(self.dim)
+        ]
+        return mp.fsum(v * mp.log(v) * w for v, w in zip(values, weights)), values
+
+
+def channel_reference(model, couplings, n, beta, strength, channels):
+    """For each (kind, parameter) in channels: S(M rho'), S_BS(M rho'|rho) and
+    the spectrum of ME, as floats, computed at CHANNEL_DIGITS digits."""
+    out = {}
+    with mp.workdps(CHANNEL_DIGITS):
+        chain = KickedChain(model, couplings, n, beta, strength)
+        for kind, parameter in channels:
+            sigma = chain.averaged(kind, parameter)
+            sigma = (sigma + sigma.H) / 2
+            entropy = -mp.fsum(p * mp.log(p) for p in mp.eigh(sigma, eigvals_only=True) if p > 0)
+            bs, spectrum = chain.bs_spectrum(sigma)
+            out[(kind, parameter)] = (float(entropy), float(bs), [float(v) for v in spectrum])
+    return out
 
 
 def xxz_bs_reference(n=4, j=1.0, delta=0.5, beta=2.0, strength=0.7):
-    """S_BS(M rho'|rho) for the XXZ chain, X kick at site 0, uniform frame."""
+    """S_BS(M rho'|rho) for the XXZ chain, X kick at site 0, uniform frame, at
+    DIGITS digits."""
     with mp.workdps(DIGITS):
-        rho, conjugated = xxz_state_and_conjugated(n, j, delta, beta, strength)
-        values, vectors = mp.eigh(conjugated)
-        x_log_x = _function_of(values, vectors, lambda v: v * mp.log(v))
-        value = mp.fsum((rho * x_log_x)[k, k] for k in range(rho.rows))
-        return float(mp.re(value))
+        chain = KickedChain("heisenberg-xxz", {"J": j, "delta": delta}, n, beta, strength)
+        value, _ = chain.bs_spectrum(chain.averaged("uniform-spatial"))
+        return float(value)
 
 
 if __name__ == "__main__":

@@ -135,6 +135,32 @@ class TestLocalKick:
         with pytest.raises(ValueError):
             PerturbationSpec(0, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
 
+    @pytest.mark.parametrize("letter,matrix", (("X", sigma_x), ("Z", sigma_z)))
+    def test_generator_as_a_pauli_letter(self, letter, matrix):
+        spec = PerturbationSpec(0, letter, 0.7)
+        assert np.array_equal(spec.generator, matrix)
+        lat = LatticeSpec(3)
+        by_matrix = local_kick(lat, PerturbationSpec(0, matrix, 0.7))
+        assert np.array_equal(local_kick(lat, spec).matrix, by_matrix.matrix)
+
+    def test_unknown_letter_gives_the_config_parser_error(self):
+        from frameavg.experiments import ConfigError, config_from_mapping
+
+        with pytest.raises(ValueError) as direct:
+            PerturbationSpec(0, "Q", 0.7)
+        mapping = {
+            "model": {"name": "free-spins", "couplings": {"h": 1.0}},
+            "sizes": [2],
+            "beta": 1.0,
+            "kick": {"site": 0, "generator": "Q", "strength": 0.7},
+            "averaging": [{"kind": "uniform-spatial"}],
+            "seed": 1,
+        }
+        with pytest.raises(ConfigError) as parsed:
+            config_from_mapping(mapping)
+        assert str(direct.value) == "unknown Pauli name 'Q', expected one of X, Y, Z"
+        assert str(parsed.value) == f"kick.generator: {direct.value}"
+
 
 class TestPerturb:
     @pytest.fixture()
