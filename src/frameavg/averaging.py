@@ -42,7 +42,6 @@ from .operators import (
     OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
-    hermitian_part,
     max_norm,
     trace_product,
 )
@@ -113,7 +112,7 @@ class AveragingKind:
 
         When H is held in sector form for this same translation, the channel
         also carries its Schur multiplier in the joint H-T eigenbasis
-        (`Channel.eigen`); the temporal average has one for any H."""
+        (`Channel.eigen`)."""
         decomp = state.hamiltonian_decomp
         momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
         if self.kind == UNIFORM_SPATIAL:
@@ -129,28 +128,27 @@ class AveragingKind:
                 sectors.blocks,
                 eigen,
             )
+        eigen = None
         if self.kind == WEIGHTED_SPATIAL:
             def apply(a):
                 return weighted_average_translates(a, t, n_terms, self.parameter)
 
-            def weights():
+            if momenta is not None:
                 # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so M scales
                 # entry (i, j) by w^(k_i - k_j) = sum_n w_n e^{2 pi i (k_i - k_j) n / N},
                 # real because w_n = w_{N-n}
                 w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
-                return lambda rows: w_hat[
-                    np.subtract.outer(momenta[rows], momenta) % n_terms
-                ]
-
-            eigen = None if momenta is None else SchurMultiplier(weights)
+                eigen = SchurMultiplier(
+                    lambda rows: w_hat[np.subtract.outer(momenta[rows], momenta) % n_terms]
+                )
         else:
             def apply(a):
                 return temporal_average_matrix(a, decomp, self.parameter)
 
-            def weights():
-                return lambda rows: _temporal_weights(decomp.eigenvalues, self.parameter, rows)
-
-            eigen = SchurMultiplier(weights)
+            if momenta is not None:
+                eigen = SchurMultiplier(
+                    lambda rows: _temporal_weights(decomp.eigenvalues, self.parameter, rows)
+                )
         return Channel(apply, lambda a: [apply(a)], lambda a: [a], eigen)
 
 
@@ -192,25 +190,24 @@ class SchurMultiplier:
     average keeps the entries inside each momentum sector (`sectors`, its
     index sets, which are also its blocks), the weighted one scales entry
     (i, j) by w^(k_i - k_j), and the temporal one by 1 / (1 + i (E_i - E_j) tau).
-    `weights()` is called once per application and gives the rows of W for
-    a slice of rows (None for the identity), so W is never held whole.
+    `weights(rows)` gives the rows of W for a slice of rows (None for the
+    identity), so W is never held whole.
 
     blocks(X~) are the blocks of (M X)~ and fixed_blocks(d) the matching
     pieces of a diagonal operator diag(d), such as H and rho here, so the
     energy and the ME statistics pair diagonals with blocks.
     """
 
-    weights: Callable[[], Callable[[slice], np.ndarray | None]] | None = None
+    weights: Callable[[slice], np.ndarray | None] | None = None
     sectors: list[np.ndarray] | None = None
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         if self.sectors is not None:
             return [x[np.ix_(s, s)] for s in self.sectors]
-        rows_of = self.weights()
         out = np.empty_like(x)
         for start in range(0, x.shape[0], _WEIGHT_ROWS):
             rows = slice(start, start + _WEIGHT_ROWS)
-            w = rows_of(rows)
+            w = self.weights(rows)
             out[rows] = x[rows] if w is None else x[rows] * w
         return [out]
 
@@ -510,10 +507,10 @@ def averaged_E_stats(
     """
     spectra, weights = [], []
     for e, rho in zip(e_blocks, rho_blocks):
-        # eigh reads one triangle; a block that is Hermitian only to round-off
-        # (a momentum-sector block built by FFT) is symmetrized first, while
-        # the joint-basis blocks are exactly Hermitian and need no copy
-        w, v = np.linalg.eigh(e if _exactly_hermitian(e) else hermitian_part(e)[0])
+        # eigh reads the lower triangle: the joint-basis blocks are exactly
+        # Hermitian, and a computational-basis block is Hermitian to
+        # round-off, so that triangle stands for it within round-off
+        w, v = np.linalg.eigh(e)
         spectra.append(w)
         # the weight rho puts on each eigenvector of the block
         if rho.ndim == 1:
@@ -529,15 +526,6 @@ def averaged_E_stats(
         state_trace=float((q * w).sum()),
     )
     return report, max(-float(np.dot(eta(w), q)), 0.0)
-
-
-def _exactly_hermitian(a: np.ndarray) -> bool:
-    """Whether a equals its conjugate transpose bit for bit, tile by tile."""
-    for i in range(0, a.shape[0], _WEIGHT_ROWS):
-        rows = slice(i, i + _WEIGHT_ROWS)
-        if not np.array_equal(a[rows], a[:, rows].conj().T):
-            return False
-    return True
 
 
 def deviation_report(averaged_e: np.ndarray, state: ThermalState) -> DeviationReport:

@@ -21,21 +21,35 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThermalState:
     """Gibbs state exp(-beta H) / Z together with its defining data.
 
     Carrying the Hamiltonian and its decomposition lets every downstream
     entropy take the stable analytic route for log rho.  In the eigenbasis
     of H the state is diag(populations); `rho`, the certified dense matrix
-    in the computational basis, is built on first read.
+    in the computational basis, is built on first read unless one is given.
     """
 
     beta: float
     log_partition: float
     hamiltonian: HermitianOperator
     hamiltonian_decomp: SpectralDecomposition
-    _rho: DensityMatrix | None = field(init=False, default=None, repr=False, compare=False)
+    _rho: DensityMatrix | None = field(default=None, repr=False, compare=False)
+
+    def __init__(
+        self,
+        rho: DensityMatrix | None,
+        beta: float,
+        log_partition: float,
+        hamiltonian: HermitianOperator,
+        hamiltonian_decomp: SpectralDecomposition,
+    ):
+        object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "log_partition", log_partition)
+        object.__setattr__(self, "hamiltonian", hamiltonian)
+        object.__setattr__(self, "hamiltonian_decomp", hamiltonian_decomp)
 
     @property
     def rho(self) -> DensityMatrix:
@@ -107,7 +121,7 @@ def thermal_state(hamiltonian: HermitianOperator, beta: float) -> ThermalState:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     decomp = spectral_decompose(hamiltonian)
     _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
-    return ThermalState(beta, log_partition, hamiltonian, decomp)
+    return ThermalState(None, beta, log_partition, hamiltonian, decomp)
 
 
 def _gibbs_weights(energies: np.ndarray, beta: float) -> tuple[np.ndarray, float]:

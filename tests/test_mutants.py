@@ -17,11 +17,13 @@ The mutations patch names that both the computational-basis route and the
 joint-eigenbasis route go through, so the tests hold for either.
 """
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from frameavg import averaging, experiments, lattice
+from frameavg.averaging import AveragingKind
 from frameavg.experiments import (
     _SizeContext,
     config_from_mapping,
@@ -88,16 +90,31 @@ def test_weighted_operator_side_with_another_r_trips_the_oracle(monkeypatch):
     assert abs(row.s_m_rho_prime - entropy) <= 1e-11
     assert abs(row.bs_rel_ent_avg - bs) <= 1e-8
 
-    weights = averaging.distance_weights
+    bind = AveragingKind.bind
     calls = []
 
-    def one_sided(n_terms, scale):
-        # a sweep row averages rho' first and E second, so every second
-        # call is the operator side
-        calls.append(scale)
-        return weights(n_terms, 3.0 if len(calls) % 2 == 0 else scale)
+    def second_from(clean, other):
+        # a sweep row averages rho' first and E second, so the second
+        # application is the operator side
+        def blocks(x):
+            calls.append(None)
+            return (clean if len(calls) == 1 else other).blocks(x)
 
-    monkeypatch.setattr(averaging, "distance_weights", one_sided)
+        return blocks
+
+    def one_sided(self, state, t, n_terms):
+        clean = bind(self, state, t, n_terms)
+        other = bind(AveragingKind.weighted_spatial(3.0), state, t, n_terms)
+        changes = {"blocks": second_from(clean, other)}
+        if getattr(clean, "eigen", None) is not None:
+            # the same map in the joint eigenbasis, where the sweep applies it
+            changes["eigen"] = SimpleNamespace(
+                blocks=second_from(clean.eigen, other.eigen),
+                fixed_blocks=clean.eigen.fixed_blocks,
+            )
+        return replace(clean, **changes)
+
+    monkeypatch.setattr(AveragingKind, "bind", one_sided)
     (row,) = convergence_sweep(cfg)
     assert len(calls) == 2
     assert abs(row.s_m_rho_prime - entropy) <= 1e-11

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frameavg import HermitianOperator, UnitaryOperator, max_norm, random_unitary
+from frameavg import DensityMatrix, HermitianOperator, UnitaryOperator, max_norm, random_unitary
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
@@ -39,6 +39,16 @@ class TestThermalState:
         state = thermal_state(HermitianOperator(np.zeros((4, 4))), beta=2.3)
         assert max_norm(state.rho.matrix - np.eye(4) / 4) < 1e-14
         assert abs(state.log_partition - np.log(4)) < 1e-12
+
+    def test_rho_given_first_seeds_the_state(self):
+        built = thermal_state(HermitianOperator(sigma_z), beta=1.0)
+        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+        given = ThermalState(
+            rho, built.beta, built.log_partition, built.hamiltonian, built.hamiltonian_decomp
+        )
+        assert given.rho is rho
+        assert given.dim == 2
+        np.testing.assert_allclose(given.populations, built.populations, atol=0)
 
     def test_single_spin_populations(self):
         state = thermal_state(HermitianOperator(sigma_z), beta=1.0)
