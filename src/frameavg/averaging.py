@@ -8,15 +8,11 @@ is a convex mixture of unitary conjugations that fix the Gibbs state, hence
 trace preserving, positivity preserving, and entropy non-decreasing.
 
 `AveragingKind.bind` turns a kind into a `Channel` for one chain, the one
-place that dispatches on the kind tag.  A channel applies itself densely and
-also hands back the blocks of its output in a basis where it acts block by
-block: `MomentumSectors` gives the N momentum sectors of the uniform average;
-the weighted and temporal averages give one block, the dense averaged matrix.
-Operators the channel fixes (H, rho) come back in the same basis, so
-entropies, energies and the ME statistics are sums over blocks.  When H is
-held in sector form, the joint H-T eigenbasis diagonalises H, rho and T
-together, and there every channel is a Schur multiplier (`Channel.eigen`,
-a `SchurMultiplier`): the sweep works in that basis.
+place that dispatches on the kind tag.  A channel applies itself densely in
+the computational basis, and it carries its form in the joint H-T
+eigenbasis: H commutes with T, so one basis diagonalises H, rho and T
+together, and there every channel is a Schur multiplier, which the sweep and
+verify's operator route apply block by block.
 
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
@@ -35,15 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import eta
-from .lattice import MomentumSectors
+from .lattice import NEEDS_PERMUTATION
 from .operators import (
+    BlockDensityMatrix,
     DensityMatrix,
     HermitianOperator,
     OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
     max_norm,
-    trace_product,
 )
 from .thermal import ThermalState
 
@@ -108,48 +104,34 @@ class AveragingKind:
 
     def bind(self, state: ThermalState, t: UnitaryOperator, n_terms: int) -> "Channel":
         """This kind as a channel on the n_terms-site chain of `state`, whose
-        translation is t.
-
-        When H is held in sector form for this same translation, the channel
-        also carries its Schur multiplier in the joint H-T eigenbasis
-        (`Channel.eigen`)."""
+        translation is t, with its Schur multiplier wherever H is held in
+        sector form for this same translation."""
         decomp = state.hamiltonian_decomp
         momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
         if self.kind == UNIFORM_SPATIAL:
-            sectors = MomentumSectors(t, n_terms)
-            eigen = None
+            sectors = None
             if momenta is not None:
-                eigen = SchurMultiplier(
-                    sectors=[np.nonzero(momenta == k)[0] for k in range(n_terms)]
-                )
-            return Channel(
-                lambda a: average_translates(a, t, n_terms),
-                sectors.blocks,
-                sectors.blocks,
-                eigen,
-            )
-        eigen = None
+                sectors = [np.nonzero(momenta == k)[0] for k in range(n_terms)]
+            return Channel(lambda a: average_translates(a, t, n_terms), sectors=sectors)
         if self.kind == WEIGHTED_SPATIAL:
             def apply(a):
                 return weighted_average_translates(a, t, n_terms, self.parameter)
 
-            if momenta is not None:
-                # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so M scales
-                # entry (i, j) by w^(k_i - k_j) = sum_n w_n e^{2 pi i (k_i - k_j) n / N},
-                # real because w_n = w_{N-n}
-                w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
-                eigen = SchurMultiplier(
-                    lambda rows: w_hat[np.subtract.outer(momenta[rows], momenta) % n_terms]
-                )
+            # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so M scales
+            # entry (i, j) by w^(k_i - k_j) = sum_n w_n e^{2 pi i (k_i - k_j) n / N},
+            # real because w_n = w_{N-n}
+            w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
+
+            def weights(rows):
+                return w_hat[np.subtract.outer(momenta[rows], momenta) % n_terms]
         else:
             def apply(a):
                 return temporal_average_matrix(a, decomp, self.parameter)
 
-            if momenta is not None:
-                eigen = SchurMultiplier(
-                    lambda rows: _temporal_weights(decomp.eigenvalues, self.parameter, rows)
-                )
-        return Channel(apply, lambda a: [apply(a)], lambda a: [a], eigen)
+            def weights(rows):
+                return _temporal_weights(decomp.eigenvalues, self.parameter, rows)
+
+        return Channel(apply, weights=None if momenta is None else weights)
 
 
 def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
@@ -164,46 +146,31 @@ def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms
 class Channel:
     """An averaging map M bound to one chain.
 
-    apply(X) is the dense M X.  blocks(X) are the diagonal blocks of M X in a
-    basis where M X is block-diagonal, and fixed_blocks(Y) the blocks of an
-    operator M leaves fixed (H, rho) in the same basis, so tr(Y M X) and the
-    spectrum of M X are sums and unions over blocks: the N momentum sectors
-    for the uniform average, one block (the whole matrix) otherwise.  All
-    three take computational-basis matrices.
-
-    `eigen` is the same map in the eigenbasis of H, where it acts entry by
-    entry (a `SchurMultiplier`), or None where H has no such form.
-    """
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    blocks: Callable[[np.ndarray], list[np.ndarray]]
-    fixed_blocks: Callable[[np.ndarray], list[np.ndarray]]
-    eigen: "SchurMultiplier | None" = None
-
-
-@dataclass(frozen=True)
-class SchurMultiplier:
-    """An averaging map in the joint H-T eigenbasis: (M X)~ = W o X~.
-
-    H commutes with T, so one basis diagonalises H, rho and T together, and
-    each frame average multiplies X~ = V^dag X V entry by entry: the uniform
-    average keeps the entries inside each momentum sector (`sectors`, its
-    index sets, which are also its blocks), the weighted one scales entry
-    (i, j) by w^(k_i - k_j), and the temporal one by 1 / (1 + i (E_i - E_j) tau).
+    apply(X) is the dense M X in the computational basis.  In the joint H-T
+    eigenbasis, where H, rho and T are diagonal, M multiplies X~ = V^dag X V
+    entry by entry (a Schur multiplier, (M X)~ = W o X~): the uniform average
+    keeps the entries inside each momentum sector (`sectors`, its index sets,
+    which are also its blocks), the weighted one scales entry (i, j) by
+    w^(k_i - k_j), and the temporal one by 1 / (1 + i (E_i - E_j) tau).
     `weights(rows)` gives the rows of W for a slice of rows (None for the
-    identity), so W is never held whole.
+    identity), so W is never held whole.  Both are None where H was not
+    solved in that basis.
 
-    blocks(X~) are the blocks of (M X)~ and fixed_blocks(d) the matching
-    pieces of a diagonal operator diag(d), such as H and rho here, so the
+    schur_blocks(X~) are the blocks of (M X)~ and diagonal_blocks(d) the
+    matching pieces of a diagonal operator diag(d), such as H and rho there,
+    so the spectrum of M X is the union of the blocks' spectra, and the
     energy and the ME statistics pair diagonals with blocks.
     """
 
+    apply: Callable[[np.ndarray], np.ndarray]
     weights: Callable[[slice], np.ndarray | None] | None = None
     sectors: list[np.ndarray] | None = None
 
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+    def schur_blocks(self, x: np.ndarray) -> list[np.ndarray]:
         if self.sectors is not None:
             return [x[np.ix_(s, s)] for s in self.sectors]
+        if self.weights is None:
+            raise ValueError("the channel has no form in the eigenbasis H was solved in")
         out = np.empty_like(x)
         for start in range(0, x.shape[0], _WEIGHT_ROWS):
             rows = slice(start, start + _WEIGHT_ROWS)
@@ -211,14 +178,15 @@ class SchurMultiplier:
             out[rows] = x[rows] if w is None else x[rows] * w
         return [out]
 
-    def fixed_blocks(self, d: np.ndarray) -> list[np.ndarray]:
+    def diagonal_blocks(self, d: np.ndarray) -> list[np.ndarray]:
         if self.sectors is not None:
             return [d[s] for s in self.sectors]
         return [d]
 
 
 def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, weights):
-    """sum_n w_n T^n a T^-n with fixed left-to-right accumulation.
+    """sum_n w_n T^n a T^-n with fixed left-to-right accumulation, each
+    translate a reindexing of a by the permutation of T.
 
     Verifies T^n_terms = 1 along the way and raises if the order is off.
     """
@@ -227,31 +195,18 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
         raise ValueError(f"dimension mismatch: matrix {dim}, translation {t.dim}")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    if t.permutation is not None:
-        perm = t.permutation
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(dim)
-        acc = weights[0] * a
-        cur = inv
-        for n in range(1, n_terms):
-            if weights[n] != 0.0:
-                acc = acc + weights[n] * a[np.ix_(cur, cur)]
-            cur = cur[inv]
-        if not np.array_equal(cur, np.arange(dim)):
-            raise ValueError(f"translation operator does not have order {n_terms}")
-        return acc
-    tm = t.matrix
-    td = tm.conj().T
+    if t.permutation is None:
+        raise ValueError(NEEDS_PERMUTATION)
+    perm = t.permutation
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(dim)
     acc = weights[0] * a
-    cur = a
-    power = tm
+    cur = inv
     for n in range(1, n_terms):
-        cur = tm @ cur @ td
         if weights[n] != 0.0:
-            acc = acc + weights[n] * cur
-        if n < n_terms - 1:
-            power = tm @ power
-    if max_norm(tm @ power - np.eye(dim)) > 1e-10:
+            acc = acc + weights[n] * a[np.ix_(cur, cur)]
+        cur = cur[inv]
+    if not np.array_equal(cur, np.arange(dim)):
         raise ValueError(f"translation operator does not have order {n_terms}")
     return acc
 
@@ -357,7 +312,9 @@ class ConjugatedPerturbation:
         if self.in_eigenbasis:
             norm = float(np.dot(self.state.populations, np.diagonal(self.E.matrix).real))
         else:
-            norm = trace_product(self.state.rho.matrix, self.E.matrix).real
+            # tr(rho E) as one contiguous pass: rho and E are Hermitian, so
+            # sum_ij conj(rho_ij) E_ij is the trace of their product
+            norm = np.vdot(self.state.rho.matrix, self.E.matrix).real
         slack = 1e-9 + self.E.dim * np.finfo(np.float64).eps * max_norm(self.E.matrix)
         if abs(norm - 1.0) > slack:
             raise ValueError(f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
@@ -382,8 +339,8 @@ def _kick_in_energy_basis(decomp: SpectralDecomposition, u: UnitaryOperator) -> 
 
     A structured eigenbasis (a basis permutation, with or without a sector
     frame) rotates U's columns as it rotates any matrix, at no dense product
-    for diagonal H and O(dim^3 / N) in sector form; a dense eigenbasis takes
-    one dense product.
+    for a diagonal H without sectors and O(dim^3 / N) in sector form; a dense
+    eigenbasis takes one dense product.
     """
     if decomp.basis_permutation is not None:
         return decomp.to_eigenbasis(u.apply(np.eye(decomp.dim)))
@@ -423,10 +380,11 @@ def _scale_to_u_beta(state: ThermalState, u_tilde: np.ndarray) -> np.ndarray:
     return u_tilde
 
 
-def kicked_in_eigenbasis(state: ThermalState, u_tilde: np.ndarray) -> DensityMatrix:
+def kicked_in_eigenbasis(state: ThermalState, u_tilde: np.ndarray) -> BlockDensityMatrix:
     """rho' = u~ diag(p) u~^dag in the eigenbasis of H: one dense product,
-    through the DensityMatrix gate."""
-    return DensityMatrix((u_tilde * state.populations[np.newaxis, :]) @ u_tilde.conj().T)
+    held as a one-block BlockDensityMatrix, whose eigensolve is both the
+    positivity gate and the spectrum S(rho') reads, so no Cholesky runs."""
+    return BlockDensityMatrix(((u_tilde * state.populations[np.newaxis, :]) @ u_tilde.conj().T,))
 
 
 def conjugated_in_eigenbasis(
@@ -441,32 +399,24 @@ def conjugated_in_eigenbasis(
     return ConjugatedPerturbation(None, e, state, normalization, in_eigenbasis=True)
 
 
-def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> ConjugatedPerturbation:
-    """Build u and E = u u^dag through the analytic gap form.
+def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
+    """u = e^{beta H/2} U e^{-beta H/2} in the computational basis, and
+    tr(rho E) certified through `eigenbasis_kick`.
 
     In the energy eigenbasis the conjugation is the entrywise factor
     e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
-    of rho is ever formed.  The kick is rotated into that basis once, and
-    tr(rho E) is certified from the same rotation; u comes back to the
-    computational basis through the eigenbasis rotation.  For diagonal H,
-    E = G (U S^2 U^dag) G with G = e^{beta H/2} and S = e^{-beta H/2} both
-    diagonal, which the kick's own conjugation evaluates without a dense
-    product.
+    of rho is ever formed: the kick is rotated into that basis once, scaled,
+    and rotated back.
     """
-    decomp = state.hamiltonian_decomp
     u_tilde, stable_norm = eigenbasis_kick(state, u)
-    u_full = decomp.from_eigenbasis(_scale_to_u_beta(state, u_tilde))
-    del u_tilde
-    if decomp.basis_permutation is None or decomp.frame is not None:
-        e_full = u_full @ u_full.conj().T
-    else:
-        g = np.empty(decomp.dim)
-        g[decomp.basis_permutation] = np.exp(state.beta * decomp.eigenvalues / 2)
-        shrink = np.exp(-state.beta * decomp.eigenvalues / 2)
-        e_full = u.conjugate(decomp.diagonal_from_eigenbasis(shrink**2))
-        e_full *= g[:, np.newaxis]
-        e_full *= g[np.newaxis, :]
-    return ConjugatedPerturbation(u_full, HermitianOperator(e_full), state, stable_norm)
+    return state.hamiltonian_decomp.from_eigenbasis(_scale_to_u_beta(state, u_tilde)), stable_norm
+
+
+def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> ConjugatedPerturbation:
+    """Build u (`conjugated_kick`) and E = u u^dag in the computational basis."""
+    u_full, stable_norm = conjugated_kick(state, u)
+    e = HermitianOperator(u_full @ u_full.conj().T)
+    return ConjugatedPerturbation(u_full, e, state, stable_norm)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from .averaging import (
     UNIFORM_SPATIAL,
     WEIGHTED_SPATIAL,
     AveragingKind,
-    Channel,
-    SchurMultiplier,
+    ConjugatedPerturbation,
     averaged_E_stats,
     conjugated_in_eigenbasis,
-    conjugated_perturbation,
+    conjugated_kick,
     eigenbasis_kick,
     frame_average,
     kicked_in_eigenbasis,
@@ -46,11 +46,11 @@ from .lattice import (
 )
 from .operators import (
     BlockDensityMatrix,
+    DensityMatrix,
     commutator,
     max_norm,
     operator_norm,
     random_density_matrix,
-    trace_product,
 )
 from .thermal import PerturbationSpec, WorkReport, local_kick, perturb, thermal_state, work
 
@@ -329,110 +329,90 @@ class ExperimentRecord:
 class _SizeContext:
     """Everything one chain size contributes to every averaging kind.
 
-    Here rho' and the conjugated pair are computational-basis matrices.
-    The subclasses hold the pair (`joint_pair`), and for sweeps rho' too
-    (`joint_state`), in the joint H-T eigenbasis instead, wherever H was
-    diagonalised sector by sector (`in_eigenbasis`).  In that basis
-    rho = diag(p) and H = diag(E), every channel is a Schur multiplier
-    (`route`), and `fixed_h` and `fixed_rho` hold those diagonals; otherwise
-    they are the dense H and rho.  A diagonal H (free spins) stays in the
-    computational basis, where the kick's factor builds rho' and E without a
-    dense product.
+    The state, the kick and the translation, and the kick in the joint H-T
+    eigenbasis, u~ = V^dag U V, with tr(rho E) certified from it.  In that
+    basis rho = diag(p) and H = diag(E), and every channel is a Schur
+    multiplier (`Channel`).  `conjugated` is the pair E = u_beta u_beta^dag
+    there; building it scales u~ in place, so a sweep builds its joint rho'
+    from u~ first.  `rho_prime` is rho' = U rho U^dag in the computational
+    basis, where verify's state route averages it; neither rho' is built
+    unless read.
     """
-
-    joint_pair = False
-    joint_state = False
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.lattice = LatticeSpec(n)
-        hamiltonian = build_hamiltonian(self.lattice, cfg.model)
-        self.state = thermal_state(hamiltonian, cfg.beta)
+        self.state = thermal_state(build_hamiltonian(self.lattice, cfg.model), cfg.beta)
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
-        decomp = self.state.hamiltonian_decomp
-        self.in_eigenbasis = self.joint_pair and decomp.momenta is not None
-        if self.in_eigenbasis:
-            u_tilde, normalization = eigenbasis_kick(self.state, self.kick)
-        if self.in_eigenbasis and self.joint_state:
-            self.rho_prime = kicked_in_eigenbasis(self.state, u_tilde)
-            energies = decomp.eigenvalues
-            energy_prime = float(np.dot(energies, np.diagonal(self.rho_prime.matrix).real))
-            self.work = energy_prime - float(np.dot(energies, self.state.populations))
-        else:
-            self.rho_prime = perturb(self.state, self.kick)
-            energy_prime = self.state.energy(self.rho_prime.matrix)
-            self.work = work(hamiltonian, self.state.rho, self.rho_prime)
         self.s_rho = von_neumann_entropy(self.state).nats
-        self.s_rho_prime = von_neumann_entropy(self.rho_prime).nats
-        self.beta_w = cfg.beta * self.work
+        # kind-independent: every averaging frame fixes rho, so tr(rho ME)
+        # equals tr(rho E) and this conditioned evaluation covers all records
+        self.u_tilde, self.normalization = eigenbasis_kick(self.state, self.kick)
+
+    @cached_property
+    def rho_prime(self) -> DensityMatrix:
+        return perturb(self.state, self.kick)
+
+    @cached_property
+    def conjugated(self) -> ConjugatedPerturbation:
+        pair = conjugated_in_eigenbasis(self.state, self.u_tilde, self.normalization)
+        del self.u_tilde
+        return pair
+
+    def record_kick(
+        self, rho_prime: DensityMatrix | BlockDensityMatrix, energy_prime: float, work_done: float
+    ) -> None:
+        """S(rho'), beta W and S(rho'|rho) of the kicked state rho' with
+        energy tr(H rho') and work W, which must agree."""
+        self.s_rho_prime = von_neumann_entropy(rho_prime).nats
+        beta = self.state.beta
+        self.beta_w = beta * work_done
         self.rel_ent_prime = max(
-            0.0, -self.s_rho_prime + cfg.beta * energy_prime + self.state.log_partition
+            0.0, -self.s_rho_prime + beta * energy_prime + self.state.log_partition
         )
         # type-level gate: beta W and the relative entropy must agree
-        WorkReport(self.work, self.beta_w, self.rel_ent_prime)
-        if self.in_eigenbasis:
-            self.conjugated = conjugated_in_eigenbasis(self.state, u_tilde, normalization)
-            del u_tilde
-            self.fixed_h, self.fixed_rho = decomp.eigenvalues, self.state.populations
-        else:
-            self.conjugated = conjugated_perturbation(self.state, self.kick)
-            self.fixed_h, self.fixed_rho = hamiltonian.matrix, self.state.rho.matrix
-        # kind-independent: every averaging frame fixes rho, so tr(rho ME)
-        # equals tr(rho E) and the factory's conditioned evaluation covers
-        # all records
-        self.normalization = self.conjugated.normalization
-
-    def route(self, channel: Channel) -> Channel | SchurMultiplier:
-        """The channel as it acts in the working basis."""
-        if not self.in_eigenbasis:
-            return channel
-        if channel.eigen is None:
-            raise ValueError("the channel has no form in the eigenbasis H was solved in")
-        return channel.eigen
+        WorkReport(work_done, self.beta_w, self.rel_ent_prime)
 
 
-class _VerifyContext(_SizeContext):
-    """The conjugated pair in the joint eigenbasis, rho' in the computational
-    basis, where verify's state route averages it over translations."""
-
-    joint_pair = True
-
-
-class _SweepContext(_SizeContext):
-    """rho' and the conjugated pair both in the joint eigenbasis."""
-
-    joint_pair = True
-    joint_state = True
-
-
-def _pair_trace(y: np.ndarray, b: np.ndarray) -> float:
-    """tr(Y B) for a fixed block Y held as a matrix or as its diagonal."""
-    if y.ndim == 1:
-        return float(np.dot(y, np.diagonal(b).real))
-    return trace_product(y, b).real
+def _sweep_size(
+    cfg: ExperimentConfig, n: int, kinds: list[AveragingKind]
+) -> list[ExperimentRecord]:
+    """The records of one chain size, with rho' = u~ diag(p) u~^dag held in
+    the joint eigenbasis as one block, built before the pair consumes u~."""
+    ctx = _SizeContext(cfg, n)
+    rho_prime = kicked_in_eigenbasis(ctx.state, ctx.u_tilde)
+    energies = ctx.state.hamiltonian_decomp.eigenvalues
+    energy_prime = float(np.dot(energies, np.diagonal(rho_prime.blocks[0]).real))
+    work_done = energy_prime - float(np.dot(energies, ctx.state.populations))
+    ctx.record_kick(rho_prime, energy_prime, work_done)
+    e = ctx.conjugated.E.matrix
+    return [_record_for(cfg, ctx, rho_prime.blocks[0], e, kind) for kind in kinds]
 
 
 def _record_for(
-    cfg: ExperimentConfig, ctx: _SweepContext, kind: AveragingKind
+    cfg: ExperimentConfig,
+    ctx: _SizeContext,
+    rho_prime: np.ndarray,
+    e: np.ndarray,
+    kind: AveragingKind,
 ) -> ExperimentRecord:
     """One sweep row; its wall time covers the channel work, not the size setup.
 
-    The state route and the operator route transform rho' and E separately,
-    block by block in the working basis, and the energy pairs the blocks of
-    M rho' with those of H itself.
+    The state route and the operator route transform rho' and E, both in
+    the joint eigenbasis, separately and block by block, and the energy
+    pairs the blocks of M rho' with the diagonal of H there.
     """
     start = time.perf_counter()
     n = ctx.lattice.sites
     state = ctx.state
-    route = ctx.route(kind.bind(state, ctx.translation, n))
-    averaged = BlockDensityMatrix(tuple(route.blocks(ctx.rho_prime.matrix)))
+    channel = kind.bind(state, ctx.translation, n)
+    averaged = BlockDensityMatrix(tuple(channel.schur_blocks(rho_prime)))
     s_m = von_neumann_entropy(averaged).nats
-    energy = sum(
-        _pair_trace(h, b) for h, b in zip(route.fixed_blocks(ctx.fixed_h), averaged.blocks)
-    )
+    energies = channel.diagonal_blocks(state.hamiltonian_decomp.eigenvalues)
+    energy = sum(float(np.dot(h, np.diagonal(b).real)) for h, b in zip(energies, averaged.blocks))
     del averaged
     report, bs_value = averaged_E_stats(
-        route.blocks(ctx.conjugated.E.matrix), route.fixed_blocks(ctx.fixed_rho)
+        channel.schur_blocks(e), channel.diagonal_blocks(state.populations)
     )
     rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
@@ -470,15 +450,11 @@ def convergence_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
     """
     kinds = sorted(cfg.averaging, key=AveragingKind.sort_key)
 
-    def run_size(n: int) -> list[ExperimentRecord]:
-        ctx = _SweepContext(cfg, n)
-        return [_record_for(cfg, ctx, kind) for kind in kinds]
-
     if jobs > 1 and len(cfg.sizes) > 1:
         with ThreadPoolExecutor(max_workers=min(jobs, len(cfg.sizes))) as pool:
-            batches = list(pool.map(run_size, cfg.sizes))
+            batches = list(pool.map(lambda n: _sweep_size(cfg, n, kinds), cfg.sizes))
     else:
-        batches = [run_size(n) for n in cfg.sizes]
+        batches = [_sweep_size(cfg, n, kinds) for n in cfg.sizes]
     records = [record for batch in batches for record in batch]
     records.sort(key=ExperimentRecord.sort_key)
     return records
@@ -512,7 +488,9 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
     A_j(t) is the Heisenberg-evolved single-site Pauli probe.  At t = 0 the
     kick commutes exactly with every probe outside its own site; at later
     times the interacting models spread support at a finite speed while the
-    uncoupled chain never does.
+    uncoupled chain never does.  ||[U, A]|| is read as ||U A U^dag - A||,
+    through the kick's own conjugation, and u = e^{beta H/2} U e^{-beta H/2}
+    is built without E.
     """
     if len(cfg.sizes) != 1:
         raise ConfigError("locality probes run at a single chain size")
@@ -520,8 +498,11 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
     if not np.isfinite(probe_time):
         raise ConfigError(f"probe time must be finite, got {probe_time!r}")
     n = cfg.sizes[0]
-    ctx = _SizeContext(cfg, n)
-    decomp = ctx.state.hamiltonian_decomp
+    lattice = LatticeSpec(n)
+    state = thermal_state(build_hamiltonian(lattice, cfg.model), cfg.beta)
+    kick = local_kick(lattice, cfg.kick)
+    u, _ = conjugated_kick(state, kick)
+    decomp = state.hamiltonian_decomp
     phases = np.exp(
         1j
         * probe_time
@@ -530,15 +511,15 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
     probe_matrix = pauli(probe)
     rows = []
     for site in range(n):
-        local = embed_site_operator(ctx.lattice, SiteOperator(site, probe_matrix))
+        local = embed_site_operator(lattice, SiteOperator(site, probe_matrix))
         evolved = decomp.from_eigenbasis(decomp.to_eigenbasis(local) * phases)
         offset = abs(site - cfg.kick.site)
         rows.append(
             ProbeRow(
                 site=site,
                 distance=min(offset, n - offset),
-                kick_commutator=operator_norm(commutator(ctx.kick.matrix, evolved)),
-                conjugated_commutator=operator_norm(commutator(ctx.conjugated.u, evolved)),
+                kick_commutator=operator_norm(kick.conjugate(evolved) - evolved),
+                conjugated_commutator=operator_norm(commutator(u, evolved)),
             )
         )
     return rows
@@ -578,8 +559,13 @@ class IdentityReport:
 def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     """Run the exact-identity suite at the smallest configured size."""
     n = cfg.sizes[0]
-    ctx = _VerifyContext(cfg, n)
+    ctx = _SizeContext(cfg, n)
     state = ctx.state
+    ctx.record_kick(
+        ctx.rho_prime,
+        state.energy(ctx.rho_prime.matrix),
+        work(state.hamiltonian, state.rho, ctx.rho_prime),
+    )
     checks = []
 
     checks.append(
@@ -619,11 +605,11 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     )
 
     # the operator route: the uniform average of E block by block in the
-    # working basis, paired with rho there (the exact populations in the
-    # joint eigenbasis); the state route above ran in the computational basis
-    uniform = ctx.route(AveragingKind.uniform_spatial().bind(state, ctx.translation, n))
+    # joint eigenbasis, paired with the exact populations there; the state
+    # route above ran in the computational basis
+    uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)
     _, bs_from_me = averaged_E_stats(
-        uniform.blocks(ctx.conjugated.E.matrix), uniform.fixed_blocks(ctx.fixed_rho)
+        uniform.schur_blocks(ctx.conjugated.E.matrix), uniform.diagonal_blocks(state.populations)
     )
     checks.append(
         IdentityCheck(

@@ -22,6 +22,9 @@ from .operators import (
 DIM_GUARD = 2**14
 DIM_GUARD_ENV = "FRAMEAVG_MAX_DIM"
 
+# raised where a translation is used through its basis permutation
+NEEDS_PERMUTATION = "the translation must carry its basis permutation, not only a dense matrix"
+
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -196,9 +199,7 @@ class MomentumSectors:
         if n_terms < 1:
             raise ValueError("need at least one term")
         if t.permutation is None:
-            raise ValueError(
-                "momentum sectors need a translation that carries its basis permutation"
-            )
+            raise ValueError(NEEDS_PERMUTATION)
         dim = t.dim
         self.permutation = t.permutation
         self.n_terms = n_terms
@@ -215,9 +216,7 @@ class MomentumSectors:
         returns = shifts[1:, reps] == reps
         lengths = np.where(returns.any(axis=0), returns.argmax(axis=0) + 1, n_terms)
         self._root_lengths = np.sqrt(lengths)
-        self._scale = np.sqrt(np.outer(lengths, lengths)) / n_terms
         k = np.arange(n_terms)
-        self._phases = np.exp(-2j * np.pi * np.outer(k, k) / n_terms)
         allowed = np.outer(k, lengths) % n_terms == 0
         self._members = [np.nonzero(row)[0] for row in allowed]
         # |r, k> sits at r * N + k of the (orbit, momentum) layout; basis state
@@ -234,22 +233,14 @@ class MomentumSectors:
         return tuple(m.size for m in self._members)
 
     def blocks(self, a: np.ndarray) -> list[np.ndarray]:
-        """The N diagonal blocks of F^dag a F, in momentum order.
-
-        One orbit's rows are gathered at a time and transformed by an FFT
-        over the shift index, so the transient stays near N x dim entries.
-        """
+        """The N diagonal blocks of F^dag a F = (F^dag (F^dag a)^dag)^dag, in
+        momentum order."""
         a = np.asarray(a)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"dimension mismatch: matrix {a.shape}, sectors {self.dim}")
-        n_orbits, n = self._orbits.shape
-        cols = self._orbits.ravel()
-        full = np.empty((n_orbits, n, n_orbits), dtype=np.complex128)
-        for r, rows in enumerate(self._orbits):
-            slab = np.fft.ifft(a[np.ix_(rows, cols)].reshape(n, n_orbits, n), axis=0)
-            full[r] = np.einsum("krm,km->kr", slab, self._phases)
-        full *= self._scale[:, np.newaxis, :]
-        return [full[np.ix_(m, [k], m)][:, 0, :] for k, m in enumerate(self._members)]
+        x = self.to_sectors(self.to_sectors(a).conj().T).conj().T
+        edges = np.cumsum((0, *self.dims))
+        return [x[i:j, i:j] for i, j in zip(edges[:-1], edges[1:])]
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """F^dag x in sector-major order, for x whose leading axis has length dim."""

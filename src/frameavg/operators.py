@@ -418,22 +418,22 @@ def _sector_slices(dims) -> list[slice]:
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
-    Exactly diagonal inputs take a sort-only path that stores a basis
-    permutation instead of a dense eigenvector matrix; the chain models with
-    purely diagonal Hamiltonians rely on this to stay cheap at large dims.
-    An operator that carries momentum `sectors` is diagonalised sector by
-    sector in the momentum basis (`_sector_decompose`); everything else
-    takes one dense eigensolve.
+    An operator that carries momentum `sectors` (every chain Hamiltonian) is
+    diagonalised sector by sector in the momentum basis
+    (`_sector_decompose`), so its eigenbasis is a joint eigenbasis with the
+    translation.  Other exactly diagonal inputs take a sort-only path that
+    stores a basis permutation instead of a dense eigenvector matrix;
+    everything else takes one dense eigensolve.
     """
     m = a.matrix
+    if a.sectors is not None:
+        return _sector_decompose(m, a.sectors)
     diag = np.diagonal(m)
     if max_norm(m - np.diag(diag)) == 0.0:
         order = np.argsort(diag.real, kind="stable")
         return SpectralDecomposition(
             diag.real[order], basis_permutation=np.asarray(order, dtype=np.intp)
         )
-    if a.sectors is not None:
-        return _sector_decompose(m, a.sectors)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

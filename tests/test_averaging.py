@@ -13,7 +13,6 @@ from frameavg import (
 from frameavg.averaging import (
     AveragingKind,
     ConjugatedPerturbation,
-    MomentumSectors,
     averaged_E_deviation,
     average_translates,
     conjugate_normalization,
@@ -31,6 +30,7 @@ from frameavg.operators import BlockDensityMatrix, UnitaryOperator
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
+    MomentumSectors,
     build_hamiltonian,
     sigma_x,
     translation_operator,
@@ -110,14 +110,13 @@ class TestFrameAverage:
         with pytest.raises(ValueError):
             frame_average(rho_prime, t, 3)
 
-    def test_dense_path_matches_permutation_path(self):
-        from frameavg import UnitaryOperator
-
+    def test_translation_without_permutation_rejected(self):
+        # each translate is a reindexing by the permutation of T, so a
+        # translation held only as its dense matrix is refused
         _, _, _, rho_prime, t = ising_setup()
         dense_t = UnitaryOperator(t.matrix)  # drop the permutation tag
-        a = average_translates(rho_prime.matrix, t, 4)
-        b = average_translates(rho_prime.matrix, dense_t, 4)
-        assert max_norm(a - b) < 1e-12
+        with pytest.raises(ValueError, match="basis permutation"):
+            average_translates(rho_prime.matrix, dense_t, 4)
 
     def test_bit_stable_repetition(self):
         _, _, _, rho_prime, t = ising_setup()
@@ -147,18 +146,37 @@ class TestChannel:
         ids=("uniform-spatial", "weighted-spatial", "temporal"),
     )
     def test_blocks_carry_the_dense_average(self, kind, dense):
-        # apply is the kind's dense average; the blocks hold its spectrum,
-        # and paired with the fixed blocks of H they give tr(H M rho')
+        # apply is the kind's dense average; in the joint eigenbasis the
+        # Schur multiplier's blocks hold its spectrum, and paired with the
+        # pieces of diag(E) they give tr(H M rho')
         _, state, _, rho_prime, t = ising_setup()
+        decomp = state.hamiltonian_decomp
         channel = kind.bind(state, t, 4)
         averaged = channel.apply(rho_prime.matrix)
-        assert np.array_equal(averaged, dense(rho_prime.matrix, t, state.hamiltonian_decomp))
-        blocks = channel.blocks(rho_prime.matrix)
+        assert np.array_equal(averaged, dense(rho_prime.matrix, t, decomp))
+        blocks = channel.schur_blocks(decomp.to_eigenbasis(rho_prime.matrix))
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         assert np.abs(spectrum - np.linalg.eigvalsh(averaged)).max() < 1e-12
-        h = state.hamiltonian.matrix
-        energy = sum(np.trace(y @ b) for y, b in zip(channel.fixed_blocks(h), blocks))
-        assert abs(energy - np.trace(h @ averaged)) < 1e-12
+        pieces = channel.diagonal_blocks(decomp.eigenvalues)
+        energy = sum(np.dot(e, np.diagonal(b)) for e, b in zip(pieces, blocks))
+        assert abs(energy - np.trace(state.hamiltonian.matrix @ averaged)) < 1e-12
+        if channel.sectors is None:
+            assert max_norm(blocks[0] - decomp.to_eigenbasis(averaged)) < 1e-12
+
+    def test_no_schur_form_without_sectors(self):
+        # an H without momentum sectors is solved by one dense eigensolve,
+        # whose basis is no joint eigenbasis with T
+        _, state, _, rho_prime, t = ising_setup()
+        plain = thermal_state(HermitianOperator(state.hamiltonian.matrix), 1.0)
+        kinds = (
+            AveragingKind.uniform_spatial(),
+            AveragingKind.weighted_spatial(2.0),
+            AveragingKind.temporal(1.5),
+        )
+        for kind in kinds:
+            channel = kind.bind(plain, t, 4)
+            with pytest.raises(ValueError, match="no form in the eigenbasis"):
+                channel.schur_blocks(rho_prime.matrix)
 
 
 class TestMomentumSectors:

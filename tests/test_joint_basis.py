@@ -22,6 +22,7 @@ from frameavg.operators import (
     max_norm,
     spectral_decompose,
 )
+from frameavg.thermal import thermal_state
 
 MODELS = (
     ("free-spins", {"h": 1.0}),
@@ -39,8 +40,8 @@ class TestSectorForm:
     @pytest.mark.parametrize("model,couplings", MODELS)
     @pytest.mark.parametrize("n", SIZES)
     def test_sector_spectrum_matches_dense_eigh(self, model, couplings, n):
-        # the sector route is also forced on the diagonal free-spins H, which
-        # spectral_decompose itself sends down the basis-permutation path
+        # every chain H carries its momentum sectors, so spectral_decompose
+        # solves it in the joint H-T eigenbasis, the diagonal free-spins H too
         h = _hamiltonian(model, couplings, n)
         dense = np.linalg.eigvalsh(h.matrix)
         scale = max(1.0, max_norm(h.matrix))
@@ -48,7 +49,7 @@ class TestSectorForm:
         assert np.abs(decomp.eigenvalues - dense).max() <= 1e-12 * scale
         assert sorted(np.bincount(decomp.momenta, minlength=n)) == sorted(h.sectors.dims)
         chosen = spectral_decompose(h)
-        assert (chosen.frame is None) == (model == "free-spins")
+        assert chosen.frame is not None
         assert np.abs(chosen.eigenvalues - dense).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("model,couplings", MODELS[1:])
@@ -100,7 +101,7 @@ THREE_CHANNELS = [
 
 
 class TestNoDenseEigenvectors:
-    @pytest.mark.parametrize("model,couplings", MODELS[1:])
+    @pytest.mark.parametrize("model,couplings", MODELS)
     def test_every_path_runs_without_the_dense_eigenvectors(self, model, couplings, monkeypatch):
         def refuse(self):
             raise AssertionError("dense eigenvector matrix read")
@@ -133,3 +134,31 @@ def test_verify_passes_bs_equality_on_xxz_n6_beta2(tmp_path, capsys):
     bs = next(line for line in lines if line.startswith("bs-equality"))
     assert bs.endswith("PASS")
     assert float(bs.split()[2]) < 1e-9
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+def test_sweep_gates_rho_prime_by_its_one_eigensolve(model, couplings, monkeypatch):
+    # rho' is one block in the joint eigenbasis, so its eigvalsh is both the
+    # positivity gate and S(rho'): a sweep runs no Cholesky, and solves rho'
+    # once per size (the other full-size solves are the weighted and
+    # temporal M rho', one block each)
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky factorization in a sweep")
+
+    solve = np.linalg.eigvalsh
+    spectra = []
+
+    def record(a, *args, **kwargs):
+        w = solve(a, *args, **kwargs)
+        spectra.append(w)
+        return w
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    cfg = config_from_mapping(_mapping(model, couplings, [4, 6], THREE_CHANNELS))
+    assert len(convergence_sweep(cfg)) == 6
+    for n in (4, 6):
+        populations = thermal_state(_hamiltonian(model, couplings, n), 1.0).populations
+        full = [w for w in spectra if w.size == 2**n]
+        assert len(full) == 3
+        assert sum(np.abs(w - np.sort(populations)).max() < 1e-12 for w in full) == 1

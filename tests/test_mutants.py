@@ -13,8 +13,8 @@ then applies one mutation with monkeypatch and sees the same check fail:
 - a translation of the wrong order (the two-site shift T^2, of order N / 2,
   which still passes T^N = 1): the weighted row leaves the oracle.
 
-The mutations patch names that both the computational-basis route and the
-joint-eigenbasis route go through, so the tests hold for either.
+The mutations patch names that the sweep and verify go through in the joint
+H-T eigenbasis, where every channel acts as a Schur multiplier.
 """
 from dataclasses import replace
 from types import SimpleNamespace
@@ -93,26 +93,21 @@ def test_weighted_operator_side_with_another_r_trips_the_oracle(monkeypatch):
     bind = AveragingKind.bind
     calls = []
 
-    def second_from(clean, other):
-        # a sweep row averages rho' first and E second, so the second
-        # application is the operator side
-        def blocks(x):
-            calls.append(None)
-            return (clean if len(calls) == 1 else other).blocks(x)
-
-        return blocks
-
     def one_sided(self, state, t, n_terms):
         clean = bind(self, state, t, n_terms)
         other = bind(AveragingKind.weighted_spatial(3.0), state, t, n_terms)
-        changes = {"blocks": second_from(clean, other)}
-        if getattr(clean, "eigen", None) is not None:
-            # the same map in the joint eigenbasis, where the sweep applies it
-            changes["eigen"] = SimpleNamespace(
-                blocks=second_from(clean.eigen, other.eigen),
-                fixed_blocks=clean.eigen.fixed_blocks,
-            )
-        return replace(clean, **changes)
+
+        def schur_blocks(x):
+            # a sweep row averages rho' first and E second, so the second
+            # application is the operator side
+            calls.append(None)
+            return (clean if len(calls) == 1 else other).schur_blocks(x)
+
+        return SimpleNamespace(
+            apply=clean.apply,
+            schur_blocks=schur_blocks,
+            diagonal_blocks=clean.diagonal_blocks,
+        )
 
     monkeypatch.setattr(AveragingKind, "bind", one_sided)
     (row,) = convergence_sweep(cfg)
