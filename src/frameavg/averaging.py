@@ -18,7 +18,9 @@ The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
 averaged entropy production dies off with system size, in the computational
 basis (`conjugated_perturbation`) or, with rho', in the eigenbasis of H
-(`eigenbasis_kick`, `kicked_in_eigenbasis`, `conjugated_in_eigenbasis`).
+(`eigenbasis_kick`, `kicked_in_eigenbasis`, `conjugated_in_eigenbasis`),
+where the reflection about the kicked site splits each into two parity
+blocks (`ReflectionParity`).
 
 Summation order inside every average is fixed left to right, so repeated runs
 produce bit-identical results.
@@ -40,6 +42,7 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     max_norm,
+    parity_vectors,
 )
 from .thermal import ThermalState
 
@@ -55,6 +58,9 @@ DEGENERACY_RTOL = 1e-10
 
 # rows of a Schur multiplier's weights built at a time
 _WEIGHT_ROWS = 256
+
+# off-parity entries a split tolerates, relative to the entry scale
+PARITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -371,31 +377,128 @@ def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     return u_tilde, stable_norm
 
 
-def _scale_to_u_beta(state: ThermalState, u_tilde: np.ndarray) -> np.ndarray:
+def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
     """u~ scaled in place into the eigenbasis u_beta = G u~ S, with
-    G = e^{beta H/2} and S = e^{-beta H/2}."""
-    energies = state.hamiltonian_decomp.eigenvalues
-    u_tilde *= np.exp(state.beta * energies / 2)[:, np.newaxis]
-    u_tilde *= np.exp(-state.beta * energies / 2)[np.newaxis, :]
+    G = e^{beta H/2} and S = e^{-beta H/2} on these energies."""
+    u_tilde *= np.exp(beta * energies / 2)[:, np.newaxis]
+    u_tilde *= np.exp(-beta * energies / 2)[np.newaxis, :]
     return u_tilde
 
 
-def kicked_in_eigenbasis(state: ThermalState, u_tilde: np.ndarray) -> BlockDensityMatrix:
-    """rho' = u~ diag(p) u~^dag in the eigenbasis of H: one dense product,
-    held as a one-block BlockDensityMatrix, whose eigensolve is both the
-    positivity gate and the spectrum S(rho') reads, so no Cholesky runs."""
-    return BlockDensityMatrix(((u_tilde * state.populations[np.newaxis, :]) @ u_tilde.conj().T,))
+class ReflectionParity:
+    """The reflection P_s = T^s R_0 T^-s about the kicked site s, in the joint
+    H-T eigenbasis of `decomp`.
+
+    P_s commutes with H, with a kick at site s and with every channel (the
+    distance weights obey w_n = w_{N-n}, the Lorentzian is a function of H),
+    so rho', E, M rho' and ME split into a P_s-even and a P_s-odd block.
+    R_0 maps eigenvector i to `decomp.partner[i]`, or to +-1 times itself,
+    and T^s multiplies momentum k by e^{2 pi i k s / N}, so
+    P_s e_i = c_i e_partner(i) with c_i = e^{-4 pi i k_i s / N} (times the
+    sign where the partner is i).  The even block is spanned by the
+    self-partnered e_i of sign +1 and (e_i + c_i e_j) / sqrt(2) for each pair
+    i < j = partner(i), the odd block by the rest and (e_i - c_i e_j) / sqrt(2).
+    Partners have equal energies, so a diagonal operator such as H or rho
+    splits into its values at i.
+
+    `split` and `join` change between a dim x dim matrix and its parity
+    blocks by index gathers in O(dim^2); `split` first checks that the
+    off-parity blocks vanish within PARITY_RTOL of the entry scale.  For
+    N = 2 the reflection is the identity and there is one even block.
+    """
+
+    def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
+        if decomp.partner is None:
+            raise ValueError("the reflection parity needs H solved in sector form")
+        partner, sign = decomp.partner, decomp.reflection_sign
+        if not np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues):
+            raise ValueError("reflection partners must carry equal energies")
+        self.dim = decomp.dim
+        c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n_sites) / n_sites)
+        c *= np.where(sign == 0, 1, sign)
+        self._vectors = [v for v in parity_vectors(partner, c) if v[0].size]
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """The parity blocks of a P_s-invariant matrix; of a diagonal, given
+        as a 1d array, its values on the blocks."""
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return [x[i] for i, *_ in self._vectors]
+        off = 0.0
+        if len(self._vectors) == 2:
+            off = max(max_norm(self._block(x, 0, 1)), max_norm(self._block(x, 1, 0)))
+        blocks = [self._block(x, q, q) for q in range(len(self._vectors))]
+        # the entry scale in the parity basis, which needs no pass over x
+        tol = PARITY_RTOL * max(1.0, off, *(max_norm(b) for b in blocks))
+        if off > tol:
+            raise ValueError(
+                "matrix does not commute with the reflection about the kicked site: "
+                f"off-parity entries reach {off:.3e}, above {tol:.3e}"
+            )
+        return blocks
+
+    def blocks(self, pieces: list[np.ndarray]) -> list[np.ndarray]:
+        """Each piece that spans the whole eigenbasis replaced by its parity
+        blocks; smaller pieces, such as momentum sectors, kept as they are."""
+        out = []
+        for piece in pieces:
+            out.extend(self.split(piece) if piece.shape[0] == self.dim else (piece,))
+        return out
+
+    def join(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The dim x dim matrix with these parity blocks."""
+        x = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for (i, a, j, b), block in zip(self._vectors, blocks):
+            for rows, u in ((i, a), (j, b)):
+                for cols, v in ((i, a), (j, b)):
+                    term = np.outer(u, v.conj())
+                    term *= block
+                    x[np.ix_(rows, cols)] += term
+                    del term
+        return x
+
+    def _block(self, x: np.ndarray, row: int, col: int) -> np.ndarray:
+        """<rows of parity block `row`| x |columns of parity block `col`>."""
+        (i, a, j, b), (k, c, l, d) = self._vectors[row], self._vectors[col]
+        out = x[np.ix_(i, k)] * np.outer(a.conj(), c)
+        for rows, u, cols, v in ((i, a, l, d), (j, b, k, c), (j, b, l, d)):
+            out += x[np.ix_(rows, cols)] * np.outer(u.conj(), v)
+        return out
+
+
+def kicked_in_eigenbasis(
+    state: ThermalState, u_blocks: list[np.ndarray], parity: ReflectionParity
+) -> BlockDensityMatrix:
+    """rho' = u~ diag(p) u~^dag in the eigenbasis of H, one half-size product
+    per parity block of u~, held as a BlockDensityMatrix of those blocks,
+    whose eigensolves are both the positivity gate and the spectrum S(rho')
+    reads, so no Cholesky runs."""
+    populations = parity.split(state.populations)
+    return BlockDensityMatrix(
+        tuple((u * p[np.newaxis, :]) @ u.conj().T for u, p in zip(u_blocks, populations))
+    )
 
 
 def conjugated_in_eigenbasis(
-    state: ThermalState, u_tilde: np.ndarray, normalization: float
+    state: ThermalState,
+    u_blocks: list[np.ndarray],
+    parity: ReflectionParity,
+    normalization: float,
 ) -> ConjugatedPerturbation:
     """E = u_beta u_beta^dag in the eigenbasis of H, for u_beta = G u~ S: one
-    dense product, through the HermitianOperator gate and the tr(rho E)
-    check.  u~ is scaled in place into u_beta, which the pair does not keep
-    (sweeps and verify read E only)."""
-    u_beta = _scale_to_u_beta(state, u_tilde)
-    e = HermitianOperator(u_beta @ u_beta.conj().T)
+    half-size product per parity block, joined into the matrix that passes
+    the HermitianOperator gate and the tr(rho E) check.  The blocks of u~
+    are taken off the list and scaled in place into those of u_beta, which
+    the pair does not keep (sweeps and verify read E only)."""
+    halves = []
+    for h in parity.split(state.hamiltonian_decomp.eigenvalues):
+        u_beta = _scale_to_u_beta(state.beta, h, u_blocks.pop(0))
+        halves.append(u_beta @ u_beta.conj().T)
+        del u_beta
+    e = parity.join(halves)
+    # the halves go before the gate makes its symmetrized copy of E
+    del halves
+    e = HermitianOperator(e)
     return ConjugatedPerturbation(None, e, state, normalization, in_eigenbasis=True)
 
 
@@ -409,7 +512,9 @@ def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     and rotated back.
     """
     u_tilde, stable_norm = eigenbasis_kick(state, u)
-    return state.hamiltonian_decomp.from_eigenbasis(_scale_to_u_beta(state, u_tilde)), stable_norm
+    decomp = state.hamiltonian_decomp
+    u_beta = _scale_to_u_beta(state.beta, decomp.eigenvalues, u_tilde)
+    return decomp.from_eigenbasis(u_beta), stable_norm
 
 
 def conjugated_perturbation(state: ThermalState, u: UnitaryOperator) -> ConjugatedPerturbation:

@@ -26,6 +26,7 @@ from .averaging import (
     WEIGHTED_SPATIAL,
     AveragingKind,
     ConjugatedPerturbation,
+    ReflectionParity,
     averaged_E_stats,
     conjugated_in_eigenbasis,
     conjugated_kick,
@@ -332,11 +333,13 @@ class _SizeContext:
     The state, the kick and the translation, and the kick in the joint H-T
     eigenbasis, u~ = V^dag U V, with tr(rho E) certified from it.  In that
     basis rho = diag(p) and H = diag(E), and every channel is a Schur
-    multiplier (`Channel`).  `conjugated` is the pair E = u_beta u_beta^dag
-    there; building it scales u~ in place, so a sweep builds its joint rho'
-    from u~ first.  `rho_prime` is rho' = U rho U^dag in the computational
-    basis, where verify's state route averages it; neither rho' is built
-    unless read.
+    multiplier (`Channel`).  The reflection about the kicked site (`parity`)
+    commutes with all of them, and u~ is held as its two parity blocks
+    (`u_blocks`), split behind the off-parity gate.  `conjugated` is the
+    pair E = u_beta u_beta^dag there; building it scales those blocks in
+    place, so a sweep builds its joint rho' from them first.  `rho_prime`
+    is rho' = U rho U^dag in the computational basis, where verify's state
+    route averages it; neither rho' is built unless read.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int):
@@ -347,7 +350,9 @@ class _SizeContext:
         self.s_rho = von_neumann_entropy(self.state).nats
         # kind-independent: every averaging frame fixes rho, so tr(rho ME)
         # equals tr(rho E) and this conditioned evaluation covers all records
-        self.u_tilde, self.normalization = eigenbasis_kick(self.state, self.kick)
+        u_tilde, self.normalization = eigenbasis_kick(self.state, self.kick)
+        self.parity = ReflectionParity(self.state.hamiltonian_decomp, cfg.kick.site, n)
+        self.u_blocks = self.parity.split(u_tilde)
 
     @cached_property
     def rho_prime(self) -> DensityMatrix:
@@ -355,8 +360,8 @@ class _SizeContext:
 
     @cached_property
     def conjugated(self) -> ConjugatedPerturbation:
-        pair = conjugated_in_eigenbasis(self.state, self.u_tilde, self.normalization)
-        del self.u_tilde
+        pair = conjugated_in_eigenbasis(self.state, self.u_blocks, self.parity, self.normalization)
+        del self.u_blocks
         return pair
 
     def record_kick(
@@ -377,16 +382,19 @@ class _SizeContext:
 def _sweep_size(
     cfg: ExperimentConfig, n: int, kinds: list[AveragingKind]
 ) -> list[ExperimentRecord]:
-    """The records of one chain size, with rho' = u~ diag(p) u~^dag held in
-    the joint eigenbasis as one block, built before the pair consumes u~."""
+    """The records of one chain size.  rho' = u~ diag(p) u~^dag is built in
+    the joint eigenbasis as its two parity blocks, before the pair consumes
+    the blocks of u~; the rows read rho' and E joined into whole matrices."""
     ctx = _SizeContext(cfg, n)
-    rho_prime = kicked_in_eigenbasis(ctx.state, ctx.u_tilde)
+    kicked = kicked_in_eigenbasis(ctx.state, ctx.u_blocks, ctx.parity)
+    rho_prime = ctx.parity.join(kicked.blocks)
     energies = ctx.state.hamiltonian_decomp.eigenvalues
-    energy_prime = float(np.dot(energies, np.diagonal(rho_prime.blocks[0]).real))
+    energy_prime = float(np.dot(energies, np.diagonal(rho_prime).real))
     work_done = energy_prime - float(np.dot(energies, ctx.state.populations))
-    ctx.record_kick(rho_prime, energy_prime, work_done)
+    ctx.record_kick(kicked, energy_prime, work_done)
+    del kicked
     e = ctx.conjugated.E.matrix
-    return [_record_for(cfg, ctx, rho_prime.blocks[0], e, kind) for kind in kinds]
+    return [_record_for(cfg, ctx, rho_prime, e, kind) for kind in kinds]
 
 
 def _record_for(
@@ -400,20 +408,28 @@ def _record_for(
 
     The state route and the operator route transform rho' and E, both in
     the joint eigenbasis, separately and block by block, and the energy
-    pairs the blocks of M rho' with the diagonal of H there.
+    pairs the blocks of M rho' with the diagonal of H there.  The uniform
+    channel's blocks are its momentum sectors; the weighted and temporal
+    channels leave M rho' and ME whole, and those split into their parity
+    blocks about the kicked site.
     """
     start = time.perf_counter()
     n = ctx.lattice.sites
     state = ctx.state
     channel = kind.bind(state, ctx.translation, n)
-    averaged = BlockDensityMatrix(tuple(channel.schur_blocks(rho_prime)))
+
+    def blocks(x):
+        return ctx.parity.blocks(channel.schur_blocks(x))
+
+    def diagonal_blocks(d):
+        return ctx.parity.blocks(channel.diagonal_blocks(d))
+
+    averaged = BlockDensityMatrix(tuple(blocks(rho_prime)))
     s_m = von_neumann_entropy(averaged).nats
-    energies = channel.diagonal_blocks(state.hamiltonian_decomp.eigenvalues)
+    energies = diagonal_blocks(state.hamiltonian_decomp.eigenvalues)
     energy = sum(float(np.dot(h, np.diagonal(b).real)) for h, b in zip(energies, averaged.blocks))
     del averaged
-    report, bs_value = averaged_E_stats(
-        channel.schur_blocks(e), channel.diagonal_blocks(state.populations)
-    )
+    report, bs_value = averaged_E_stats(blocks(e), diagonal_blocks(state.populations))
     rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(

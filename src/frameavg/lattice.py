@@ -189,6 +189,10 @@ class MomentumSectors:
     of X over the N translates is the projection onto the eigenspaces of T,
     so it keeps exactly the N diagonal blocks of F^dag X F (`blocks`).
 
+    The site reflection R_0: j -> -j mod N satisfies R_0 T R_0 = T^-1, so it
+    maps sector k onto sector N - k, |r, k> to a phase times |r', -k> with r'
+    the reflected orbit (`reflection`, `mirror`, `mirror_phase`).
+
     `to_sectors` and `from_sectors` apply F^dag and F to the rows of an
     array through an FFT over the shift index of each orbit, in O(dim log N)
     per column; their sector-major order lists sector 0, then sector 1, and
@@ -226,6 +230,19 @@ class MomentumSectors:
         self._position = np.empty(dim, dtype=np.intp)
         self._position[self._orbits[first]] = np.nonzero(first.ravel())[0]
         self.momenta = np.repeat(k, self.dims)
+        # the site reflection R_0 (j -> -j mod N) reverses T, so it maps
+        # R_0 |r, k> = e^{-2 pi i k m / N} |r', -k> where R_0 |r> = T^m |r'>:
+        # position p of the sector-major order goes to mirror[p] with that phase
+        self.reflection = _site_reflection(dim, n_terms)
+        r = self.reflection
+        if not np.array_equal(r[t.permutation[r[t.permutation]]], shifts[0]):
+            raise ValueError("the site reflection does not reverse the translation")
+        orbit, q = np.divmod(self._select, n_terms)
+        image, m = np.divmod(self._position[r[self._orbits[orbit, 0]]], n_terms)
+        place = np.empty(self._orbits.size, dtype=np.intp)
+        place[self._select] = np.arange(dim)
+        self.mirror = place[image * n_terms + (-q) % n_terms]
+        self.mirror_phase = np.exp(-2j * np.pi * ((q * m) % n_terms) / n_terms)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -262,6 +279,17 @@ class MomentumSectors:
         return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
 
 
+def _site_reflection(dim: int, n: int) -> np.ndarray:
+    """The basis permutation of R_0: |s_0 s_1 ... s_{N-1}> -> |s_0 s_{N-1} ... s_1>,
+    the content of site j moved to site -j mod N, for a chain of dimension dim."""
+    d = round(dim ** (1.0 / n))
+    if d**n != dim:
+        raise ValueError(f"dimension {dim} is not that of a chain of {n} sites")
+    powers = d ** np.arange(n - 1, -1, -1)
+    digits = (np.arange(dim)[:, np.newaxis] // powers) % d
+    return digits[:, (-np.arange(n)) % n] @ powers
+
+
 def _diagonal_zz_field(lattice: LatticeSpec, field_coeff: float, bond_coeff: float) -> np.ndarray:
     """Diagonal of field_coeff * sum_i Z_i + bond_coeff * sum_bonds Z_i Z_j for qubits."""
     n, dim = lattice.sites, lattice.dim
@@ -296,7 +324,8 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     flips bit s, and X_i X_j + Y_i Y_j maps |..0..1..> to 2 |..1..0..> and
     annihilates aligned pairs, so it flips both bits where they differ.  The
     operator carries the momentum sectors of the chain's translation, so
-    `spectral_decompose` diagonalises it sector by sector.
+    `spectral_decompose` diagonalises it sector by sector; it commutes with
+    the translation and with the site reflection of those sectors.
     """
     if lattice.local_dim != 2:
         raise ValueError("the chain models are defined for local dimension 2")
@@ -316,14 +345,18 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
             rows = idx[((idx & bits[i]) == 0) != ((idx & bits[j]) == 0)]
             h[rows, rows ^ (bits[i] | bits[j])] = 2 * c["J"]
     t = translation_operator(lattice)
-    out = HermitianOperator(h, sectors=MomentumSectors(t, n))
+    sectors = MomentumSectors(t, n)
+    out = HermitianOperator(h, sectors=sectors)
     if translation_defect(out.matrix, t) > 1e-10:
         raise AssertionError("built Hamiltonian does not commute with translation")
+    if translation_defect(out.matrix, UnitaryOperator(permutation=sectors.reflection)) > 1e-10:
+        raise AssertionError("built Hamiltonian does not commute with the site reflection")
     return out
 
 
 def translation_defect(matrix: np.ndarray, t: UnitaryOperator) -> float:
-    """max-norm of T A T^dag - A; a permutation T only reindexes A."""
+    """max-norm of T A T^dag - A; a permutation T only reindexes A (the site
+    reflection is checked the same way)."""
     return max_norm(t.conjugate(matrix) - matrix)
 
 

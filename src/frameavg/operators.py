@@ -273,6 +273,9 @@ class SpectralDecomposition:
       where W = F (+)_k V_k is the momentum basis F followed by the
       eigenvectors of each momentum sector.  `momenta` gives the momentum of
       each eigenvector, so this eigenbasis is a joint eigenbasis of H and T.
+      The site reflection R_0 maps eigenvector j to eigenvector
+      `partner[j]`, or to `reflection_sign[j]` (+1 or -1) times itself where
+      the partner is j (momenta 0 and N/2); elsewhere the sign reads 0.
 
     The structured forms rotate through index gathers and, with a frame, an
     FFT over orbit shifts plus per-sector products, in O(dim^2 log N +
@@ -294,7 +297,7 @@ class SpectralDecomposition:
         self._vectors = None
         self.basis_permutation = None
         self.frame = frame
-        self.momenta = None
+        self.momenta = self.partner = self.reflection_sign = None
         if eigenvectors is not None:
             v = as_square_complex(eigenvectors, "eigenvectors")
             if v.shape[0] != w.size:
@@ -309,6 +312,10 @@ class SpectralDecomposition:
                 if frame.dim != w.size:
                     raise ValueError(f"frame has dim {frame.dim}, spectrum {w.size}")
                 self.momenta = frame.momenta[perm]
+                inv = np.empty_like(perm)
+                inv[perm] = np.arange(perm.size)
+                self.partner = inv[frame.partner[perm]]
+                self.reflection_sign = frame.parity[perm]
 
     @property
     def dim(self) -> int:
@@ -367,13 +374,19 @@ class SectorFrame:
     momentum of each position `momenta` (`lattice.MomentumSectors`).  The
     rotations are O(dim log N) per column for F and O(dim^2 / N) per column
     for the sector blocks.
+
+    The site reflection maps column p of W to column `partner[p]` (the same
+    column of sector N - k), or, where partner[p] = p, to `parity[p]` = +1
+    or -1 times itself; parity is 0 on the paired columns.
     """
 
-    def __init__(self, sectors, vectors):
+    def __init__(self, sectors, vectors, partner, parity):
         self.sectors = sectors
         self.vectors = list(vectors)
         self.dim = sectors.dim
         self.momenta = sectors.momenta
+        self.partner = np.asarray(partner, dtype=np.intp)
+        self.parity = np.asarray(parity, dtype=np.int8)
         self.slices = _sector_slices(sectors.dims)
         if [v.shape for v in self.vectors] != [(d, d) for d in sectors.dims]:
             raise ValueError("sector vectors do not match the sector dimensions")
@@ -446,41 +459,115 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
 
 
 def _sector_decompose(m: np.ndarray, sectors) -> SpectralDecomposition:
-    """One eigensolve per momentum sector of F^dag m F.
+    """One eigensolve per momentum sector pair of F^dag m F.
 
     The blocks of F^dag m F between different sectors must vanish (m
-    commutes with the translation), and each sector's eigenpairs must
-    reconstruct its block, both within RECONSTRUCTION_RTOL of the scale.
+    commutes with the translation).  The site reflection R_0 maps sector k
+    onto sector N - k through a phased permutation Q (`sectors.mirror`), so
+    for 0 < k < N/2 only sector k is solved and sector N - k takes the
+    vectors Q V_k and the same eigenvalues, once its block equals Q m_k Q^dag.
+    Sectors 0 and N/2 map onto themselves: each is solved per R_0-parity
+    subsector, whose off-parity block must vanish.  Every solve must
+    reconstruct its block; all gates hold within RECONSTRUCTION_RTOL of the
+    scale.
     """
     scale = max_norm(m)
     tol = RECONSTRUCTION_RTOL * max(1.0, scale)
     # F^dag m^dag F, which is F^dag m F for Hermitian m
     x = sectors.to_sectors(sectors.to_sectors(m).conj().T)
-    values, vectors, off = [], [], 0.0
-    for sl in _sector_slices(sectors.dims):
+    slices = _sector_slices(sectors.dims)
+    off = 0.0
+    for sl in slices:
         rows = x[sl]
         outside = np.concatenate((rows[:, : sl.start], rows[:, sl.stop :]), axis=1)
         if outside.size:
             off = max(off, max_norm(outside))
-        block, _ = hermitian_part(rows[:, sl])
+    if off > tol:
+        raise ValueError(
+            "operator does not commute with the translation of its sectors: "
+            f"off-sector entries reach {off:.3e}, above {tol:.3e}"
+        )
+
+    def solve(block):
         try:
             w, v = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(m.shape[0], scale) from exc
         if block.size and max_norm((v * w[np.newaxis, :]) @ v.conj().T - block) > tol:
             raise EigensolverError(m.shape[0], scale)
-        values.append(w)
-        vectors.append(v)
-    if off > tol:
-        raise ValueError(
-            "operator does not commute with the translation of its sectors: "
-            f"off-sector entries reach {off:.3e}, above {tol:.3e}"
-        )
+        return w, v
+
+    def reflection_gate(defect):
+        if defect > tol:
+            raise ValueError(
+                "operator does not commute with the site reflection of its sectors: "
+                f"off-parity entries reach {defect:.3e}, above {tol:.3e}"
+            )
+
+    n = len(slices)
+    values, vectors, parity = [None] * n, [None] * n, [None] * n
+    partner = np.arange(sectors.dim)
+    for k, sl in enumerate(slices):
+        k_bar = (-k) % n
+        if k_bar < k:
+            continue
+        block, _ = hermitian_part(x[sl, sl])
+        mirror = sectors.mirror[sl] - slices[k_bar].start
+        phase = sectors.mirror_phase[sl]
+        if k_bar == k:
+            even, odd = (_dense_columns(mirror.size, *v) for v in parity_vectors(mirror, phase))
+            if even.size and odd.size:
+                reflection_gate(max_norm(even.conj().T @ block @ odd))
+            pieces = [(b, solve(b.conj().T @ block @ b)) for b in (even, odd)]
+            values[k] = np.concatenate([w for _, (w, _) in pieces])
+            vectors[k] = np.concatenate([b @ v for b, (_, v) in pieces], axis=1)
+            parity[k] = np.repeat((1, -1), [even.shape[1], odd.shape[1]])
+            continue
+        w, v = solve(block)
+        mirrored, _ = hermitian_part(x[slices[k_bar], slices[k_bar]])
+        if block.size:
+            expected = np.outer(phase, phase.conj()) * block
+            reflection_gate(max_norm(mirrored[np.ix_(mirror, mirror)] - expected))
+        v_bar = np.empty_like(v)
+        v_bar[mirror] = phase[:, np.newaxis] * v
+        values[k], values[k_bar] = w, w
+        vectors[k], vectors[k_bar] = v, v_bar
+        parity[k] = parity[k_bar] = np.zeros(w.size, dtype=np.int8)
+        partner[sl] = np.arange(slices[k_bar].start, slices[k_bar].stop)
+        partner[slices[k_bar]] = np.arange(sl.start, sl.stop)
     w = np.concatenate(values)
     order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(
-        w[order], basis_permutation=order, frame=SectorFrame(sectors, vectors)
-    )
+    frame = SectorFrame(sectors, vectors, partner, np.concatenate(parity))
+    return SpectralDecomposition(w[order], basis_permutation=order, frame=frame)
+
+
+def _dense_columns(dim: int, i, a, j, b) -> np.ndarray:
+    """The vectors a e_i + b e_j as the columns of a dim-row matrix."""
+    out = np.zeros((dim, i.size), dtype=np.complex128)
+    cols = np.arange(i.size)
+    out[i, cols] = a
+    out[j, cols] += b
+    return out
+
+
+def parity_vectors(partner: np.ndarray, phase: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The +1 and then the -1 eigenvectors of an involution Q e_p =
+    phase[p] e_{partner[p]}, whose phase is +-1 where partner[p] = p.
+
+    Each sign gets arrays (i, a, j, b), one entry per eigenvector
+    a e_i + b e_j in ascending i: e_p for each fixed p of that sign (j = p,
+    b = 0), and (e_p +- phase[p] e_q) / sqrt(2) for each pair p < q = partner[p].
+    """
+    idx = np.arange(partner.size)
+    fixed = partner == idx
+    out = []
+    for sign in (1, -1):
+        i = idx[(fixed & (np.rint(phase.real) == sign)) | (partner > idx)]
+        paired = partner[i] != i
+        a = np.where(paired, np.sqrt(0.5), 1.0).astype(np.complex128)
+        b = np.where(paired, sign * np.sqrt(0.5) * phase[i], 0.0)
+        out.append((i, a, partner[i], b))
+    return out
 
 
 def matrix_function(decomp: SpectralDecomposition, f) -> HermitianOperator:

@@ -112,6 +112,10 @@ class TestNoDenseEigenvectors:
             return config_from_mapping(_mapping(model, couplings, sizes, averaging))
 
         assert len(convergence_sweep(cfg([4, 6]))) == 6
+        # an odd chain kicked away from site 0
+        odd = _mapping(model, couplings, [5], THREE_CHANNELS)
+        odd["kick"]["site"] = 2
+        assert len(convergence_sweep(config_from_mapping(odd))) == 3
         weighted = [{"kind": "weighted-spatial", "R": r} for r in (0.5, 2.0)]
         assert len(saturation_scan(cfg([6], weighted))) == 2
         assert verify_identities(cfg([4])).passed
@@ -138,27 +142,38 @@ def test_verify_passes_bs_equality_on_xxz_n6_beta2(tmp_path, capsys):
 
 @pytest.mark.parametrize("model,couplings", MODELS)
 def test_sweep_gates_rho_prime_by_its_one_eigensolve(model, couplings, monkeypatch):
-    # rho' is one block in the joint eigenbasis, so its eigvalsh is both the
-    # positivity gate and S(rho'): a sweep runs no Cholesky, and solves rho'
-    # once per size (the other full-size solves are the weighted and
-    # temporal M rho', one block each)
+    # rho' is held as its two parity blocks about the kicked site, whose
+    # eigvalsh are both the positivity gate and S(rho'); the weighted and
+    # temporal M rho' and ME split the same way, so from N = 3 on a sweep
+    # eigensolves no whole dim x dim matrix and runs no Cholesky
     def refuse(*args, **kwargs):
         raise AssertionError("Cholesky factorization in a sweep")
 
-    solve = np.linalg.eigvalsh
-    spectra = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    sizes, spectra = [], []
 
-    def record(a, *args, **kwargs):
-        w = solve(a, *args, **kwargs)
-        spectra.append(w)
-        return w
+    def record_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    def record_eigvalsh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        spectra.append(eigvalsh(a, *args, **kwargs))
+        return spectra[-1]
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    cfg = config_from_mapping(_mapping(model, couplings, [4, 6], THREE_CHANNELS))
-    assert len(convergence_sweep(cfg)) == 6
-    for n in (4, 6):
-        populations = thermal_state(_hamiltonian(model, couplings, n), 1.0).populations
-        full = [w for w in spectra if w.size == 2**n]
-        assert len(full) == 3
-        assert sum(np.abs(w - np.sort(populations)).max() < 1e-12 for w in full) == 1
+    monkeypatch.setattr(np.linalg, "eigh", record_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", record_eigvalsh)
+    for n in (3, 4, 5, 6):
+        sizes.clear()
+        spectra.clear()
+        cfg = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
+        assert len(convergence_sweep(cfg)) == 3
+        assert max(sizes) < 2**n
+        populations = np.sort(thermal_state(_hamiltonian(model, couplings, n), 1.0).populations)
+        unions = [
+            np.sort(np.concatenate(pair))
+            for pair in zip(spectra, spectra[1:])
+            if pair[0].size + pair[1].size == 2**n
+        ]
+        assert sum(np.abs(w - populations).max() < 1e-12 for w in unions) == 1

@@ -11,7 +11,9 @@ then applies one mutation with monkeypatch and sees the same check fail:
 - the Lorentzian with the wrong sign of tau: the temporal row leaves the
   oracle;
 - a translation of the wrong order (the two-site shift T^2, of order N / 2,
-  which still passes T^N = 1): the weighted row leaves the oracle.
+  which still passes T^N = 1): the weighted row leaves the oracle;
+- the parity split about site s + 1 for a kick at site s: the kick does not
+  commute with that reflection, and the off-parity gate raises.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -157,3 +159,16 @@ def test_translation_of_the_wrong_order_trips_the_oracle(monkeypatch):
     monkeypatch.setattr(experiments, "translation_operator", two_site_shift)
     (row,) = convergence_sweep(cfg)
     assert abs(row.s_m_rho_prime - entropy) > 1e-6
+
+
+def test_reflection_about_the_next_site_trips_the_parity_gate(monkeypatch):
+    cfg = config([4, 5], [{"kind": "weighted-spatial", "R": 2.0}])
+    assert len(convergence_sweep(cfg)) == 2
+    parity = experiments.ReflectionParity
+
+    def next_site(decomp, site, n_sites):
+        return parity(decomp, site + 1, n_sites)
+
+    monkeypatch.setattr(experiments, "ReflectionParity", next_site)
+    with pytest.raises(ValueError, match="does not commute with the reflection about the kick"):
+        convergence_sweep(cfg)

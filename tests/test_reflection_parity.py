@@ -1,0 +1,134 @@
+"""The reflection about the kicked site: R_0 in the sector solve of H, the
+parity split of joint-basis matrices and its gate, and the kick-site
+invariance of every sweep row that makes the split's phases observable."""
+import numpy as np
+import pytest
+
+from frameavg.averaging import ReflectionParity
+from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
+from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, translation_operator
+from frameavg.operators import UnitaryOperator, max_norm, spectral_decompose
+
+MODELS = (
+    ("free-spins", {"h": 1.0}),
+    ("transverse-field-ising", {"J": 1.0, "g": 0.9}),
+    ("heisenberg-xxz", {"J": 1.0, "delta": 0.5}),
+)
+THREE_CHANNELS = [
+    {"kind": "uniform-spatial"},
+    {"kind": "weighted-spatial", "R": 2.0},
+    {"kind": "temporal", "tau": 1.5},
+]
+# a generic single-site generator, so no kick is special to X, Y or Z
+GENERATOR = [[0.3, [0.5, -0.2]], [[0.5, 0.2], -0.1]]
+PHYSICS = (
+    "s_rho",
+    "s_rho_prime",
+    "s_m_rho_prime",
+    "rel_ent_prime",
+    "rel_ent_avg",
+    "bs_rel_ent_avg",
+    "beta_w",
+    "me_deviation",
+    "entropy_density",
+)
+
+
+def _hamiltonian(model, couplings, n):
+    return build_hamiltonian(LatticeSpec(n), HamiltonianSpec(model, couplings))
+
+
+def _config(model, couplings, n, site, beta=1.0):
+    return config_from_mapping(
+        {
+            "model": {"name": model, "couplings": couplings},
+            "sizes": [n],
+            "beta": beta,
+            "kick": {"site": site, "generator": GENERATOR, "strength": 0.7},
+            "averaging": THREE_CHANNELS,
+            "seed": 5,
+        }
+    )
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_reflection_maps_each_eigenvector_to_its_partner(model, couplings, n):
+    # sector N - k holds the reflected vectors of sector k, and sectors 0 and
+    # N/2 hold parity-pure vectors, checked on the dense V built on read
+    h = _hamiltonian(model, couplings, n)
+    decomp = spectral_decompose(h)
+    v = decomp.eigenvectors
+    reflected = np.empty_like(v)
+    reflected[h.sectors.reflection] = v  # R_0 v
+    k, partner, sign = decomp.momenta, decomp.partner, decomp.reflection_sign
+    own = partner == np.arange(v.shape[0])
+    assert np.array_equal(own, (2 * k) % n == 0)
+    assert np.array_equal(k[partner], (-k) % n)
+    assert set(sign[own]) <= {-1, 1} and not sign[~own].any()
+    assert np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues)
+    assert max_norm(reflected - v[:, partner] * np.where(own, sign, 1)) < 1e-13
+
+
+def _dense_reflection(n, site):
+    """P_s = T^s R_0 T^-s as a dense permutation matrix."""
+    h = _hamiltonian("free-spins", {"h": 1.0}, n)
+    t = translation_operator(LatticeSpec(n)).matrix
+    r = UnitaryOperator(permutation=h.sectors.reflection).matrix
+    ts = np.linalg.matrix_power(t, site)
+    return ts @ r @ ts.conj().T
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_the_reflection_itself_splits_into_plus_and_minus_one(model, couplings, n):
+    # P_s commutes with itself, so its joint-basis matrix splits into +1 on
+    # the even block and -1 on the odd block; the reflection about the next
+    # site gives P_s+1 P_s = T^2, so it commutes with P_s only where T^4 = 1,
+    # and elsewhere trips the gate
+    decomp = spectral_decompose(_hamiltonian(model, couplings, n))
+    v = decomp.eigenvectors
+    for site in range(n):
+        parity = ReflectionParity(decomp, site, n)
+        blocks = parity.split(v.conj().T @ _dense_reflection(n, site) @ v)
+        assert len(blocks) == (1 if n == 2 else 2)
+        for block, sign in zip(blocks, (1, -1)):
+            assert max_norm(block - sign * np.eye(block.shape[0])) < 1e-13
+        if n not in (2, 4):
+            other = v.conj().T @ _dense_reflection(n, (site + 1) % n) @ v
+            with pytest.raises(ValueError, match="off-parity entries reach"):
+                parity.split(other)
+
+
+def test_split_gate_and_join():
+    cfg = _config("heisenberg-xxz", {"J": 1.0, "delta": 0.5}, 5, 2)
+    ctx = _SizeContext(cfg, 5)
+    parity = ctx.parity
+    e = ctx.conjugated.E.matrix
+    halves = parity.split(e)
+    # the even block is larger by the 2^3 states the reflection fixes
+    assert [b.shape[0] for b in halves] == [20, 12]
+    assert max_norm(parity.join(halves) - e) < 1e-14 * max_norm(e)
+    populations = parity.split(ctx.state.populations)
+    assert sorted(np.concatenate(populations)) == sorted(ctx.state.populations)
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    with pytest.raises(
+        ValueError, match="does not commute with the reflection about the kicked site"
+    ):
+        parity.split(e + 1e-6 * max_norm(e) * (a + a.conj().T))
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+def test_rows_do_not_depend_on_the_kick_site(model, couplings, n):
+    # the chain is translation invariant, so kicking site s instead of 0
+    # changes no physics column; every site takes its own reflection phases
+    reference = convergence_sweep(_config(model, couplings, n, 0))
+    for site in range(1, n):
+        rows = convergence_sweep(_config(model, couplings, n, site))
+        for want, got in zip(reference, rows):
+            assert (got.avg_kind, got.avg_param) == (want.avg_kind, want.avg_param)
+            for column in PHYSICS:
+                a, b = getattr(want, column), getattr(got, column)
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (site, got.avg_kind, column)
