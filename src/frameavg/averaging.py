@@ -337,21 +337,8 @@ def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    return _normalization(state, _kick_in_energy_basis(state.hamiltonian_decomp, u))
-
-
-def _kick_in_energy_basis(decomp: SpectralDecomposition, u: UnitaryOperator) -> np.ndarray:
-    """u~ = V^dag (U V), with U applied through its own structured form.
-
-    A structured eigenbasis (a basis permutation, with or without a sector
-    frame) rotates U's columns as it rotates any matrix, at no dense product
-    for a diagonal H without sectors and O(dim^3 / N) in sector form; a dense
-    eigenbasis takes one dense product.
-    """
-    if decomp.basis_permutation is not None:
-        return decomp.to_eigenbasis(u.apply(np.eye(decomp.dim)))
-    v = decomp.eigenvectors
-    return v.conj().T @ u.apply(v)
+    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.apply(np.eye(u.dim)))
+    return _normalization(state, u_tilde)
 
 
 def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
@@ -360,7 +347,8 @@ def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
 
 def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
     """u~ = V^dag (U V) and tr(rho E) from it, behind the overflow guard and
-    the 1e-9 check; in sector form, with no dense eigenvector matrix."""
+    the 1e-9 check.  U is applied through its own structured form, and its
+    columns are rotated like any matrix, with no dense eigenvector matrix."""
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     energies = state.hamiltonian_decomp.eigenvalues
@@ -370,7 +358,7 @@ def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
             f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
             "the 700 overflow guard; reduce beta or the chain size"
         )
-    u_tilde = _kick_in_energy_basis(state.hamiltonian_decomp, u)
+    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.apply(np.eye(u.dim)))
     stable_norm = _normalization(state, u_tilde)
     if abs(stable_norm - 1.0) > 1e-9:
         raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")

@@ -24,7 +24,6 @@ from .operators import (
     DensityMatrix,
     OverflowGuardError,
     SUPPORT_RTOL,
-    trace_product,
 )
 from .thermal import ThermalState
 

@@ -261,25 +261,24 @@ def _check_unitary(a: np.ndarray) -> None:
 
 
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
+    """Eigenvalues (ascending) and eigenvectors V = W P of a Hermitian operator.
 
-    Three forms share one interface:
+    W is a `SectorFrame` and P the basis permutation that sorts its columns
+    by eigenvalue: V e_j = W e_{basis_permutation[j]}.
 
-    - `eigenvectors`: a dense eigenvector matrix V;
-    - `basis_permutation` alone, for an operator diagonal in the
-      computational basis: V e_j = e_{basis_permutation[j]};
-    - `basis_permutation` with a `frame` W (`SectorFrame`), for an operator
-      that commutes with a translation: V e_j = W e_{basis_permutation[j]},
-      where W = F (+)_k V_k is the momentum basis F followed by the
-      eigenvectors of each momentum sector.  `momenta` gives the momentum of
-      each eigenvector, so this eigenbasis is a joint eigenbasis of H and T.
-      The site reflection R_0 maps eigenvector j to eigenvector
-      `partner[j]`, or to `reflection_sign[j]` (+1 or -1) times itself where
-      the partner is j (momenta 0 and N/2); elsewhere the sign reads 0.
+    - For an operator that commutes with a translation, W = F (+)_k V_k is
+      the momentum basis F followed by the eigenvectors of each momentum
+      sector, so V is a joint eigenbasis of H and T.  `momenta` gives the
+      momentum of each eigenvector.  The site reflection R_0 maps
+      eigenvector j to eigenvector `partner[j]`, or to `reflection_sign[j]`
+      (+1 or -1) times itself where the partner is j (momenta 0 and N/2);
+      elsewhere the sign reads 0.
+    - For any other operator W is one dense block (F = 1), and those three
+      read None.  `SpectralDecomposition(w, eigenvectors=v)` builds that
+      frame around v with P = 1, and `eigenvectors` returns v.
 
-    The structured forms rotate through index gathers and, with a frame, an
-    FFT over orbit shifts plus per-sector products, in O(dim^2 log N +
-    dim^3 / N); their dense eigenvector matrix is built on first read of
+    Rotations go through the frame and index gathers, in O(dim^2 log N +
+    dim^3 / N) in sector form; the dense V is built on first read of
     `eigenvectors`.
     """
 
@@ -289,33 +288,23 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must form a nonempty 1d array")
         if np.any(np.diff(w) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
-        if (eigenvectors is None) == (basis_permutation is None):
-            raise ValueError("provide exactly one of eigenvectors or basis_permutation")
-        if frame is not None and basis_permutation is None:
-            raise ValueError("a frame goes with a basis_permutation")
-        self.eigenvalues = w
         self._vectors = None
-        self.basis_permutation = None
-        self.frame = frame
-        self.momenta = self.partner = self.reflection_sign = None
         if eigenvectors is not None:
-            v = as_square_complex(eigenvectors, "eigenvectors")
-            if v.shape[0] != w.size:
-                raise ValueError("eigenvector block does not match eigenvalue count")
-            self._vectors = v
-        else:
-            perm = np.asarray(basis_permutation, dtype=np.intp)
-            if perm.shape != (w.size,) or np.bincount(perm, minlength=w.size).max() != 1:
-                raise ValueError("basis_permutation is not a bijection")
-            self.basis_permutation = perm
-            if frame is not None:
-                if frame.dim != w.size:
-                    raise ValueError(f"frame has dim {frame.dim}, spectrum {w.size}")
-                self.momenta = frame.momenta[perm]
-                inv = np.empty_like(perm)
-                inv[perm] = np.arange(perm.size)
-                self.partner = inv[frame.partner[perm]]
-                self.reflection_sign = frame.parity[perm]
+            if basis_permutation is not None or frame is not None:
+                raise ValueError("provide eigenvectors, or a basis_permutation with a frame")
+            self._vectors = as_square_complex(eigenvectors, "eigenvectors")
+            frame, basis_permutation = SectorFrame(None, [self._vectors]), np.arange(w.size)
+        elif basis_permutation is None or frame is None:
+            raise ValueError("a basis_permutation goes with a frame")
+        perm = np.asarray(basis_permutation, dtype=np.intp)
+        if perm.shape != (w.size,) or np.bincount(perm, minlength=w.size).max() != 1:
+            raise ValueError("basis_permutation is not a bijection")
+        if frame.dim != w.size:
+            raise ValueError(f"frame has dim {frame.dim}, spectrum {w.size}")
+        self.eigenvalues = w
+        self.basis_permutation = perm
+        self.frame = frame
+        self.momenta, self.partner, self.reflection_sign = frame.labels(perm)
 
     @property
     def dim(self) -> int:
@@ -326,40 +315,30 @@ class SpectralDecomposition:
         if self._vectors is None:
             v = np.zeros((self.dim, self.dim), dtype=np.complex128)
             v[self.basis_permutation, np.arange(self.dim)] = 1.0
-            self._vectors = v if self.frame is None else self.frame.apply(v)
+            self._vectors = self.frame.apply(v)
         return self._vectors
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V^dag a V."""
-        if self.basis_permutation is not None:
-            if self.frame is not None:
-                a = self.frame.to_frame(a)
-            p = self.basis_permutation
-            return a[np.ix_(p, p)]
-        v = self._vectors
-        return v.conj().T @ a @ v
+        a = self.frame.to_frame(a)
+        p = self.basis_permutation
+        return a[np.ix_(p, p)]
 
     def from_eigenbasis(self, b: np.ndarray) -> np.ndarray:
         """V b V^dag."""
-        if self.basis_permutation is not None:
-            inv = np.empty(self.dim, dtype=np.intp)
-            inv[self.basis_permutation] = np.arange(self.dim)
-            b = b[np.ix_(inv, inv)]
-            return b if self.frame is None else self.frame.from_frame(b)
-        v = self._vectors
-        return v @ b @ v.conj().T
+        inv = np.empty(self.dim, dtype=np.intp)
+        inv[self.basis_permutation] = np.arange(self.dim)
+        # rebinding b frees a temporary the caller passed in before from_frame
+        # allocates; passing the gather straight in would keep it alive
+        b = b[np.ix_(inv, inv)]
+        return self.frame.from_frame(b)
 
     def diagonal_from_eigenbasis(self, values) -> np.ndarray:
         """V diag(values) V^dag as a dense matrix."""
         values = np.asarray(values)
-        if self.basis_permutation is not None:
-            d = np.zeros(self.dim, dtype=values.dtype)
-            d[self.basis_permutation] = values
-            if self.frame is not None:
-                return self.frame.diagonal(d)
-            return np.diag(d.astype(np.complex128))
-        v = self._vectors
-        return (v * values[np.newaxis, :]) @ v.conj().T
+        d = np.zeros(self.dim, dtype=values.dtype)
+        d[self.basis_permutation] = values
+        return self.frame.diagonal(d)
 
     def reconstruct(self) -> np.ndarray:
         return self.diagonal_from_eigenbasis(self.eigenvalues)
@@ -373,34 +352,52 @@ class SectorFrame:
     in sector-major order, with the sector dimensions `dims` and the
     momentum of each position `momenta` (`lattice.MomentumSectors`).  The
     rotations are O(dim log N) per column for F and O(dim^2 / N) per column
-    for the sector blocks.
+    for the sector blocks.  With `sectors` None, F = 1 and `vectors` is one
+    dense block, which carries no momenta and no reflection.
 
     The site reflection maps column p of W to column `partner[p]` (the same
     column of sector N - k), or, where partner[p] = p, to `parity[p]` = +1
     or -1 times itself; parity is 0 on the paired columns.
     """
 
-    def __init__(self, sectors, vectors, partner, parity):
+    def __init__(self, sectors, vectors, partner=None, parity=None):
         self.sectors = sectors
         self.vectors = list(vectors)
-        self.dim = sectors.dim
-        self.momenta = sectors.momenta
-        self.partner = np.asarray(partner, dtype=np.intp)
-        self.parity = np.asarray(parity, dtype=np.int8)
-        self.slices = _sector_slices(sectors.dims)
-        if [v.shape for v in self.vectors] != [(d, d) for d in sectors.dims]:
+        if sectors is None:
+            dims = (self.vectors[0].shape[0],)
+            self.momenta = self.partner = self.parity = None
+            self._to_sectors = lambda x: np.array(x, dtype=np.complex128)
+            self._from_sectors = lambda y: y
+        else:
+            dims = sectors.dims
+            self.momenta = sectors.momenta
+            self._to_sectors, self._from_sectors = sectors.to_sectors, sectors.from_sectors
+            self.partner = np.asarray(partner, dtype=np.intp)
+            self.parity = np.asarray(parity, dtype=np.int8)
+        self.dim = sum(dims)
+        self.slices = _sector_slices(dims)
+        if [v.shape for v in self.vectors] != [(d, d) for d in dims]:
             raise ValueError("sector vectors do not match the sector dimensions")
+
+    def labels(self, perm: np.ndarray) -> tuple:
+        """The momentum, reflection partner and reflection sign of each column
+        of W P, for P e_j = e_{perm[j]}; three Nones where F = 1."""
+        if self.momenta is None:
+            return None, None, None
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        return self.momenta[perm], inv[self.partner[perm]], self.parity[perm]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x for x whose leading axis has length dim."""
         y = np.empty_like(x, dtype=np.complex128)
         for sl, v in zip(self.slices, self.vectors):
             y[sl] = v @ x[sl]
-        return self.sectors.from_sectors(y)
+        return self._from_sectors(y)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """W^dag x for x whose leading axis has length dim."""
-        y = self.sectors.to_sectors(x)
+        y = self._to_sectors(x)
         for sl, v in zip(self.slices, self.vectors):
             y[sl] = v.conj().T @ y[sl]
         return y
@@ -418,7 +415,7 @@ class SectorFrame:
         y = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for sl, v in zip(self.slices, self.vectors):
             y[sl, sl] = (v * d[sl][np.newaxis, :]) @ v.conj().T
-        f = self.sectors.from_sectors
+        f = self._from_sectors
         return f(f(y).conj().T).conj().T
 
 
@@ -434,19 +431,11 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     An operator that carries momentum `sectors` (every chain Hamiltonian) is
     diagonalised sector by sector in the momentum basis
     (`_sector_decompose`), so its eigenbasis is a joint eigenbasis with the
-    translation.  Other exactly diagonal inputs take a sort-only path that
-    stores a basis permutation instead of a dense eigenvector matrix;
-    everything else takes one dense eigensolve.
+    translation.  Any other operator takes one dense eigensolve.
     """
     m = a.matrix
     if a.sectors is not None:
         return _sector_decompose(m, a.sectors)
-    diag = np.diagonal(m)
-    if max_norm(m - np.diag(diag)) == 0.0:
-        order = np.argsort(diag.real, kind="stable")
-        return SpectralDecomposition(
-            diag.real[order], basis_permutation=np.asarray(order, dtype=np.intp)
-        )
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -26,7 +26,7 @@ from frameavg.averaging import (
     weighted_frame_average,
 )
 from frameavg.entropy import relative_entropy, von_neumann_entropy
-from frameavg.operators import BlockDensityMatrix, UnitaryOperator
+from frameavg.operators import BlockDensityMatrix, UnitaryOperator, random_unitary
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
@@ -44,6 +44,20 @@ def ising_setup(n=4, beta=1.0, g=0.9, lam=0.7):
     state = thermal_state(h, beta)
     u = local_kick(lat, PerturbationSpec(0, sigma_x, lam))
     return lat, state, u, perturb(state, u), translation_operator(lat)
+
+
+def hamiltonian_without_sectors(case):
+    """A chain-sized H that carries no momentum sectors, and its lattice."""
+    if case == "random":
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        return LatticeSpec(3), HermitianOperator((a + a.conj().T) / 2)
+    if case == "diagonal":
+        values = [0.3, -1.2, 0.3, 2.0, -0.5, 1.1, -1.2, 0.0]
+        return LatticeSpec(3), HermitianOperator(np.diag(values).astype(complex))
+    lat = LatticeSpec(4)
+    spec = HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9})
+    return lat, HermitianOperator(build_hamiltonian(lat, spec).matrix)
 
 
 class TestAveragingKind:
@@ -424,6 +438,27 @@ class TestConjugatedPerturbation:
             kick = local_kick(lat, PerturbationSpec(site, g + g.conj().T, 0.7))
             dense = kick.matrix
             u_tilde = v.conj().T @ dense @ v
+            conj = np.exp(beta * w / 2)[:, np.newaxis] * u_tilde * np.exp(-beta * w / 2)
+            u_ref = v @ conj @ v.conj().T
+            e_ref = u_ref @ u_ref.conj().T
+            cp = conjugated_perturbation(state, kick)
+            assert max_norm(cp.u - u_ref) <= 1e-12 * max_norm(u_ref)
+            assert max_norm(cp.E.matrix - e_ref) <= 1e-12 * max_norm(e_ref)
+
+    @pytest.mark.parametrize("case", ["random", "diagonal", "tfi-n4"])
+    def test_hamiltonian_without_sectors_matches_the_dense_formula(self, case):
+        # an H that carries no sectors takes one dense eigh, a one-block frame
+        lat, h = hamiltonian_without_sectors(case)
+        beta = 1.0
+        state = thermal_state(h, beta)
+        assert state.hamiltonian_decomp.momenta is None
+        w, v = np.linalg.eigh(h.matrix)
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        kicks = (random_unitary(h.dim, 8), local_kick(lat, PerturbationSpec(1, g + g.conj().T, 0.7)))
+        for kick in kicks:
+            assert abs(conjugate_normalization(state, kick) - 1.0) <= 1e-12
+            u_tilde = v.conj().T @ kick.matrix @ v
             conj = np.exp(beta * w / 2)[:, np.newaxis] * u_tilde * np.exp(-beta * w / 2)
             u_ref = v @ conj @ v.conj().T
             e_ref = u_ref @ u_ref.conj().T

@@ -91,10 +91,22 @@ class TestSpectralDecompose:
     def test_pauli_z_diagonal_path(self):
         d = spectral_decompose(HermitianOperator(PAULI_Z))
         np.testing.assert_allclose(d.eigenvalues, [-1.0, 1.0], atol=0)
-        # diagonal inputs keep only a basis permutation, no dense vectors
-        assert d.basis_permutation is not None
-        np.testing.assert_array_equal(d.basis_permutation, [1, 0])
-        assert max_norm(d.eigenvectors - np.array([[0, 1], [1, 0]])) == 0.0
+        # a diagonal input without sectors takes the one dense eigh, whose
+        # vectors are the swapped basis up to phases
+        np.testing.assert_array_equal(np.abs(d.eigenvectors), [[0, 1], [1, 0]])
+
+    def test_eigenvectors_adapter_is_a_one_block_frame(self):
+        v = random_unitary(3, 4).matrix
+        d = SpectralDecomposition([-1.0, 0.5, 2.0], eigenvectors=v)
+        assert d.eigenvectors is d.frame.vectors[0]
+        np.testing.assert_array_equal(d.eigenvectors, v)
+        np.testing.assert_array_equal(d.basis_permutation, [0, 1, 2])
+        assert d.frame.sectors is None and d.momenta is None and d.partner is None
+        # a bare permutation no longer stands for a diagonal operator
+        with pytest.raises(ValueError, match="a basis_permutation goes with a frame"):
+            SpectralDecomposition([-1.0, 1.0], basis_permutation=[1, 0])
+        with pytest.raises(ValueError, match="frame has dim 3, spectrum 2"):
+            SpectralDecomposition([-1.0, 1.0], eigenvectors=v)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(11)

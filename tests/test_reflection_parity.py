@@ -7,7 +7,12 @@ import pytest
 from frameavg.averaging import ReflectionParity
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
 from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, translation_operator
-from frameavg.operators import UnitaryOperator, max_norm, spectral_decompose
+from frameavg.operators import (
+    HermitianOperator,
+    UnitaryOperator,
+    max_norm,
+    spectral_decompose,
+)
 
 MODELS = (
     ("free-spins", {"h": 1.0}),
@@ -69,6 +74,52 @@ def test_reflection_maps_each_eigenvector_to_its_partner(model, couplings, n):
     assert np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues)
     assert max_norm(reflected - v[:, partner] * np.where(own, sign, 1)) < 1e-13
 
+
+
+def _tfi_with(n, extra):
+    """TFI H plus a perturbation built from its sectors, still carrying them."""
+    h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, n)
+    return HermitianOperator(h.matrix + extra(h), sectors=h.sectors)
+
+
+def _odd_bond_current(h):
+    # 1e-3 sum_i (X_i Y_i+1 - Y_i X_i+1): it commutes with T, and R_0 maps
+    # each bond term onto minus the mirrored one
+    n = h.sectors.n_terms
+    x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+
+    def bond(a, b, i):
+        ops = [np.eye(2)] * n
+        ops[i], ops[(i + 1) % n] = a, b
+        out = ops[0]
+        for op in ops[1:]:
+            out = np.kron(out, op)
+        return out
+
+    return 1e-3 * sum(bond(x, y, i) - bond(y, x, i) for i in range(n))
+
+
+def _sector_one_perturbation(h):
+    # a Hermitian block in sector 1 only, so sector N - 1 no longer mirrors it
+    sectors, dim = h.sectors, h.dim
+    start = sectors.dims[0]
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    y = np.zeros((dim, dim), dtype=complex)
+    sl = slice(start, start + sectors.dims[1])
+    y[sl, sl] = 1e-3 * (a + a.conj().T)[sl, sl]
+    f = sectors.from_sectors
+    return f(f(y).conj().T).conj().T
+
+
+@pytest.mark.parametrize("extra", [_odd_bond_current, _sector_one_perturbation])
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sector_solve_refuses_an_operator_the_reflection_does_not_fix(n, extra):
+    # both perturbations commute with the translation, so only the reflection
+    # gates (sector 0 per parity, sector N - k against sector k) can catch them
+    h = _tfi_with(n, extra)
+    with pytest.raises(ValueError, match="does not commute with the site reflection"):
+        spectral_decompose(h)
 
 def _dense_reflection(n, site):
     """P_s = T^s R_0 T^-s as a dense permutation matrix."""
