@@ -70,21 +70,16 @@ def _clamped(value: float) -> float:
 
 
 def von_neumann_entropy(
-    state: DensityMatrix | BlockDensityMatrix | ThermalState,
+    state: BlockDensityMatrix | ThermalState,
 ) -> EntropyValue:
     """-sum p log p over the spectrum, with 0 log 0 = 0.
 
-    Thermal states are read off their analytic populations, block states off
-    the spectrum their construction certified; plain density matrices go
-    through the eigensolver once and keep the spectrum.
+    Thermal states are read off their analytic populations, every other
+    state off the spectrum its construction certified.
     """
     if isinstance(state, ThermalState):
         return EntropyValue(_clamped(eta(state.populations).sum()))
-    if isinstance(state, BlockDensityMatrix):
-        w = state.eigenvalues
-    else:
-        w = state.spectrum()
-    return EntropyValue(_clamped(eta(np.clip(w, 0.0, None)).sum()))
+    return EntropyValue(_clamped(eta(np.clip(state.eigenvalues, 0.0, None)).sum()))
 
 
 def _support_split(w: np.ndarray) -> np.ndarray:

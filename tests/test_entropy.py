@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frameavg import DensityMatrix, HermitianOperator, operators, random_density_matrix
+from frameavg import DensityMatrix, HermitianOperator, random_density_matrix
 from frameavg.entropy import (
     EntropyValue,
     bs_relative_entropy,
@@ -68,13 +68,6 @@ class TestVonNeumann:
         first = von_neumann_entropy(full_rank).nats
         assert von_neumann_entropy(full_rank).nats == first
         assert len(calls) == 1
-        # when the shifted Cholesky fails, the gate's own eigensolve serves
-        # the entropy
-        monkeypatch.setattr(operators, "_shifted_cholesky_succeeds", lambda a: False)
-        fallback = diag_state(0.75, 0.25)
-        assert len(calls) == 2
-        assert abs(von_neumann_entropy(fallback).nats - 0.5623351446188083) < 1e-12
-        assert len(calls) == 2
 
 
 class TestRelativeEntropy:

@@ -14,6 +14,8 @@ from frameavg.averaging import (
     weighted_average_translates,
 )
 from frameavg.entropy import bs_relative_entropy, von_neumann_entropy
+from frameavg import experiments
+from frameavg.cli import main
 from frameavg.experiments import (
     CSV_HEADER,
     IDENTITY_TOLERANCES,
@@ -409,8 +411,9 @@ class TestVerifyIdentities:
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)
 
     def test_each_state_is_eigensolved_once(self, monkeypatch):
-        # rho' and its frame average each get one dense eigvalsh, however many
-        # identities read their entropy
+        # rho, rho' and the frame average of rho' each get one dense eigvalsh,
+        # their positivity gate, however many identities read their entropy;
+        # the gracefulness probes are not states and get none
         cfg = config_from_mapping(
             base_mapping(
                 model={"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
@@ -420,7 +423,27 @@ class TestVerifyIdentities:
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
         assert verify_identities(cfg).passed
-        assert calls == [(16, 16), (16, 16)]
+        assert calls == [(16, 16), (16, 16), (16, 16)]
+
+    def test_work_identity_is_reported_against_its_tolerance(self, monkeypatch, tmp_path, capsys):
+        # a beta W off by 1e-8 reaches the work-identity line instead of
+        # stopping verify before it reports
+        shift = 1e-8
+        work = experiments.work
+        monkeypatch.setattr(experiments, "work", lambda *args: work(*args) + shift)
+        loose = config_from_mapping(base_mapping(tolerance_overrides={"work-identity": 1e-6}))
+        report = verify_identities(loose)
+        assert report.passed
+        check = {c.name: c for c in report.checks}["work-identity"]
+        assert abs(check.residual - shift) < 1e-10
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(base_mapping()))
+        assert main(["verify", "--config", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        verdicts = {line.split()[0]: line.split()[-1] for line in lines}
+        assert verdicts.pop("work-identity") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}
 
 
 class TestStructuredUnitaries:

@@ -1,9 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+name a module defines is used somewhere in the package or exported.
 
-Deleting a code path tends to leave its imports behind; this walks each
-module's syntax tree rather than running a linter, so it needs nothing
-beyond the standard library.  `__init__.py` is skipped: its imports are the
-exported names.
+Deleting a code path tends to leave its imports and helpers behind; this
+walks each module's syntax tree rather than running a linter, so it needs
+nothing beyond the standard library.  `__init__.py` is skipped by the import
+scan: its imports are the exported names.
 """
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frameavg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+INIT = PACKAGE / "__init__.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +39,54 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and constants, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _dead_names(sources: list[str], exported: set[str]) -> list[str]:
+    """Names some module defines that no module reads and `exported` lacks."""
+    trees = [ast.parse(s) for s in sources]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = {name for tree in trees for name in _defined_names(tree)}
+    return sorted(defined - read - exported)
+
+
+def _exported() -> set[str]:
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("__init__.py defines no __all__")
+
+
+def test_the_scan_sees_a_dead_name():
+    sources = [
+        "LIMIT = 1\nclass Kept:\n    pass\ndef helper():\n    return LIMIT\n",
+        "def dead():\n    return helper()\n",
+    ]
+    assert _dead_names(sources, {"Kept"}) == ["dead"]
+    assert _dead_names(sources, {"Kept", "dead"}) == []
+
+
+def test_every_defined_name_is_used_or_exported():
+    sources = [p.read_text(encoding="utf-8") for p in [*MODULES, INIT]]
+    assert _dead_names(sources, _exported()) == []

@@ -177,3 +177,17 @@ def test_sweep_gates_rho_prime_by_its_one_eigensolve(model, couplings, monkeypat
             if pair[0].size + pair[1].size == 2**n
         ]
         assert sum(np.abs(w - populations).max() < 1e-12 for w in unions) == 1
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+def test_verify_and_probe_run_no_cholesky(model, couplings, monkeypatch):
+    # every state is certified by the eigvalsh that also gives its spectrum,
+    # and verify's gracefulness probes are plain matrices, so no path factors
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky factorization in verify or the probe")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    for n in (4, 5, 6):
+        cfg = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
+        assert verify_identities(cfg).passed
+        assert len(locality_probe(cfg, 0.5)) == n

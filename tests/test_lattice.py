@@ -15,9 +15,13 @@ from frameavg.lattice import (
     sigma_x,
     sigma_y,
     sigma_z,
-    translation_defect,
     translation_operator,
 )
+
+
+def translation_defect(matrix, t):
+    """max-norm of T A T^dag - A; a permutation T only reindexes A."""
+    return max_norm(t.conjugate(matrix) - matrix)
 
 
 class TestLatticeSpec:

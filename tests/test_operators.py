@@ -71,8 +71,17 @@ class TestBlockGateParity:
             [[0.5, 0.0], [0.0, 0.5 + 1e-9]],
             [[1.0 + 1e-9, 0.0], [0.0, -1e-9]],
             [[0.5, 0.0], [0.0, np.nan]],
+            # below PSD_EIGENVALUE_FLOOR, above the -2e-12 a shifted Cholesky
+            # gate would let through
+            [[1.0 + 1.5e-12, 0.0], [0.0, -1.5e-12]],
         ),
-        ids=("non-hermitian", "trace-off", "negative-eigenvalue", "non-finite"),
+        ids=(
+            "non-hermitian",
+            "trace-off",
+            "negative-eigenvalue",
+            "non-finite",
+            "just-below-psd-floor",
+        ),
     )
     def test_one_block_rejects_what_density_matrix_rejects(self, matrix):
         # the sweep gates every averaged state through BlockDensityMatrix

@@ -13,6 +13,7 @@ from frameavg.operators import (
     max_norm,
     spectral_decompose,
 )
+from frameavg.thermal import thermal_state
 
 MODELS = (
     ("free-spins", {"h": 1.0}),
@@ -120,6 +121,16 @@ def test_sector_solve_refuses_an_operator_the_reflection_does_not_fix(n, extra):
     h = _tfi_with(n, extra)
     with pytest.raises(ValueError, match="does not commute with the site reflection"):
         spectral_decompose(h)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sector_solve_refuses_an_operator_the_translation_does_not_fix(n):
+    # 1e-3 Z_0 is diagonal and fixed by R_0 but not by T; the sector solve in
+    # thermal_state is the one check that H commutes with the translation
+    h = _tfi_with(n, lambda h: 1e-3 * np.kron(np.diag([1.0, -1.0]), np.eye(h.dim // 2)))
+    with pytest.raises(ValueError, match="does not commute with the translation of its sectors"):
+        thermal_state(h, 1.0)
+
 
 def _dense_reflection(n, site):
     """P_s = T^s R_0 T^-s as a dense permutation matrix."""
