@@ -11,16 +11,17 @@ trace preserving, positivity preserving, and entropy non-decreasing.
 place that dispatches on the kind tag.  A channel applies itself densely in
 the computational basis, and it carries its form in the joint H-T
 eigenbasis: H commutes with T, so one basis diagonalises H, rho and T
-together, and there every channel is a Schur multiplier, which the sweep and
-verify's operator route apply block by block.
+together, and there every channel is a Schur multiplier.  The reflection
+about the kicked site (`ReflectionParity`) commutes with all of them, so
+`Channel.parity_blocks` maps the even and odd blocks of a matrix straight
+to those of its average by one rule for all three kinds.
 
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
 averaged entropy production dies off with system size, in the computational
-basis (`conjugated_perturbation`) or, with rho', in the eigenbasis of H
-(`eigenbasis_kick`, `kicked_in_eigenbasis`, `conjugated_in_eigenbasis`),
-where the reflection about the kicked site splits each into two parity
-blocks (`ReflectionParity`).
+basis (`conjugated_perturbation`) or, with rho', as parity blocks in the
+eigenbasis of H (`eigenbasis_kick`, `kicked_in_eigenbasis`,
+`conjugated_in_eigenbasis`), which are never joined into whole matrices.
 
 Summation order inside every average is fixed left to right, so repeated runs
 produce bit-identical results.
@@ -55,9 +56,6 @@ TAU_IDENTITY_FLOOR = 1e-12
 
 # eigenvalues closer than this fraction of the spectral width dephase as one block
 DEGENERACY_RTOL = 1e-10
-
-# rows of a Schur multiplier's weights built at a time
-_WEIGHT_ROWS = 256
 
 # off-parity entries a split tolerates, relative to the entry scale
 PARITY_RTOL = 1e-10
@@ -114,12 +112,19 @@ class AveragingKind:
         sector form for this same translation."""
         decomp = state.hamiltonian_decomp
         momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
+        classes = None
         if self.kind == UNIFORM_SPATIAL:
-            sectors = None
+            def apply(a):
+                return average_translates(a, t, n_terms)
+
+            # the projection onto the momentum sectors: M X vanishes between
+            # classes min(k, N - k), each the pair of partner sectors k, N - k
+            def weights(rows, cols):
+                return (momenta[rows, np.newaxis] == momenta[np.newaxis, cols]).astype(float)
+
             if momenta is not None:
-                sectors = [np.nonzero(momenta == k)[0] for k in range(n_terms)]
-            return Channel(lambda a: average_translates(a, t, n_terms), sectors=sectors)
-        if self.kind == WEIGHTED_SPATIAL:
+                classes = np.minimum(momenta, n_terms - momenta)
+        elif self.kind == WEIGHTED_SPATIAL:
             def apply(a):
                 return weighted_average_translates(a, t, n_terms, self.parameter)
 
@@ -128,16 +133,16 @@ class AveragingKind:
             # real because w_n = w_{N-n}
             w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
 
-            def weights(rows):
-                return w_hat[np.subtract.outer(momenta[rows], momenta) % n_terms]
+            def weights(rows, cols):
+                return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n_terms]
         else:
             def apply(a):
                 return temporal_average_matrix(a, decomp, self.parameter)
 
-            def weights(rows):
-                return _temporal_weights(decomp.eigenvalues, self.parameter, rows)
+            def weights(rows, cols):
+                return _temporal_weights(decomp.eigenvalues, self.parameter, rows, cols)
 
-        return Channel(apply, weights=None if momenta is None else weights)
+        return Channel(apply, None if momenta is None else weights, classes)
 
 
 def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
@@ -153,41 +158,56 @@ class Channel:
     """An averaging map M bound to one chain.
 
     apply(X) is the dense M X in the computational basis.  In the joint H-T
-    eigenbasis, where H, rho and T are diagonal, M multiplies X~ = V^dag X V
-    entry by entry (a Schur multiplier, (M X)~ = W o X~): the uniform average
-    keeps the entries inside each momentum sector (`sectors`, its index sets,
-    which are also its blocks), the weighted one scales entry (i, j) by
-    w^(k_i - k_j), and the temporal one by 1 / (1 + i (E_i - E_j) tau).
-    `weights(rows)` gives the rows of W for a slice of rows (None for the
-    identity), so W is never held whole.  Both are None where H was not
-    solved in that basis.
-
-    schur_blocks(X~) are the blocks of (M X)~ and diagonal_blocks(d) the
-    matching pieces of a diagonal operator diag(d), such as H and rho there,
-    so the spectrum of M X is the union of the blocks' spectra, and the
-    energy and the ME statistics pair diagonals with blocks.
+    eigenbasis M multiplies X~ = V^dag X V entry by entry by Omega(i, l), a
+    Schur multiplier: delta(k_i, k_l) (uniform), w^(k_i - k_l) (weighted) or
+    1 / (1 + i (E_i - E_l) tau) (temporal).  `weights(rows, cols)` gives
+    Omega on those eigenvector indices (None for the identity), and
+    `classes` the uniform average's |k|, between whose values M X vanishes.
+    Both are None where H was not solved in that basis.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
-    weights: Callable[[slice], np.ndarray | None] | None = None
-    sectors: list[np.ndarray] | None = None
+    weights: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None
+    classes: np.ndarray | None = None
 
-    def schur_blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        if self.sectors is not None:
-            return [x[np.ix_(s, s)] for s in self.sectors]
+    def parity_blocks(
+        self, x_blocks: list[np.ndarray], parity: ReflectionParity
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The blocks of M X from the parity blocks of a P_s-invariant X~, and
+        the eigenvector i of each of their rows, where a diagonal operator
+        such as H or rho takes its value there.
+
+        With A = Omega(i, l) and B = Omega(i, pi(l)) over a block's rows i
+        and columns l (pi the reflection partner),
+
+            (M X)_ee = (A + B) / 2 o X_ee + (A - B) / 2 o X_oo,
+
+        and the same with e and o swapped, the second term taken between
+        partnered rows only: A = B where a row or column is fixed (w^ is even
+        and 2k = 0 there) and everywhere for the temporal channel (partners
+        share energies).  With classes, the blocks are their class blocks.
+        """
         if self.weights is None:
             raise ValueError("the channel has no form in the eigenbasis H was solved in")
-        out = np.empty_like(x)
-        for start in range(0, x.shape[0], _WEIGHT_ROWS):
-            rows = slice(start, start + _WEIGHT_ROWS)
-            w = self.weights(rows)
-            out[rows] = x[rows] if w is None else x[rows] * w
-        return [out]
-
-    def diagonal_blocks(self, d: np.ndarray) -> list[np.ndarray]:
-        if self.sectors is not None:
-            return [d[s] for s in self.sectors]
-        return [d]
+        out, rows = [], []
+        for q, x in enumerate(x_blocks):
+            i, j = parity.rows[q], parity.partners[q]
+            # the other block; with one block there are no partnered rows
+            other = x_blocks[-1 - q]
+            labels = np.zeros(i.size) if self.classes is None else self.classes[i]
+            for g in (np.flatnonzero(labels == c) for c in np.unique(labels)):
+                y = x[np.ix_(g, g)]
+                a = self.weights(i[g], i[g])
+                if a is not None:
+                    b = self.weights(i[g], j[g])
+                    y *= (a + b) / 2
+                    # g ascends and the partnered rows lead every parity
+                    # block in the same order, so g[:m] are those rows in both
+                    m = np.count_nonzero(g < parity.pairs)
+                    y[:m, :m] += (a[:m, :m] - b[:m, :m]) / 2 * other[np.ix_(g[:m], g[:m])]
+                out.append(y)
+                rows.append(i[g])
+        return out, rows
 
 
 def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, weights):
@@ -258,13 +278,13 @@ def temporal_average_matrix(
 
 
 def _temporal_weights(
-    energies: np.ndarray, tau: float, rows: slice = slice(None)
+    energies: np.ndarray, tau: float, rows=slice(None), cols=slice(None)
 ) -> np.ndarray | None:
-    """Those rows of the energy-basis weights of the temporal average; None
-    for the identity."""
+    """The energy-basis weights of the temporal average on those rows and
+    columns of the ascending spectrum; None for the identity."""
     if not np.isinf(tau) and tau < TAU_IDENTITY_FLOOR:
         return None
-    gaps = energies[rows, np.newaxis] - energies[np.newaxis, :]
+    gaps = energies[rows, np.newaxis] - energies[np.newaxis, cols]
     if np.isinf(tau):
         width = energies[-1] - energies[0]
         if width == 0.0:
@@ -302,28 +322,26 @@ class ConjugatedPerturbation:
     the largest entry of E, so the tolerance grows with that scale; the
     factory certifies the same identity to 1e-9 at every beta through a
     positive-term evaluation in the energy eigenbasis and records that value
-    as `normalization` (None when the pair was built by hand).  With
-    `in_eigenbasis`, E is given in the eigenbasis of H, where rho is
-    diag(populations) and the trace reads its diagonal, and u is not kept
-    (None).
+    as `normalization` (None when the pair was built by hand).
     """
 
-    u: np.ndarray | None
+    u: np.ndarray
     E: HermitianOperator
     state: ThermalState
     normalization: float | None = None
-    in_eigenbasis: bool = False
 
     def __post_init__(self):
-        if self.in_eigenbasis:
-            norm = float(np.dot(self.state.populations, np.diagonal(self.E.matrix).real))
-        else:
-            # tr(rho E) as one contiguous pass: rho and E are Hermitian, so
-            # sum_ij conj(rho_ij) E_ij is the trace of their product
-            norm = np.vdot(self.state.rho.matrix, self.E.matrix).real
-        slack = 1e-9 + self.E.dim * np.finfo(np.float64).eps * max_norm(self.E.matrix)
-        if abs(norm - 1.0) > slack:
-            raise ValueError(f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
+        # tr(rho E) as one contiguous pass: rho and E are Hermitian, so
+        # sum_ij conj(rho_ij) E_ij is the trace of their product
+        norm = np.vdot(self.state.rho.matrix, self.E.matrix).real
+        _check_trace(norm, self.E.dim, max_norm(self.E.matrix))
+
+
+def _check_trace(norm: float, dim: int, scale: float) -> None:
+    """tr(rho E) = 1 within 1e-9 plus the round-off of a trace at E's scale."""
+    slack = 1e-9 + dim * np.finfo(np.float64).eps * scale
+    if abs(norm - 1.0) > slack:
+        raise ValueError(f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
 
 
 def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
@@ -346,9 +364,10 @@ def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
 
 
 def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
-    """u~ = V^dag (U V) and tr(rho E) from it, behind the overflow guard and
-    the 1e-9 check.  U is applied through its own structured form, and its
-    columns are rotated like any matrix, with no dense eigenvector matrix."""
+    """u~ = V^dag (U V) and tr(rho E) from it, behind the overflow guard; the
+    caller gates tr(rho E) against its own tolerance.  U is applied through
+    its own structured form, and its columns are rotated like any matrix,
+    with no dense eigenvector matrix."""
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     energies = state.hamiltonian_decomp.eigenvalues
@@ -359,10 +378,7 @@ def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
             "the 700 overflow guard; reduce beta or the chain size"
         )
     u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.apply(np.eye(u.dim)))
-    stable_norm = _normalization(state, u_tilde)
-    if abs(stable_norm - 1.0) > 1e-9:
-        raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
-    return u_tilde, stable_norm
+    return u_tilde, _normalization(state, u_tilde)
 
 
 def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
@@ -383,16 +399,18 @@ class ReflectionParity:
     R_0 maps eigenvector i to `decomp.partner[i]`, or to +-1 times itself,
     and T^s multiplies momentum k by e^{2 pi i k s / N}, so
     P_s e_i = c_i e_partner(i) with c_i = e^{-4 pi i k_i s / N} (times the
-    sign where the partner is i).  The even block is spanned by the
-    self-partnered e_i of sign +1 and (e_i + c_i e_j) / sqrt(2) for each pair
-    i < j = partner(i), the odd block by the rest and (e_i - c_i e_j) / sqrt(2).
-    Partners have equal energies, so a diagonal operator such as H or rho
-    splits into its values at i.
+    sign where the partner is i).  Each pair i < j = partner(i) gives row
+    (e_i + c_i e_j) / sqrt(2) of the even block and (e_i - c_i e_j) / sqrt(2)
+    of the odd one; these `pairs` rows lead both blocks in the same order,
+    and the self-partnered e_i follow in the block of their sign.  `rows`
+    holds each block's i and `partners` its partner(i).  Partners have equal
+    energies, so a diagonal operator such as H or rho splits into its values
+    at i.
 
-    `split` and `join` change between a dim x dim matrix and its parity
-    blocks by index gathers in O(dim^2); `split` first checks that the
-    off-parity blocks vanish within PARITY_RTOL of the entry scale.  For
-    N = 2 the reflection is the identity and there is one even block.
+    `split` gives the parity blocks of a dim x dim matrix by index gathers
+    in O(dim^2), once it has checked that the off-parity blocks vanish within
+    PARITY_RTOL of the entry scale.  For N = 2 the reflection is the
+    identity and there is one even block.
     """
 
     def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
@@ -401,17 +419,24 @@ class ReflectionParity:
         partner, sign = decomp.partner, decomp.reflection_sign
         if not np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues):
             raise ValueError("reflection partners must carry equal energies")
-        self.dim = decomp.dim
         c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n_sites) / n_sites)
         c *= np.where(sign == 0, 1, sign)
-        self._vectors = [v for v in parity_vectors(partner, c) if v[0].size]
+        # the pairs first, by a stable sort that keeps them in ascending i
+        self._vectors = [
+            tuple(x[np.argsort(v[0] == v[2], kind="stable")] for x in v)
+            for v in parity_vectors(partner, c)
+            if v[0].size
+        ]
+        self.pairs = int(np.count_nonzero(partner > np.arange(partner.size)))
+        self.rows = [v[0] for v in self._vectors]
+        self.partners = [v[2] for v in self._vectors]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The parity blocks of a P_s-invariant matrix; of a diagonal, given
         as a 1d array, its values on the blocks."""
         x = np.asarray(x)
         if x.ndim == 1:
-            return [x[i] for i, *_ in self._vectors]
+            return [x[i] for i in self.rows]
         off = 0.0
         if len(self._vectors) == 2:
             off = max(max_norm(self._block(x, 0, 1)), max_norm(self._block(x, 1, 0)))
@@ -424,26 +449,6 @@ class ReflectionParity:
                 f"off-parity entries reach {off:.3e}, above {tol:.3e}"
             )
         return blocks
-
-    def blocks(self, pieces: list[np.ndarray]) -> list[np.ndarray]:
-        """Each piece that spans the whole eigenbasis replaced by its parity
-        blocks; smaller pieces, such as momentum sectors, kept as they are."""
-        out = []
-        for piece in pieces:
-            out.extend(self.split(piece) if piece.shape[0] == self.dim else (piece,))
-        return out
-
-    def join(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The dim x dim matrix with these parity blocks."""
-        x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for (i, a, j, b), block in zip(self._vectors, blocks):
-            for rows, u in ((i, a), (j, b)):
-                for cols, v in ((i, a), (j, b)):
-                    term = np.outer(u, v.conj())
-                    term *= block
-                    x[np.ix_(rows, cols)] += term
-                    del term
-        return x
 
     def _block(self, x: np.ndarray, row: int, col: int) -> np.ndarray:
         """<rows of parity block `row`| x |columns of parity block `col`>."""
@@ -468,31 +473,27 @@ def kicked_in_eigenbasis(
 
 
 def conjugated_in_eigenbasis(
-    state: ThermalState,
-    u_blocks: list[np.ndarray],
-    parity: ReflectionParity,
-    normalization: float,
-) -> ConjugatedPerturbation:
-    """E = u_beta u_beta^dag in the eigenbasis of H, for u_beta = G u~ S: one
-    half-size product per parity block, joined into the matrix that passes
-    the HermitianOperator gate and the tr(rho E) check.  The blocks of u~
-    are taken off the list and scaled in place into those of u_beta, which
-    the pair does not keep (sweeps and verify read E only)."""
-    halves = []
+    state: ThermalState, u_blocks: list[np.ndarray], parity: ReflectionParity
+) -> list[np.ndarray]:
+    """The parity blocks of E = u_beta u_beta^dag in the eigenbasis of H, for
+    u_beta = G u~ S: one half-size product per parity block of u~, each
+    passing the HermitianOperator gate, and tr(rho E) = sum p . diag(E_b)
+    checked over them.  The blocks of u~ are taken off the list and scaled
+    in place into those of u_beta, which are not kept."""
+    blocks = []
     for h in parity.split(state.hamiltonian_decomp.eigenvalues):
         u_beta = _scale_to_u_beta(state.beta, h, u_blocks.pop(0))
-        halves.append(u_beta @ u_beta.conj().T)
+        blocks.append(HermitianOperator(u_beta @ u_beta.conj().T).matrix)
         del u_beta
-    e = parity.join(halves)
-    # the halves go before the gate makes its symmetrized copy of E
-    del halves
-    e = HermitianOperator(e)
-    return ConjugatedPerturbation(None, e, state, normalization, in_eigenbasis=True)
+    populations = parity.split(state.populations)
+    norm = sum(float(np.dot(p, np.diagonal(e).real)) for p, e in zip(populations, blocks))
+    _check_trace(norm, state.dim, max(max_norm(e) for e in blocks))
+    return blocks
 
 
 def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
     """u = e^{beta H/2} U e^{-beta H/2} in the computational basis, and
-    tr(rho E) certified through `eigenbasis_kick`.
+    tr(rho E) from `eigenbasis_kick`, certified to 1e-9.
 
     In the energy eigenbasis the conjugation is the entrywise factor
     e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
@@ -500,6 +501,8 @@ def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     and rotated back.
     """
     u_tilde, stable_norm = eigenbasis_kick(state, u)
+    if abs(stable_norm - 1.0) > 1e-9:
+        raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
     decomp = state.hamiltonian_decomp
     u_beta = _scale_to_u_beta(state.beta, decomp.eigenvalues, u_tilde)
     return decomp.from_eigenbasis(u_beta), stable_norm

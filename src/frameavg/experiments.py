@@ -25,7 +25,6 @@ from .averaging import (
     UNIFORM_SPATIAL,
     WEIGHTED_SPATIAL,
     AveragingKind,
-    ConjugatedPerturbation,
     ReflectionParity,
     averaged_E_stats,
     conjugated_in_eigenbasis,
@@ -331,13 +330,14 @@ class _SizeContext:
     """Everything one chain size contributes to every averaging kind.
 
     The state, the kick and the translation, and the kick in the joint H-T
-    eigenbasis, u~ = V^dag U V, with tr(rho E) certified from it.  In that
+    eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In that
     basis rho = diag(p) and H = diag(E), and every channel is a Schur
     multiplier (`Channel`).  The reflection about the kicked site (`parity`)
     commutes with all of them, and u~ is held as its two parity blocks
-    (`u_blocks`), split behind the off-parity gate.  `conjugated` is the
-    pair E = u_beta u_beta^dag there; building it scales those blocks in
-    place, so a sweep builds its joint rho' from them first.  `rho_prime`
+    (`u_blocks`), split behind the off-parity gate; from there rho', E and
+    their averages exist only as parity blocks.  `conjugated` is the blocks
+    of E = u_beta u_beta^dag; building them scales the blocks of u~ in
+    place, so a sweep builds its rho' blocks from them first.  `rho_prime`
     is rho' = U rho U^dag in the computational basis, where verify's state
     route averages it; neither rho' is built unless read.
     """
@@ -359,10 +359,10 @@ class _SizeContext:
         return perturb(self.state, self.kick)
 
     @cached_property
-    def conjugated(self) -> ConjugatedPerturbation:
-        pair = conjugated_in_eigenbasis(self.state, self.u_blocks, self.parity, self.normalization)
+    def conjugated(self) -> list[np.ndarray]:
+        blocks = conjugated_in_eigenbasis(self.state, self.u_blocks, self.parity)
         del self.u_blocks
-        return pair
+        return blocks
 
     def record_kick(
         self, rho_prime: BlockDensityMatrix, energy_prime: float, work_done: float
@@ -381,59 +381,56 @@ class _SizeContext:
 def _sweep_size(
     cfg: ExperimentConfig, n: int, kinds: list[AveragingKind]
 ) -> list[ExperimentRecord]:
-    """The records of one chain size.  rho' = u~ diag(p) u~^dag is built in
-    the joint eigenbasis as its two parity blocks, before the pair consumes
-    the blocks of u~; the rows read rho' and E joined into whole matrices."""
+    """The records of one chain size.  tr(rho E), which every channel keeps,
+    is gated once here.  rho' = u~ diag(p) u~^dag is built in the joint
+    eigenbasis as its two parity blocks, before E's blocks consume those of
+    u~, and tr(H rho') pairs their diagonals with the energies."""
     ctx = _SizeContext(cfg, n)
+    if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
+        raise ValueError(f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}")
     kicked = kicked_in_eigenbasis(ctx.state, ctx.u_blocks, ctx.parity)
-    rho_prime = ctx.parity.join(kicked.blocks)
     energies = ctx.state.hamiltonian_decomp.eigenvalues
-    energy_prime = float(np.dot(energies, np.diagonal(rho_prime).real))
+    energy_prime = sum(
+        float(np.dot(h, np.diagonal(b).real))
+        for h, b in zip(ctx.parity.split(energies), kicked.blocks)
+    )
     work_done = energy_prime - float(np.dot(energies, ctx.state.populations))
     ctx.record_kick(kicked, energy_prime, work_done)
-    del kicked
-    e = ctx.conjugated.E.matrix
-    return [_record_for(cfg, ctx, rho_prime, e, kind) for kind in kinds]
+    return [_record_for(cfg, ctx, kicked.blocks, ctx.conjugated, kind) for kind in kinds]
 
 
 def _record_for(
     cfg: ExperimentConfig,
     ctx: _SizeContext,
-    rho_prime: np.ndarray,
-    e: np.ndarray,
+    rho_blocks: tuple[np.ndarray, ...],
+    e_blocks: list[np.ndarray],
     kind: AveragingKind,
 ) -> ExperimentRecord:
     """One sweep row; its wall time covers the channel work, not the size setup.
 
-    The state route and the operator route transform rho' and E, both in
-    the joint eigenbasis, separately and block by block, and the energy
-    pairs the blocks of M rho' with the diagonal of H there.  The uniform
-    channel's blocks are its momentum sectors; the weighted and temporal
-    channels leave M rho' and ME whole, and those split into their parity
-    blocks about the kicked site.
+    The state route and the operator route average the parity blocks of
+    rho' and of E separately (`Channel.parity_blocks`), and the energy and
+    the ME statistics pair the blocks of M rho' and ME with the values of H
+    and rho on their rows.  The uniform channel's blocks are its momentum
+    classes inside each parity block; the weighted and temporal channels
+    keep the two parity blocks whole.
     """
     start = time.perf_counter()
     n = ctx.lattice.sites
     state = ctx.state
     channel = kind.bind(state, ctx.translation, n)
-
-    def blocks(x):
-        return ctx.parity.blocks(channel.schur_blocks(x))
-
-    def diagonal_blocks(d):
-        return ctx.parity.blocks(channel.diagonal_blocks(d))
-
-    averaged = BlockDensityMatrix(tuple(blocks(rho_prime)))
+    blocks, rows = channel.parity_blocks(rho_blocks, ctx.parity)
+    averaged = BlockDensityMatrix(tuple(blocks))
+    del blocks
     s_m = von_neumann_entropy(averaged).nats
-    energies = diagonal_blocks(state.hamiltonian_decomp.eigenvalues)
-    energy = sum(float(np.dot(h, np.diagonal(b).real)) for h, b in zip(energies, averaged.blocks))
+    energies = state.hamiltonian_decomp.eigenvalues
+    energy = sum(
+        float(np.dot(energies[r], np.diagonal(b).real)) for r, b in zip(rows, averaged.blocks)
+    )
     del averaged
-    report, bs_value = averaged_E_stats(blocks(e), diagonal_blocks(state.populations))
+    me_blocks, rows = channel.parity_blocks(e_blocks, ctx.parity)
+    report, bs_value = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
     rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
-    if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
-        raise ValueError(
-            f"tr(rho ME) = {ctx.normalization!r} drifted from 1 at N={n}, {kind.kind}"
-        )
     elapsed = time.perf_counter() - start
     return ExperimentRecord(
         model=cfg.model.model,
@@ -619,13 +616,12 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
         IdentityCheck("bs-chain", chain_violation, cfg.tolerance("bs-chain"))
     )
 
-    # the operator route: the uniform average of E block by block in the
+    # the operator route: the uniform average of E's parity blocks in the
     # joint eigenbasis, paired with the exact populations there; the state
     # route above ran in the computational basis
     uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)
-    _, bs_from_me = averaged_E_stats(
-        uniform.schur_blocks(ctx.conjugated.E.matrix), uniform.diagonal_blocks(state.populations)
-    )
+    me_blocks, rows = uniform.parity_blocks(ctx.conjugated, ctx.parity)
+    _, bs_from_me = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
     checks.append(
         IdentityCheck(
             "bs-equality", abs(bs_direct - bs_from_me), cfg.tolerance("bs-equality")

@@ -13,6 +13,7 @@ from frameavg import (
 from frameavg.averaging import (
     AveragingKind,
     ConjugatedPerturbation,
+    ReflectionParity,
     averaged_E_deviation,
     average_translates,
     conjugate_normalization,
@@ -161,26 +162,31 @@ class TestChannel:
     )
     def test_blocks_carry_the_dense_average(self, kind, dense):
         # apply is the kind's dense average; in the joint eigenbasis the
-        # Schur multiplier's blocks hold its spectrum, and paired with the
-        # pieces of diag(E) they give tr(H M rho')
+        # blocks the channel makes of rho's parity blocks hold its spectrum,
+        # and paired with diag(E) on their rows they give tr(H M rho')
         _, state, _, rho_prime, t = ising_setup()
         decomp = state.hamiltonian_decomp
+        parity = ReflectionParity(decomp, 0, 4)
         channel = kind.bind(state, t, 4)
         averaged = channel.apply(rho_prime.matrix)
         assert np.array_equal(averaged, dense(rho_prime.matrix, t, decomp))
-        blocks = channel.schur_blocks(decomp.to_eigenbasis(rho_prime.matrix))
+        blocks, rows = channel.parity_blocks(
+            parity.split(decomp.to_eigenbasis(rho_prime.matrix)), parity
+        )
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         assert np.abs(spectrum - np.linalg.eigvalsh(averaged)).max() < 1e-12
-        pieces = channel.diagonal_blocks(decomp.eigenvalues)
-        energy = sum(np.dot(e, np.diagonal(b)) for e, b in zip(pieces, blocks))
+        energy = sum(np.dot(decomp.eigenvalues[r], np.diagonal(b)) for r, b in zip(rows, blocks))
         assert abs(energy - np.trace(state.hamiltonian.matrix @ averaged)) < 1e-12
-        if channel.sectors is None:
-            assert max_norm(blocks[0] - decomp.to_eigenbasis(averaged)) < 1e-12
+        if channel.classes is None:
+            whole = parity.split(decomp.to_eigenbasis(averaged))
+            assert max(max_norm(b - w) for b, w in zip(blocks, whole)) < 1e-12
 
     def test_no_schur_form_without_sectors(self):
         # an H without momentum sectors is solved by one dense eigensolve,
         # whose basis is no joint eigenbasis with T
         _, state, _, rho_prime, t = ising_setup()
+        parity = ReflectionParity(state.hamiltonian_decomp, 0, 4)
+        x_blocks = parity.split(state.hamiltonian_decomp.to_eigenbasis(rho_prime.matrix))
         plain = thermal_state(HermitianOperator(state.hamiltonian.matrix), 1.0)
         kinds = (
             AveragingKind.uniform_spatial(),
@@ -190,7 +196,7 @@ class TestChannel:
         for kind in kinds:
             channel = kind.bind(plain, t, 4)
             with pytest.raises(ValueError, match="no form in the eigenbasis"):
-                channel.schur_blocks(rho_prime.matrix)
+                channel.parity_blocks(x_blocks, parity)
 
 
 class TestMomentumSectors:

@@ -14,7 +14,7 @@ from frameavg.averaging import (
     weighted_average_translates,
 )
 from frameavg.entropy import bs_relative_entropy, von_neumann_entropy
-from frameavg import experiments
+from frameavg import averaging, experiments
 from frameavg.cli import main
 from frameavg.experiments import (
     CSV_HEADER,
@@ -444,6 +444,32 @@ class TestVerifyIdentities:
         verdicts = {line.split()[0]: line.split()[-1] for line in lines}
         assert verdicts.pop("work-identity") == "FAIL"
         assert set(verdicts.values()) == {"PASS"}
+
+    def test_normalization_is_reported_against_its_tolerance(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # a tr(rho E) off by 1e-8 reaches the normalization line instead of
+        # stopping verify at a fixed 1e-9 before it reports
+        shift = 1e-8
+        normalization = averaging._normalization
+        monkeypatch.setattr(averaging, "_normalization", lambda *a: normalization(*a) + shift)
+        loose = config_from_mapping(base_mapping(tolerance_overrides={"normalization": 1e-6}))
+        report = verify_identities(loose)
+        assert report.passed
+        check = {c.name: c for c in report.checks}["normalization"]
+        assert abs(check.residual - shift) < 1e-10
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(base_mapping()))
+        assert main(["verify", "--config", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        verdicts = {line.split()[0]: line.split()[-1] for line in lines}
+        assert verdicts.pop("normalization") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}
+        # a sweep gates the same value once per size, against the same tolerance
+        assert len(convergence_sweep(loose)) == 1
+        with pytest.raises(ValueError, match="drifted from 1 at N=4"):
+            convergence_sweep(config_from_mapping(base_mapping()))
 
 
 class TestStructuredUnitaries:

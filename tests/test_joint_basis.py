@@ -16,6 +16,7 @@ from frameavg.experiments import (
 )
 from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian
 from frameavg.operators import (
+    BlockDensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
     _sector_decompose,
@@ -191,3 +192,30 @@ def test_verify_and_probe_run_no_cholesky(model, couplings, monkeypatch):
         cfg = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
         assert verify_identities(cfg).passed
         assert len(locality_probe(cfg, 0.5)) == n
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+def test_sweep_gates_no_whole_matrix_but_h(model, couplings, monkeypatch):
+    # rho', E, M rho' and ME stay parity blocks from build to row, so the
+    # only dim x dim matrix a gate sees is H itself
+    gated = []
+
+    def recorder(cls, shapes):
+        check = cls.__post_init__
+
+        def record(self):
+            # H is the one gated operator that carries momentum sectors
+            is_h = getattr(self, "sectors", None) is not None
+            gated.extend((shape, is_h) for shape in shapes(self))
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", record)
+
+    recorder(HermitianOperator, lambda op: [np.shape(op.matrix)])
+    recorder(BlockDensityMatrix, lambda state: [np.shape(b) for b in state.blocks])
+    for n in (6, 7, 8):
+        gated.clear()
+        cfg = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
+        assert len(convergence_sweep(cfg)) == 3
+        whole = [is_h for shape, is_h in gated if shape == (2**n, 2**n)]
+        assert whole == [True], (n, len(whole))

@@ -13,7 +13,11 @@ then applies one mutation with monkeypatch and sees the same check fail:
 - a translation of the wrong order (the two-site shift T^2, of order N / 2,
   which still passes T^N = 1): the weighted row leaves the oracle;
 - the parity split about site s + 1 for a kick at site s: the kick does not
-  commute with that reflection, and the off-parity gate raises.
+  commute with that reflection, and the off-parity gate raises;
+- the even/odd rule without its (A - B) / 2 cross term, each parity block of
+  M X taken from the same block of X alone: the uniform and weighted M rho'
+  fail the trace gate, and their spectra leave the oracle at N = 3 and 4,
+  while the temporal row, whose cross term is zero, stays on it.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -99,17 +103,13 @@ def test_weighted_operator_side_with_another_r_trips_the_oracle(monkeypatch):
         clean = bind(self, state, t, n_terms)
         other = bind(AveragingKind.weighted_spatial(3.0), state, t, n_terms)
 
-        def schur_blocks(x):
+        def parity_blocks(x_blocks, parity):
             # a sweep row averages rho' first and E second, so the second
             # application is the operator side
             calls.append(None)
-            return (clean if len(calls) == 1 else other).schur_blocks(x)
+            return (clean if len(calls) == 1 else other).parity_blocks(x_blocks, parity)
 
-        return SimpleNamespace(
-            apply=clean.apply,
-            schur_blocks=schur_blocks,
-            diagonal_blocks=clean.diagonal_blocks,
-        )
+        return SimpleNamespace(apply=clean.apply, parity_blocks=parity_blocks)
 
     monkeypatch.setattr(AveragingKind, "bind", one_sided)
     (row,) = convergence_sweep(cfg)
@@ -124,8 +124,8 @@ def test_lorentzian_with_the_wrong_sign_trips_the_oracle(monkeypatch):
     (row,) = convergence_sweep(cfg)
     assert abs(row.s_m_rho_prime - entropy) <= 1e-11
 
-    def wrong_sign_weights(energies, tau, rows=slice(None)):
-        gaps = energies[rows, np.newaxis] - energies[np.newaxis, :]
+    def wrong_sign_weights(energies, tau, rows=slice(None), cols=slice(None)):
+        gaps = energies[rows, np.newaxis] - energies[np.newaxis, cols]
         return 1.0 / (1.0 - 1j * gaps * tau)
 
     def wrong_sign_average(a, decomp, tau):
@@ -172,3 +172,52 @@ def test_reflection_about_the_next_site_trips_the_parity_gate(monkeypatch):
     monkeypatch.setattr(experiments, "ReflectionParity", next_site)
     with pytest.raises(ValueError, match="does not commute with the reflection about the kick"):
         convergence_sweep(cfg)
+
+
+def _unpaired(monkeypatch):
+    parity = experiments.ReflectionParity
+
+    def unpaired(decomp, site, n_sites):
+        # the rule reads the partnered rows from `pairs`; with none, no
+        # block of M X takes the other block's (A - B) / 2 term
+        p = parity(decomp, site, n_sites)
+        p.pairs = 0
+        return p
+
+    monkeypatch.setattr(experiments, "ReflectionParity", unpaired)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize(
+    "entry",
+    ({"kind": "uniform-spatial"}, {"kind": "weighted-spatial", "R": 2.0}),
+    ids=("uniform-spatial", "weighted-spatial"),
+)
+def test_rule_without_the_cross_term_trips_the_oracle(monkeypatch, n, entry):
+    cfg = config([n], [entry])
+    entropy, _ = reference(n, entry["kind"], entry.get("R"))
+    (row,) = convergence_sweep(cfg)
+    assert abs(row.s_m_rho_prime - entropy) <= 1e-11
+
+    _unpaired(monkeypatch)
+    # the trace gate of M rho' stops the row, and the spectrum it would
+    # have read is off the oracle
+    with pytest.raises(ValueError, match="is not 1 within"):
+        convergence_sweep(cfg)
+    ctx = _SizeContext(cfg, n)
+    kicked = averaging.kicked_in_eigenbasis(ctx.state, ctx.u_blocks, ctx.parity)
+    channel = AveragingKind(entry["kind"], entry.get("R")).bind(ctx.state, ctx.translation, n)
+    blocks, _ = channel.parity_blocks(kicked.blocks, ctx.parity)
+    w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
+    w = w[w > 0]
+    assert abs(-np.dot(w, np.log(w)) - entropy) > 1e-2
+
+
+def test_temporal_rule_has_no_cross_term(monkeypatch):
+    # partners share their energy, so A = B and the temporal row stays on
+    # the oracle without the cross term
+    cfg = config([4], [{"kind": "temporal", "tau": 1.5}])
+    entropy, _ = reference(4, "temporal", 1.5)
+    _unpaired(monkeypatch)
+    (row,) = convergence_sweep(cfg)
+    assert abs(row.s_m_rho_prime - entropy) <= 1e-11

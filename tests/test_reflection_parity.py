@@ -1,19 +1,26 @@
 """The reflection about the kicked site: R_0 in the sector solve of H, the
-parity split of joint-basis matrices and its gate, and the kick-site
-invariance of every sweep row that makes the split's phases observable."""
+parity split of joint-basis matrices and its gate, the even/odd rule that
+averages parity blocks, and the kick-site invariance of every sweep row that
+makes the split's phases observable."""
 import numpy as np
 import pytest
 
-from frameavg.averaging import ReflectionParity
+from frameavg.averaging import AveragingKind, ReflectionParity, conjugated_perturbation
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
-from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian, translation_operator
+from frameavg.lattice import (
+    HamiltonianSpec,
+    LatticeSpec,
+    build_hamiltonian,
+    pauli,
+    translation_operator,
+)
 from frameavg.operators import (
     HermitianOperator,
     UnitaryOperator,
     max_norm,
     spectral_decompose,
 )
-from frameavg.thermal import thermal_state
+from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
 
 MODELS = (
     ("free-spins", {"h": 1.0}),
@@ -162,15 +169,18 @@ def test_the_reflection_itself_splits_into_plus_and_minus_one(model, couplings, 
                 parity.split(other)
 
 
-def test_split_gate_and_join():
+def test_split_gate_and_block_sizes():
+    # E built densely in the computational basis and rotated into the joint
+    # eigenbasis splits into the blocks the sweep builds from those of u~
     cfg = _config("heisenberg-xxz", {"J": 1.0, "delta": 0.5}, 5, 2)
     ctx = _SizeContext(cfg, 5)
     parity = ctx.parity
-    e = ctx.conjugated.E.matrix
+    decomp = ctx.state.hamiltonian_decomp
+    e = decomp.to_eigenbasis(conjugated_perturbation(ctx.state, ctx.kick).E.matrix)
     halves = parity.split(e)
     # the even block is larger by the 2^3 states the reflection fixes
     assert [b.shape[0] for b in halves] == [20, 12]
-    assert max_norm(parity.join(halves) - e) < 1e-14 * max_norm(e)
+    assert max(max_norm(h - b) for h, b in zip(halves, ctx.conjugated)) < 1e-14 * max_norm(e)
     populations = parity.split(ctx.state.populations)
     assert sorted(np.concatenate(populations)) == sorted(ctx.state.populations)
     rng = np.random.default_rng(2)
@@ -179,6 +189,75 @@ def test_split_gate_and_join():
         ValueError, match="does not commute with the reflection about the kicked site"
     ):
         parity.split(e + 1e-6 * max_norm(e) * (a + a.conj().T))
+
+
+def _dense_weights(kind, decomp, n):
+    """Omega(i, l) of a channel over the whole joint eigenbasis, built entry
+    by entry from the momenta and energies."""
+    k, energies = decomp.momenta, decomp.eigenvalues
+    dk = k[:, np.newaxis] - k[np.newaxis, :]
+    if kind.kind == "uniform-spatial":
+        return (dk == 0).astype(float)
+    if kind.kind == "weighted-spatial":
+        shifts = np.arange(n)
+        w = np.exp(-np.minimum(shifts, n - shifts) / kind.parameter)
+        w /= w.sum()
+        return sum(w[m] * np.exp(2j * np.pi * dk * m / n) for m in shifts)
+    return 1.0 / (1.0 + 1j * (energies[:, np.newaxis] - energies[np.newaxis, :]) * kind.parameter)
+
+
+KINDS = (
+    AveragingKind.uniform_spatial(),
+    AveragingKind.weighted_spatial(2.0),
+    AveragingKind.temporal(1.5),
+)
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, couplings, n):
+    # every channel maps the parity blocks of rho' and of E straight to the
+    # parity split of the dense W o X~, for every kick site and an X and a Y
+    # kick; the uniform channel's class blocks hold all of it, and their
+    # spectra are those of the dense average
+    lattice = LatticeSpec(n)
+    state = thermal_state(_hamiltonian(model, couplings, n), 1.0)
+    decomp = state.hamiltonian_decomp
+    t = translation_operator(lattice)
+    channels = [(kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS]
+    for site in range(n):
+        parity = ReflectionParity(decomp, site, n)
+        for letter in "XY":
+            kick = local_kick(lattice, PerturbationSpec(site, pauli(letter), 0.7))
+            rho_prime = perturb(state, kick).matrix
+            e = conjugated_perturbation(state, kick).E.matrix
+            for x in (rho_prime, e):
+                x_tilde = decomp.to_eigenbasis(x)
+                x_blocks = parity.split(x_tilde)
+                scale = max_norm(x_tilde)
+                for kind, channel, w in channels:
+                    blocks, rows = channel.parity_blocks(x_blocks, parity)
+                    want = parity.split(w * x_tilde)
+                    if channel.classes is not None:
+                        # the class blocks inside each parity block, and zero
+                        # between classes
+                        pieces = []
+                        for q, block in enumerate(want):
+                            labels = channel.classes[parity.rows[q]]
+                            other = labels[:, np.newaxis] != labels[np.newaxis, :]
+                            assert not block[other].any()
+                            for c in np.unique(labels):
+                                g = np.flatnonzero(labels == c)
+                                pieces.append(block[np.ix_(g, g)])
+                        want = pieces
+                    assert [b.shape for b in blocks] == [b.shape for b in want]
+                    assert sum(r.size for r in rows) == 2**n
+                    worst = max(max_norm(b - c) for b, c in zip(blocks, want))
+                    assert worst <= 1e-13 * scale, (site, letter, kind.kind)
+                    if kind.kind == "uniform-spatial" and x is rho_prime:
+                        union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+                        dense = np.linalg.eigvalsh(channel.apply(rho_prime))
+                        assert np.abs(union - dense).max() <= 1e-13, (site, letter)
 
 
 @pytest.mark.parametrize("model,couplings", MODELS)
