@@ -60,6 +60,9 @@ DEGENERACY_RTOL = 1e-10
 # off-parity entries a split tolerates, relative to the entry scale
 PARITY_RTOL = 1e-10
 
+# columns of u~ that _kick_blocks builds at a time
+_SLAB = 256
+
 
 @dataclass(frozen=True)
 class AveragingKind:
@@ -200,11 +203,22 @@ class Channel:
                 a = self.weights(i[g], i[g])
                 if a is not None:
                     b = self.weights(i[g], j[g])
-                    y *= (a + b) / 2
                     # g ascends and the partnered rows lead every parity
                     # block in the same order, so g[:m] are those rows in both
                     m = np.count_nonzero(g < parity.pairs)
-                    y[:m, :m] += (a[:m, :m] - b[:m, :m]) / 2 * other[np.ix_(g[:m], g[:m])]
+                    diff = a[:m, :m] - b[:m, :m]
+                    # in place, so that no more than four block-sized
+                    # arrays are alive at once
+                    a += b
+                    del b
+                    a /= 2
+                    y *= a
+                    del a
+                    cross = other[np.ix_(g[:m], g[:m])]
+                    cross *= diff
+                    del diff
+                    cross /= 2
+                    y[:m, :m] += cross
                 out.append(y)
                 rows.append(i[g])
         return out, rows
@@ -355,19 +369,78 @@ def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.apply(np.eye(u.dim)))
-    return _normalization(state, u_tilde)
+    columns = [_unit_columns(state.dim)]
+    return _normalization(state, _kick_blocks(state.hamiltonian_decomp, u, columns), columns)
 
 
-def _normalization(state: ThermalState, u_tilde: np.ndarray) -> float:
-    return float((state.populations[np.newaxis, :] * np.abs(u_tilde) ** 2).sum())
+def _normalization(state: ThermalState, blocks: list[np.ndarray], columns) -> float:
+    """sum_j p_j |u~ e_j|^2 over the column sets of the blocks of u~."""
+    # a column's i carries its population: partners share their energy
+    p = state.populations
+    return float(
+        sum((p[c[0]][np.newaxis, :] * np.abs(b) ** 2).sum() for b, c in zip(blocks, columns))
+    )
 
 
-def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
-    """u~ = V^dag (U V) and tr(rho E) from it, behind the overflow guard; the
-    caller gates tr(rho E) against its own tolerance.  U is applied through
-    its own structured form, and its columns are rotated like any matrix,
-    with no dense eigenvector matrix."""
+def _unit_columns(dim: int) -> tuple[np.ndarray, ...]:
+    """The unit vectors e_i as the column set (i, 1, i, 0)."""
+    idx = np.arange(dim)
+    return idx, np.ones(dim, dtype=np.complex128), idx, np.zeros(dim, dtype=np.complex128)
+
+
+def _project(z: np.ndarray, columns) -> np.ndarray:
+    """Q^dag z for the columns a e_i + b e_j of Q, given as (i, a, j, b)."""
+    i, a, j, b = columns
+    return a.conj()[:, np.newaxis] * z[i] + b.conj()[:, np.newaxis] * z[j]
+
+
+def _kick_blocks(decomp: SpectralDecomposition, u: UnitaryOperator, columns) -> list[np.ndarray]:
+    """The blocks Q_q^dag u~ Q_q of u~ = V^dag U V for the column sets Q_q of
+    the eigenbasis, each given as (i, a, j, b) (the parity blocks of
+    `ReflectionParity`, or all unit vectors), built _SLAB columns at a time.
+
+    A slab of V Q_q is read off two columns of W each (`SectorFrame.apply_pairs`),
+    U acts on it through its own structured form, and W^dag brings it back,
+    so neither U, V nor the whole u~ is formed.  Where there are several sets,
+    each slab's rows in the other sets must vanish within PARITY_RTOL of the
+    slab's entry scale.
+    """
+    perm, frame = decomp.basis_permutation, decomp.frame
+    # V e_i = W e_perm[i], so the sets in the coordinates of the frame
+    framed = [(perm[i], a, perm[j], b) for i, a, j, b in columns]
+    blocks = []
+    for q, (i, a, j, b) in enumerate(framed):
+        block = np.empty((i.size, i.size), dtype=np.complex128)
+        for start in range(0, i.size, _SLAB):
+            c = slice(start, start + _SLAB)
+            z = frame.adjoint(u.apply(frame.apply_pairs(i[c], a[c], j[c], b[c])))
+            rows = [_project(z, v) for v in framed]
+            block[:, c] = rows[q]
+            off = max([max_norm(r) for p, r in enumerate(rows) if p != q], default=0.0)
+            _check_off_parity(off, max(1.0, off, max_norm(rows[q])))
+        blocks.append(block)
+    return blocks
+
+
+def _check_off_parity(off: float, scale: float) -> None:
+    tol = PARITY_RTOL * scale
+    if off > tol:
+        raise ValueError(
+            "matrix does not commute with the reflection about the kicked site: "
+            f"off-parity entries reach {off:.3e}, above {tol:.3e}"
+        )
+
+
+def eigenbasis_kick(
+    state: ThermalState, u: UnitaryOperator, parity: ReflectionParity | None = None
+) -> tuple[list[np.ndarray], float]:
+    """The blocks of u~ = V^dag U V and tr(rho E) from them, behind the
+    overflow guard; the caller gates tr(rho E) against its own tolerance.
+
+    With a `parity`, the blocks are the two parity blocks of u~, each slab
+    behind the off-parity gate; without, one block, the whole u~.  Both come
+    from `_kick_blocks`, with no dense U and no dense eigenvector matrix.
+    """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     energies = state.hamiltonian_decomp.eigenvalues
@@ -377,8 +450,9 @@ def eigenbasis_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
             f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
             "the 700 overflow guard; reduce beta or the chain size"
         )
-    u_tilde = state.hamiltonian_decomp.to_eigenbasis(u.apply(np.eye(u.dim)))
-    return u_tilde, _normalization(state, u_tilde)
+    columns = [_unit_columns(state.dim)] if parity is None else parity.vectors
+    blocks = _kick_blocks(state.hamiltonian_decomp, u, columns)
+    return blocks, _normalization(state, blocks, columns)
 
 
 def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
@@ -402,11 +476,14 @@ class ReflectionParity:
     sign where the partner is i).  Each pair i < j = partner(i) gives row
     (e_i + c_i e_j) / sqrt(2) of the even block and (e_i - c_i e_j) / sqrt(2)
     of the odd one; these `pairs` rows lead both blocks in the same order,
-    and the self-partnered e_i follow in the block of their sign.  `rows`
+    and the self-partnered e_i follow in the block of their sign, each group
+    in descending energy.  `rows`
     holds each block's i and `partners` its partner(i).  Partners have equal
     energies, so a diagonal operator such as H or rho splits into its values
     at i.
 
+    `vectors` holds each block's columns as (i, a, j, b), the vectors
+    a e_i + b e_j, from which `eigenbasis_kick` builds the blocks of u~.
     `split` gives the parity blocks of a dim x dim matrix by index gathers
     in O(dim^2), once it has checked that the off-parity blocks vanish within
     PARITY_RTOL of the entry scale.  For N = 2 the reflection is the
@@ -421,15 +498,18 @@ class ReflectionParity:
             raise ValueError("reflection partners must carry equal energies")
         c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n_sites) / n_sites)
         c *= np.where(sign == 0, 1, sign)
-        # the pairs first, by a stable sort that keeps them in ascending i
-        self._vectors = [
-            tuple(x[np.argsort(v[0] == v[2], kind="stable")] for x in v)
+        # the pairs first, each group in descending i, so in descending
+        # energy: E_il scales like exp(beta (E_i + E_l) / 2), and eigh
+        # resolves the small eigenvalues of such a graded block of ME best
+        # with its large entries first
+        self.vectors = [
+            tuple(x[np.lexsort((-v[0], v[0] == v[2]))] for x in v)
             for v in parity_vectors(partner, c)
             if v[0].size
         ]
         self.pairs = int(np.count_nonzero(partner > np.arange(partner.size)))
-        self.rows = [v[0] for v in self._vectors]
-        self.partners = [v[2] for v in self._vectors]
+        self.rows = [v[0] for v in self.vectors]
+        self.partners = [v[2] for v in self.vectors]
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The parity blocks of a P_s-invariant matrix; of a diagonal, given
@@ -437,26 +517,16 @@ class ReflectionParity:
         x = np.asarray(x)
         if x.ndim == 1:
             return [x[i] for i in self.rows]
-        off = 0.0
-        if len(self._vectors) == 2:
-            off = max(max_norm(self._block(x, 0, 1)), max_norm(self._block(x, 1, 0)))
-        blocks = [self._block(x, q, q) for q in range(len(self._vectors))]
+        # parts[p][q] = (Q_p^dag x Q_q)^dag = Q_q^dag (Q_p^dag x)^dag
+        parts = [[_project(_project(x, p).conj().T, q) for q in self.vectors] for p in self.vectors]
+        blocks = [parts[p][p].conj().T for p in range(len(parts))]
+        off = max(
+            [max_norm(part) for p, row in enumerate(parts) for q, part in enumerate(row) if p != q],
+            default=0.0,
+        )
         # the entry scale in the parity basis, which needs no pass over x
-        tol = PARITY_RTOL * max(1.0, off, *(max_norm(b) for b in blocks))
-        if off > tol:
-            raise ValueError(
-                "matrix does not commute with the reflection about the kicked site: "
-                f"off-parity entries reach {off:.3e}, above {tol:.3e}"
-            )
+        _check_off_parity(off, max(1.0, off, *(max_norm(b) for b in blocks)))
         return blocks
-
-    def _block(self, x: np.ndarray, row: int, col: int) -> np.ndarray:
-        """<rows of parity block `row`| x |columns of parity block `col`>."""
-        (i, a, j, b), (k, c, l, d) = self._vectors[row], self._vectors[col]
-        out = x[np.ix_(i, k)] * np.outer(a.conj(), c)
-        for rows, u, cols, v in ((i, a, l, d), (j, b, k, c), (j, b, l, d)):
-            out += x[np.ix_(rows, cols)] * np.outer(u.conj(), v)
-        return out
 
 
 def kicked_in_eigenbasis(
@@ -500,7 +570,7 @@ def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     of rho is ever formed: the kick is rotated into that basis once, scaled,
     and rotated back.
     """
-    u_tilde, stable_norm = eigenbasis_kick(state, u)
+    (u_tilde,), stable_norm = eigenbasis_kick(state, u)
     if abs(stable_norm - 1.0) > 1e-9:
         raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
     decomp = state.hamiltonian_decomp
@@ -522,12 +592,15 @@ class DeviationReport:
     op_norm and frobenius_norm measure the raw operator distance;
     state_weighted is sqrt(tr(rho (ME - 1)^2)), the distance seen by the
     thermal state; state_trace is tr(rho ME), identically 1 up to round-off.
+    bs_floor is b = eps ||ME||_op (1 + max|ln lambda(ME)|), the first-order
+    float64 error of -tr[rho eta(ME)] read from this ME (criterion 4's floor).
     """
 
     op_norm: float
     frobenius_norm: float
     state_weighted: float
     state_trace: float
+    bs_floor: float
 
 
 def averaged_E_stats(
@@ -547,9 +620,9 @@ def averaged_E_stats(
     exp(beta (E_i + E_j) / 2), and holding ME in float64 costs an absolute
     error near eps ||ME||_op (1 + max|ln lambda(ME)|), which pairing ME with
     the exact populations of the joint eigenbasis keeps near its low end: at
-    heisenberg-xxz N = 6, beta = 2 the sector blocks land within 3e-9 of a
-    40-digit value, where a float64 rho in the computational basis added
-    4e-8.
+    heisenberg-xxz N = 6, beta = 2 the parity blocks, rows in descending
+    energy, land within 1.0e-10 of a 40-digit value, where a float64 rho in
+    the computational basis added 4e-8.
     """
     spectra, weights = [], []
     for e, rho in zip(e_blocks, rho_blocks):
@@ -570,8 +643,16 @@ def averaged_E_stats(
         frobenius_norm=float(np.sqrt((dev**2).sum())),
         state_weighted=float(np.sqrt(max((q * dev**2).sum(), 0.0))),
         state_trace=float((q * w).sum()),
+        bs_floor=_bs_floor(w),
     )
     return report, max(-float(np.dot(eta(w), q)), 0.0)
+
+
+def _bs_floor(spectrum: np.ndarray) -> float:
+    """eps ||ME||_op (1 + max|ln lambda(ME)|) for ME positive definite."""
+    with np.errstate(divide="ignore"):
+        logs = np.abs(np.log(np.abs(spectrum)))
+    return float(np.finfo(np.float64).eps * np.abs(spectrum).max() * (1.0 + logs.max()))
 
 
 def deviation_report(averaged_e: np.ndarray, state: ThermalState) -> DeviationReport:

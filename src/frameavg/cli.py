@@ -69,6 +69,13 @@ def _emit(lines: list, output: str | None) -> None:
 def _run_verify(cfg: ExperimentConfig, output: str | None) -> int:
     report = verify_identities(cfg)
     _emit(report.lines(), output)
+    for check in report.checks:
+        if check.floor is not None:
+            print(
+                f"{check.name}: float64 floor b = eps ||ME||_op (1 + max|ln lambda(ME)|) "
+                f"= {check.floor:.5e}",
+                file=sys.stderr,
+            )
     if not report.passed:
         print("identity suite FAILED", file=sys.stderr)
         return 1
@@ -102,7 +109,7 @@ def main(argv=None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

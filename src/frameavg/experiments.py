@@ -25,6 +25,7 @@ from .averaging import (
     UNIFORM_SPATIAL,
     WEIGHTED_SPATIAL,
     AveragingKind,
+    Channel,
     ReflectionParity,
     averaged_E_stats,
     conjugated_in_eigenbasis,
@@ -266,8 +267,19 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+# peak RSS of each command in units of one complex dim x dim array (16 dim^2
+# bytes) at the size that sets it: least squares through the origin on the
+# largest peak measured at each of N = 10, 11, 12 (sweep: XXZ and TFI with
+# three channels, free spins; saturate runs the same path) or N = 10, 11
+# (verify, probe), 2 vCPU, OpenBLAS
+PEAK_FACTORS = {"sweep": 2.9, "saturate": 2.9, "verify": 13.0, "probe": 10.2}
+MEMINFO = "/proc/meminfo"
+
+
+def load_config(path: str, command: str | None = None) -> ExperimentConfig:
+    """Read and validate a JSON config file, and refuse it if the peak memory
+    `command` (by default, each command) is estimated to need exceeds what
+    the machine has available (`check_capacity`)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -277,7 +289,39 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    return config_from_mapping(data)
+    cfg = config_from_mapping(data)
+    check_capacity(cfg, command)
+    return cfg
+
+
+def check_capacity(cfg: ExperimentConfig, command: str | None = None) -> None:
+    """Raise ConfigError if a command's estimated peak, PEAK_FACTORS[command]
+    * 16 dim^2 bytes at its largest size (sweep and saturate) or its first
+    size (verify and probe), exceeds MemAvailable in MEMINFO.  Without a
+    readable MemAvailable nothing is checked."""
+    available = _mem_available()
+    if available is None:
+        return
+    for name in PEAK_FACTORS if command is None else (command,):
+        n = cfg.sizes[-1] if name in ("sweep", "saturate") else cfg.sizes[0]
+        estimate = PEAK_FACTORS[name] * 16 * LatticeSpec(n).dim ** 2
+        if estimate > available:
+            raise ConfigError(
+                f"{name} at N={n} is estimated to peak at {estimate / 1e6:.0f} MB, "
+                f"above the {available / 1e6:.0f} MB available"
+            )
+
+
+def _mem_available() -> int | None:
+    """MemAvailable from MEMINFO in bytes, or None where it cannot be read."""
+    try:
+        with open(MEMINFO, encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -329,15 +373,17 @@ class ExperimentRecord:
 class _SizeContext:
     """Everything one chain size contributes to every averaging kind.
 
-    The state, the kick and the translation, and the kick in the joint H-T
+    The state (H held as its bit-flip terms, its dense matrix never built
+    here), the kick and the translation, and the kick in the joint H-T
     eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In that
     basis rho = diag(p) and H = diag(E), and every channel is a Schur
     multiplier (`Channel`).  The reflection about the kicked site (`parity`)
-    commutes with all of them, and u~ is held as its two parity blocks
-    (`u_blocks`), split behind the off-parity gate; from there rho', E and
-    their averages exist only as parity blocks.  `conjugated` is the blocks
-    of E = u_beta u_beta^dag; building them scales the blocks of u~ in
-    place, so a sweep builds its rho' blocks from them first.  `rho_prime`
+    commutes with all of them, and u~ is built straight into its two parity
+    blocks (`u_blocks`), a column slab at a time behind the off-parity gate;
+    from there rho', E and their averages exist only as parity blocks.
+    `conjugated` is the blocks of E = u_beta u_beta^dag; building them
+    scales the blocks of u~ in place, so a sweep builds its rho' blocks from
+    them first.  `rho_prime`
     is rho' = U rho U^dag in the computational basis, where verify's state
     route averages it; neither rho' is built unless read.
     """
@@ -348,11 +394,10 @@ class _SizeContext:
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
         self.s_rho = von_neumann_entropy(self.state).nats
+        self.parity = ReflectionParity(self.state.hamiltonian_decomp, cfg.kick.site, n)
         # kind-independent: every averaging frame fixes rho, so tr(rho ME)
         # equals tr(rho E) and this conditioned evaluation covers all records
-        u_tilde, self.normalization = eigenbasis_kick(self.state, self.kick)
-        self.parity = ReflectionParity(self.state.hamiltonian_decomp, cfg.kick.site, n)
-        self.u_blocks = self.parity.split(u_tilde)
+        self.u_blocks, self.normalization = eigenbasis_kick(self.state, self.kick, self.parity)
 
     @cached_property
     def rho_prime(self) -> DensityMatrix:
@@ -383,8 +428,10 @@ def _sweep_size(
 ) -> list[ExperimentRecord]:
     """The records of one chain size.  tr(rho E), which every channel keeps,
     is gated once here.  rho' = u~ diag(p) u~^dag is built in the joint
-    eigenbasis as its two parity blocks, before E's blocks consume those of
-    u~, and tr(H rho') pairs their diagonals with the energies."""
+    eigenbasis as its two parity blocks, and tr(H rho') pairs their
+    diagonals with the energies.  The state route of every kind runs first,
+    and rho' is released before E's blocks consume those of u~, so the two
+    routes' blocks are never held at once."""
     ctx = _SizeContext(cfg, n)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}")
@@ -396,42 +443,57 @@ def _sweep_size(
     )
     work_done = energy_prime - float(np.dot(energies, ctx.state.populations))
     ctx.record_kick(kicked, energy_prime, work_done)
-    return [_record_for(cfg, ctx, kicked.blocks, ctx.conjugated, kind) for kind in kinds]
+    channels = [kind.bind(ctx.state, ctx.translation, n) for kind in kinds]
+    states = [_state_route(ctx, channel, kicked.blocks) for channel in channels]
+    del kicked
+    return [
+        _record_for(cfg, ctx, kind, channel, *state)
+        for kind, channel, state in zip(kinds, channels, states)
+    ]
+
+
+def _state_route(
+    ctx: _SizeContext, channel: Channel, rho_blocks: tuple[np.ndarray, ...]
+) -> tuple[float, float, float]:
+    """S(M rho'), tr(H M rho') and the seconds they took, from the parity
+    blocks of rho' (`Channel.parity_blocks`) paired with the energies on the
+    rows of the blocks of M rho'."""
+    start = time.perf_counter()
+    blocks, rows = channel.parity_blocks(rho_blocks, ctx.parity)
+    averaged = BlockDensityMatrix(tuple(blocks))
+    del blocks
+    energies = ctx.state.hamiltonian_decomp.eigenvalues
+    energy = sum(
+        float(np.dot(energies[r], np.diagonal(b).real)) for r, b in zip(rows, averaged.blocks)
+    )
+    return von_neumann_entropy(averaged).nats, energy, time.perf_counter() - start
 
 
 def _record_for(
     cfg: ExperimentConfig,
     ctx: _SizeContext,
-    rho_blocks: tuple[np.ndarray, ...],
-    e_blocks: list[np.ndarray],
     kind: AveragingKind,
+    channel: Channel,
+    s_m: float,
+    energy: float,
+    state_seconds: float,
 ) -> ExperimentRecord:
-    """One sweep row; its wall time covers the channel work, not the size setup.
+    """One sweep row from its state route's S(M rho') and tr(H M rho'); its
+    wall time covers the channel work of both routes, not the size setup.
 
-    The state route and the operator route average the parity blocks of
-    rho' and of E separately (`Channel.parity_blocks`), and the energy and
-    the ME statistics pair the blocks of M rho' and ME with the values of H
-    and rho on their rows.  The uniform channel's blocks are its momentum
-    classes inside each parity block; the weighted and temporal channels
-    keep the two parity blocks whole.
+    The operator route averages the parity blocks of E (`Channel.parity_blocks`),
+    and the ME statistics pair the blocks of ME with the populations on
+    their rows.  The uniform channel's blocks are its momentum classes inside
+    each parity block; the weighted and temporal channels keep the two
+    parity blocks whole.
     """
     start = time.perf_counter()
-    n = ctx.lattice.sites
     state = ctx.state
-    channel = kind.bind(state, ctx.translation, n)
-    blocks, rows = channel.parity_blocks(rho_blocks, ctx.parity)
-    averaged = BlockDensityMatrix(tuple(blocks))
-    del blocks
-    s_m = von_neumann_entropy(averaged).nats
-    energies = state.hamiltonian_decomp.eigenvalues
-    energy = sum(
-        float(np.dot(energies[r], np.diagonal(b).real)) for r, b in zip(rows, averaged.blocks)
-    )
-    del averaged
-    me_blocks, rows = channel.parity_blocks(e_blocks, ctx.parity)
+    me_blocks, rows = channel.parity_blocks(ctx.conjugated, ctx.parity)
     report, bs_value = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
     rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
-    elapsed = time.perf_counter() - start
+    elapsed = state_seconds + time.perf_counter() - start
+    n = ctx.lattice.sites
     return ExperimentRecord(
         model=cfg.model.model,
         n=n,
@@ -539,9 +601,13 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """One identity's residual against its tolerance; `floor` is the float64
+    floor of the residual where one is known (bs-equality: criterion 4's b)."""
+
     name: str
     residual: float
     tolerance: float
+    floor: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -621,10 +687,13 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     # route above ran in the computational basis
     uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)
     me_blocks, rows = uniform.parity_blocks(ctx.conjugated, ctx.parity)
-    _, bs_from_me = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
+    me_report, bs_from_me = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
     checks.append(
         IdentityCheck(
-            "bs-equality", abs(bs_direct - bs_from_me), cfg.tolerance("bs-equality")
+            "bs-equality",
+            abs(bs_direct - bs_from_me),
+            cfg.tolerance("bs-equality"),
+            me_report.bs_floor,
         )
     )
 

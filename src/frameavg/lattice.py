@@ -258,6 +258,49 @@ class MomentumSectors:
         edges = np.cumsum((0, *self.dims))
         return [x[i:j, i:j] for i, j in zip(edges[:-1], edges[1:])]
 
+    def blocks_from_entries(self, rows, cols, values) -> list[np.ndarray]:
+        """The N diagonal blocks of F^dag H F, in momentum order, for H given
+        by its nonzero entries H[rows, cols] = values and commuting with T.
+
+        Only the representative columns are read: with H|r> = sum_a H[a, r] |a>
+        and a = T^n_a |r_a>,
+
+            H |r, k> = sum_a H[a, r] e^{2 pi i k n_a / N} sqrt(L_r / L_a) |r_a, k>,
+
+        summed over the a whose orbit belongs to sector k, in O(nnz) for all
+        blocks together (Sandvik, arXiv:1101.3281, section 4).
+        """
+        n_orbits, n = self._orbits.shape
+        column = np.full(self.dim, -1)
+        column[self._orbits[:, 0]] = np.arange(n_orbits)
+        keep = column[cols] >= 0
+        r = column[cols[keep]]
+        r_a, n_a = np.divmod(self._position[rows[keep]], n)
+        amplitude = values[keep] * (self._root_lengths[r] / self._root_lengths[r_a])
+        out = []
+        for k, members in enumerate(self._members):
+            index = np.full(n_orbits, -1)
+            index[members] = np.arange(members.size)
+            i, j = index[r_a], index[r]
+            inside = (i >= 0) & (j >= 0)
+            flat = i[inside] * members.size + j[inside]
+            w = amplitude[inside] * np.exp(2j * np.pi * ((k * n_a[inside]) % n) / n)
+            size = members.size**2
+            block = np.bincount(flat, w.real, size) + 1j * np.bincount(flat, w.imag, size)
+            out.append(block.reshape(members.size, members.size))
+        return out
+
+    def translation_defect(self, rows, cols, values) -> float:
+        """max |T H T^-1 - H| over the entries of H, given as H[rows, cols] =
+        values with no position listed twice; 0 exactly when H commutes with
+        T, so that the blocks of F^dag H F between sectors vanish."""
+        perm = self.permutation
+        keys = np.concatenate((rows * self.dim + cols, perm[rows] * self.dim + perm[cols]))
+        _, at = np.unique(keys, return_inverse=True)
+        signed = np.concatenate((values, -values))
+        diff = np.bincount(at, signed.real) + 1j * np.bincount(at, signed.imag)
+        return float(np.abs(diff).max(initial=0.0))
+
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """F^dag x in sector-major order, for x whose leading axis has length dim."""
         n_orbits, n = self._orbits.shape
@@ -319,11 +362,12 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     transverse-field-ising: -J * sum_i Z_i Z_{i+1} - g * sum_i X_i
     heisenberg-xxz:         J * sum_i (X_i X_{i+1} + Y_i Y_{i+1} + delta * Z_i Z_{i+1})
 
-    The off-diagonal entries are written straight from basis bit flips: X_s
-    flips bit s, and X_i X_j + Y_i Y_j maps |..0..1..> to 2 |..1..0..> and
-    annihilates aligned pairs, so it flips both bits where they differ.  The
-    operator carries the momentum sectors of the chain's translation, so
-    `spectral_decompose` diagonalises it sector by sector.  That solve is
+    H is held as its diagonal and its bit-flip terms, O(N dim) numbers, and
+    its dense matrix is built only when read: X_s flips bit s, and
+    X_i X_j + Y_i Y_j maps |..0..1..> to 2 |..1..0..> and annihilates aligned
+    pairs, so it flips both bits where they differ.  The operator carries the
+    momentum sectors of the chain's translation, so `spectral_decompose`
+    diagonalises it sector by sector from those terms.  That solve is
     the one check that H commutes with the translation and with the site
     reflection of those sectors: it refuses off-sector and off-parity
     entries above its reconstruction tolerance.
@@ -335,17 +379,18 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     idx = np.arange(lattice.dim)
     bits = [1 << (n - 1 - s) for s in range(n)]
     if spec.model == FREE_SPINS:
-        h = np.diag(_diagonal_zz_field(lattice, c["h"], 0.0).astype(complex))
+        diagonal, flips = _diagonal_zz_field(lattice, c["h"], 0.0), []
     elif spec.model == TRANSVERSE_FIELD_ISING:
-        h = np.diag(_diagonal_zz_field(lattice, 0.0, -c["J"]).astype(complex))
-        for bit in bits:
-            h[idx, idx ^ bit] = -c["g"]
+        diagonal = _diagonal_zz_field(lattice, 0.0, -c["J"])
+        flips = [(bit, -c["g"]) for bit in bits]
     else:
-        h = np.diag(_diagonal_zz_field(lattice, 0.0, c["J"] * c["delta"]).astype(complex))
+        diagonal = _diagonal_zz_field(lattice, 0.0, c["J"] * c["delta"])
+        flips = []
         for i, j in _bonds(n):
-            rows = idx[((idx & bits[i]) == 0) != ((idx & bits[j]) == 0)]
-            h[rows, rows ^ (bits[i] | bits[j])] = 2 * c["J"]
-    return HermitianOperator(h, sectors=MomentumSectors(translation_operator(lattice), n))
+            differ = ((idx & bits[i]) == 0) != ((idx & bits[j]) == 0)
+            flips.append((bits[i] | bits[j], np.where(differ, 2 * c["J"], 0.0)))
+    sectors = MomentumSectors(translation_operator(lattice), n)
+    return HermitianOperator(diagonal=diagonal, flips=flips, sectors=sectors)
 
 
 def reduce_to_site(lattice: LatticeSpec, matrix: np.ndarray, site: int) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Spectral decompositions, matrix functions, operator norms, density
 matrices, and seeded generators for randomized property tests.  Operators
-are plain complex numpy arrays wrapped in thin validated containers, each
-property certified by one gate: Hermiticity by `HermitianOperator`, and a
-state's trace and positivity by `BlockDensityMatrix`, whose per-block
-eigensolve is also the spectrum every entropy reads (`DensityMatrix` is its
-one-block form).  Every matrix function goes through a full
+are plain complex numpy arrays wrapped in thin validated containers (a
+chain Hamiltonian is held as its bit-flip terms instead, its dense matrix
+built only when read), each property certified by one gate: Hermiticity by
+`HermitianOperator`, and a state's trace and positivity by
+`BlockDensityMatrix`, whose per-block eigensolve is also the spectrum every
+entropy reads (`DensityMatrix` is its one-block form).  Every matrix
+function goes through a full
 eigendecomposition, which keeps results exactly Hermitian and is
 affordable at the dimensions this package targets.
 """
@@ -130,36 +132,109 @@ def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
     return out, defect
 
 
-@dataclass(frozen=True)
 class HermitianOperator:
-    """Square complex matrix certified Hermitian at construction.
+    """A Hermitian operator certified at construction, in one of two forms.
 
-    The stored matrix is exactly (A + A^dag) / 2; construction rejects inputs
-    whose anti-Hermitian part exceeds HERMITICITY_RTOL relative to the entry
-    scale.
+    - `matrix`: a dense square matrix, stored as exactly (A + A^dag) / 2;
+      construction rejects inputs whose anti-Hermitian part exceeds
+      HERMITICITY_RTOL relative to the entry scale.
+    - bit-flip terms: a `diagonal` d and `flips`, pairs (m, c) of a flip mask
+      and a coefficient per basis state, for
+
+          H = diag(d) + sum_(m, c) sum_x c[x] |x><x XOR m|,
+
+      with the coefficients of equal masks summed.  H is Hermitian exactly
+      when d is real and c[x XOR m] = conj(c[x]); that is gated on the terms
+      with the same tolerance and message, and the terms are stored
+      symmetrized the same way.  `matrix` is then built on first read.
+
+    `entries()` gives the nonzero entries of either form, from the terms in
+    O(N dim) for N flip masks.  `sectors` are the momentum sectors of a
+    translation the operator commutes with (set by build_hamiltonian);
+    spectral_decompose then solves it sector by sector.
     """
 
-    matrix: np.ndarray
-    # momentum sectors of a translation the operator commutes with (set by
-    # build_hamiltonian); spectral_decompose then solves it sector by sector
-    sectors: object = field(default=None, repr=False, compare=False)
+    def __init__(self, matrix=None, sectors=None, *, diagonal=None, flips=()):
+        if (matrix is None) == (diagonal is None):
+            raise ValueError("provide a matrix, or a diagonal with its flips")
+        self.sectors = sectors
+        self._matrix = matrix
+        self._terms = None
+        if matrix is not None:
+            self.__post_init__()
+        else:
+            self._terms = _hermitian_terms(diagonal, flips)
 
     def __post_init__(self):
-        a = _as_square(self.matrix, "matrix")
+        # the dense gate, under the hook name that wrappers of a certifying
+        # class (the state gates are dataclasses) look for
+        a = _as_square(self._matrix, "matrix")
         # |a|.max() is finite exactly when every entry is
         scale = max_norm(a)
         _check_finite(np.isfinite(scale), "matrix")
         out, defect = hermitian_part(a)
-        if defect > HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
-                f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}"
-            )
-        object.__setattr__(self, "matrix", out)
+        _check_hermitian(defect, scale)
+        self._matrix = out
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self._terms is not None:
+            return self._terms[0].size
+        return self._matrix.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix; built and kept on first read for the term form."""
+        if self._matrix is None:
+            rows, cols, values = self.entries()
+            m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            m[rows, cols] = values
+            self._matrix = m
+        return self._matrix
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries as (rows, cols, values)."""
+        if self._terms is None:
+            rows, cols = np.nonzero(self._matrix)
+            return rows, cols, self._matrix[rows, cols]
+        diagonal, flips = self._terms
+        idx = np.arange(diagonal.size)
+        parts = [(idx, idx, diagonal)] + [(idx, idx ^ m, c) for m, c in flips.items()]
+        rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+        keep = values != 0
+        return rows[keep], cols[keep], values[keep]
+
+
+def _check_hermitian(defect: float, scale: float) -> None:
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}"
+        )
+
+
+def _hermitian_terms(diagonal, flips) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The certified terms of HermitianOperator: the real diagonal and
+    {mask: (c + conj(c[x XOR mask])) / 2}, once the defects |d - conj(d)| and
+    |c[x] - conj(c[x XOR mask])| pass the dense gate's test."""
+    d = np.asarray(diagonal, dtype=np.complex128)
+    if d.ndim != 1 or d.size < 1:
+        raise ValueError(f"diagonal must be a nonempty 1d array, got shape {d.shape}")
+    idx = np.arange(d.size)
+    merged = {}
+    for mask, c in flips:
+        mask = int(mask)
+        if mask < 1 or (idx ^ mask).max() >= d.size:
+            raise ValueError(f"flip mask {mask} does not permute a basis of dimension {d.size}")
+        c = np.broadcast_to(np.asarray(c, np.complex128), d.shape)
+        merged[mask] = merged.get(mask, 0) + c
+    # c[x XOR m] is the coefficient of the transposed entry
+    adjoints = {m: c[idx ^ m].conj() for m, c in merged.items()}
+    scale = max([max_norm(d), *(max_norm(c) for c in merged.values())])
+    _check_finite(np.isfinite(scale), "matrix")
+    defect = max([2 * max_norm(d.imag), *(max_norm(merged[m] - a) for m, a in adjoints.items())])
+    _check_hermitian(defect, scale)
+    return d.real.astype(np.complex128), {m: (merged[m] + a) / 2 for m, a in adjoints.items()}
 
 
 class UnitaryOperator:
@@ -399,6 +474,17 @@ class SectorFrame:
             y[sl] = v @ x[sl]
         return self._from_sectors(y)
 
+    def apply_pairs(self, i, a, j, b) -> np.ndarray:
+        """W (a e_i + b e_j) for each entry of (i, a, j, b), as the columns of
+        a dim-row array; only columns i and j of each sector block are read."""
+        y = np.zeros((self.dim, i.size), dtype=np.complex128)
+        cols = np.arange(i.size)
+        for sl, v in zip(self.slices, self.vectors):
+            for p, coefficient in ((i, a), (j, b)):
+                inside = (p >= sl.start) & (p < sl.stop)
+                y[sl, cols[inside]] += v[:, p[inside] - sl.start] * coefficient[inside]
+        return self._from_sectors(y)
+
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """W^dag x for x whose leading axis has length dim."""
         y = self._to_sectors(x)
@@ -434,12 +520,13 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
 
     An operator that carries momentum `sectors` (every chain Hamiltonian) is
     diagonalised sector by sector in the momentum basis
-    (`_sector_decompose`), so its eigenbasis is a joint eigenbasis with the
-    translation.  Any other operator takes one dense eigensolve.
+    (`_sector_decompose`), from its nonzero entries, so its eigenbasis is a
+    joint eigenbasis with the translation.  Any other operator takes one
+    dense eigensolve.
     """
-    m = a.matrix
     if a.sectors is not None:
-        return _sector_decompose(m, a.sectors)
+        return _sector_decompose(a, a.sectors)
+    m = a.matrix
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -451,43 +538,45 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     return decomp
 
 
-def _sector_decompose(m: np.ndarray, sectors) -> SpectralDecomposition:
-    """One eigensolve per momentum sector pair of F^dag m F.
+def _sector_decompose(h, sectors) -> SpectralDecomposition:
+    """One eigensolve per momentum sector pair of F^dag H F, for H a
+    HermitianOperator or a Hermitian matrix, read as its nonzero entries.
 
-    The blocks of F^dag m F between different sectors must vanish (m
-    commutes with the translation).  The site reflection R_0 maps sector k
-    onto sector N - k through a phased permutation Q (`sectors.mirror`), so
-    for 0 < k < N/2 only sector k is solved and sector N - k takes the
-    vectors Q V_k and the same eigenvalues, once its block equals Q m_k Q^dag.
-    Sectors 0 and N/2 map onto themselves: each is solved per R_0-parity
-    subsector, whose off-parity block must vanish.  Every solve must
-    reconstruct its block; all gates hold within RECONSTRUCTION_RTOL of the
-    scale.
+    The blocks F_k^dag H F_k are built from the entries in the orbits'
+    representative columns (`sectors.blocks_from_entries`), which stand for
+    every column only if H commutes with the translation T; the translation
+    gate is the residual T H T^-1 - H over all entries, which vanishes
+    exactly when the blocks of F^dag H F between different sectors do.  The
+    site reflection R_0 maps sector k onto sector N - k through a phased
+    permutation Q (`sectors.mirror`), so for 0 < k < N/2 only sector k is
+    solved and sector N - k takes the vectors Q V_k and the same eigenvalues,
+    once its block equals Q H_k Q^dag.  Sectors 0 and N/2 map onto
+    themselves: each is solved per R_0-parity subsector, whose off-parity
+    block must vanish.  Every solve must reconstruct its block; all gates
+    hold within RECONSTRUCTION_RTOL of the scale.
     """
-    scale = max_norm(m)
+    if not isinstance(h, HermitianOperator):
+        h = HermitianOperator(h)
+    rows, cols, values = h.entries()
+    scale = max_norm(values) if values.size else 0.0
     tol = RECONSTRUCTION_RTOL * max(1.0, scale)
-    # F^dag m^dag F, which is F^dag m F for Hermitian m
-    x = sectors.to_sectors(sectors.to_sectors(m).conj().T)
-    slices = _sector_slices(sectors.dims)
-    off = 0.0
-    for sl in slices:
-        rows = x[sl]
-        outside = np.concatenate((rows[:, : sl.start], rows[:, sl.stop :]), axis=1)
-        if outside.size:
-            off = max(off, max_norm(outside))
+    off = sectors.translation_defect(rows, cols, values)
     if off > tol:
         raise ValueError(
             "operator does not commute with the translation of its sectors: "
             f"off-sector entries reach {off:.3e}, above {tol:.3e}"
         )
+    blocks = sectors.blocks_from_entries(rows, cols, values)
+    slices = _sector_slices(sectors.dims)
+    dim = h.dim
 
     def solve(block):
         try:
             w, v = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(m.shape[0], scale) from exc
+            raise EigensolverError(dim, scale) from exc
         if block.size and max_norm((v * w[np.newaxis, :]) @ v.conj().T - block) > tol:
-            raise EigensolverError(m.shape[0], scale)
+            raise EigensolverError(dim, scale)
         return w, v
 
     def reflection_gate(defect):
@@ -504,7 +593,7 @@ def _sector_decompose(m: np.ndarray, sectors) -> SpectralDecomposition:
         k_bar = (-k) % n
         if k_bar < k:
             continue
-        block, _ = hermitian_part(x[sl, sl])
+        block, _ = hermitian_part(blocks[k])
         mirror = sectors.mirror[sl] - slices[k_bar].start
         phase = sectors.mirror_phase[sl]
         if k_bar == k:
@@ -517,7 +606,7 @@ def _sector_decompose(m: np.ndarray, sectors) -> SpectralDecomposition:
             parity[k] = np.repeat((1, -1), [even.shape[1], odd.shape[1]])
             continue
         w, v = solve(block)
-        mirrored, _ = hermitian_part(x[slices[k_bar], slices[k_bar]])
+        mirrored, _ = hermitian_part(blocks[k_bar])
         if block.size:
             expected = np.outer(phase, phase.conj()) * block
             reflection_gate(max_norm(mirrored[np.ix_(mirror, mirror)] - expected))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from frameavg import experiments
 from frameavg.cli import main
 
 
@@ -37,6 +38,25 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in captured.out
 
+    def test_bs_floor_goes_to_stderr(self, tmp_path, capsys):
+        # criterion 4's floor b explains a bs-equality residual; stdout keeps
+        # exactly the seven identity lines
+        code = main(["verify", "--config", write_config(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [line.split()[0] for line in captured.out.splitlines()] == [
+            "unitary-invariance",
+            "work-identity",
+            "averaging-identity",
+            "bs-chain",
+            "bs-equality",
+            "normalization",
+            "gracefulness",
+        ]
+        (line,) = [line for line in captured.err.splitlines() if "floor" in line]
+        assert line.startswith("bs-equality: float64 floor b = eps ||ME||_op")
+        assert 0.0 < float(line.split()[-1]) < 1e-13
+
     def test_report_to_output_file(self, tmp_path):
         report = tmp_path / "report.txt"
         code = main(["verify", "--config", write_config(tmp_path), "--output", str(report)])
@@ -67,6 +87,33 @@ class TestConfigErrors:
         code = main(["sweep", "--config", cfg])
         assert code == 2
         assert "40" in capsys.readouterr().err
+
+    def test_capacity_guard_refuses_with_the_estimate(self, tmp_path, monkeypatch, capsys):
+        # a faked MemAvailable of 205 MB, below the N = 12 sweep's estimated
+        # peak, so the config is refused before any work
+        estimate = experiments.PEAK_FACTORS["sweep"] * 16 * 4096**2 / 1e6
+        assert estimate > 205
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       8000000 kB\nMemAvailable:    200000 kB\n")
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        code = main(["sweep", "--config", write_config(tmp_path, sizes=[4, 12])])
+        assert code == 2
+        err = capsys.readouterr().err
+        expected = f"sweep at N=12 is estimated to peak at {estimate:.0f} MB, above the 205 MB"
+        assert expected in err
+        # verify and probe run at the first size, which fits
+        cfg = write_config(tmp_path, sizes=[4, 12])
+        assert experiments.load_config(cfg, "verify").sizes == (4, 12)
+        with pytest.raises(experiments.ConfigError, match="sweep at N=12"):
+            experiments.load_config(cfg)
+
+    def test_capacity_guard_passes_without_meminfo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "MEMINFO", str(tmp_path / "absent"))
+        assert experiments.load_config(write_config(tmp_path, sizes=[12])).sizes == (12,)
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       8000000 kB\n")
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        assert experiments.load_config(write_config(tmp_path, sizes=[12])).sizes == (12,)
 
     def test_bad_jobs_exits_two(self, tmp_path, capsys):
         code = main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])

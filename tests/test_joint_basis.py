@@ -19,6 +19,7 @@ from frameavg.operators import (
     BlockDensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
+    UnitaryOperator,
     _sector_decompose,
     max_norm,
     spectral_decompose,
@@ -196,8 +197,8 @@ def test_verify_and_probe_run_no_cholesky(model, couplings, monkeypatch):
 
 @pytest.mark.parametrize("model,couplings", MODELS)
 def test_sweep_gates_no_whole_matrix_but_h(model, couplings, monkeypatch):
-    # rho', E, M rho' and ME stay parity blocks from build to row, so the
-    # only dim x dim matrix a gate sees is H itself
+    # rho', E, M rho' and ME stay parity blocks from build to row, and H is
+    # certified on its bit-flip terms, so no gate sees a dim x dim matrix
     gated = []
 
     def recorder(cls, shapes):
@@ -218,4 +219,70 @@ def test_sweep_gates_no_whole_matrix_but_h(model, couplings, monkeypatch):
         cfg = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
         assert len(convergence_sweep(cfg)) == 3
         whole = [is_h for shape, is_h in gated if shape == (2**n, 2**n)]
-        assert whole == [True], (n, len(whole))
+        assert whole == [], (n, len(whole))
+
+
+@pytest.mark.parametrize("model,couplings", MODELS)
+def test_sweep_and_saturate_hold_no_dense_h_and_no_dense_kick(model, couplings, monkeypatch):
+    # H is solved from its bit-flip terms and u~ is built in column slabs, so
+    # the chain H's dense matrix is never read and U only ever acts on slabs
+    dense = HermitianOperator.matrix.fget
+
+    def refuse_chain_h(self):
+        if self.sectors is not None:
+            raise AssertionError("dense chain Hamiltonian read")
+        return dense(self)
+
+    applied = []
+    apply = UnitaryOperator.apply
+
+    def record_apply(self, a):
+        applied.append(np.shape(a))
+        return apply(self, a)
+
+    monkeypatch.setattr(HermitianOperator, "matrix", property(refuse_chain_h))
+    monkeypatch.setattr(UnitaryOperator, "apply", record_apply)
+    weighted = [{"kind": "weighted-spatial", "R": r} for r in (0.5, 2.0)]
+    for n in (6, 7, 8):
+        applied.clear()
+        sweep = config_from_mapping(_mapping(model, couplings, [n], THREE_CHANNELS))
+        scan = config_from_mapping(_mapping(model, couplings, [n], weighted))
+        assert len(convergence_sweep(sweep)) == 3
+        assert len(saturation_scan(scan)) == 2
+        assert applied and all(shape[0] == 2**n for shape in applied)
+        assert (2**n, 2**n) not in applied, n
+
+
+class TestTermBlocks:
+    @pytest.mark.parametrize("model,couplings", MODELS)
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+    def test_term_blocks_equal_the_dense_sector_blocks(self, model, couplings, n):
+        # the blocks built from H's representative columns against F_k^dag H F_k
+        # of the dense H through the FFT; N = 2 is where the two bonds coincide
+        h = _hamiltonian(model, couplings, n)
+        rows, cols, values = h.entries()
+        built = h.sectors.blocks_from_entries(rows, cols, values)
+        dense = h.sectors.blocks(h.matrix)
+        scale = max(1.0, max_norm(h.matrix))
+        assert [b.shape for b in built] == [b.shape for b in dense]
+        assert max(max_norm(x - y) for x, y in zip(built, dense) if x.size) <= 1e-13 * scale
+        assert h.sectors.translation_defect(rows, cols, values) == 0.0
+
+    def test_a_non_hermitian_flip_coefficient_is_refused(self):
+        h = _hamiltonian("heisenberg-xxz", {"J": 1.0, "delta": 0.5}, 4)
+        diagonal = np.diagonal(h.matrix)
+        coefficients = np.full(16, 2.0, dtype=complex)
+        assert HermitianOperator(diagonal=diagonal, flips=[(0b0011, coefficients)]).dim == 16
+        coefficients[5] += 1e-3j
+        with pytest.raises(ValueError, match="matrix is not Hermitian: anti-Hermitian defect"):
+            HermitianOperator(diagonal=diagonal, flips=[(0b0011, coefficients)])
+
+    @pytest.mark.parametrize("model,couplings", MODELS)
+    def test_terms_and_dense_h_solve_alike(self, model, couplings):
+        # a dense HermitianOperator with sectors enters the same path as its
+        # nonzero entries
+        h = _hamiltonian(model, couplings, 6)
+        from_terms = spectral_decompose(h)
+        from_dense = spectral_decompose(HermitianOperator(h.matrix, sectors=h.sectors))
+        scale = max_norm(h.matrix)
+        assert np.abs(from_terms.eigenvalues - from_dense.eigenvalues).max() <= 1e-13 * scale
