@@ -44,6 +44,7 @@ from .operators import (
     UnitaryOperator,
     max_norm,
     parity_vectors,
+    project_pairs,
 )
 from .thermal import ThermalState
 
@@ -150,9 +151,9 @@ class AveragingKind:
 
 def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
     """Whether decomp is in sector form for the translation t of order n_terms."""
-    if decomp.momenta is None or t.permutation is None:
+    sectors = decomp.sectors
+    if sectors is None or t.permutation is None:
         return False
-    sectors = decomp.frame.sectors
     return sectors.n_terms == n_terms and np.array_equal(sectors.permutation, t.permutation)
 
 
@@ -388,33 +389,23 @@ def _unit_columns(dim: int) -> tuple[np.ndarray, ...]:
     return idx, np.ones(dim, dtype=np.complex128), idx, np.zeros(dim, dtype=np.complex128)
 
 
-def _project(z: np.ndarray, columns) -> np.ndarray:
-    """Q^dag z for the columns a e_i + b e_j of Q, given as (i, a, j, b)."""
-    i, a, j, b = columns
-    return a.conj()[:, np.newaxis] * z[i] + b.conj()[:, np.newaxis] * z[j]
-
-
 def _kick_blocks(decomp: SpectralDecomposition, u: UnitaryOperator, columns) -> list[np.ndarray]:
     """The blocks Q_q^dag u~ Q_q of u~ = V^dag U V for the column sets Q_q of
     the eigenbasis, each given as (i, a, j, b) (the parity blocks of
     `ReflectionParity`, or all unit vectors), built _SLAB columns at a time.
 
-    A slab of V Q_q is read off two columns of W each (`SectorFrame.apply_pairs`),
-    U acts on it through its own structured form, and W^dag brings it back,
-    so neither U, V nor the whole u~ is formed.  Where there are several sets,
-    each slab's rows in the other sets must vanish within PARITY_RTOL of the
-    slab's entry scale.
+    A slab of V Q_q comes from `SpectralDecomposition.columns`, U acts on it
+    through its own structured form, and `SpectralDecomposition.project`
+    brings it back onto every set at once, so neither U, V nor the whole u~
+    is formed.  Where there are several sets, each slab's rows in the other
+    sets must vanish within PARITY_RTOL of the slab's entry scale.
     """
-    perm, frame = decomp.basis_permutation, decomp.frame
-    # V e_i = W e_perm[i], so the sets in the coordinates of the frame
-    framed = [(perm[i], a, perm[j], b) for i, a, j, b in columns]
     blocks = []
-    for q, (i, a, j, b) in enumerate(framed):
+    for q, (i, a, j, b) in enumerate(columns):
         block = np.empty((i.size, i.size), dtype=np.complex128)
         for start in range(0, i.size, _SLAB):
             c = slice(start, start + _SLAB)
-            z = frame.adjoint(u.apply(frame.apply_pairs(i[c], a[c], j[c], b[c])))
-            rows = [_project(z, v) for v in framed]
+            rows = decomp.project(u.apply(decomp.columns(i[c], a[c], j[c], b[c])), columns)
             block[:, c] = rows[q]
             off = max([max_norm(r) for p, r in enumerate(rows) if p != q], default=0.0)
             _check_off_parity(off, max(1.0, off, max_norm(rows[q])))
@@ -518,7 +509,10 @@ class ReflectionParity:
         if x.ndim == 1:
             return [x[i] for i in self.rows]
         # parts[p][q] = (Q_p^dag x Q_q)^dag = Q_q^dag (Q_p^dag x)^dag
-        parts = [[_project(_project(x, p).conj().T, q) for q in self.vectors] for p in self.vectors]
+        parts = [
+            [project_pairs(project_pairs(x, p).conj().T, q) for q in self.vectors]
+            for p in self.vectors
+        ]
         blocks = [parts[p][p].conj().T for p in range(len(parts))]
         off = max(
             [max_norm(part) for p, row in enumerate(parts) for q, part in enumerate(row) if p != q],

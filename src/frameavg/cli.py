@@ -109,7 +109,7 @@ def main(argv=None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.config, args.command)
+        cfg = load_config(args.config, args.command, args.jobs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -276,10 +276,10 @@ PEAK_FACTORS = {"sweep": 2.9, "saturate": 2.9, "verify": 13.0, "probe": 10.2}
 MEMINFO = "/proc/meminfo"
 
 
-def load_config(path: str, command: str | None = None) -> ExperimentConfig:
+def load_config(path: str, command: str | None = None, jobs: int = 1) -> ExperimentConfig:
     """Read and validate a JSON config file, and refuse it if the peak memory
-    `command` (by default, each command) is estimated to need exceeds what
-    the machine has available (`check_capacity`)."""
+    `command` (by default, each command) is estimated to need with `jobs`
+    sizes at once exceeds what the machine has available (`check_capacity`)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -290,24 +290,26 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     cfg = config_from_mapping(data)
-    check_capacity(cfg, command)
+    check_capacity(cfg, command, jobs)
     return cfg
 
 
-def check_capacity(cfg: ExperimentConfig, command: str | None = None) -> None:
-    """Raise ConfigError if a command's estimated peak, PEAK_FACTORS[command]
-    * 16 dim^2 bytes at its largest size (sweep and saturate) or its first
-    size (verify and probe), exceeds MemAvailable in MEMINFO.  Without a
-    readable MemAvailable nothing is checked."""
+def check_capacity(cfg: ExperimentConfig, command: str | None = None, jobs: int = 1) -> None:
+    """Raise ConfigError if a command's estimated peak exceeds MemAvailable in
+    MEMINFO.  The estimate is PEAK_FACTORS[command] * 16 dim^2 bytes summed
+    over the sizes that may run at once: the `jobs` largest for sweep and
+    saturate, whose sizes run on `jobs` threads, the first size for verify
+    and probe.  Without a readable MemAvailable nothing is checked."""
     available = _mem_available()
     if available is None:
         return
     for name in PEAK_FACTORS if command is None else (command,):
-        n = cfg.sizes[-1] if name in ("sweep", "saturate") else cfg.sizes[0]
-        estimate = PEAK_FACTORS[name] * 16 * LatticeSpec(n).dim ** 2
+        sizes = cfg.sizes[-jobs:] if name in ("sweep", "saturate") else cfg.sizes[:1]
+        estimate = sum(PEAK_FACTORS[name] * 16 * LatticeSpec(n).dim ** 2 for n in sizes)
         if estimate > available:
+            at = ", ".join(str(n) for n in sizes)
             raise ConfigError(
-                f"{name} at N={n} is estimated to peak at {estimate / 1e6:.0f} MB, "
+                f"{name} at N={at} is estimated to peak at {estimate / 1e6:.0f} MB, "
                 f"above the {available / 1e6:.0f} MB available"
             )
 
@@ -446,6 +448,8 @@ def _sweep_size(
     channels = [kind.bind(ctx.state, ctx.translation, n) for kind in kinds]
     states = [_state_route(ctx, channel, kicked.blocks) for channel in channels]
     del kicked
+    # E's blocks are size setup too: built here, so that no row's timer pays for them
+    ctx.conjugated
     return [
         _record_for(cfg, ctx, kind, channel, *state)
         for kind, channel, state in zip(kinds, channels, states)

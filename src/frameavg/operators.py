@@ -342,48 +342,65 @@ def _check_unitary(a: np.ndarray) -> None:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and eigenvectors V = W P of a Hermitian operator.
 
-    W is a `SectorFrame` and P the basis permutation that sorts its columns
-    by eigenvalue: V e_j = W e_{basis_permutation[j]}.
+    W = F (+)_k V_k is the momentum basis F of `sectors`
+    (`lattice.MomentumSectors`) followed by a unitary block V_k inside each
+    sector k, and P the permutation that sorts the columns of W by
+    eigenvalue: V e_j = W e_{basis_permutation[j]}.  This class is the only
+    code that maps between the order of W and the order of the spectrum.
 
-    - For an operator that commutes with a translation, W = F (+)_k V_k is
-      the momentum basis F followed by the eigenvectors of each momentum
-      sector, so V is a joint eigenbasis of H and T.  `momenta` gives the
-      momentum of each eigenvector.  The site reflection R_0 maps
-      eigenvector j to eigenvector `partner[j]`, or to `reflection_sign[j]`
-      (+1 or -1) times itself where the partner is j (momenta 0 and N/2);
-      elsewhere the sign reads 0.
-    - For any other operator W is one dense block (F = 1), and those three
-      read None.  `SpectralDecomposition(w, eigenvectors=v)` builds that
-      frame around v with P = 1, and `eigenvectors` returns v.
+    - For an operator that commutes with a translation, V is a joint
+      eigenbasis of H and T.  `momenta` gives the momentum of each
+      eigenvector.  The site reflection R_0 maps eigenvector j to eigenvector
+      `partner[j]`, or to `reflection_sign[j]` (+1 or -1) times itself where
+      the partner is j (momenta 0 and N/2); elsewhere the sign reads 0.
+    - For any other operator `sectors` is None, W is one dense block
+      (F = 1), and those three read None.  `SpectralDecomposition(w,
+      eigenvectors=v)` holds v as that block with P = 1, and `eigenvectors`
+      returns v.
 
-    Rotations go through the frame and index gathers, in O(dim^2 log N +
+    Rotations go through F, the blocks and index gathers, in O(dim^2 log N +
     dim^3 / N) in sector form; the dense V is built on first read of
-    `eigenvectors`.
+    `eigenvectors`.  `columns` and `project` apply V and V^dag to a few
+    columns at a time, reading only the blocks those columns touch.
     """
 
-    def __init__(self, eigenvalues, eigenvectors=None, basis_permutation=None, frame=None):
+    def __init__(self, eigenvalues, eigenvectors):
         w = np.asarray(eigenvalues, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("eigenvalues must form a nonempty 1d array")
         if np.any(np.diff(w) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
-        self._vectors = None
-        if eigenvectors is not None:
-            if basis_permutation is not None or frame is not None:
-                raise ValueError("provide eigenvectors, or a basis_permutation with a frame")
-            self._vectors = as_square_complex(eigenvectors, "eigenvectors")
-            frame, basis_permutation = SectorFrame(None, [self._vectors]), np.arange(w.size)
-        elif basis_permutation is None or frame is None:
-            raise ValueError("a basis_permutation goes with a frame")
-        perm = np.asarray(basis_permutation, dtype=np.intp)
-        if perm.shape != (w.size,) or np.bincount(perm, minlength=w.size).max() != 1:
-            raise ValueError("basis_permutation is not a bijection")
-        if frame.dim != w.size:
-            raise ValueError(f"frame has dim {frame.dim}, spectrum {w.size}")
+        v = as_square_complex(eigenvectors, "eigenvectors")
+        if v.shape[0] != w.size:
+            raise ValueError(f"eigenvectors have dim {v.shape[0]}, spectrum {w.size}")
+        self._hold(w, np.arange(w.size), None, [v])
+        self._vectors = v
+
+    @classmethod
+    def _in_sectors(cls, w, sectors, blocks, partner, parity) -> "SpectralDecomposition":
+        """The sector form: the spectrum w and the `blocks` V_k in the order
+        of W, the reflection partner and parity of each column of W."""
+        order = np.argsort(w, kind="stable")
+        decomp = cls.__new__(cls)
+        decomp._hold(w[order], order, sectors, blocks, partner, parity)
+        return decomp
+
+    def _hold(self, w, perm, sectors, blocks, partner=None, parity=None) -> None:
+        """Keep both forms' fields; the labels of the columns of W are read
+        in the order of the spectrum through perm."""
         self.eigenvalues = w
         self.basis_permutation = perm
-        self.frame = frame
-        self.momenta, self.partner, self.reflection_sign = frame.labels(perm)
+        self.sectors = sectors
+        self._blocks = blocks
+        self._slices = _sector_slices((w.size,) if sectors is None else sectors.dims)
+        self._vectors = None
+        self.momenta = self.partner = self.reflection_sign = None
+        if sectors is not None:
+            inv = np.empty_like(perm)
+            inv[perm] = np.arange(perm.size)
+            self.momenta = sectors.momenta[perm]
+            self.partner = inv[partner[perm]]
+            self.reflection_sign = np.asarray(parity, dtype=np.int8)[perm]
 
     @property
     def dim(self) -> int:
@@ -394,119 +411,82 @@ class SpectralDecomposition:
         if self._vectors is None:
             v = np.zeros((self.dim, self.dim), dtype=np.complex128)
             v[self.basis_permutation, np.arange(self.dim)] = 1.0
-            self._vectors = self.frame.apply(v)
+            self._vectors = self._apply(v)
         return self._vectors
 
-    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """V^dag a V."""
-        a = self.frame.to_frame(a)
-        p = self.basis_permutation
-        return a[np.ix_(p, p)]
+    def _to_sectors(self, x: np.ndarray) -> np.ndarray:
+        """F^dag x, always a new array."""
+        if self.sectors is None:
+            return np.array(x, dtype=np.complex128)
+        return self.sectors.to_sectors(x)
 
-    def from_eigenbasis(self, b: np.ndarray) -> np.ndarray:
-        """V b V^dag."""
-        inv = np.empty(self.dim, dtype=np.intp)
-        inv[self.basis_permutation] = np.arange(self.dim)
-        # rebinding b frees a temporary the caller passed in before from_frame
-        # allocates; passing the gather straight in would keep it alive
-        b = b[np.ix_(inv, inv)]
-        return self.frame.from_frame(b)
+    def _from_sectors(self, y: np.ndarray) -> np.ndarray:
+        """F y."""
+        return y if self.sectors is None else self.sectors.from_sectors(y)
 
-    def diagonal_from_eigenbasis(self, values) -> np.ndarray:
-        """V diag(values) V^dag as a dense matrix."""
-        values = np.asarray(values)
-        d = np.zeros(self.dim, dtype=values.dtype)
-        d[self.basis_permutation] = values
-        return self.frame.diagonal(d)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.diagonal_from_eigenbasis(self.eigenvalues)
-
-
-class SectorFrame:
-    """The unitary W = F (+)_k V_k: a momentum basis F, then a unitary V_k
-    inside each sector k.
-
-    `sectors` supplies F as `to_sectors` (F^dag x) and `from_sectors` (F y)
-    in sector-major order, with the sector dimensions `dims` and the
-    momentum of each position `momenta` (`lattice.MomentumSectors`).  The
-    rotations are O(dim log N) per column for F and O(dim^2 / N) per column
-    for the sector blocks.  With `sectors` None, F = 1 and `vectors` is one
-    dense block, which carries no momenta and no reflection.
-
-    The site reflection maps column p of W to column `partner[p]` (the same
-    column of sector N - k), or, where partner[p] = p, to `parity[p]` = +1
-    or -1 times itself; parity is 0 on the paired columns.
-    """
-
-    def __init__(self, sectors, vectors, partner=None, parity=None):
-        self.sectors = sectors
-        self.vectors = list(vectors)
-        if sectors is None:
-            dims = (self.vectors[0].shape[0],)
-            self.momenta = self.partner = self.parity = None
-            self._to_sectors = lambda x: np.array(x, dtype=np.complex128)
-            self._from_sectors = lambda y: y
-        else:
-            dims = sectors.dims
-            self.momenta = sectors.momenta
-            self._to_sectors, self._from_sectors = sectors.to_sectors, sectors.from_sectors
-            self.partner = np.asarray(partner, dtype=np.intp)
-            self.parity = np.asarray(parity, dtype=np.int8)
-        self.dim = sum(dims)
-        self.slices = _sector_slices(dims)
-        if [v.shape for v in self.vectors] != [(d, d) for d in dims]:
-            raise ValueError("sector vectors do not match the sector dimensions")
-
-    def labels(self, perm: np.ndarray) -> tuple:
-        """The momentum, reflection partner and reflection sign of each column
-        of W P, for P e_j = e_{perm[j]}; three Nones where F = 1."""
-        if self.momenta is None:
-            return None, None, None
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        return self.momenta[perm], inv[self.partner[perm]], self.parity[perm]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         """W x for x whose leading axis has length dim."""
         y = np.empty_like(x, dtype=np.complex128)
-        for sl, v in zip(self.slices, self.vectors):
+        for sl, v in zip(self._slices, self._blocks):
             y[sl] = v @ x[sl]
         return self._from_sectors(y)
 
-    def apply_pairs(self, i, a, j, b) -> np.ndarray:
-        """W (a e_i + b e_j) for each entry of (i, a, j, b), as the columns of
-        a dim-row array; only columns i and j of each sector block are read."""
+    def _adjoint(self, x: np.ndarray) -> np.ndarray:
+        """W^dag x for x whose leading axis has length dim."""
+        y = self._to_sectors(x)
+        for sl, v in zip(self._slices, self._blocks):
+            y[sl] = v.conj().T @ y[sl]
+        return y
+
+    def columns(self, i, a, j, b) -> np.ndarray:
+        """V (a e_i + b e_j) for each entry of (i, a, j, b), as the columns of
+        a dim-row array; only two columns of W are read for each."""
+        perm = self.basis_permutation
+        i, j = perm[i], perm[j]
         y = np.zeros((self.dim, i.size), dtype=np.complex128)
         cols = np.arange(i.size)
-        for sl, v in zip(self.slices, self.vectors):
+        for sl, v in zip(self._slices, self._blocks):
             for p, coefficient in ((i, a), (j, b)):
                 inside = (p >= sl.start) & (p < sl.stop)
                 y[sl, cols[inside]] += v[:, p[inside] - sl.start] * coefficient[inside]
         return self._from_sectors(y)
 
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """W^dag x for x whose leading axis has length dim."""
-        y = self._to_sectors(x)
-        for sl, v in zip(self.slices, self.vectors):
-            y[sl] = v.conj().T @ y[sl]
-        return y
+    def project(self, y: np.ndarray, sets) -> list[np.ndarray]:
+        """Q_p^dag V^dag y for each set Q_p of columns a e_i + b e_j of the
+        eigenbasis, given as (i, a, j, b), from one pass of W^dag over y."""
+        y = self._adjoint(y)
+        perm = self.basis_permutation
+        return [project_pairs(y, (perm[i], a, perm[j], b)) for i, a, j, b in sets]
 
-    def to_frame(self, a: np.ndarray) -> np.ndarray:
-        """W^dag a W = (W^dag (W^dag a)^dag)^dag."""
-        return self.adjoint(self.adjoint(a).conj().T).conj().T
+    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
+        """V^dag a V, through W^dag a W = (W^dag (W^dag a)^dag)^dag."""
+        a = self._adjoint(self._adjoint(a).conj().T).conj().T
+        p = self.basis_permutation
+        return a[np.ix_(p, p)]
 
-    def from_frame(self, b: np.ndarray) -> np.ndarray:
-        """W b W^dag = (W (W b)^dag)^dag."""
-        return self.apply(self.apply(b).conj().T).conj().T
+    def from_eigenbasis(self, b: np.ndarray) -> np.ndarray:
+        """V b V^dag, through W b' W^dag = (W (W b')^dag)^dag for b' = P b P^dag."""
+        inv = np.empty(self.dim, dtype=np.intp)
+        inv[self.basis_permutation] = np.arange(self.dim)
+        # rebinding b frees a temporary the caller passed in before W
+        # allocates; passing the gather straight in would keep it alive
+        b = b[np.ix_(inv, inv)]
+        return self._apply(self._apply(b).conj().T).conj().T
 
-    def diagonal(self, d: np.ndarray) -> np.ndarray:
-        """W diag(d) W^dag, through the block-diagonal F^dag W diag(d) W^dag F."""
+    def diagonal_from_eigenbasis(self, values) -> np.ndarray:
+        """V diag(values) V^dag as a dense matrix, through the block-diagonal
+        F^dag V diag(values) V^dag F."""
+        values = np.asarray(values)
+        d = np.zeros(self.dim, dtype=values.dtype)
+        d[self.basis_permutation] = values
         y = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for sl, v in zip(self.slices, self.vectors):
+        for sl, v in zip(self._slices, self._blocks):
             y[sl, sl] = (v * d[sl][np.newaxis, :]) @ v.conj().T
         f = self._from_sectors
         return f(f(y).conj().T).conj().T
+
+    def reconstruct(self) -> np.ndarray:
+        return self.diagonal_from_eigenbasis(self.eigenvalues)
 
 
 def _sector_slices(dims) -> list[slice]:
@@ -617,10 +597,9 @@ def _sector_decompose(h, sectors) -> SpectralDecomposition:
         parity[k] = parity[k_bar] = np.zeros(w.size, dtype=np.int8)
         partner[sl] = np.arange(slices[k_bar].start, slices[k_bar].stop)
         partner[slices[k_bar]] = np.arange(sl.start, sl.stop)
-    w = np.concatenate(values)
-    order = np.argsort(w, kind="stable")
-    frame = SectorFrame(sectors, vectors, partner, np.concatenate(parity))
-    return SpectralDecomposition(w[order], basis_permutation=order, frame=frame)
+    return SpectralDecomposition._in_sectors(
+        np.concatenate(values), sectors, vectors, partner, np.concatenate(parity)
+    )
 
 
 def _dense_columns(dim: int, i, a, j, b) -> np.ndarray:
@@ -630,6 +609,12 @@ def _dense_columns(dim: int, i, a, j, b) -> np.ndarray:
     out[i, cols] = a
     out[j, cols] += b
     return out
+
+
+def project_pairs(z: np.ndarray, columns) -> np.ndarray:
+    """Q^dag z for the columns a e_i + b e_j of Q, given as (i, a, j, b)."""
+    i, a, j, b = columns
+    return a.conj()[:, np.newaxis] * z[i] + b.conj()[:, np.newaxis] * z[j]
 
 
 def parity_vectors(partner: np.ndarray, phase: np.ndarray) -> list[tuple[np.ndarray, ...]]:

@@ -107,6 +107,24 @@ class TestConfigErrors:
         with pytest.raises(experiments.ConfigError, match="sweep at N=12"):
             experiments.load_config(cfg)
 
+    def test_capacity_guard_counts_the_sizes_jobs_run_at_once(self, tmp_path, monkeypatch, capsys):
+        # --jobs 2 runs N = 10 and 11 at once: 48.7 + 194.6 MB against a
+        # faked 220 MB, of which one size at a time fits
+        each = [experiments.PEAK_FACTORS["sweep"] * 16 * 4**n / 1e6 for n in (10, 11)]
+        assert [round(x, 1) for x in each] == [48.7, 194.6]
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(f"MemAvailable:    {int(220e6 / 1024)} kB\n")
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        cfg = write_config(tmp_path, sizes=[10, 11])
+        assert experiments.load_config(cfg, "sweep", jobs=1).sizes == (10, 11)
+        code = main(["sweep", "--config", cfg, "--jobs", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sweep at N=10, 11 is estimated to peak at {sum(each):.0f} MB" in err
+        assert "above the 220 MB available" in err
+        # verify runs only the first size, whatever --jobs says
+        assert experiments.load_config(cfg, "verify", jobs=2).sizes == (10, 11)
+
     def test_capacity_guard_passes_without_meminfo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "MEMINFO", str(tmp_path / "absent"))
         assert experiments.load_config(write_config(tmp_path, sizes=[12])).sizes == (12,)

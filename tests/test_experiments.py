@@ -553,6 +553,23 @@ class TestWallTime:
         assert len(rows) == 2
         assert all(row.wall_time_s < 0.3 for row in rows)
 
+    def test_rows_exclude_the_blocks_of_e(self, monkeypatch):
+        # E's blocks serve every row of a size, so the row that sorts first
+        # (temporal) must not pay for building them
+        build = experiments.conjugated_in_eigenbasis
+
+        def slow_build(*args):
+            time.sleep(0.3)
+            return build(*args)
+
+        monkeypatch.setattr(experiments, "conjugated_in_eigenbasis", slow_build)
+        cfg = config_from_mapping(
+            base_mapping(averaging=[{"kind": "uniform-spatial"}, {"kind": "temporal", "tau": 1.0}])
+        )
+        rows = convergence_sweep(cfg)
+        assert [row.avg_kind for row in rows] == ["temporal", "uniform-spatial"]
+        assert all(row.wall_time_s < 0.3 for row in rows)
+
 
 class TestUniformSectorRoute:
     @pytest.mark.parametrize(

@@ -90,3 +90,35 @@ def test_the_scan_sees_a_dead_name():
 def test_every_defined_name_is_used_or_exported():
     sources = [p.read_text(encoding="utf-8") for p in [*MODULES, INIT]]
     assert _dead_names(sources, _exported()) == []
+
+
+# the eigenbasis's frame order (W and the sort P of V = W P), which only
+# operators.py maps to and from the order of the spectrum
+FRAME_ATTRIBUTES = {"frame", "basis_permutation"}
+
+
+def _attribute_reads(source: str, names: set[str]) -> list[str]:
+    """The attributes among `names` that the source reads."""
+    tree = ast.parse(source)
+    return sorted(
+        {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr in names
+        }
+    )
+
+
+def test_the_scan_sees_a_frame_read():
+    source = "perm = d.basis_permutation\nd.frame.sectors\nd.sectors\nself.frame = 1\n"
+    assert _attribute_reads(source, FRAME_ATTRIBUTES) == ["basis_permutation", "frame"]
+    assert _attribute_reads("self.frame = 1\n", FRAME_ATTRIBUTES) == []
+
+
+def test_only_operators_reads_frame_coordinates():
+    reads = {
+        p.name: _attribute_reads(p.read_text(encoding="utf-8"), FRAME_ATTRIBUTES)
+        for p in [*MODULES, INIT]
+        if p.name != "operators.py"
+    }
+    assert {name: attrs for name, attrs in reads.items() if attrs} == {}

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from frameavg.averaging import ReflectionParity
 from frameavg.cli import main
 from frameavg.experiments import (
     config_from_mapping,
@@ -51,7 +52,7 @@ class TestSectorForm:
         assert np.abs(decomp.eigenvalues - dense).max() <= 1e-12 * scale
         assert sorted(np.bincount(decomp.momenta, minlength=n)) == sorted(h.sectors.dims)
         chosen = spectral_decompose(h)
-        assert chosen.frame is not None
+        assert chosen.sectors is h.sectors
         assert np.abs(chosen.eigenvalues - dense).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("model,couplings", MODELS[1:])
@@ -100,6 +101,41 @@ THREE_CHANNELS = [
     {"kind": "weighted-spatial", "R": 2.0},
     {"kind": "temporal", "tau": 1.5},
 ]
+
+
+def _dense_columns(dim, i, a, j, b):
+    """The columns a e_i + b e_j of Q as a dense dim-row matrix."""
+    q = np.zeros((dim, i.size), dtype=complex)
+    q[i, np.arange(i.size)] += a
+    q[j, np.arange(i.size)] += b
+    return q
+
+
+class TestSlabPrimitives:
+    @pytest.mark.parametrize("model,couplings", MODELS)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_columns_and_project_match_the_dense_eigenvectors(self, model, couplings, n):
+        # the kick's slabs: columns(i, a, j, b) = V Q and project(y, sets) =
+        # [Q_p^dag V^dag y], for the parity column sets at two kick sites and
+        # for the unit columns
+        decomp = spectral_decompose(_hamiltonian(model, couplings, n))
+        v = decomp.eigenvectors
+        dim = v.shape[0]
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        idx = np.arange(dim)
+        unit = [(idx, np.ones(dim, dtype=complex), idx, np.zeros(dim, dtype=complex))]
+        parity = [ReflectionParity(decomp, site, n).vectors for site in (0, n // 2)]
+        for sets in [*parity, unit]:
+            qs = [_dense_columns(dim, *c) for c in sets]
+            for c, q in zip(sets, qs):
+                expected = v @ q
+                assert max_norm(decomp.columns(*c) - expected) <= 1e-13 * max_norm(expected)
+            projected = decomp.project(y, sets)
+            assert len(projected) == len(sets)
+            for got, q in zip(projected, qs):
+                expected = q.conj().T @ v.conj().T @ y
+                assert max_norm(got - expected) <= 1e-13 * max_norm(expected)
 
 
 class TestNoDenseEigenvectors:

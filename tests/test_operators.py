@@ -107,14 +107,15 @@ class TestSpectralDecompose:
     def test_eigenvectors_adapter_is_a_one_block_frame(self):
         v = random_unitary(3, 4).matrix
         d = SpectralDecomposition([-1.0, 0.5, 2.0], eigenvectors=v)
-        assert d.eigenvectors is d.frame.vectors[0]
-        np.testing.assert_array_equal(d.eigenvectors, v)
+        # v is held as the one block, not copied
+        assert d.eigenvectors is v
         np.testing.assert_array_equal(d.basis_permutation, [0, 1, 2])
-        assert d.frame.sectors is None and d.momenta is None and d.partner is None
-        # a bare permutation no longer stands for a diagonal operator
-        with pytest.raises(ValueError, match="a basis_permutation goes with a frame"):
+        assert d.sectors is None and d.momenta is None and d.partner is None
+        # a bare permutation does not stand for a diagonal operator: the
+        # eigenvectors are required
+        with pytest.raises(TypeError):
             SpectralDecomposition([-1.0, 1.0], basis_permutation=[1, 0])
-        with pytest.raises(ValueError, match="frame has dim 3, spectrum 2"):
+        with pytest.raises(ValueError, match="eigenvectors have dim 3, spectrum 2"):
             SpectralDecomposition([-1.0, 1.0], eigenvectors=v)
 
     def test_random_reconstruction(self):
