@@ -96,8 +96,7 @@ def relative_entropy(
         if sigma.dim != rho.dim:
             raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
         s_sigma = von_neumann_entropy(sigma).nats
-        value = -s_sigma + rho.beta * rho.energy(sigma.matrix) + rho.log_partition
-        return EntropyValue(_clamped(value))
+        return EntropyValue(rho.relative_entropy_of(s_sigma, rho.energy(sigma.matrix)))
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
     w, v = np.linalg.eigh(rho.matrix)

@@ -15,8 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .lattice import (
 )
 from .operators import (
     BlockDensityMatrix,
-    DensityMatrix,
     commutator,
     frobenius_norm,
     max_norm,
@@ -120,8 +118,17 @@ class ExperimentConfig:
                 f"unknown tolerance_overrides {unknown}; known names: "
                 f"{sorted(IDENTITY_TOLERANCES)}"
             )
+        for name, value in overrides.items():
+            # a negative or NaN tolerance fails every residual
+            if not value >= 0.0:
+                raise ConfigError(
+                    f"tolerance_overrides.{name} must be nonnegative, got {value!r}"
+                )
         object.__setattr__(self, "tolerance_overrides", overrides)
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
     def tolerance(self, name: str) -> float:
         return self.tolerance_overrides.get(name, IDENTITY_TOLERANCES[name])
@@ -134,6 +141,12 @@ def _require_keys(mapping: dict, required: tuple, optional: tuple, where: str):
     missing = [k for k in required if k not in mapping]
     if missing:
         raise ConfigError(f"missing keys {missing} in {where}")
+
+
+def _parse_integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_number(value, where: str) -> float:
@@ -224,7 +237,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     _require_keys(kick_data, ("site", "generator", "strength"), (), "kick")
     try:
         kick = PerturbationSpec(
-            int(kick_data["site"]),
+            _parse_integer(kick_data["site"], "kick.site"),
             _parse_generator(kick_data["generator"], "kick.generator"),
             _parse_number(kick_data["strength"], "kick.strength"),
         )
@@ -235,11 +248,7 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
     if not isinstance(data["sizes"], list):
         raise ConfigError("sizes must be a list of integers")
-    sizes = []
-    for n in data["sizes"]:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError(f"sizes entries must be integers, got {n!r}")
-        sizes.append(n)
+    sizes = [_parse_integer(n, f"sizes[{i}]") for i, n in enumerate(data["sizes"])]
 
     overrides = data.get("tolerance_overrides")
     if overrides is not None:
@@ -251,17 +260,13 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path must be a string")
 
-    seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-
     return ExperimentConfig(
         model=model,
         sizes=tuple(sizes),
         beta=_parse_number(data["beta"], "beta"),
         kick=kick,
         averaging=_parse_averaging(data["averaging"], "averaging"),
-        seed=seed,
+        seed=_parse_integer(data["seed"], "seed"),
         output_path=output_path,
         tolerance_overrides=overrides,
     )
@@ -328,7 +333,8 @@ def _mem_available() -> int | None:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One sweep row; construction enforces the finite-size-exact identities."""
+    """One sweep row, its fields in CSV_HEADER's column order; construction
+    enforces the finite-size-exact identities."""
 
     model: str
     n: int
@@ -373,21 +379,17 @@ class ExperimentRecord:
 
 
 class _SizeContext:
-    """Everything one chain size contributes to every averaging kind.
+    """One chain size's setup, shared by every averaging kind.
 
     The state (H held as its bit-flip terms, its dense matrix never built
-    here), the kick and the translation, and the kick in the joint H-T
-    eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In that
-    basis rho = diag(p) and H = diag(E), and every channel is a Schur
+    here), the kick and the translation, S(rho), and the kick in the joint
+    H-T eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In
+    that basis rho = diag(p) and H = diag(E), and every channel is a Schur
     multiplier (`Channel`).  The reflection about the kicked site (`parity`)
     commutes with all of them, and u~ is built straight into its two parity
-    blocks (`u_blocks`), a column slab at a time behind the off-parity gate;
-    from there rho', E and their averages exist only as parity blocks.
-    `conjugated` is the blocks of E = u_beta u_beta^dag; building them
-    scales the blocks of u~ in place, so a sweep builds its rho' blocks from
-    them first.  `rho_prime`
-    is rho' = U rho U^dag in the computational basis, where verify's state
-    route averages it; neither rho' is built unless read.
+    blocks (`u_blocks`), a column slab at a time behind the off-parity gate.
+    `conjugated_in_eigenbasis` consumes those blocks into E's, so a caller
+    builds rho' from them (`kicked_in_eigenbasis`) first.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int):
@@ -401,29 +403,6 @@ class _SizeContext:
         # equals tr(rho E) and this conditioned evaluation covers all records
         self.u_blocks, self.normalization = eigenbasis_kick(self.state, self.kick, self.parity)
 
-    @cached_property
-    def rho_prime(self) -> DensityMatrix:
-        return perturb(self.state, self.kick)
-
-    @cached_property
-    def conjugated(self) -> list[np.ndarray]:
-        blocks = conjugated_in_eigenbasis(self.state, self.u_blocks, self.parity)
-        del self.u_blocks
-        return blocks
-
-    def record_kick(
-        self, rho_prime: BlockDensityMatrix, energy_prime: float, work_done: float
-    ) -> None:
-        """S(rho'), beta W and S(rho'|rho) of the kicked state rho' with
-        energy tr(H rho') and work W.  A sweep row's construction gates beta W
-        against S(rho'|rho); verify reports the gap as its work identity."""
-        self.s_rho_prime = von_neumann_entropy(rho_prime).nats
-        beta = self.state.beta
-        self.beta_w = beta * work_done
-        self.rel_ent_prime = max(
-            0.0, -self.s_rho_prime + beta * energy_prime + self.state.log_partition
-        )
-
 
 def _sweep_size(
     cfg: ExperimentConfig, n: int, kinds: list[AveragingKind]
@@ -433,26 +412,40 @@ def _sweep_size(
     eigenbasis as its two parity blocks, and tr(H rho') pairs their
     diagonals with the energies.  The state route of every kind runs first,
     and rho' is released before E's blocks consume those of u~, so the two
-    routes' blocks are never held at once."""
+    routes' blocks are never held at once.  A row's construction gates
+    beta W against S(rho'|rho)."""
     ctx = _SizeContext(cfg, n)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}")
-    kicked = kicked_in_eigenbasis(ctx.state, ctx.u_blocks, ctx.parity)
-    energies = ctx.state.hamiltonian_decomp.eigenvalues
+    state = ctx.state
+    kicked = kicked_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
+    energies = state.hamiltonian_decomp.eigenvalues
     energy_prime = sum(
         float(np.dot(h, np.diagonal(b).real))
         for h, b in zip(ctx.parity.split(energies), kicked.blocks)
     )
-    work_done = energy_prime - float(np.dot(energies, ctx.state.populations))
-    ctx.record_kick(kicked, energy_prime, work_done)
-    channels = [kind.bind(ctx.state, ctx.translation, n) for kind in kinds]
+    s_rho_prime = von_neumann_entropy(kicked).nats
+    # the fields every row of this size shares
+    shared = dict(
+        model=cfg.model.model,
+        n=n,
+        beta=cfg.beta,
+        kick_site=cfg.kick.site,
+        kick_strength=cfg.kick.strength,
+        s_rho=ctx.s_rho,
+        s_rho_prime=s_rho_prime,
+        rel_ent_prime=state.relative_entropy_of(s_rho_prime, energy_prime),
+        beta_w=state.beta * (energy_prime - float(np.dot(energies, state.populations))),
+        entropy_density=ctx.s_rho / n,
+    )
+    channels = [kind.bind(state, ctx.translation, n) for kind in kinds]
     states = [_state_route(ctx, channel, kicked.blocks) for channel in channels]
     del kicked
     # E's blocks are size setup too: built here, so that no row's timer pays for them
-    ctx.conjugated
+    e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
     return [
-        _record_for(cfg, ctx, kind, channel, *state)
-        for kind, channel, state in zip(kinds, channels, states)
+        _record_for(ctx, shared, e_blocks, kind, channel, *route)
+        for kind, channel, route in zip(kinds, channels, states)
     ]
 
 
@@ -474,16 +467,18 @@ def _state_route(
 
 
 def _record_for(
-    cfg: ExperimentConfig,
     ctx: _SizeContext,
+    shared: dict,
+    e_blocks: list[np.ndarray],
     kind: AveragingKind,
     channel: Channel,
     s_m: float,
     energy: float,
     state_seconds: float,
 ) -> ExperimentRecord:
-    """One sweep row from its state route's S(M rho') and tr(H M rho'); its
-    wall time covers the channel work of both routes, not the size setup.
+    """One sweep row from the size's `shared` fields and its state route's
+    S(M rho') and tr(H M rho'); its wall time covers the channel work of
+    both routes, not the size setup.
 
     The operator route averages the parity blocks of E (`Channel.parity_blocks`),
     and the ME statistics pair the blocks of ME with the populations on
@@ -493,28 +488,18 @@ def _record_for(
     """
     start = time.perf_counter()
     state = ctx.state
-    me_blocks, rows = channel.parity_blocks(ctx.conjugated, ctx.parity)
+    me_blocks, rows = channel.parity_blocks(e_blocks, ctx.parity)
     report, bs_value = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
-    rel_ent_avg = max(0.0, -s_m + cfg.beta * energy + state.log_partition)
+    rel_ent_avg = state.relative_entropy_of(s_m, energy)
     elapsed = state_seconds + time.perf_counter() - start
-    n = ctx.lattice.sites
     return ExperimentRecord(
-        model=cfg.model.model,
-        n=n,
-        beta=cfg.beta,
-        kick_site=cfg.kick.site,
-        kick_strength=cfg.kick.strength,
+        **shared,
         avg_kind=kind.kind,
         avg_param=kind.parameter,
-        s_rho=ctx.s_rho,
-        s_rho_prime=ctx.s_rho_prime,
         s_m_rho_prime=s_m,
-        rel_ent_prime=ctx.rel_ent_prime,
         rel_ent_avg=rel_ent_avg,
         bs_rel_ent_avg=bs_value,
-        beta_w=ctx.beta_w,
         me_deviation=report.op_norm,
-        entropy_density=ctx.s_rho / n,
         wall_time_s=elapsed,
     )
 
@@ -542,9 +527,9 @@ def saturation_scan(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentReco
     """Entropy gain versus coarse-graining scale R at one fixed chain size."""
     if len(cfg.sizes) != 1:
         raise ConfigError("saturation scans run at a single chain size")
-    scales = [k.parameter for k in cfg.averaging if k.kind == WEIGHTED_SPATIAL]
-    if not scales:
-        raise ConfigError("saturation scans need weighted-spatial entries")
+    if any(k.kind != WEIGHTED_SPATIAL for k in cfg.averaging):
+        raise ConfigError("saturation scans take weighted-spatial entries only")
+    scales = [k.parameter for k in cfg.averaging]
     if scales != sorted(scales):
         raise ConfigError("weighted-spatial scales must ascend")
     return convergence_sweep(cfg, jobs=jobs)
@@ -643,34 +628,32 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     n = cfg.sizes[0]
     ctx = _SizeContext(cfg, n)
     state = ctx.state
-    ctx.record_kick(
-        ctx.rho_prime,
-        state.energy(ctx.rho_prime.matrix),
-        work(state.hamiltonian, state.rho, ctx.rho_prime),
-    )
+    rho_prime = perturb(state, ctx.kick)
+    s_rho_prime = von_neumann_entropy(rho_prime).nats
+    beta_w = state.beta * work(state.hamiltonian, state.rho, rho_prime)
     checks = []
 
     checks.append(
         IdentityCheck(
             "unitary-invariance",
-            abs(ctx.s_rho_prime - ctx.s_rho),
+            abs(s_rho_prime - ctx.s_rho),
             cfg.tolerance("unitary-invariance"),
         )
     )
 
-    rel_prime_direct = relative_entropy(ctx.rho_prime, state).nats
+    rel_prime_direct = relative_entropy(rho_prime, state).nats
     checks.append(
         IdentityCheck(
             "work-identity",
-            abs(ctx.beta_w - rel_prime_direct),
+            abs(beta_w - rel_prime_direct),
             cfg.tolerance("work-identity"),
         )
     )
 
-    averaged = frame_average(ctx.rho_prime, ctx.translation, n)
+    averaged = frame_average(rho_prime, ctx.translation, n)
     rel_avg = relative_entropy(averaged, state).nats
     decomposition = (
-        -von_neumann_entropy(averaged).nats + ctx.s_rho_prime + rel_prime_direct
+        -von_neumann_entropy(averaged).nats + s_rho_prime + rel_prime_direct
     )
     checks.append(
         IdentityCheck(
@@ -690,7 +673,8 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     # joint eigenbasis, paired with the exact populations there; the state
     # route above ran in the computational basis
     uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)
-    me_blocks, rows = uniform.parity_blocks(ctx.conjugated, ctx.parity)
+    e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
+    me_blocks, rows = uniform.parity_blocks(e_blocks, ctx.parity)
     me_report, bs_from_me = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
     checks.append(
         IdentityCheck(
@@ -742,26 +726,8 @@ def _format_cell(value) -> str:
 
 
 def record_to_row(record: ExperimentRecord) -> str:
-    cells = (
-        record.model,
-        record.n,
-        record.beta,
-        record.kick_site,
-        record.kick_strength,
-        record.avg_kind,
-        record.avg_param,
-        record.s_rho,
-        record.s_rho_prime,
-        record.s_m_rho_prime,
-        record.rel_ent_prime,
-        record.rel_ent_avg,
-        record.bs_rel_ent_avg,
-        record.beta_w,
-        record.me_deviation,
-        record.entropy_density,
-        record.wall_time_s,
-    )
-    return ",".join(_format_cell(c) for c in cells)
+    """The record's cells in field order, which is CSV_HEADER's."""
+    return ",".join(_format_cell(getattr(record, f.name)) for f in fields(record))
 
 
 def emit_csv(records: list[ExperimentRecord], path: str) -> None:

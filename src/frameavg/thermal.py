@@ -72,6 +72,13 @@ class ThermalState:
         """tr(H sigma) for a state given as a plain matrix."""
         return trace_product(self.hamiltonian.matrix, matrix).real
 
+    def relative_entropy_of(self, entropy: float, energy: float) -> float:
+        """S(sigma|rho) = -S(sigma) + beta tr(H sigma) + log Z for a state
+        sigma with entropy S(sigma) and energy tr(H sigma).  Negative values,
+        which round-off reaches only at the 1e-10 scale, clamp to 0; NaN is
+        passed on for the caller's gate."""
+        return max(float(-entropy + self.beta * energy + self.log_partition), 0.0)
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:

@@ -137,6 +137,31 @@ class TestConfigErrors:
         code = main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("site", (2.7, "1", True))
+    def test_kick_site_must_be_an_integer(self, tmp_path, capsys, site):
+        kick = {"site": site, "generator": "X", "strength": 0.7}
+        code = main(["sweep", "--config", write_config(tmp_path, kick=kick)])
+        assert code == 2
+        assert "kick.site must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("verify", "sweep"))
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command):
+        code = main([command, "--config", write_config(tmp_path, seed=-1)])
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", (-1.0, float("nan")))
+    def test_unpassable_tolerance_exits_two(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, tolerance_overrides={"bs-equality": value})
+        code = main(["verify", "--config", cfg])
+        assert code == 2
+        assert "tolerance_overrides.bs-equality must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", (0.0, float("inf")))
+    def test_zero_and_infinite_tolerances_load(self, tmp_path, value):
+        cfg = write_config(tmp_path, tolerance_overrides={"bs-equality": value})
+        assert experiments.load_config(cfg).tolerance("bs-equality") == value
+
 
 class TestSweepCommand:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -202,6 +227,21 @@ class TestSaturateCommand:
         code = main(["saturate", "--config", write_config(tmp_path)])
         assert code == 2
         assert "weighted" in capsys.readouterr().err
+
+    def test_mixed_kinds_exit_two(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            averaging=[
+                {"kind": "uniform-spatial"},
+                {"kind": "weighted-spatial", "R": 2.0},
+                {"kind": "temporal", "tau": 1.5},
+            ],
+        )
+        code = main(["saturate", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "weighted-spatial entries only" in captured.err
 
 
 class TestProbeCommand:

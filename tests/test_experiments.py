@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -597,7 +598,7 @@ class TestUniformSectorRoute:
         for record in convergence_sweep(cfg):
             n = record.n
             ctx = _SizeContext(cfg, n)
-            averaged = frame_average(ctx.rho_prime, ctx.translation, n)
+            averaged = frame_average(perturb(ctx.state, ctx.kick), ctx.translation, n)
             s_m = von_neumann_entropy(averaged).nats
             rel_ent_avg = max(
                 0.0, -s_m + beta * ctx.state.energy(averaged.matrix) + ctx.state.log_partition
@@ -621,6 +622,11 @@ class TestCsv:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 17
+
+    def test_header_names_the_record_fields_in_order(self):
+        # record_to_row writes the fields in declaration order under this header
+        names = [f.name for f in dataclasses.fields(ExperimentRecord)]
+        assert [h.lower() for h in CSV_HEADER.split(",")] == names
 
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

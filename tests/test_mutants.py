@@ -81,7 +81,7 @@ def test_operator_side_kick_strength_trips_bs_equality(monkeypatch):
         stronger = replace(cfg, kick=stronger_kick)
         other = object.__new__(type(self))
         build(other, stronger, n)
-        self.conjugated = other.conjugated
+        self.u_blocks = other.u_blocks
 
     monkeypatch.setattr(_SizeContext, "__init__", mutated)
     check = bs_equality(verify_identities(cfg))

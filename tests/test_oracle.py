@@ -16,6 +16,7 @@ import pytest
 from frameavg.averaging import frame_average, temporal_average, weighted_frame_average
 from frameavg.entropy import bs_relative_entropy
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
+from frameavg.thermal import perturb
 
 mpmath = pytest.importorskip("mpmath")
 from oracle_mp import channel_reference  # noqa: E402
@@ -65,12 +66,13 @@ def operator_route_bound(spectrum):
 def state_route(ctx, kind, parameter, n):
     """The computational-basis state route: the channel applied to rho' by its
     public dense function, then bs_relative_entropy."""
+    rho_prime = perturb(ctx.state, ctx.kick)
     if kind == "uniform-spatial":
-        averaged = frame_average(ctx.rho_prime, ctx.translation, n)
+        averaged = frame_average(rho_prime, ctx.translation, n)
     elif kind == "weighted-spatial":
-        averaged = weighted_frame_average(ctx.rho_prime, ctx.translation, n, parameter)
+        averaged = weighted_frame_average(rho_prime, ctx.translation, n, parameter)
     else:
-        averaged = temporal_average(ctx.rho_prime, ctx.state.hamiltonian_decomp, parameter)
+        averaged = temporal_average(rho_prime, ctx.state.hamiltonian_decomp, parameter)
     return bs_relative_entropy(averaged, ctx.state).nats
 
 
