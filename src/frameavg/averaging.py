@@ -245,7 +245,12 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     cur = inv
     for n in range(1, n_terms):
         if weights[n] != 0.0:
-            acc = acc + weights[n] * a[np.ix_(cur, cur)]
+            # in place, bit for bit acc + w_n * translate, with one
+            # translate alive at a time
+            g = a[np.ix_(cur, cur)].astype(acc.dtype, copy=False)
+            g *= weights[n]
+            acc += g
+            del g
         cur = cur[inv]
     if not np.array_equal(cur, np.arange(dim)):
         raise ValueError(f"translation operator does not have order {n_terms}")

@@ -133,6 +133,29 @@ class TestFrameAverage:
         with pytest.raises(ValueError, match="basis permutation"):
             average_translates(rho_prime.matrix, dense_t, 4)
 
+    @pytest.mark.parametrize("dtype", (float, complex))
+    def test_translates_sum_left_to_right_bit_for_bit(self, dtype):
+        # w_0 a + w_1 T a T^-1 + ... + w_{N-1} T^{N-1} a T^{-(N-1)}, summed
+        # in that order, each translate an exact reindexing
+        n = 5
+        t = translation_operator(LatticeSpec(n))
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((32, 32)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((32, 32))
+        translates = [a]
+        for _ in range(1, n):
+            translates.append(t.conjugate(translates[-1]))
+        for weights, average in (
+            (np.full(n, 1.0 / n), lambda x: average_translates(x, t, n)),
+            (distance_weights(n, 0.7), lambda x: weighted_average_translates(x, t, n, 0.7)),
+            (distance_weights(n, 2.0), lambda x: weighted_average_translates(x, t, n, 2.0)),
+        ):
+            expected = weights[0] * translates[0]
+            for w, g in zip(weights[1:], translates[1:]):
+                expected = expected + w * g
+            assert np.array_equal(average(a), expected)
+
     def test_bit_stable_repetition(self):
         _, _, _, rho_prime, t = ising_setup()
         a = average_translates(rho_prime.matrix, t, 4)

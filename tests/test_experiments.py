@@ -426,6 +426,39 @@ class TestVerifyIdentities:
         assert verify_identities(cfg).passed
         assert calls == [(16, 16), (16, 16), (16, 16)]
 
+    @pytest.mark.parametrize("n_channels", (1, 3))
+    def test_each_probe_is_drawn_and_commuted_with_h_once(self, monkeypatch, n_channels):
+        # every channel is tested on the same five probes: one [H, X] per
+        # probe, and one [H, M X] per probe and channel
+        channels = [
+            {"kind": "uniform-spatial"},
+            {"kind": "weighted-spatial", "R": 2.0},
+            {"kind": "temporal", "tau": 1.5},
+        ][:n_channels]
+        tfi = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+        cfg = config_from_mapping(base_mapping(model=tfi, averaging=channels))
+        commutators = []
+        commutator = experiments.commutator
+        monkeypatch.setattr(
+            experiments, "commutator", lambda a, b: commutators.append(None) or commutator(a, b)
+        )
+        draws = []
+        generator = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = generator(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        assert verify_identities(cfg).passed
+        assert len(commutators) == 5 * (1 + n_channels)
+        # each probe is one real and one imaginary draw
+        assert draws == [(16, 16)] * 10
+
     def test_work_identity_is_reported_against_its_tolerance(self, monkeypatch, tmp_path, capsys):
         # a beta W off by 1e-8 reaches the work-identity line instead of
         # stopping verify before it reports

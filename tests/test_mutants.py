@@ -18,6 +18,8 @@ then applies one mutation with monkeypatch and sees the same check fail:
   M X taken from the same block of X alone: the uniform and weighted M rho'
   fail the trace gate, and their spectra leave the oracle at N = 3 and 4,
   while the temporal row, whose cross term is zero, stays on it.
+- a channel whose dense `apply` conjugates by the kick, which does not
+  commute with H: `verify`'s gracefulness line fails by orders of magnitude.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -37,7 +39,7 @@ from frameavg.experiments import (
     verify_identities,
 )
 from frameavg.operators import UnitaryOperator
-from frameavg.thermal import PerturbationSpec
+from frameavg.thermal import PerturbationSpec, local_kick
 
 mpmath = pytest.importorskip("mpmath")
 from oracle_mp import channel_reference  # noqa: E402
@@ -87,6 +89,27 @@ def test_operator_side_kick_strength_trips_bs_equality(monkeypatch):
     check = bs_equality(verify_identities(cfg))
     assert not check.passed
     assert check.residual > 10 * check.tolerance
+
+
+def gracefulness(report):
+    return next(c for c in report.checks if c.name == "gracefulness")
+
+
+def test_a_channel_the_dynamics_do_not_fix_trips_gracefulness(monkeypatch):
+    cfg = config([4], [{"kind": "uniform-spatial"}, {"kind": "temporal", "tau": 1.5}])
+    assert gracefulness(verify_identities(cfg)).passed
+    bind = AveragingKind.bind
+
+    def kick_conjugation(self, state, t, n_terms):
+        # U X U^dag is a unitary channel, but U does not commute with H, so
+        # M [H, X] and [H, M X] part; the parity blocks stay the clean ones
+        kick = local_kick(lattice.LatticeSpec(n_terms), cfg.kick)
+        return replace(bind(self, state, t, n_terms), apply=kick.conjugate)
+
+    monkeypatch.setattr(AveragingKind, "bind", kick_conjugation)
+    check = gracefulness(verify_identities(cfg))
+    assert not check.passed
+    assert check.residual > 1e6 * check.tolerance
 
 
 def test_weighted_operator_side_with_another_r_trips_the_oracle(monkeypatch):

@@ -8,6 +8,7 @@ from frameavg import (
     MatrixFunctionDomainError,
     SpectralDecomposition,
     UnitaryOperator,
+    commutator,
     matrix_function,
     max_norm,
     operator_norm,
@@ -16,6 +17,7 @@ from frameavg import (
     spectral_decompose,
     trace_product,
 )
+from frameavg.lattice import HamiltonianSpec, LatticeSpec, build_hamiltonian
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -232,3 +234,55 @@ def test_trace_product_matches_full_product():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     assert abs(trace_product(a, b) - np.trace(a @ b)) < 1e-12
+
+
+class TestCommutator:
+    """a @ b - b @ a; for an a without imaginary part, from float64 GEMMs."""
+
+    @staticmethod
+    def operands(dim, rng):
+        x = rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim))
+        c = np.ascontiguousarray(x[:dim, :dim])
+        return {
+            "c-order": c,
+            # the temporal channel's dense output is such a transpose
+            "transpose": c.conj().T,
+            "strided": x[::2, ::2],
+        }
+
+    @pytest.mark.parametrize(
+        "model,couplings",
+        [
+            ("transverse-field-ising", {"J": 1.0, "g": 0.9}),
+            ("heisenberg-xxz", {"J": 1.0, "delta": 0.5}),
+        ],
+    )
+    def test_real_h_matches_the_complex_products(self, model, couplings):
+        h = build_hamiltonian(LatticeSpec(7), HamiltonianSpec(model, couplings)).matrix
+        assert np.iscomplexobj(h) and not h.imag.any()
+        rng = np.random.default_rng(3)
+        for name, b in self.operands(h.shape[0], rng).items():
+            out = commutator(h, b)
+            assert out.dtype == np.complex128, name
+            scale = max_norm(np.abs(h) @ np.abs(b))
+            assert max_norm(out - (h @ b - b @ h)) <= 1e-15 * scale, name
+
+    def test_real_dtype_a_matches_the_complex_products(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((96, 96))
+        for name, b in self.operands(96, rng).items():
+            scale = max_norm(np.abs(a) @ np.abs(b))
+            assert max_norm(commutator(a, b) - (a @ b - b @ a)) <= 1e-15 * scale, name
+
+    def test_complex_a_takes_the_dense_products(self):
+        rng = np.random.default_rng(5)
+        a = random_hermitian(64, rng).matrix
+        for name, b in self.operands(64, rng).items():
+            assert np.array_equal(commutator(a, b), a @ b - b @ a), name
+
+    def test_real_b_takes_the_dense_products(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 32, 32))
+        out = commutator(a, b)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, a @ b - b @ a)
