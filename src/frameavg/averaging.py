@@ -12,14 +12,16 @@ place that dispatches on the kind tag.  A channel applies itself densely in
 the computational basis, and it carries its form in the joint H-T
 eigenbasis: H commutes with T, so one basis diagonalises H, rho and T
 together, and there every channel is a Schur multiplier.  The reflection
-about the kicked site (`ReflectionParity`) commutes with all of them, so
-`Channel.parity_blocks` maps the even and odd blocks of a matrix straight
-to those of its average by one rule for all three kinds.
+about the kicked site commutes with all of them, and so does a global spin
+flip that H and the kick commute with, so `Channel.parity_blocks` maps the
+labelled blocks of a matrix (`ReflectionParity`: its even and odd blocks,
+per flip sign where there is a flip) straight to those of its average by
+one rule for all three kinds.
 
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
 averaged entropy production dies off with system size, in the computational
-basis (`conjugated_perturbation`) or, with rho', as parity blocks in the
+basis (`conjugated_perturbation`) or, with rho', as labelled blocks in the
 eigenbasis of H (`eigenbasis_kick`, `kicked_in_eigenbasis`,
 `conjugated_in_eigenbasis`), which are never joined into whole matrices.
 
@@ -43,8 +45,8 @@ from .operators import (
     SpectralDecomposition,
     UnitaryOperator,
     max_norm,
-    parity_vectors,
     project_pairs,
+    symmetry_split,
 )
 from .thermal import ThermalState
 
@@ -58,7 +60,7 @@ TAU_IDENTITY_FLOOR = 1e-12
 # eigenvalues closer than this fraction of the spectral width dephase as one block
 DEGENERACY_RTOL = 1e-10
 
-# off-parity entries a split tolerates, relative to the entry scale
+# off-label entries a split tolerates, relative to the entry scale
 PARITY_RTOL = 1e-10
 
 # columns of u~ that _kick_blocks builds at a time
@@ -177,36 +179,41 @@ class Channel:
     def parity_blocks(
         self, x_blocks: list[np.ndarray], parity: ReflectionParity
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The blocks of M X from the parity blocks of a P_s-invariant X~, and
-        the eigenvector i of each of their rows, where a diagonal operator
-        such as H or rho takes its value there.
+        """The blocks of M X from the labelled blocks of a P_s-invariant X~
+        (`ReflectionParity`), and the eigenvector i of each of their rows,
+        where a diagonal operator such as H or rho takes its value there.
 
         With A = Omega(i, l) and B = Omega(i, pi(l)) over a block's rows i
         and columns l (pi the reflection partner),
 
             (M X)_ee = (A + B) / 2 o X_ee + (A - B) / 2 o X_oo,
 
-        and the same with e and o swapped, the second term taken between
-        partnered rows only: A = B where a row or column is fixed (w^ is even
-        and 2k = 0 there) and everywhere for the temporal channel (partners
-        share energies).  With classes, the blocks are their class blocks.
+        and the same with e and o swapped, where e and o are the P_s-even
+        and P_s-odd blocks of one flip sign (`parity.mates`), the second term
+        taken between partnered rows only: A = B where a row or column is
+        fixed (w^ is even and 2k = 0 there) and everywhere for the temporal
+        channel (partners share energies).  Every channel commutes with the
+        flip, so blocks of different flip signs never mix.  With classes,
+        the blocks are their class blocks.
         """
         if self.weights is None:
             raise ValueError("the channel has no form in the eigenbasis H was solved in")
         out, rows = [], []
         for q, x in enumerate(x_blocks):
             i, j = parity.rows[q], parity.partners[q]
-            # the other block; with one block there are no partnered rows
-            other = x_blocks[-1 - q]
+            # the block of the same flip sign and the other parity; where
+            # there is none, there are no partnered rows
+            mate = parity.mates[q]
+            pairs = 0 if mate is None else parity.pairs[q]
             labels = np.zeros(i.size) if self.classes is None else self.classes[i]
             for g in (np.flatnonzero(labels == c) for c in np.unique(labels)):
                 y = x[np.ix_(g, g)]
                 a = self.weights(i[g], i[g])
                 if a is not None:
                     b = self.weights(i[g], j[g])
-                    # g ascends and the partnered rows lead every parity
-                    # block in the same order, so g[:m] are those rows in both
-                    m = np.count_nonzero(g < parity.pairs)
+                    # g ascends and the partnered rows lead both mates in
+                    # the same order, so g[:m] are those rows in both
+                    m = np.count_nonzero(g < pairs)
                     diff = a[:m, :m] - b[:m, :m]
                     # in place, so that no more than four block-sized
                     # arrays are alive at once
@@ -215,11 +222,12 @@ class Channel:
                     a /= 2
                     y *= a
                     del a
-                    cross = other[np.ix_(g[:m], g[:m])]
-                    cross *= diff
-                    del diff
-                    cross /= 2
-                    y[:m, :m] += cross
+                    if m:
+                        cross = x_blocks[mate][np.ix_(g[:m], g[:m])]
+                        cross *= diff
+                        del diff
+                        cross /= 2
+                        y[:m, :m] += cross
                 out.append(y)
                 rows.append(i[g])
         return out, rows
@@ -229,7 +237,12 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     """sum_n w_n T^n a T^-n with fixed left-to-right accumulation, each
     translate a reindexing of a by the permutation of T.
 
-    Verifies T^n_terms = 1 along the way and raises if the order is off.
+    Where T moves the content of every site s sites on (`_site_shift`), the
+    reindexing is a transpose: with a viewed as a tensor of one axis per
+    site of its row and of its column, T^n a T^-n rolls the row axes and
+    the column axes each by n s, and is made contiguous; any other
+    permutation is gathered.  Verifies T^n_terms = 1 along the way and
+    raises if the order is off.
     """
     dim = a.shape[0]
     if t.dim != dim:
@@ -241,13 +254,21 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     perm = t.permutation
     inv = np.empty_like(perm)
     inv[perm] = np.arange(dim)
+    shift = _site_shift(inv, n_terms)
+    if shift is not None:
+        tensor = a.reshape((round(dim ** (1.0 / n_terms)),) * (2 * n_terms))
     acc = weights[0] * a
     cur = inv
     for n in range(1, n_terms):
         if weights[n] != 0.0:
             # in place, bit for bit acc + w_n * translate, with one
             # translate alive at a time
-            g = a[np.ix_(cur, cur)].astype(acc.dtype, copy=False)
+            if shift is None:
+                g = a[np.ix_(cur, cur)].astype(acc.dtype, copy=False)
+            else:
+                axes = np.roll(np.arange(n_terms), n * shift)
+                g = tensor.transpose(*axes, *(axes + n_terms))
+                g = np.ascontiguousarray(g, dtype=acc.dtype).reshape(dim, dim)
             g *= weights[n]
             acc += g
             del g
@@ -255,6 +276,27 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     if not np.array_equal(cur, np.arange(dim)):
         raise ValueError(f"translation operator does not have order {n_terms}")
     return acc
+
+
+def _site_shift(inv: np.ndarray, n_sites: int) -> int | None:
+    """The s for which the basis permutation of T (given by its inverse
+    inv) moves the content of each of n_sites sites of equal dimension s
+    sites on, site 0 the most significant digit: read off where T sends a
+    lone digit at site 0, and checked against inv as a whole, as the roll
+    of the sites' axes that `_translate_conjugations` makes.  None where T
+    is no such roll."""
+    dim = inv.size
+    d = round(dim ** (1.0 / n_sites))
+    if n_sites < 2 or d < 2 or d**n_sites != dim:
+        return None
+    digits = (np.flatnonzero(inv == d ** (n_sites - 1)) // d ** np.arange(n_sites - 1, -1, -1)) % d
+    moved = np.flatnonzero(digits)
+    if moved.size != 1:
+        return None
+    shift = int(moved[0])
+    axes = np.roll(np.arange(n_sites), shift)
+    rolled = np.arange(dim).reshape((d,) * n_sites).transpose(axes).ravel()
+    return shift if np.array_equal(rolled, inv) else None
 
 
 def average_translates(a: np.ndarray, t: UnitaryOperator, n_terms: int) -> np.ndarray:
@@ -375,17 +417,16 @@ def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    columns = [_unit_columns(state.dim)]
-    return _normalization(state, _kick_blocks(state.hamiltonian_decomp, u, columns), columns)
+    blocks = _kick_blocks(state.hamiltonian_decomp, u)
+    return _normalization(state, blocks, [np.arange(state.dim)])
 
 
-def _normalization(state: ThermalState, blocks: list[np.ndarray], columns) -> float:
-    """sum_j p_j |u~ e_j|^2 over the column sets of the blocks of u~."""
+def _normalization(state: ThermalState, blocks: list[np.ndarray], rows) -> float:
+    """sum_j p_j |u~ e_j|^2 over the blocks of u~, whose columns carry the
+    populations of the eigenvectors `rows`."""
     # a column's i carries its population: partners share their energy
     p = state.populations
-    return float(
-        sum((p[c[0]][np.newaxis, :] * np.abs(b) ** 2).sum() for b, c in zip(blocks, columns))
-    )
+    return float(sum((p[r][np.newaxis, :] * np.abs(b) ** 2).sum() for b, r in zip(blocks, rows)))
 
 
 def _unit_columns(dim: int) -> tuple[np.ndarray, ...]:
@@ -394,17 +435,21 @@ def _unit_columns(dim: int) -> tuple[np.ndarray, ...]:
     return idx, np.ones(dim, dtype=np.complex128), idx, np.zeros(dim, dtype=np.complex128)
 
 
-def _kick_blocks(decomp: SpectralDecomposition, u: UnitaryOperator, columns) -> list[np.ndarray]:
+def _kick_blocks(
+    decomp: SpectralDecomposition, u: UnitaryOperator, parity: ReflectionParity | None = None
+) -> list[np.ndarray]:
     """The blocks Q_q^dag u~ Q_q of u~ = V^dag U V for the column sets Q_q of
-    the eigenbasis, each given as (i, a, j, b) (the parity blocks of
-    `ReflectionParity`, or all unit vectors), built _SLAB columns at a time.
+    the eigenbasis, each given as (i, a, j, b): the labelled blocks of
+    `parity`, or without one all unit vectors.  They are built _SLAB columns
+    at a time.
 
     A slab of V Q_q comes from `SpectralDecomposition.columns`, U acts on it
     through its own structured form, and `SpectralDecomposition.project`
     brings it back onto every set at once, so neither U, V nor the whole u~
-    is formed.  Where there are several sets, each slab's rows in the other
-    sets must vanish within PARITY_RTOL of the slab's entry scale.
+    is formed.  Each slab's rows in the other sets pass the off-label gate
+    (`ReflectionParity.gate`).
     """
+    columns = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
     blocks = []
     for q, (i, a, j, b) in enumerate(columns):
         block = np.empty((i.size, i.size), dtype=np.complex128)
@@ -412,19 +457,12 @@ def _kick_blocks(decomp: SpectralDecomposition, u: UnitaryOperator, columns) -> 
             c = slice(start, start + _SLAB)
             rows = decomp.project(u.apply(decomp.columns(i[c], a[c], j[c], b[c])), columns)
             block[:, c] = rows[q]
-            off = max([max_norm(r) for p, r in enumerate(rows) if p != q], default=0.0)
-            _check_off_parity(off, max(1.0, off, max_norm(rows[q])))
+            if parity is not None:
+                offs = {(q, p): max_norm(r) for p, r in enumerate(rows) if p != q}
+                off = max(offs.values(), default=0.0)
+                parity.gate(offs, max(1.0, off, max_norm(rows[q])))
         blocks.append(block)
     return blocks
-
-
-def _check_off_parity(off: float, scale: float) -> None:
-    tol = PARITY_RTOL * scale
-    if off > tol:
-        raise ValueError(
-            "matrix does not commute with the reflection about the kicked site: "
-            f"off-parity entries reach {off:.3e}, above {tol:.3e}"
-        )
 
 
 def eigenbasis_kick(
@@ -433,8 +471,8 @@ def eigenbasis_kick(
     """The blocks of u~ = V^dag U V and tr(rho E) from them, behind the
     overflow guard; the caller gates tr(rho E) against its own tolerance.
 
-    With a `parity`, the blocks are the two parity blocks of u~, each slab
-    behind the off-parity gate; without, one block, the whole u~.  Both come
+    With a `parity`, the blocks are the labelled blocks of u~, each slab
+    behind the off-label gate; without, one block, the whole u~.  Both come
     from `_kick_blocks`, with no dense U and no dense eigenvector matrix.
     """
     if u.dim != state.dim:
@@ -446,9 +484,9 @@ def eigenbasis_kick(
             f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
             "the 700 overflow guard; reduce beta or the chain size"
         )
-    columns = [_unit_columns(state.dim)] if parity is None else parity.vectors
-    blocks = _kick_blocks(state.hamiltonian_decomp, u, columns)
-    return blocks, _normalization(state, blocks, columns)
+    blocks = _kick_blocks(state.hamiltonian_decomp, u, parity)
+    rows = [np.arange(state.dim)] if parity is None else parity.rows
+    return blocks, _normalization(state, blocks, rows)
 
 
 def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
@@ -460,56 +498,84 @@ def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> 
 
 
 class ReflectionParity:
-    """The reflection P_s = T^s R_0 T^-s about the kicked site s, in the joint
-    H-T eigenbasis of `decomp`.
+    """The labelled blocks of the joint H-T eigenbasis of `decomp` under the
+    reflection P_s = T^s R_0 T^-s about the kicked site s and, where H was
+    solved with one, the global spin flip F (`decomp.flip`).
 
     P_s commutes with H, with a kick at site s and with every channel (the
     distance weights obey w_n = w_{N-n}, the Lorentzian is a function of H),
-    so rho', E, M rho' and ME split into a P_s-even and a P_s-odd block.
-    R_0 maps eigenvector i to `decomp.partner[i]`, or to +-1 times itself,
-    and T^s multiplies momentum k by e^{2 pi i k s / N}, so
-    P_s e_i = c_i e_partner(i) with c_i = e^{-4 pi i k_i s / N} (times the
-    sign where the partner is i).  Each pair i < j = partner(i) gives row
-    (e_i + c_i e_j) / sqrt(2) of the even block and (e_i - c_i e_j) / sqrt(2)
-    of the odd one; these `pairs` rows lead both blocks in the same order,
-    and the self-partnered e_i follow in the block of their sign, each group
-    in descending energy.  `rows`
-    holds each block's i and `partners` its partner(i).  Partners have equal
-    energies, so a diagonal operator such as H or rho splits into its values
-    at i.
+    and so does a flip chosen to commute with H and the kick
+    (`lattice.spin_flip`), so rho', E, M rho' and ME split into one block
+    per label (flip sign, P_s sign) in `labels`: two blocks, or four of
+    about dim/4 with a flip.  R_0 maps eigenvector i to `decomp.partner[i]`,
+    or to +-1 times itself, and T^s multiplies momentum k by
+    e^{2 pi i k s / N}, so P_s e_i = c_i e_partner(i) with
+    c_i = e^{-4 pi i k_i s / N} (times the sign where the partner is i).
+    F is diagonal there, and partners share their flip sign, so the unit
+    vectors of each flip sign split by P_s (`symmetry_split`): each pair
+    i < j = partner(i) gives row (e_i + c_i e_j) / sqrt(2) of the even block
+    and (e_i - c_i e_j) / sqrt(2) of the odd one.  In each block its
+    `pairs[q]` partnered rows lead, in the same order as in the block of
+    the same flip sign and the other parity, `mates[q]` (None where that
+    block is empty), and the self-partnered e_i follow, each group in
+    descending energy.  `rows` holds each block's i and `partners` its
+    partner(i).  Partners have equal energies, so a diagonal operator such
+    as H or rho splits into its values at i.
 
     `vectors` holds each block's columns as (i, a, j, b), the vectors
     a e_i + b e_j, from which `eigenbasis_kick` builds the blocks of u~.
-    `split` gives the parity blocks of a dim x dim matrix by index gathers
-    in O(dim^2), once it has checked that the off-parity blocks vanish within
-    PARITY_RTOL of the entry scale.  For N = 2 the reflection is the
-    identity and there is one even block.
+    `split` gives the blocks of a dim x dim matrix by index gathers in
+    O(dim^2), once the off-label gate (`gate`) has checked that the blocks
+    between labels vanish.  For N = 2 the reflection is the identity and
+    every block is even.
     """
 
     def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
         if decomp.partner is None:
             raise ValueError("the reflection parity needs H solved in sector form")
-        partner, sign = decomp.partner, decomp.reflection_sign
+        partner, sign, flip = decomp.partner, decomp.reflection_sign, decomp.flip_sign
         if not np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues):
             raise ValueError("reflection partners must carry equal energies")
         c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n_sites) / n_sites)
         c *= np.where(sign == 0, 1, sign)
+        # the unit vectors of each flip sign (all of them without a flip)
+        idx = np.arange(partner.size)
+        sets = [((f,), (idx[flip == f], np.ones(np.count_nonzero(flip == f)))) for f in (1, 0, -1)]
+        split = symmetry_split([s for s in sets if s[1][0].size], [(partner, c)])
+        self.flip = decomp.flip
+        self.labels = [labels for labels, _ in split]
         # the pairs first, each group in descending i, so in descending
         # energy: E_il scales like exp(beta (E_i + E_l) / 2), and eigh
         # resolves the small eigenvalues of such a graded block of ME best
         # with its large entries first
-        self.vectors = [
-            tuple(x[np.lexsort((-v[0], v[0] == v[2]))] for x in v)
-            for v in parity_vectors(partner, c)
-            if v[0].size
-        ]
-        self.pairs = int(np.count_nonzero(partner > np.arange(partner.size)))
+        self.vectors = [tuple(x[np.lexsort((-v[0], v[0] == v[2]))] for x in v) for _, v in split]
         self.rows = [v[0] for v in self.vectors]
         self.partners = [v[2] for v in self.vectors]
+        self.pairs = [int(np.count_nonzero(v[0] != v[2])) for v in self.vectors]
+        where = {labels: q for q, labels in enumerate(self.labels)}
+        self.mates = [where.get((f, -s)) for f, s in self.labels]
+
+    def gate(self, offs: dict[tuple[int, int], float], scale: float) -> None:
+        """The off-label gate: offs[(p, q)] is the largest entry a matrix
+        has between blocks p and q, and each must vanish within PARITY_RTOL
+        of the scale; a pair whose flip signs differ is blamed on the flip,
+        any other on the reflection."""
+        tol = PARITY_RTOL * scale
+        flips = [self.labels[p][0] != self.labels[q][0] for p, q in offs]
+        for broken, what, entries in (
+            (True, f"the spin flip prod {self.flip}", "flip"),
+            (False, "the reflection about the kicked site", "parity"),
+        ):
+            off = max([r for r, f in zip(offs.values(), flips) if f == broken], default=0.0)
+            if off > tol:
+                raise ValueError(
+                    f"matrix does not commute with {what}: "
+                    f"off-{entries} entries reach {off:.3e}, above {tol:.3e}"
+                )
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """The parity blocks of a P_s-invariant matrix; of a diagonal, given
-        as a 1d array, its values on the blocks."""
+        """The labelled blocks of a P_s- and flip-invariant matrix; of a
+        diagonal, given as a 1d array, its values on the blocks."""
         x = np.asarray(x)
         if x.ndim == 1:
             return [x[i] for i in self.rows]
@@ -519,20 +585,23 @@ class ReflectionParity:
             for p in self.vectors
         ]
         blocks = [parts[p][p].conj().T for p in range(len(parts))]
-        off = max(
-            [max_norm(part) for p, row in enumerate(parts) for q, part in enumerate(row) if p != q],
-            default=0.0,
-        )
-        # the entry scale in the parity basis, which needs no pass over x
-        _check_off_parity(off, max(1.0, off, *(max_norm(b) for b in blocks)))
+        offs = {
+            (p, q): max_norm(part)
+            for p, row in enumerate(parts)
+            for q, part in enumerate(row)
+            if p != q
+        }
+        off = max(offs.values(), default=0.0)
+        # the entry scale in the labelled basis, which needs no pass over x
+        self.gate(offs, max(1.0, off, *(max_norm(b) for b in blocks)))
         return blocks
 
 
 def kicked_in_eigenbasis(
     state: ThermalState, u_blocks: list[np.ndarray], parity: ReflectionParity
 ) -> BlockDensityMatrix:
-    """rho' = u~ diag(p) u~^dag in the eigenbasis of H, one half-size product
-    per parity block of u~, held as a BlockDensityMatrix of those blocks,
+    """rho' = u~ diag(p) u~^dag in the eigenbasis of H, one product per
+    labelled block of u~, held as a BlockDensityMatrix of those blocks,
     whose eigensolves are both the positivity gate and the spectrum S(rho')
     reads, so no Cholesky runs."""
     populations = parity.split(state.populations)
@@ -544,8 +613,9 @@ def kicked_in_eigenbasis(
 def conjugated_in_eigenbasis(
     state: ThermalState, u_blocks: list[np.ndarray], parity: ReflectionParity
 ) -> list[np.ndarray]:
-    """The parity blocks of E = u_beta u_beta^dag in the eigenbasis of H, for
-    u_beta = G u~ S: one half-size product per parity block of u~, each
+    """The labelled blocks of E = u_beta u_beta^dag in the eigenbasis of H,
+    for u_beta = G u~ S: one product per labelled block of u~ (two blocks of
+    about dim/2, or four of about dim/4 with a spin flip), each
     passing the HermitianOperator gate, and tr(rho E) = sum p . diag(E_b)
     checked over them.  The blocks of u~ are taken off the list and scaled
     in place into those of u_beta, which are not kept."""

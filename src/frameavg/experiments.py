@@ -42,6 +42,7 @@ from .lattice import (
     build_hamiltonian,
     embed_site_operator,
     pauli,
+    spin_flip,
     translation_operator,
 )
 from .operators import (
@@ -385,16 +386,20 @@ class _SizeContext:
     here), the kick and the translation, S(rho), and the kick in the joint
     H-T eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In
     that basis rho = diag(p) and H = diag(E), and every channel is a Schur
-    multiplier (`Channel`).  The reflection about the kicked site (`parity`)
-    commutes with all of them, and u~ is built straight into its two parity
-    blocks (`u_blocks`), a column slab at a time behind the off-parity gate.
-    `conjugated_in_eigenbasis` consumes those blocks into E's, so a caller
-    builds rho' from them (`kicked_in_eigenbasis`) first.
+    multiplier (`Channel`).  The reflection about the kicked site commutes
+    with all of them, and so does the global spin flip that H and the kick
+    both commute with, where one does (`spin_flip`; H is solved with its
+    sign).  u~ is built straight into the blocks of those labels (`parity`:
+    two blocks, or four with a flip), a column slab at a time behind the
+    off-label gate (`u_blocks`).  `conjugated_in_eigenbasis` consumes those
+    blocks into E's, so a caller builds rho' from them
+    (`kicked_in_eigenbasis`) first.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.lattice = LatticeSpec(n)
-        self.state = thermal_state(build_hamiltonian(self.lattice, cfg.model), cfg.beta)
+        h = build_hamiltonian(self.lattice, cfg.model)
+        self.state = thermal_state(h, cfg.beta, spin_flip(h, cfg.kick.generator))
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
         self.s_rho = von_neumann_entropy(self.state).nats
@@ -409,11 +414,11 @@ def _sweep_size(
 ) -> list[ExperimentRecord]:
     """The records of one chain size.  tr(rho E), which every channel keeps,
     is gated once here.  rho' = u~ diag(p) u~^dag is built in the joint
-    eigenbasis as its two parity blocks, and tr(H rho') pairs their
-    diagonals with the energies.  The state route of every kind runs first,
-    and rho' is released before E's blocks consume those of u~, so the two
-    routes' blocks are never held at once.  A row's construction gates
-    beta W against S(rho'|rho)."""
+    eigenbasis as its labelled blocks (`ReflectionParity`), and tr(H rho')
+    pairs their diagonals with the energies.  The state route of every kind
+    runs first, and rho' is released before E's blocks consume those of u~,
+    so the two routes' blocks are never held at once.  A row's construction
+    gates beta W against S(rho'|rho)."""
     ctx = _SizeContext(cfg, n)
     if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
         raise ValueError(f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}")
@@ -480,11 +485,12 @@ def _record_for(
     S(M rho') and tr(H M rho'); its wall time covers the channel work of
     both routes, not the size setup.
 
-    The operator route averages the parity blocks of E (`Channel.parity_blocks`),
-    and the ME statistics pair the blocks of ME with the populations on
-    their rows.  The uniform channel's blocks are its momentum classes inside
-    each parity block; the weighted and temporal channels keep the two
-    parity blocks whole.
+    The operator route averages the labelled blocks of E
+    (`Channel.parity_blocks`), and the ME statistics pair the blocks of ME
+    with the populations on their rows.  The uniform channel's blocks are
+    its momentum classes inside each labelled block; the weighted and
+    temporal channels keep the labelled blocks whole, two of about dim/2, or
+    four of about dim/4 where a spin flip applies.
     """
     start = time.perf_counter()
     state = ctx.state
@@ -669,7 +675,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
         IdentityCheck("bs-chain", chain_violation, cfg.tolerance("bs-chain"))
     )
 
-    # the operator route: the uniform average of E's parity blocks in the
+    # the operator route: the uniform average of E's labelled blocks in the
     # joint eigenbasis, paired with the exact populations there; the state
     # route above ran in the computational basis
     uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    RECONSTRUCTION_RTOL,
     HermitianOperator,
     UnitaryOperator,
     as_square_complex,
+    max_norm,
 )
 
 DIM_GUARD = 2**14
@@ -236,12 +238,32 @@ class MomentumSectors:
         r = self.reflection
         if not np.array_equal(r[t.permutation[r[t.permutation]]], shifts[0]):
             raise ValueError("the site reflection does not reverse the translation")
-        orbit, q = np.divmod(self._select, n_terms)
-        image, m = np.divmod(self._position[r[self._orbits[orbit, 0]]], n_terms)
-        place = np.empty(self._orbits.size, dtype=np.intp)
-        place[self._select] = np.arange(dim)
-        self.mirror = place[image * n_terms + (-q) % n_terms]
-        self.mirror_phase = np.exp(-2j * np.pi * ((q * m) % n_terms) / n_terms)
+        self._place = np.empty(self._orbits.size, dtype=np.intp)
+        self._place[self._select] = np.arange(dim)
+        self.mirror, self.mirror_phase = self._image(r, np.ones(dim), reverse=True)
+
+    def _image(self, perm, phase, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Where a phased permutation G e_x = phase[x] e_perm[x] of the basis
+        sends each |r, k> of the sector-major order, for G that commutes with
+        T, or reverses it: G |r> = phase[r] T^m |r'> gives
+
+            G |r, k> = phase[r] e^{+-2 pi i k m / N} |r', +-k>,
+
+        the lower signs where G reverses T."""
+        n = self.n_terms
+        orbit, q = np.divmod(self._select, n)
+        rep = self._orbits[orbit, 0]
+        image, m = np.divmod(self._position[perm[rep]], n)
+        angle = 2j * np.pi * ((q * m) % n) / n
+        if reverse:
+            return self._place[image * n + (-q) % n], phase[rep] * np.exp(-angle)
+        return self._place[image * n + q], phase[rep] * np.exp(angle)
+
+    def flip(self, letter: str) -> tuple[np.ndarray, np.ndarray]:
+        """The global spin flip F = prod_j sigma_j for the Pauli `letter`
+        (`site_product`) in sector-major order: F |r, k> = phase[p] |r', k>
+        sits at image[p], in the sector of p, for each position p."""
+        return self._image(*site_product(self.n_terms, pauli(letter)), reverse=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -294,12 +316,7 @@ class MomentumSectors:
         """max |T H T^-1 - H| over the entries of H, given as H[rows, cols] =
         values with no position listed twice; 0 exactly when H commutes with
         T, so that the blocks of F^dag H F between sectors vanish."""
-        perm = self.permutation
-        keys = np.concatenate((rows * self.dim + cols, perm[rows] * self.dim + perm[cols]))
-        _, at = np.unique(keys, return_inverse=True)
-        signed = np.concatenate((values, -values))
-        diff = np.bincount(at, signed.real) + 1j * np.bincount(at, signed.imag)
-        return float(np.abs(diff).max(initial=0.0))
+        return conjugation_defect(self.permutation, None, rows, cols, values)
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """F^dag x in sector-major order, for x whose leading axis has length dim."""
@@ -319,6 +336,62 @@ class MomentumSectors:
         z = np.fft.fft(z.reshape(n_orbits, n, *y.shape[1:]), axis=1)
         z /= self._root_lengths.reshape(-1, *[1] * y.ndim)
         return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
+
+
+def conjugation_defect(perm, phase, rows, cols, values) -> float:
+    """max |G H G^dag - H| over the entries of H, given as H[rows, cols] =
+    values with no position listed twice, for the phased permutation
+    G e_x = phase[x] e_perm[x] (phase None for 1)."""
+    dim = perm.size
+    moved = values if phase is None else phase[rows] * values * phase[cols].conj()
+    keys = np.concatenate((rows * dim + cols, perm[rows] * dim + perm[cols]))
+    _, at = np.unique(keys, return_inverse=True)
+    signed = np.concatenate((values, -moved))
+    diff = np.bincount(at, signed.real) + 1j * np.bincount(at, signed.imag)
+    return float(np.abs(diff).max(initial=0.0))
+
+
+def site_product(n: int, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """prod_j a_j on n qubits, for a 2 x 2 matrix a with one nonzero entry per
+    column (a Pauli matrix), as the phased permutation F e_x = phase[x]
+    e_perm[x]: each site's bit b goes to the row of column b's entry, and
+    the phase collects those entries."""
+    idx = np.arange(2**n)
+    image = np.abs(local).argmax(axis=0)
+    entry = local[image, np.arange(2)]
+    perm = np.zeros_like(idx)
+    phase = np.ones(idx.size, dtype=np.complex128)
+    for shift in range(n):
+        bit = (idx >> shift) & 1
+        perm |= image[bit] << shift
+        phase *= entry[bit]
+    return perm, phase
+
+
+def spin_flip(h: HermitianOperator, generator) -> str | None:
+    """The Pauli letter s whose global flip prod_j s_j commutes both with the
+    chain Hamiltonian h and with a kick generated by the 2 x 2 `generator`,
+    or None where no letter passes, or h carries no momentum sectors.
+
+    Both are tested, never read off a model name: the flip against h's
+    entries (`conjugation_defect`) within RECONSTRUCTION_RTOL of their
+    scale, and s against the generator within the same fraction of its
+    scale.  X is tried before Y and Z; only a degenerate chain or kick (a
+    vanishing coupling, a generator proportional to 1) passes more than one.
+    """
+    if h.sectors is None:
+        return None
+    g = as_square_complex(generator, "generator")
+    rows, cols, values = h.entries()
+    tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
+    for letter in "XYZ":
+        s = _PAULI[letter]
+        if max_norm(s @ g - g @ s) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
+            continue
+        perm, phase = site_product(h.sectors.n_terms, s)
+        if perm.size == h.dim and conjugation_defect(perm, phase, rows, cols, values) <= tol:
+            return letter
+    return None
 
 
 def _site_reflection(dim: int, n: int) -> np.ndarray:
@@ -369,8 +442,9 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     momentum sectors of the chain's translation, so `spectral_decompose`
     diagonalises it sector by sector from those terms.  That solve is
     the one check that H commutes with the translation and with the site
-    reflection of those sectors: it refuses off-sector and off-parity
-    entries above its reconstruction tolerance.
+    reflection of those sectors, and with a spin flip it is given: it
+    refuses off-sector, off-parity and off-flip entries above its
+    reconstruction tolerance.
     """
     if lattice.local_dim != 2:
         raise ValueError("the chain models are defined for local dimension 2")

@@ -15,6 +15,7 @@ affordable at the dimensions this package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -369,8 +370,11 @@ class SpectralDecomposition:
       eigenvector.  The site reflection R_0 maps eigenvector j to eigenvector
       `partner[j]`, or to `reflection_sign[j]` (+1 or -1) times itself where
       the partner is j (momenta 0 and N/2); elsewhere the sign reads 0.
+      Where H was solved with a global spin `flip` F (its Pauli letter),
+      each eigenvector is also one of F, with eigenvalue `flip_sign[j]`, the
+      same as its partner's; without one, `flip` is None and the signs 0.
     - For any other operator `sectors` is None, W is one dense block
-      (F = 1), and those three read None.  `SpectralDecomposition(w,
+      (F = 1), and those five read None.  `SpectralDecomposition(w,
       eigenvectors=v)` holds v as that block with P = 1, and `eigenvectors`
       returns v.
 
@@ -393,15 +397,16 @@ class SpectralDecomposition:
         self._vectors = v
 
     @classmethod
-    def _in_sectors(cls, w, sectors, blocks, partner, parity) -> "SpectralDecomposition":
+    def _in_sectors(cls, w, sectors, blocks, partner, labels, flip) -> "SpectralDecomposition":
         """The sector form: the spectrum w and the `blocks` V_k in the order
-        of W, the reflection partner and parity of each column of W."""
+        of W, the reflection partner of each column of W, and its labels,
+        rows of (reflection sign, flip sign)."""
         order = np.argsort(w, kind="stable")
         decomp = cls.__new__(cls)
-        decomp._hold(w[order], order, sectors, blocks, partner, parity)
+        decomp._hold(w[order], order, sectors, blocks, partner, labels, flip)
         return decomp
 
-    def _hold(self, w, perm, sectors, blocks, partner=None, parity=None) -> None:
+    def _hold(self, w, perm, sectors, blocks, partner=None, labels=None, flip=None) -> None:
         """Keep both forms' fields; the labels of the columns of W are read
         in the order of the spectrum through perm."""
         self.eigenvalues = w
@@ -410,13 +415,14 @@ class SpectralDecomposition:
         self._blocks = blocks
         self._slices = _sector_slices((w.size,) if sectors is None else sectors.dims)
         self._vectors = None
-        self.momenta = self.partner = self.reflection_sign = None
+        self.flip = flip
+        self.momenta = self.partner = self.reflection_sign = self.flip_sign = None
         if sectors is not None:
             inv = np.empty_like(perm)
             inv[perm] = np.arange(perm.size)
             self.momenta = sectors.momenta[perm]
             self.partner = inv[partner[perm]]
-            self.reflection_sign = np.asarray(parity, dtype=np.int8)[perm]
+            self.reflection_sign, self.flip_sign = np.asarray(labels, dtype=np.int8)[perm].T
 
     @property
     def dim(self) -> int:
@@ -511,17 +517,20 @@ def _sector_slices(dims) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
+def spectral_decompose(a: HermitianOperator, flip: str | None = None) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
     An operator that carries momentum `sectors` (every chain Hamiltonian) is
     diagonalised sector by sector in the momentum basis
     (`_sector_decompose`), from its nonzero entries, so its eigenbasis is a
-    joint eigenbasis with the translation.  Any other operator takes one
+    joint eigenbasis with the translation, and with the global spin flip of
+    Pauli letter `flip` where one is given.  Any other operator takes one
     dense eigensolve.
     """
     if a.sectors is not None:
-        return _sector_decompose(a, a.sectors)
+        return _sector_decompose(a, a.sectors, flip)
+    if flip is not None:
+        raise ValueError("a spin flip label needs an operator that carries momentum sectors")
     m = a.matrix
     try:
         w, v = np.linalg.eigh(m)
@@ -534,9 +543,9 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     return decomp
 
 
-def _sector_decompose(h, sectors) -> SpectralDecomposition:
-    """One eigensolve per momentum sector pair of F^dag H F, for H a
-    HermitianOperator or a Hermitian matrix, read as its nonzero entries.
+def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
+    """One eigensolve per momentum sector pair of F^dag H F and label, for H
+    a HermitianOperator or a Hermitian matrix, read as its nonzero entries.
 
     The blocks F_k^dag H F_k are built from the entries in the orbits'
     representative columns (`sectors.blocks_from_entries`), which stand for
@@ -547,9 +556,12 @@ def _sector_decompose(h, sectors) -> SpectralDecomposition:
     permutation Q (`sectors.mirror`), so for 0 < k < N/2 only sector k is
     solved and sector N - k takes the vectors Q V_k and the same eigenvalues,
     once its block equals Q H_k Q^dag.  Sectors 0 and N/2 map onto
-    themselves: each is solved per R_0-parity subsector, whose off-parity
-    block must vanish.  Every solve must reconstruct its block; all gates
-    hold within RECONSTRUCTION_RTOL of the scale.
+    themselves, and the spin flip of letter `flip`, which commutes with T and
+    R_0, maps every sector onto itself (`sectors.flip`): a sector is solved
+    per label, its R_0 parity where it has one and then its flip sign
+    (`symmetry_split`), and each block between two labels must vanish.  A
+    flip sign is shared by R_0 partners.  Every solve must reconstruct its
+    block; all gates hold within RECONSTRUCTION_RTOL of the scale.
     """
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
@@ -565,6 +577,9 @@ def _sector_decompose(h, sectors) -> SpectralDecomposition:
     blocks = sectors.blocks_from_entries(rows, cols, values)
     slices = _sector_slices(sectors.dims)
     dim = h.dim
+    flips = None if flip is None else sectors.flip(flip)
+    # each label's symmetry, and the entries that break it
+    names = {0: ("site reflection", "parity"), 1: (f"spin flip prod {flip}", "flip")}
 
     def solve(block):
         try:
@@ -575,15 +590,16 @@ def _sector_decompose(h, sectors) -> SpectralDecomposition:
             raise EigensolverError(dim, scale)
         return w, v
 
-    def reflection_gate(defect):
+    def gate(label, defect):
         if defect > tol:
+            what, entries = names[label]
             raise ValueError(
-                "operator does not commute with the site reflection of its sectors: "
-                f"off-parity entries reach {defect:.3e}, above {tol:.3e}"
+                f"operator does not commute with the {what} of its sectors: "
+                f"off-{entries} entries reach {defect:.3e}, above {tol:.3e}"
             )
 
     n = len(slices)
-    values, vectors, parity = [None] * n, [None] * n, [None] * n
+    values, vectors, labels = [None] * n, [None] * n, [None] * n
     partner = np.arange(sectors.dim)
     for k, sl in enumerate(slices):
         k_bar = (-k) % n
@@ -592,38 +608,55 @@ def _sector_decompose(h, sectors) -> SpectralDecomposition:
         block, _ = hermitian_part(blocks[k])
         mirror = sectors.mirror[sl] - slices[k_bar].start
         phase = sectors.mirror_phase[sl]
+        # the involutions that map sector k onto itself, keyed by label
+        involutions = {}
         if k_bar == k:
-            even, odd = (_dense_columns(mirror.size, *v) for v in parity_vectors(mirror, phase))
-            if even.size and odd.size:
-                reflection_gate(max_norm(even.conj().T @ block @ odd))
-            pieces = [(b, solve(b.conj().T @ block @ b)) for b in (even, odd)]
+            involutions[0] = (mirror, phase)
+        if flips is not None:
+            involutions[1] = (flips[0][sl] - sl.start, flips[1][sl])
+        labels[k] = np.zeros((block.shape[0], 2), dtype=np.int8)
+        if involutions and block.size:
+            unit = (np.arange(mirror.size), np.ones(mirror.size))
+            split = symmetry_split([((), unit)], list(involutions.values()))
+            columns = [_dense_columns(mirror.size, *terms) for _, terms in split]
+            keys = list(involutions)
+            for p, q in combinations(range(len(split)), 2):
+                # the first label the two sets differ in names the symmetry
+                first = np.flatnonzero(np.subtract(split[p][0], split[q][0]))[0]
+                gate(keys[first], max_norm(columns[p].conj().T @ block @ columns[q]))
+            pieces = [(b, solve(b.conj().T @ block @ b)) for b in columns]
             values[k] = np.concatenate([w for _, (w, _) in pieces])
             vectors[k] = np.concatenate([b @ v for b, (_, v) in pieces], axis=1)
-            parity[k] = np.repeat((1, -1), [even.shape[1], odd.shape[1]])
+            sizes = [b.shape[1] for b in columns]
+            labels[k][:, keys] = np.repeat([s for s, _ in split], sizes, axis=0)
+        else:
+            values[k], vectors[k] = solve(block)
+        if k_bar == k:
             continue
-        w, v = solve(block)
+        w, v = values[k], vectors[k]
         mirrored, _ = hermitian_part(blocks[k_bar])
         if block.size:
             expected = np.outer(phase, phase.conj()) * block
-            reflection_gate(max_norm(mirrored[np.ix_(mirror, mirror)] - expected))
+            gate(0, max_norm(mirrored[np.ix_(mirror, mirror)] - expected))
         v_bar = np.empty_like(v)
         v_bar[mirror] = phase[:, np.newaxis] * v
-        values[k], values[k_bar] = w, w
-        vectors[k], vectors[k_bar] = v, v_bar
-        parity[k] = parity[k_bar] = np.zeros(w.size, dtype=np.int8)
+        values[k_bar], vectors[k_bar] = w, v_bar
+        # R_0 commutes with the flip, so a partner keeps its flip sign
+        labels[k_bar] = labels[k]
         partner[sl] = np.arange(slices[k_bar].start, slices[k_bar].stop)
         partner[slices[k_bar]] = np.arange(sl.start, sl.stop)
     return SpectralDecomposition._in_sectors(
-        np.concatenate(values), sectors, vectors, partner, np.concatenate(parity)
+        np.concatenate(values), sectors, vectors, partner, np.concatenate(labels), flip
     )
 
 
-def _dense_columns(dim: int, i, a, j, b) -> np.ndarray:
-    """The vectors a e_i + b e_j as the columns of a dim-row matrix."""
-    out = np.zeros((dim, i.size), dtype=np.complex128)
-    cols = np.arange(i.size)
-    out[i, cols] = a
-    out[j, cols] += b
+def _dense_columns(dim: int, *terms) -> np.ndarray:
+    """The vectors sum_t c_t e_(i_t) as the columns of a dim-row matrix, for
+    terms (i_0, c_0, i_1, c_1, ...) of one entry per column each."""
+    out = np.zeros((dim, terms[0].size), dtype=np.complex128)
+    cols = np.arange(terms[0].size)
+    for i, c in zip(terms[0::2], terms[1::2]):
+        out[i, cols] += c
     return out
 
 
@@ -651,6 +684,44 @@ def parity_vectors(partner: np.ndarray, phase: np.ndarray) -> list[tuple[np.ndar
         b = np.where(paired, sign * np.sqrt(0.5) * phase[i], 0.0)
         out.append((i, a, partner[i], b))
     return out
+
+
+def symmetry_split(sets, involutions) -> list[tuple[tuple[int, ...], tuple[np.ndarray, ...]]]:
+    """The joint eigenvectors of commuting involutions inside labelled column
+    sets: the one place that builds the vectors of a symmetry label.
+
+    A set is (labels, terms), its columns sum_t c_t e_(i_t) for terms
+    (i_0, c_0, i_1, c_1, ...), one entry per column each, the first
+    coefficient nonzero, and no basis index in two columns.  An involution
+    Q e_p = phase[p] e_image[p] must map each set onto itself and commute
+    with those before it; then Q sends each column to a phase times another
+    column of its set, read off the column's first index, and the set
+    splits into the +1 and the -1 eigenvectors of that column involution
+    (`parity_vectors`), its labels extended by the sign and its terms
+    doubled.  Empty sets are dropped.
+    """
+    for image, phase in involutions:
+        out = []
+        for labels, terms in sets:
+            idx, coef = terms[0::2], terms[1::2]
+            owner = np.full(image.size, -1)
+            weight = np.zeros(image.size, dtype=np.complex128)
+            cols = np.arange(idx[0].size)
+            for i, c in zip(idx, coef):
+                held = c != 0
+                owner[i[held]] = cols[held]
+                weight[i[held]] = c[held]
+            target = image[idx[0]]
+            if (owner[target] < 0).any():
+                raise ValueError("a symmetry does not map a labelled column set onto itself")
+            q_phase = coef[0] * phase[idx[0]] / weight[target]
+            for sign, (i, a, j, b) in zip((1, -1), parity_vectors(owner[target], q_phase)):
+                if i.size:
+                    left = [x for t in zip(idx, coef) for x in (t[0][i], a * t[1][i])]
+                    right = [x for t in zip(idx, coef) for x in (t[0][j], b * t[1][j])]
+                    out.append(((*labels, sign), (*left, *right)))
+        sets = out
+    return sets
 
 
 def matrix_function(decomp: SpectralDecomposition, f) -> HermitianOperator:

@@ -121,12 +121,16 @@ class WorkReport:
             )
 
 
-def thermal_state(hamiltonian: HermitianOperator, beta: float) -> ThermalState:
-    """Gibbs state at inverse temperature beta; beta = 0 gives the flat state."""
+def thermal_state(
+    hamiltonian: HermitianOperator, beta: float, flip: str | None = None
+) -> ThermalState:
+    """Gibbs state at inverse temperature beta; beta = 0 gives the flat state.
+    H is solved with the labels of the global spin flip of Pauli letter
+    `flip` where one is given (`spectral_decompose`)."""
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-    decomp = spectral_decompose(hamiltonian)
+    decomp = spectral_decompose(hamiltonian, flip)
     _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
     return ThermalState(None, beta, log_partition, hamiltonian, decomp)
 

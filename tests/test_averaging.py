@@ -14,6 +14,7 @@ from frameavg.averaging import (
     AveragingKind,
     ConjugatedPerturbation,
     ReflectionParity,
+    _site_shift,
     averaged_E_deviation,
     average_translates,
     conjugate_normalization,
@@ -155,6 +156,25 @@ class TestFrameAverage:
             for w, g in zip(weights[1:], translates[1:]):
                 expected = expected + w * g
             assert np.array_equal(average(a), expected)
+
+    def test_a_translation_that_is_no_roll_is_gathered(self):
+        # the chain's T moves every site one on, so its translates are rolls
+        # of the site axes; relabeled by a basis permutation it keeps its
+        # order but is no roll, so its translates are gathered; both sum
+        # bit for bit like their explicit conjugations
+        n, dim = 4, 16
+        t = translation_operator(LatticeSpec(n))
+        rng = np.random.default_rng(3)
+        sigma = rng.permutation(dim)
+        relabeled = UnitaryOperator(permutation=sigma[t.permutation[np.argsort(sigma)]])
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for u, shift in ((t, 1), (relabeled, None)):
+            assert _site_shift(np.argsort(u.permutation), n) == shift
+            expected, g = a / n, a
+            for _ in range(1, n):
+                g = u.conjugate(g)
+                expected = expected + g / n
+            assert np.array_equal(average_translates(a, u, n), expected)
 
     def test_bit_stable_repetition(self):
         _, _, _, rho_prime, t = ising_setup()

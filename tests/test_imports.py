@@ -122,3 +122,36 @@ def test_only_operators_reads_frame_coordinates():
         if p.name != "operators.py"
     }
     assert {name: attrs for name, attrs in reads.items() if attrs} == {}
+
+
+# the function that builds the eigenvectors of a symmetry label
+# (`operators.symmetry_split` is its one caller)
+LABEL_VECTORS = "parity_vectors"
+
+
+def _uses(source: str, name: str) -> int:
+    """How often the source reads `name`, bare or as an attribute: each call,
+    and each reference that could stand in for one."""
+    tree = ast.parse(source)
+    return sum(
+        (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == name and isinstance(n.ctx, ast.Load))
+        for n in ast.walk(tree)
+    )
+
+
+def test_the_scan_sees_every_use_of_a_name():
+    source = (
+        "def parity_vectors(p, c):\n    return p\n"
+        "parity_vectors(p, c)\nops.parity_vectors(p, c)\nf(parity_vectors)\n"
+        "self.parity_vectors = 1\n"
+    )
+    assert _uses(source, LABEL_VECTORS) == 3
+    assert _uses("def parity_vectors(p, c):\n    return p\n", LABEL_VECTORS) == 0
+
+
+def test_label_vectors_are_built_at_one_call_site():
+    # one labelled basis: a second path to involution eigenvectors, such as
+    # a sector solve or a parity split of its own, would add a use
+    uses = {p.name: _uses(p.read_text(encoding="utf-8"), LABEL_VECTORS) for p in [*MODULES, INIT]}
+    assert sum(uses.values()) == 1, uses

@@ -180,10 +180,11 @@ def test_verify_passes_bs_equality_on_xxz_n6_beta2(tmp_path, capsys):
 
 @pytest.mark.parametrize("model,couplings", MODELS)
 def test_sweep_gates_rho_prime_by_its_one_eigensolve(model, couplings, monkeypatch):
-    # rho' is held as its two parity blocks about the kicked site, whose
-    # eigvalsh are both the positivity gate and S(rho'); the weighted and
-    # temporal M rho' and ME split the same way, so from N = 3 on a sweep
-    # eigensolves no whole dim x dim matrix and runs no Cholesky
+    # rho' is held as its labelled blocks (the parity about the kicked
+    # site, and the spin flip where one applies), whose eigvalsh are both
+    # the positivity gate and S(rho'); the weighted and temporal M rho' and
+    # ME split the same way, so from N = 3 on a sweep eigensolves no whole
+    # dim x dim matrix and runs no Cholesky
     def refuse(*args, **kwargs):
         raise AssertionError("Cholesky factorization in a sweep")
 
@@ -210,9 +211,10 @@ def test_sweep_gates_rho_prime_by_its_one_eigensolve(model, couplings, monkeypat
         assert max(sizes) < 2**n
         populations = np.sort(thermal_state(_hamiltonian(model, couplings, n), 1.0).populations)
         unions = [
-            np.sort(np.concatenate(pair))
-            for pair in zip(spectra, spectra[1:])
-            if pair[0].size + pair[1].size == 2**n
+            np.sort(np.concatenate(spectra[a:b]))
+            for a in range(len(spectra))
+            for b in range(a + 1, len(spectra) + 1)
+            if sum(w.size for w in spectra[a:b]) == 2**n
         ]
         assert sum(np.abs(w - populations).max() < 1e-12 for w in unions) == 1
 

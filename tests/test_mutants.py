@@ -19,7 +19,9 @@ then applies one mutation with monkeypatch and sees the same check fail:
   fail the trace gate, and their spectra leave the oracle at N = 3 and 4,
   while the temporal row, whose cross term is zero, stays on it.
 - a channel whose dense `apply` conjugates by the kick, which does not
-  commute with H: `verify`'s gracefulness line fails by orders of magnitude.
+  commute with H: `verify`'s gracefulness line fails by orders of magnitude;
+- the spin flip prod X forced on a Y kick, which does not commute with it:
+  the off-label gate names the flip and raises.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -201,10 +203,10 @@ def _unpaired(monkeypatch):
     parity = experiments.ReflectionParity
 
     def unpaired(decomp, site, n_sites):
-        # the rule reads the partnered rows from `pairs`; with none, no
-        # block of M X takes the other block's (A - B) / 2 term
+        # the rule reads each block's partnered rows from `pairs`; with
+        # none, no block of M X takes its mate's (A - B) / 2 term
         p = parity(decomp, site, n_sites)
-        p.pairs = 0
+        p.pairs = [0] * len(p.pairs)
         return p
 
     monkeypatch.setattr(experiments, "ReflectionParity", unpaired)
@@ -244,3 +246,23 @@ def test_temporal_rule_has_no_cross_term(monkeypatch):
     _unpaired(monkeypatch)
     (row,) = convergence_sweep(cfg)
     assert abs(row.s_m_rho_prime - entropy) <= 1e-11
+
+
+def test_a_flip_the_kick_does_not_fix_trips_the_off_label_gate(monkeypatch):
+    # TFI commutes with prod X, a Y kick does not, so no flip is chosen;
+    # forced, the flip's blocks of u~ carry the kick's entries between them
+    mapping = {
+        "model": TFI,
+        "sizes": [4, 5],
+        "beta": 1.0,
+        "kick": {"site": 1, "generator": "Y", "strength": 0.7},
+        "averaging": [{"kind": "weighted-spatial", "R": 2.0}],
+        "seed": 17,
+    }
+    cfg = config_from_mapping(mapping)
+    assert len(convergence_sweep(cfg)) == 2
+    monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: "X")
+    with pytest.raises(
+        ValueError, match="does not commute with the spin flip prod X: off-flip entries reach"
+    ):
+        convergence_sweep(cfg)

@@ -1,7 +1,8 @@
-"""The reflection about the kicked site: R_0 in the sector solve of H, the
-parity split of joint-basis matrices and its gate, the even/odd rule that
-averages parity blocks, and the kick-site invariance of every sweep row that
-makes the split's phases observable."""
+"""The reflection about the kicked site and the global spin flip: R_0 and
+the flip in the sector solve of H, the choice of the flip by commutation,
+the labelled split of joint-basis matrices and its gate, the even/odd rule
+that averages parity blocks, and the kick-site invariance of every sweep row
+that makes the split's phases observable."""
 import numpy as np
 import pytest
 
@@ -17,6 +18,8 @@ from frameavg.lattice import (
     LatticeSpec,
     build_hamiltonian,
     pauli,
+    site_product,
+    spin_flip,
     translation_operator,
 )
 from frameavg.operators import (
@@ -39,6 +42,8 @@ THREE_CHANNELS = [
 ]
 # a generic single-site generator, so no kick is special to X, Y or Z
 GENERATOR = [[0.3, [0.5, -0.2]], [[0.5, 0.2], -0.1]]
+# the kicks of the kick-site oracle: each Pauli letter, and the generic one
+KICKS = ("X", "Y", "Z", GENERATOR)
 PHYSICS = (
     "s_rho",
     "s_rho_prime",
@@ -56,13 +61,20 @@ def _hamiltonian(model, couplings, n):
     return build_hamiltonian(LatticeSpec(n), HamiltonianSpec(model, couplings))
 
 
-def _config(model, couplings, n, site, beta=1.0):
+def _generator(kick):
+    """A kick of KICKS as a 2 x 2 matrix."""
+    if isinstance(kick, str):
+        return pauli(kick)
+    return np.array([[complex(*np.atleast_1d(x)) for x in row] for row in kick])
+
+
+def _config(model, couplings, n, site, beta=1.0, generator=GENERATOR):
     return config_from_mapping(
         {
             "model": {"name": model, "couplings": couplings},
             "sizes": [n],
             "beta": beta,
-            "kick": {"site": site, "generator": GENERATOR, "strength": 0.7},
+            "kick": {"site": site, "generator": generator, "strength": 0.7},
             "averaging": THREE_CHANNELS,
             "seed": 5,
         }
@@ -86,6 +98,68 @@ def test_reflection_maps_each_eigenvector_to_its_partner(model, couplings, n):
     assert set(sign[own]) <= {-1, 1} and not sign[~own].any()
     assert np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues)
     assert max_norm(reflected - v[:, partner] * np.where(own, sign, 1)) < 1e-13
+
+
+XXZ = MODELS[2]
+TFI = MODELS[1]
+FREE = MODELS[0]
+
+
+@pytest.mark.parametrize(
+    "model,couplings,kick,flip",
+    [
+        (*XXZ, "X", "X"),
+        (*XXZ, "Y", "Y"),
+        (*XXZ, "Z", "Z"),
+        (*TFI, "X", "X"),
+        (*TFI, "Y", None),
+        (*TFI, "Z", None),
+        (*FREE, "X", None),
+        (*FREE, "Y", None),
+        (*FREE, "Z", "Z"),
+        (*XXZ, GENERATOR, None),
+        (*TFI, GENERATOR, None),
+        (*FREE, GENERATOR, None),
+    ],
+)
+def test_the_flip_is_chosen_by_commutation(model, couplings, kick, flip):
+    # the flip that commutes with H's terms and with the kick's generator
+    for n in (2, 3, 4, 5, 6):
+        assert spin_flip(_hamiltonian(model, couplings, n), _generator(kick)) == flip
+
+
+@pytest.mark.parametrize(
+    "model,couplings,flip",
+    [(*XXZ, "X"), (*XXZ, "Y"), (*XXZ, "Z"), (*TFI, "X"), (*FREE, "Z")],
+)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_a_flip_labels_every_eigenvector(model, couplings, flip, n):
+    # solved with a flip F, each dense eigenvector is one of F with its
+    # flip_sign, R_0 partners share it, and the spectrum and momenta are
+    # those of the solve without the flip
+    h = _hamiltonian(model, couplings, n)
+    decomp = spectral_decompose(h, flip)
+    assert decomp.flip == flip
+    v = decomp.eigenvectors
+    perm, phase = site_product(n, pauli(flip))
+    flipped = np.empty_like(v)
+    flipped[perm] = phase[:, np.newaxis] * v  # F v
+    assert max_norm(flipped - v * decomp.flip_sign) < 1e-13
+    assert set(decomp.flip_sign) <= {-1, 1}
+    assert np.array_equal(decomp.flip_sign[decomp.partner], decomp.flip_sign)
+    plain = spectral_decompose(h)
+    assert np.abs(decomp.eigenvalues - plain.eigenvalues).max() < 1e-12
+    assert plain.flip is None and not plain.flip_sign.any()
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sector_solve_refuses_a_flip_the_operator_breaks(n):
+    # TFI commutes with prod X but not with prod Z, which flips the sign of
+    # its transverse field: the off-flip gate of the sector solve trips
+    h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, n)
+    spectral_decompose(h, "X")
+    with pytest.raises(ValueError, match="with the spin flip prod Z of its sectors: off-flip"):
+        spectral_decompose(h, "Z")
 
 
 
@@ -222,19 +296,25 @@ KINDS = (
 @pytest.mark.parametrize("model,couplings", MODELS)
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
 def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, couplings, n):
-    # every channel maps the parity blocks of rho' and of E straight to the
-    # parity split of the dense W o X~, for every kick site and an X and a Y
-    # kick; the uniform channel's class blocks hold all of it, and their
-    # spectra are those of the dense average
+    # every channel maps the labelled blocks of rho' and of E straight to
+    # the labelled split of the dense W o X~, for every kick site and an X,
+    # a Y, a Z and a generic kick, each with H solved under the spin flip
+    # that H and the kick commute with, where one does; the uniform
+    # channel's class blocks hold all of it, and their spectra are those of
+    # the dense average
     lattice = LatticeSpec(n)
-    state = thermal_state(_hamiltonian(model, couplings, n), 1.0)
-    decomp = state.hamiltonian_decomp
+    h = _hamiltonian(model, couplings, n)
     t = translation_operator(lattice)
-    channels = [(kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS]
-    for site in range(n):
-        parity = ReflectionParity(decomp, site, n)
-        for letter in "XY":
-            kick = local_kick(lattice, PerturbationSpec(site, pauli(letter), 0.7))
+    for letter in KICKS:
+        generator = _generator(letter)
+        state = thermal_state(h, 1.0, spin_flip(h, generator))
+        decomp = state.hamiltonian_decomp
+        channels = [
+            (kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS
+        ]
+        for site in range(n):
+            parity = ReflectionParity(decomp, site, n)
+            kick = local_kick(lattice, PerturbationSpec(site, generator, 0.7))
             rho_prime = perturb(state, kick).matrix
             e = conjugated_perturbation(state, kick).E.matrix
             for x in (rho_prime, e):
@@ -270,12 +350,16 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_rows_do_not_depend_on_the_kick_site(model, couplings, n):
     # the chain is translation invariant, so kicking site s instead of 0
-    # changes no physics column; every site takes its own reflection phases
-    reference = convergence_sweep(_config(model, couplings, n, 0))
-    for site in range(1, n):
-        rows = convergence_sweep(_config(model, couplings, n, site))
-        for want, got in zip(reference, rows):
-            assert (got.avg_kind, got.avg_param) == (want.avg_kind, want.avg_param)
-            for column in PHYSICS:
-                a, b = getattr(want, column), getattr(got, column)
-                assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (site, got.avg_kind, column)
+    # changes no physics column; every site takes its own reflection phases,
+    # for an X, a Y, a Z and a generic kick, with the spin flip split where
+    # one applies
+    for kick in KICKS:
+        reference = convergence_sweep(_config(model, couplings, n, 0, generator=kick))
+        for site in range(1, n):
+            rows = convergence_sweep(_config(model, couplings, n, site, generator=kick))
+            for want, got in zip(reference, rows):
+                assert (got.avg_kind, got.avg_param) == (want.avg_kind, want.avg_param)
+                for column in PHYSICS:
+                    a, b = getattr(want, column), getattr(got, column)
+                    where = (kick, site, got.avg_kind, column)
+                    assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), where
