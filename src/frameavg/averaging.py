@@ -194,7 +194,9 @@ class Channel:
         fixed (w^ is even and 2k = 0 there) and everywhere for the temporal
         channel (partners share energies).  Every channel commutes with the
         flip, so blocks of different flip signs never mix.  With classes,
-        the blocks are their class blocks.
+        the blocks are their class blocks.  Real blocks (a real structure)
+        stay real under the real uniform and weighted weights, and turn
+        complex under the Lorentzian, which is odd in time.
         """
         if self.weights is None:
             raise ValueError("the channel has no form in the eigenbasis H was solved in")
@@ -210,6 +212,8 @@ class Channel:
                 y = x[np.ix_(g, g)]
                 a = self.weights(i[g], i[g])
                 if a is not None:
+                    # real blocks under a complex multiplier (temporal) turn complex
+                    y = y.astype(np.result_type(y, a), copy=False)
                     b = self.weights(i[g], j[g])
                     # g ascends and the partnered rows lead both mates in
                     # the same order, so g[:m] are those rows in both
@@ -223,7 +227,7 @@ class Channel:
                     y *= a
                     del a
                     if m:
-                        cross = x_blocks[mate][np.ix_(g[:m], g[:m])]
+                        cross = x_blocks[mate][np.ix_(g[:m], g[:m])].astype(y.dtype, copy=False)
                         cross *= diff
                         del diff
                         cross /= 2
@@ -447,20 +451,27 @@ def _kick_blocks(
     through its own structured form, and `SpectralDecomposition.project`
     brings it back onto every set at once, so neither U, V nor the whole u~
     is formed.  Each slab's rows in the other sets pass the off-label gate
-    (`ReflectionParity.gate`).
+    (`ReflectionParity.gate`); with a real structure the blocks are float64,
+    each slab's imaginary part behind the real gate
+    (`ReflectionParity.gate_real`).
     """
     columns = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
+    real = parity is not None and parity.real is not None
     blocks = []
     for q, (i, a, j, b) in enumerate(columns):
-        block = np.empty((i.size, i.size), dtype=np.complex128)
+        block = np.empty((i.size, i.size), dtype=np.float64 if real else np.complex128)
         for start in range(0, i.size, _SLAB):
             c = slice(start, start + _SLAB)
             rows = decomp.project(u.apply(decomp.columns(i[c], a[c], j[c], b[c])), columns)
-            block[:, c] = rows[q]
             if parity is not None:
                 offs = {(q, p): max_norm(r) for p, r in enumerate(rows) if p != q}
                 off = max(offs.values(), default=0.0)
-                parity.gate(offs, max(1.0, off, max_norm(rows[q])))
+                scale = max(1.0, off, max_norm(rows[q]))
+                parity.gate(offs, scale)
+                if real:
+                    parity.gate_real(max_norm(rows[q].imag), scale)
+                    rows[q] = rows[q].real
+            block[:, c] = rows[q]
         blocks.append(block)
     return blocks
 
@@ -528,6 +539,13 @@ class ReflectionParity:
     O(dim^2), once the off-label gate (`gate`) has checked that the blocks
     between labels vanish.  For N = 2 the reflection is the identity and
     every block is even.
+
+    Where H was solved with a real structure instead, an antiunitary
+    A = prod s K that H and the kick commute with (`decomp.real`, copied to
+    `real`), A maps e_i to e_partner(i), and the vectors are scaled by
+    sqrt(conj(c_i)), so that A fixes each even one and negates each odd
+    one.  Every matrix A fixes (rho', E, and their uniform and weighted
+    averages) then has real blocks; `gate_real` is their gate.
     """
 
     def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
@@ -543,6 +561,14 @@ class ReflectionParity:
         sets = [((f,), (idx[flip == f], np.ones(np.count_nonzero(flip == f)))) for f in (1, 0, -1)]
         split = symmetry_split([s for s in sets if s[1][0].size], [(partner, c)])
         self.flip = decomp.flip
+        self.real = decomp.real
+        if self.real is not None:
+            # A e_i = e_partner(i) sends (e_i +- c_i e_j) / sqrt(2) to
+            # +-conj(c_i) times itself, so sqrt(conj(c_i)) times it to +-1
+            # times itself; one root per pair keeps (A - B) / 2 o X_oo in
+            # `Channel.parity_blocks` as it reads
+            root = np.sqrt(c.conj())
+            split = [(labels, (i, root[i] * a, j, root[i] * b)) for labels, (i, a, j, b) in split]
         self.labels = [labels for labels, _ in split]
         # the pairs first, each group in descending i, so in descending
         # energy: E_il scales like exp(beta (E_i + E_l) / 2), and eigh
@@ -572,6 +598,17 @@ class ReflectionParity:
                     f"matrix does not commute with {what}: "
                     f"off-{entries} entries reach {off:.3e}, above {tol:.3e}"
                 )
+
+    def gate_real(self, imag: float, scale: float) -> None:
+        """The real gate: where A = prod s K (`real`) fixes the labelled
+        basis, a matrix A fixes has real blocks, and `imag`, the largest
+        imaginary part of one, must vanish within PARITY_RTOL of the scale."""
+        tol = PARITY_RTOL * scale
+        if imag > tol:
+            raise ValueError(
+                f"matrix does not commute with the antiunitary prod {self.real} K: "
+                f"imaginary entries reach {imag:.3e}, above {tol:.3e}"
+            )
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The labelled blocks of a P_s- and flip-invariant matrix; of a
@@ -615,7 +652,8 @@ def conjugated_in_eigenbasis(
 ) -> list[np.ndarray]:
     """The labelled blocks of E = u_beta u_beta^dag in the eigenbasis of H,
     for u_beta = G u~ S: one product per labelled block of u~ (two blocks of
-    about dim/2, or four of about dim/4 with a spin flip), each
+    about dim/2, real with a real structure, or four of about dim/4 with a
+    spin flip), each
     passing the HermitianOperator gate, and tr(rho E) = sum p . diag(E_b)
     checked over them.  The blocks of u~ are taken off the list and scaled
     in place into those of u_beta, which are not kept."""

@@ -42,6 +42,7 @@ from .lattice import (
     build_hamiltonian,
     embed_site_operator,
     pauli,
+    real_structure,
     spin_flip,
     translation_operator,
 )
@@ -389,17 +390,22 @@ class _SizeContext:
     multiplier (`Channel`).  The reflection about the kicked site commutes
     with all of them, and so does the global spin flip that H and the kick
     both commute with, where one does (`spin_flip`; H is solved with its
-    sign).  u~ is built straight into the blocks of those labels (`parity`:
-    two blocks, or four with a flip), a column slab at a time behind the
-    off-label gate (`u_blocks`).  `conjugated_in_eigenbasis` consumes those
-    blocks into E's, so a caller builds rho' from them
-    (`kicked_in_eigenbasis`) first.
+    sign).  Where none does, an antiunitary prod s K that H and the kick
+    commute with (`real_structure`; H is solved phased for it) makes the
+    blocks real.  u~ is built straight into the blocks of those labels
+    (`parity`: two blocks, real ones with a real structure, or four with a
+    flip), a column slab at a time behind the off-label gate (`u_blocks`).
+    `conjugated_in_eigenbasis` consumes those blocks into E's, so a caller
+    builds rho' from them (`kicked_in_eigenbasis`) first.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.lattice = LatticeSpec(n)
         h = build_hamiltonian(self.lattice, cfg.model)
-        self.state = thermal_state(h, cfg.beta, spin_flip(h, cfg.kick.generator))
+        flip = spin_flip(h, cfg.kick.generator)
+        # the two are not combined: at odd N an antiunitary can swap flip signs
+        real = None if flip is not None else real_structure(h, cfg.kick.generator)
+        self.state = thermal_state(h, cfg.beta, flip, real)
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
         self.s_rho = von_neumann_entropy(self.state).nats

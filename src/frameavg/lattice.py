@@ -263,7 +263,22 @@ class MomentumSectors:
         """The global spin flip F = prod_j sigma_j for the Pauli `letter`
         (`site_product`) in sector-major order: F |r, k> = phase[p] |r', k>
         sits at image[p], in the sector of p, for each position p."""
-        return self._image(*site_product(self.n_terms, pauli(letter)), reverse=False)
+        return self._image(*site_product(self.n_terms, _local(letter)), reverse=False)
+
+    def conjugation(self, letter: str) -> tuple[np.ndarray, np.ndarray]:
+        """The antiunitary A = F K in sector-major order, for K the complex
+        conjugation of the computational basis and F the flip of `letter`
+        (I for none): K |r, k> = |r, -k>, so A |r, k> = phase[p] |r', -k>
+        sits at image[p], in the sector mirror to that of p, and
+        A sum_p y_p |p> = sum_p conj(y_p) phase[p] |image[p]>.  A must
+        square to 1 (`_squares_to_one`)."""
+        n = self.n_terms
+        if not _squares_to_one(letter, n):
+            raise ValueError(f"prod {letter} K squares to -1 on {n} sites: no real structure")
+        orbit, q = np.divmod(self._select, n)
+        negated = self._place[orbit * n + (-q) % n]
+        image, phase = self.flip(letter)
+        return image[negated], phase[negated]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -338,12 +353,15 @@ class MomentumSectors:
         return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
 
 
-def conjugation_defect(perm, phase, rows, cols, values) -> float:
+def conjugation_defect(perm, phase, rows, cols, values, antiunitary: bool = False) -> float:
     """max |G H G^dag - H| over the entries of H, given as H[rows, cols] =
     values with no position listed twice, for the phased permutation
-    G e_x = phase[x] e_perm[x] (phase None for 1)."""
+    G e_x = phase[x] e_perm[x] (phase None for 1), or with `antiunitary`
+    for G K, K the complex conjugation of the basis."""
     dim = perm.size
-    moved = values if phase is None else phase[rows] * values * phase[cols].conj()
+    moved = values.conj() if antiunitary else values
+    if phase is not None:
+        moved = phase[rows] * moved * phase[cols].conj()
     keys = np.concatenate((rows * dim + cols, perm[rows] * dim + perm[cols]))
     _, at = np.unique(keys, return_inverse=True)
     signed = np.concatenate((values, -moved))
@@ -392,6 +410,50 @@ def spin_flip(h: HermitianOperator, generator) -> str | None:
         if perm.size == h.dim and conjugation_defect(perm, phase, rows, cols, values) <= tol:
             return letter
     return None
+
+
+def real_structure(h: HermitianOperator, generator) -> str | None:
+    """The letter s (I for the identity) for which the antiunitary
+    A = prod_j s_j K, K the complex conjugation of the computational basis,
+    commutes both with the chain Hamiltonian h and with a kick
+    exp(-i lambda g) generated by the 2 x 2 `generator` g, or None where no
+    letter passes, or h carries no momentum sectors.
+
+    A fixes the kick exactly when s g^* s = -g, and h when its entries
+    conjugated and moved by the flip match (`conjugation_defect`), both
+    tested like `spin_flip`'s commutations and tried in the order I, X, Y, Z.
+    A Y kick is real (A = K) on every model; an X kick takes time reversal
+    prod Y K on XXZ and prod Z K on free spins, and none on the
+    transverse-field Ising chain.  A must square to 1, so at odd N the X
+    kick on XXZ takes prod Z K.  A generator with a trace part has none.
+    """
+    if h.sectors is None:
+        return None
+    g = as_square_complex(generator, "generator")
+    rows, cols, values = h.entries()
+    tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
+    for letter in "IXYZ":
+        s = _local(letter)
+        if not _squares_to_one(letter, h.sectors.n_terms):
+            continue
+        if max_norm(s @ g.conj() @ s + g) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
+            continue
+        perm, phase = site_product(h.sectors.n_terms, s)
+        if perm.size == h.dim and conjugation_defect(perm, phase, rows, cols, values, True) <= tol:
+            return letter
+    return None
+
+
+def _local(letter: str) -> np.ndarray:
+    """The one-site factor of a global flip: a Pauli matrix, or 1 for I."""
+    return np.eye(2, dtype=complex) if letter == "I" else pauli(letter)
+
+
+def _squares_to_one(letter: str, n: int) -> bool:
+    """Whether (prod_j s_j K)^2 = (s s^*)^n is 1 rather than -1: only time
+    reversal prod Y K at odd n squares to -1, and then no vector is fixed."""
+    s = _local(letter)
+    return (s @ s.conj())[0, 0].real ** n > 0
 
 
 def _site_reflection(dim: int, n: int) -> np.ndarray:

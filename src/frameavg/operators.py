@@ -2,7 +2,8 @@
 
 Spectral decompositions, matrix functions, operator norms, density
 matrices, and seeded generators for randomized property tests.  Operators
-are plain complex numpy arrays wrapped in thin validated containers (a
+are plain numpy arrays (complex, or float64 where a real structure makes
+them real) wrapped in thin validated containers (a
 chain Hamiltonian is held as its bit-flip terms instead, its dense matrix
 built only when read), each property certified by one gate: Hermiticity by
 `HermitianOperator`, and a state's trace and positivity by
@@ -60,8 +61,9 @@ class OverflowGuardError(ValueError):
     """An exponential-scaling step would overflow double precision."""
 
 
-def _as_square(matrix, name: str) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.complex128)
+def _as_square(matrix, name: str, keep_real: bool = False) -> np.ndarray:
+    real = keep_real and isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+    a = np.asarray(matrix, dtype=np.float64 if real else np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be square with dim >= 1, got shape {a.shape}")
     return a
@@ -152,7 +154,8 @@ def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
 class HermitianOperator:
     """A Hermitian operator certified at construction, in one of two forms.
 
-    - `matrix`: a dense square matrix, stored as exactly (A + A^dag) / 2;
+    - `matrix`: a dense square matrix, stored as exactly (A + A^dag) / 2,
+      float64 where A is a float64 array and complex128 otherwise;
       construction rejects inputs whose anti-Hermitian part exceeds
       HERMITICITY_RTOL relative to the entry scale.
     - bit-flip terms: a `diagonal` d and `flips`, pairs (m, c) of a flip mask
@@ -185,7 +188,7 @@ class HermitianOperator:
     def __post_init__(self):
         # the dense gate, under the hook name that wrappers of a certifying
         # class (the state gates are dataclasses) look for
-        a = _as_square(self._matrix, "matrix")
+        a = _as_square(self._matrix, "matrix", keep_real=True)
         # |a|.max() is finite exactly when every entry is
         scale = max_norm(a)
         _check_finite(np.isfinite(scale), "matrix")
@@ -373,8 +376,11 @@ class SpectralDecomposition:
       Where H was solved with a global spin `flip` F (its Pauli letter),
       each eigenvector is also one of F, with eigenvalue `flip_sign[j]`, the
       same as its partner's; without one, `flip` is None and the signs 0.
+      Where H was solved with an antiunitary A = prod s K, `real` is its
+      letter s (I for K alone), and A maps each eigenvector to its partner,
+      or to itself where the partner is itself; elsewhere `real` is None.
     - For any other operator `sectors` is None, W is one dense block
-      (F = 1), and those five read None.  `SpectralDecomposition(w,
+      (F = 1), and those six read None.  `SpectralDecomposition(w,
       eigenvectors=v)` holds v as that block with P = 1, and `eigenvectors`
       returns v.
 
@@ -397,16 +403,20 @@ class SpectralDecomposition:
         self._vectors = v
 
     @classmethod
-    def _in_sectors(cls, w, sectors, blocks, partner, labels, flip) -> "SpectralDecomposition":
+    def _in_sectors(
+        cls, w, sectors, blocks, partner, labels, flip, real
+    ) -> "SpectralDecomposition":
         """The sector form: the spectrum w and the `blocks` V_k in the order
         of W, the reflection partner of each column of W, and its labels,
         rows of (reflection sign, flip sign)."""
         order = np.argsort(w, kind="stable")
         decomp = cls.__new__(cls)
-        decomp._hold(w[order], order, sectors, blocks, partner, labels, flip)
+        decomp._hold(w[order], order, sectors, blocks, partner, labels, flip, real)
         return decomp
 
-    def _hold(self, w, perm, sectors, blocks, partner=None, labels=None, flip=None) -> None:
+    def _hold(
+        self, w, perm, sectors, blocks, partner=None, labels=None, flip=None, real=None
+    ) -> None:
         """Keep both forms' fields; the labels of the columns of W are read
         in the order of the spectrum through perm."""
         self.eigenvalues = w
@@ -416,6 +426,7 @@ class SpectralDecomposition:
         self._slices = _sector_slices((w.size,) if sectors is None else sectors.dims)
         self._vectors = None
         self.flip = flip
+        self.real = real
         self.momenta = self.partner = self.reflection_sign = self.flip_sign = None
         if sectors is not None:
             inv = np.empty_like(perm)
@@ -517,20 +528,24 @@ def _sector_slices(dims) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def spectral_decompose(a: HermitianOperator, flip: str | None = None) -> SpectralDecomposition:
+def spectral_decompose(
+    a: HermitianOperator, flip: str | None = None, real: str | None = None
+) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
     An operator that carries momentum `sectors` (every chain Hamiltonian) is
     diagonalised sector by sector in the momentum basis
     (`_sector_decompose`), from its nonzero entries, so its eigenbasis is a
     joint eigenbasis with the translation, and with the global spin flip of
-    Pauli letter `flip` where one is given.  Any other operator takes one
-    dense eigensolve.
+    Pauli letter `flip` where one is given.  With `real`, the letter of an
+    antiunitary prod s K (`lattice.real_structure`), its eigenvectors are
+    phased so that it maps each to its reflection partner.  Any other
+    operator takes one dense eigensolve.
     """
     if a.sectors is not None:
-        return _sector_decompose(a, a.sectors, flip)
-    if flip is not None:
-        raise ValueError("a spin flip label needs an operator that carries momentum sectors")
+        return _sector_decompose(a, a.sectors, flip, real)
+    if flip is not None or real is not None:
+        raise ValueError("a symmetry label needs an operator that carries momentum sectors")
     m = a.matrix
     try:
         w, v = np.linalg.eigh(m)
@@ -543,7 +558,7 @@ def spectral_decompose(a: HermitianOperator, flip: str | None = None) -> Spectra
     return decomp
 
 
-def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
+def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition:
     """One eigensolve per momentum sector pair of F^dag H F and label, for H
     a HermitianOperator or a Hermitian matrix, read as its nonzero entries.
 
@@ -560,8 +575,14 @@ def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
     R_0, maps every sector onto itself (`sectors.flip`): a sector is solved
     per label, its R_0 parity where it has one and then its flip sign
     (`symmetry_split`), and each block between two labels must vanish.  A
-    flip sign is shared by R_0 partners.  Every solve must reconstruct its
-    block; all gates hold within RECONSTRUCTION_RTOL of the scale.
+    flip sign is shared by R_0 partners.
+
+    With `real`, the letter of an antiunitary A = prod s K that H commutes
+    with, each block is solved in the basis that R_0 A (0 < k < N/2), or A
+    (k = 0, N/2), maps onto itself sector by sector (`symmetry_split`), where
+    it must be real; its eigenvectors v then obey A v = R_0 v, so A maps each
+    eigenvector to its partner, or to itself.  Every solve must reconstruct
+    its block; all gates hold within RECONSTRUCTION_RTOL of the scale.
     """
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
@@ -578,10 +599,19 @@ def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
     slices = _sector_slices(sectors.dims)
     dim = h.dim
     flips = None if flip is None else sectors.flip(flip)
+    conj = None if real is None else sectors.conjugation(real)
     # each label's symmetry, and the entries that break it
     names = {0: ("site reflection", "parity"), 1: (f"spin flip prod {flip}", "flip")}
 
     def solve(block):
+        if real is not None:
+            imag = max_norm(block.imag) if block.size else 0.0
+            if imag > tol:
+                raise ValueError(
+                    f"operator does not commute with the antiunitary prod {real} K of "
+                    f"its sectors: imaginary entries reach {imag:.3e}, above {tol:.3e}"
+                )
+            block = block.real
         try:
             w, v = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:
@@ -614,10 +644,17 @@ def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
             involutions[0] = (mirror, phase)
         if flips is not None:
             involutions[1] = (flips[0][sl] - sl.start, flips[1][sl])
+        anti = None
+        if conj is not None:
+            # A maps sector k onto N - k, so R_0 A maps it onto itself
+            image, a_phase = conj[0][sl], conj[1][sl]
+            if k_bar != k:
+                image, a_phase = sectors.mirror[image], a_phase * sectors.mirror_phase[image]
+            anti = (image - sl.start, a_phase)
         labels[k] = np.zeros((block.shape[0], 2), dtype=np.int8)
-        if involutions and block.size:
+        if (involutions or anti) and block.size:
             unit = (np.arange(mirror.size), np.ones(mirror.size))
-            split = symmetry_split([((), unit)], list(involutions.values()))
+            split = symmetry_split([((), unit)], list(involutions.values()), anti)
             columns = [_dense_columns(mirror.size, *terms) for _, terms in split]
             keys = list(involutions)
             for p, q in combinations(range(len(split)), 2):
@@ -646,7 +683,7 @@ def _sector_decompose(h, sectors, flip=None) -> SpectralDecomposition:
         partner[sl] = np.arange(slices[k_bar].start, slices[k_bar].stop)
         partner[slices[k_bar]] = np.arange(sl.start, sl.stop)
     return SpectralDecomposition._in_sectors(
-        np.concatenate(values), sectors, vectors, partner, np.concatenate(labels), flip
+        np.concatenate(values), sectors, vectors, partner, np.concatenate(labels), flip, real
     )
 
 
@@ -686,7 +723,9 @@ def parity_vectors(partner: np.ndarray, phase: np.ndarray) -> list[tuple[np.ndar
     return out
 
 
-def symmetry_split(sets, involutions) -> list[tuple[tuple[int, ...], tuple[np.ndarray, ...]]]:
+def symmetry_split(
+    sets, involutions, antiunitary=None
+) -> list[tuple[tuple[int, ...], tuple[np.ndarray, ...]]]:
     """The joint eigenvectors of commuting involutions inside labelled column
     sets: the one place that builds the vectors of a symmetry label.
 
@@ -699,8 +738,19 @@ def symmetry_split(sets, involutions) -> list[tuple[tuple[int, ...], tuple[np.nd
     splits into the +1 and the -1 eigenvectors of that column involution
     (`parity_vectors`), its labels extended by the sign and its terms
     doubled.  Empty sets are dropped.
+
+    An `antiunitary` involution A (image, phase), A sum_p y_p e_p =
+    sum_p conj(y_p) phase[p] e_image[p], which must commute with all of
+    them, then makes each set real without a label: A sends column x to
+    l_x times column y, and the set is spanned by the vectors A fixes,
+    sqrt(l_x) times x where y = x, and (x + l_x y) / sqrt(2) and
+    i (x - l_x y) / sqrt(2) for each pair x < y.  An operator that A fixes
+    has real entries between them.
     """
-    for image, phase in involutions:
+    steps = [(image, phase, False) for image, phase in involutions]
+    if antiunitary is not None:
+        steps.append((*antiunitary, True))
+    for image, phase, anti in steps:
         out = []
         for labels, terms in sets:
             idx, coef = terms[0::2], terms[1::2]
@@ -714,14 +764,37 @@ def symmetry_split(sets, involutions) -> list[tuple[tuple[int, ...], tuple[np.nd
             target = image[idx[0]]
             if (owner[target] < 0).any():
                 raise ValueError("a symmetry does not map a labelled column set onto itself")
-            q_phase = coef[0] * phase[idx[0]] / weight[target]
-            for sign, (i, a, j, b) in zip((1, -1), parity_vectors(owner[target], q_phase)):
+            lead = coef[0].conj() if anti else coef[0]
+            q_phase = lead * phase[idx[0]] / weight[target]
+            if anti:
+                pieces = [(labels, _real_vectors(owner[target], q_phase))]
+            else:
+                pieces = [
+                    ((*labels, sign), v)
+                    for sign, v in zip((1, -1), parity_vectors(owner[target], q_phase))
+                ]
+            for new_labels, (i, a, j, b) in pieces:
                 if i.size:
                     left = [x for t in zip(idx, coef) for x in (t[0][i], a * t[1][i])]
                     right = [x for t in zip(idx, coef) for x in (t[0][j], b * t[1][j])]
-                    out.append(((*labels, sign), (*left, *right)))
+                    out.append((new_labels, (*left, *right)))
         sets = out
     return sets
+
+
+def _real_vectors(partner: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The vectors an antiunitary involution A e_p = phase[p] e_{partner[p]}
+    fixes, as arrays (i, a, j, b) of a e_i + b e_j: sqrt(phase[p]) e_p for
+    each fixed p, then (e_p + phase[p] e_q) / sqrt(2) and
+    i (e_p - phase[p] e_q) / sqrt(2) for each pair p < q = partner[p]."""
+    idx = np.arange(partner.size)
+    fixed, lead = idx[partner == idx], idx[partner > idx]
+    half = np.full(lead.size, np.sqrt(0.5), dtype=np.complex128)
+    i = np.concatenate((fixed, lead, lead))
+    a = np.concatenate((np.sqrt(phase[fixed]), half, 1j * half))
+    j = np.concatenate((fixed, partner[lead], partner[lead]))
+    b = np.concatenate((np.zeros(fixed.size), half * phase[lead], -1j * half * phase[lead]))
+    return i, a, j, b
 
 
 def matrix_function(decomp: SpectralDecomposition, f) -> HermitianOperator:

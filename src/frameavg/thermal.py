@@ -122,15 +122,19 @@ class WorkReport:
 
 
 def thermal_state(
-    hamiltonian: HermitianOperator, beta: float, flip: str | None = None
+    hamiltonian: HermitianOperator,
+    beta: float,
+    flip: str | None = None,
+    real: str | None = None,
 ) -> ThermalState:
     """Gibbs state at inverse temperature beta; beta = 0 gives the flat state.
     H is solved with the labels of the global spin flip of Pauli letter
-    `flip` where one is given (`spectral_decompose`)."""
+    `flip`, and phased for the antiunitary prod s K of letter `real`, where
+    one is given (`spectral_decompose`)."""
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-    decomp = spectral_decompose(hamiltonian, flip)
+    decomp = spectral_decompose(hamiltonian, flip, real)
     _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
     return ThermalState(None, beta, log_partition, hamiltonian, decomp)
 

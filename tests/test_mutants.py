@@ -21,7 +21,10 @@ then applies one mutation with monkeypatch and sees the same check fail:
 - a channel whose dense `apply` conjugates by the kick, which does not
   commute with H: `verify`'s gracefulness line fails by orders of magnitude;
 - the spin flip prod X forced on a Y kick, which does not commute with it:
-  the off-label gate names the flip and raises.
+  the off-label gate names the flip and raises;
+- complex conjugation K declared the real structure of an X kick on the
+  transverse-field Ising chain, which K does not fix: the real gate on the
+  blocks of u~ raises.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -264,5 +267,27 @@ def test_a_flip_the_kick_does_not_fix_trips_the_off_label_gate(monkeypatch):
     monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: "X")
     with pytest.raises(
         ValueError, match="does not commute with the spin flip prod X: off-flip entries reach"
+    ):
+        convergence_sweep(cfg)
+
+
+def test_a_real_structure_the_kick_breaks_trips_the_real_gate(monkeypatch):
+    # TFI is real and an X kick is not, so no antiunitary prod s K fixes
+    # both and the flip prod X applies; with the flip withheld and K
+    # declared, the labelled blocks of u~ carry the kick's imaginary entries
+    mapping = {
+        "model": TFI,
+        "sizes": [4, 5],
+        "beta": 1.0,
+        "kick": {"site": 1, "generator": "X", "strength": 0.7},
+        "averaging": [{"kind": "weighted-spatial", "R": 2.0}],
+        "seed": 17,
+    }
+    cfg = config_from_mapping(mapping)
+    assert len(convergence_sweep(cfg)) == 2
+    monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: None)
+    monkeypatch.setattr(experiments, "real_structure", lambda h, generator: "I")
+    with pytest.raises(
+        ValueError, match="does not commute with the antiunitary prod I K: imaginary entries reach"
     ):
         convergence_sweep(cfg)

@@ -1,5 +1,6 @@
-"""The reflection about the kicked site and the global spin flip: R_0 and
-the flip in the sector solve of H, the choice of the flip by commutation,
+"""The reflection about the kicked site, the global spin flip and the
+antiunitary real structure: R_0, the flip and the phasing in the sector
+solve of H, the choice of the flip and of the real structure by commutation,
 the labelled split of joint-basis matrices and its gate, the even/odd rule
 that averages parity blocks, and the kick-site invariance of every sweep row
 that makes the split's phases observable."""
@@ -18,6 +19,7 @@ from frameavg.lattice import (
     LatticeSpec,
     build_hamiltonian,
     pauli,
+    real_structure,
     site_product,
     spin_flip,
     translation_operator,
@@ -27,6 +29,7 @@ from frameavg.operators import (
     UnitaryOperator,
     max_norm,
     spectral_decompose,
+    symmetry_split,
 )
 from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
 
@@ -126,6 +129,100 @@ def test_the_flip_is_chosen_by_commutation(model, couplings, kick, flip):
     # the flip that commutes with H's terms and with the kick's generator
     for n in (2, 3, 4, 5, 6):
         assert spin_flip(_hamiltonian(model, couplings, n), _generator(kick)) == flip
+
+
+@pytest.mark.parametrize(
+    "model,couplings,kick,real",
+    [
+        (*XXZ, "X", ("Y", "Z")),
+        (*XXZ, "Y", "I"),
+        (*XXZ, "Z", "X"),
+        (*TFI, "X", None),
+        (*TFI, "Y", "I"),
+        (*TFI, "Z", "X"),
+        (*FREE, "X", "Z"),
+        (*FREE, "Y", "I"),
+        (*FREE, "Z", None),
+        (*XXZ, GENERATOR, None),
+        (*TFI, GENERATOR, None),
+        (*FREE, GENERATOR, None),
+    ],
+)
+def test_the_real_structure_is_chosen_by_commutation(model, couplings, kick, real):
+    # the antiunitary prod s K that fixes H's terms and the kick, given for
+    # even and odd N where they differ: time reversal prod Y K squares to -1
+    # at odd N; GENERATOR has a trace part, which K cannot send to minus itself
+    for n in (2, 3, 4, 5, 6):
+        want = real[n % 2] if isinstance(real, tuple) else real
+        assert real_structure(_hamiltonian(model, couplings, n), _generator(kick)) == want
+
+
+@pytest.mark.parametrize(
+    "model,couplings,real",
+    [(*XXZ, "Y"), (*XXZ, "I"), (*XXZ, "X"), (*TFI, "I"), (*TFI, "X"), (*FREE, "Z")],
+)
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_a_real_structure_maps_each_eigenvector_to_its_partner(model, couplings, real, n):
+    # solved with A = prod s K, A v_i is v_partner(i), itself where the
+    # partner is i, on the dense V, and the spectrum is that of the plain
+    # solve; prod Y K squares to -1 at odd N and is refused
+    h = _hamiltonian(model, couplings, n)
+    if real == "Y" and n % 2:
+        with pytest.raises(ValueError, match="prod Y K squares to -1"):
+            spectral_decompose(h, real=real)
+        return
+    decomp = spectral_decompose(h, real=real)
+    assert decomp.real == real and decomp.flip is None
+    v = decomp.eigenvectors
+    local = np.eye(2, dtype=complex) if real == "I" else pauli(real)
+    perm, phase = site_product(n, local)
+    image = np.empty_like(v)
+    image[perm] = phase[:, np.newaxis] * v.conj()  # A v
+    assert max_norm(image - v[:, decomp.partner]) < 1e-13
+    plain = spectral_decompose(h)
+    assert np.abs(decomp.eigenvalues - plain.eigenvalues).max() < 1e-12
+    assert plain.real is None
+
+
+def test_the_antiunitary_split_spans_each_set_with_fixed_vectors():
+    # columns with complex coefficients, split by a unitary involution Q and
+    # then made real by an antiunitary A that commutes with it: every vector
+    # is fixed by A, each set keeps its label and span, and the whole is
+    # orthonormal
+    rng = np.random.default_rng(3)
+    dim = 8
+    # Q swaps 0 <-> 1 and 4 <-> 5 and fixes the rest; A swaps 0 <-> 4 and
+    # 1 <-> 5 and fixes the rest, each with a phase constant on its orbits
+    image_q = np.array([1, 0, 2, 3, 5, 4, 6, 7])
+    image_a = np.array([4, 5, 2, 3, 0, 1, 6, 7])
+    z = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    phase_q = np.array([z[0], z[0].conj(), 1, -1, z[0].conj(), z[0], 1, -1])
+    phase_a = np.array([z[1], z[1], z[2], z[3], z[1], z[1], 1j, -1j])
+    coefficients = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    sets = [((), (np.arange(dim), coefficients))]
+    q_only = symmetry_split(sets, [(image_q, phase_q)])
+    split = symmetry_split(sets, [(image_q, phase_q)], (image_a, phase_a))
+    assert [labels for labels, _ in split] == [labels for labels, _ in q_only]
+    columns = []
+    for terms in (t for _, t in split):
+        v = np.zeros((dim, terms[0].size), dtype=complex)
+        for i, c in zip(terms[0::2], terms[1::2]):
+            v[i, np.arange(i.size)] += c
+        a_v = np.empty_like(v)
+        a_v[image_a] = phase_a[:, np.newaxis] * v.conj()  # A v
+        assert max_norm(a_v - v) < 1e-14
+        columns.append(v)
+    v = np.concatenate(columns, axis=1)
+    assert max_norm(v.conj().T @ v - np.eye(dim)) < 1e-14
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sector_solve_refuses_a_real_structure_the_operator_breaks(n):
+    # TFI is real, but prod Z K flips the sign of its transverse field
+    h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, n)
+    spectral_decompose(h, real="I")
+    with pytest.raises(ValueError, match="antiunitary prod Z K of its sectors: imaginary"):
+        spectral_decompose(h, real="Z")
 
 
 @pytest.mark.parametrize(
@@ -299,15 +396,18 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
     # every channel maps the labelled blocks of rho' and of E straight to
     # the labelled split of the dense W o X~, for every kick site and an X,
     # a Y, a Z and a generic kick, each with H solved under the spin flip
-    # that H and the kick commute with, where one does; the uniform
-    # channel's class blocks hold all of it, and their spectra are those of
-    # the dense average
+    # that H and the kick commute with, where one does, and otherwise under
+    # their real structure, which makes rho' and E real in the labelled
+    # basis; the uniform channel's class blocks hold all of it, and their
+    # spectra are those of the dense average
     lattice = LatticeSpec(n)
     h = _hamiltonian(model, couplings, n)
     t = translation_operator(lattice)
     for letter in KICKS:
         generator = _generator(letter)
-        state = thermal_state(h, 1.0, spin_flip(h, generator))
+        flip = spin_flip(h, generator)
+        real = None if flip else real_structure(h, generator)
+        state = thermal_state(h, 1.0, flip, real)
         decomp = state.hamiltonian_decomp
         channels = [
             (kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS
@@ -321,6 +421,8 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
                 x_tilde = decomp.to_eigenbasis(x)
                 x_blocks = parity.split(x_tilde)
                 scale = max_norm(x_tilde)
+                if real is not None:
+                    assert max(max_norm(b.imag) for b in x_blocks) <= 1e-13 * scale
                 for kind, channel, w in channels:
                     blocks, rows = channel.parity_blocks(x_blocks, parity)
                     want = parity.split(w * x_tilde)
