@@ -142,11 +142,12 @@ class AveragingKind:
             def weights(rows, cols):
                 return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n_terms]
         else:
-            def apply(a):
-                return temporal_average_matrix(a, decomp, self.parameter)
-
             def weights(rows, cols):
                 return _temporal_weights(decomp.eigenvalues, self.parameter, rows, cols)
+
+            # the dense map holds its weights from its first call on, in the
+            # order of the eigenbasis; a sweep never calls it
+            apply = decomp.schur_multiplier(weights)
 
         return Channel(apply, None if momenta is None else weights, classes)
 
@@ -163,7 +164,10 @@ def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms
 class Channel:
     """An averaging map M bound to one chain.
 
-    apply(X) is the dense M X in the computational basis.  In the joint H-T
+    apply(X) is the dense M X in the computational basis: sums of
+    translates for the spatial channels, and for the temporal one the
+    Schur multiplier of `SpectralDecomposition.schur_multiplier`, whose
+    weights are built on the first call and held.  In the joint H-T
     eigenbasis M multiplies X~ = V^dag X V entry by entry by Omega(i, l), a
     Schur multiplier: delta(k_i, k_l) (uniform), w^(k_i - k_l) (weighted) or
     1 / (1 + i (E_i - E_l) tau) (temporal).  `weights(rows, cols)` gives
@@ -332,15 +336,14 @@ def temporal_average_matrix(
 
     tau below TAU_IDENTITY_FLOOR returns the input unchanged; tau = inf keeps
     only matrix elements inside degenerate blocks (gap below DEGENERACY_RTOL
-    of the spectral width), the exact long-memory dephasing limit.
+    of the spectral width), the exact long-memory dephasing limit.  The
+    weights are built for this one call (`SpectralDecomposition.
+    schur_multiplier`); a bound temporal channel holds its own.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] != decomp.dim:
-        raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, spectrum {decomp.dim}")
-    weights = _temporal_weights(decomp.eigenvalues, tau)
-    if weights is None:
-        return a.copy()
-    return decomp.from_eigenbasis(decomp.to_eigenbasis(a) * weights)
+    def weights(rows, cols):
+        return _temporal_weights(decomp.eigenvalues, tau, rows, cols)
+
+    return decomp.schur_multiplier(weights)(a)
 
 
 def _temporal_weights(

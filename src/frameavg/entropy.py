@@ -24,6 +24,7 @@ from .operators import (
     DensityMatrix,
     OverflowGuardError,
     SUPPORT_RTOL,
+    hermitian_part,
 )
 from .thermal import ThermalState
 
@@ -114,10 +115,13 @@ def _bs_value(sigma_tilde: np.ndarray, scale: np.ndarray, weights: np.ndarray) -
     """-tr[rho eta(X)] with X = diag(scale) sigma_tilde diag(scale).
 
     All three arrays live in the eigenbasis of rho, where rho is diagonal
-    with entries `weights`.
+    with entries `weights`.  X is scaled and symmetrized in place in
+    sigma_tilde, which is overwritten, so no dim x dim temporary is made.
     """
-    x = (scale[:, np.newaxis] * sigma_tilde) * scale[np.newaxis, :]
-    x = (x + x.conj().T) / 2
+    x = sigma_tilde
+    x *= scale[:, np.newaxis]
+    x *= scale[np.newaxis, :]
+    hermitian_part(x, out=x)
     xw, xv = np.linalg.eigh(x)
     # weight of each X eigenvector under rho
     q = (weights[:, np.newaxis] * (xv.real**2 + xv.imag**2)).sum(axis=0)

@@ -23,6 +23,10 @@ from .operators import (
 DIM_GUARD = 2**14
 DIM_GUARD_ENV = "FRAMEAVG_MAX_DIM"
 
+# rows of a dim x dim matrix that `MomentumSectors.rotate_from_sectors`
+# gathers at a time
+_SLAB = 256
+
 # raised where a translation is used through its basis permutation
 NEEDS_PERMUTATION = "the translation must carry its basis permutation, not only a dense matrix"
 
@@ -188,7 +192,7 @@ class MomentumSectors:
     which satisfy T |r, k> = e^{2 pi i k / N} |r, k>.  The sector dimensions
     sum to dim (Sandvik, arXiv:1101.3281, section 4).  The uniform average
     of X over the N translates is the projection onto the eigenspaces of T,
-    so it keeps exactly the N diagonal blocks of F^dag X F (`blocks`).
+    so it keeps exactly the N diagonal blocks of F^dag X F.
 
     The site reflection R_0: j -> -j mod N satisfies R_0 T R_0 = T^-1, so it
     maps sector k onto sector N - k, |r, k> to a phase times |r', -k> with r'
@@ -198,6 +202,8 @@ class MomentumSectors:
     array through an FFT over the shift index of each orbit, in O(dim log N)
     per column; their sector-major order lists sector 0, then sector 1, and
     so on, and `momenta` gives the sector of each position.
+    `rotate_to_sectors` and `rotate_from_sectors` apply F^dag a F and F y F^dag
+    to a dim x dim matrix in one pass over both of its axes.
     """
 
     def __init__(self, t: UnitaryOperator, n_terms: int):
@@ -285,16 +291,6 @@ class MomentumSectors:
         """Sector dimensions in momentum order k = 0 .. N-1."""
         return tuple(m.size for m in self._members)
 
-    def blocks(self, a: np.ndarray) -> list[np.ndarray]:
-        """The N diagonal blocks of F^dag a F = (F^dag (F^dag a)^dag)^dag, in
-        momentum order."""
-        a = np.asarray(a)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"dimension mismatch: matrix {a.shape}, sectors {self.dim}")
-        x = self.to_sectors(self.to_sectors(a).conj().T).conj().T
-        edges = np.cumsum((0, *self.dims))
-        return [x[i:j, i:j] for i, j in zip(edges[:-1], edges[1:])]
-
     def blocks_from_entries(self, rows, cols, values) -> list[np.ndarray]:
         """The N diagonal blocks of F^dag H F, in momentum order, for H given
         by its nonzero entries H[rows, cols] = values and commuting with T.
@@ -351,6 +347,51 @@ class MomentumSectors:
         z = np.fft.fft(z.reshape(n_orbits, n, *y.shape[1:]), axis=1)
         z /= self._root_lengths.reshape(-1, *[1] * y.ndim)
         return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
+
+    def rotate_to_sectors(self, a: np.ndarray) -> np.ndarray:
+        """F^dag a F in sector-major order, for a dim x dim matrix a, as a new
+        complex array, in one two-sided pass:
+
+            <r, k| a |s, q> = sqrt(L_r L_s) / N^2
+                sum_{n, m < N} e^{2 pi i (k n - q m) / N} a[T^n r, T^m s],
+
+        one gather of a onto the (orbit, shift) grid of its rows and columns,
+        an inverse FFT over the row shifts and an FFT over the column shifts,
+        both in place, and one gather into sector-major order."""
+        n_orbits, n = self._orbits.shape
+        grid = self._orbits.ravel()
+        g = np.asarray(a)[np.ix_(grid, grid)].astype(np.complex128, copy=False)
+        g = g.reshape(n_orbits, n, n_orbits, n)
+        np.fft.ifft(g, axis=1, out=g)
+        np.fft.fft(g, axis=3, out=g)
+        root = self._root_lengths
+        g *= np.multiply.outer(root, root / n)[:, np.newaxis, :, np.newaxis]
+        g = g.reshape(n_orbits * n, n_orbits * n)
+        return g[np.ix_(self._select, self._select)]
+
+    def rotate_from_sectors(self, y: np.ndarray) -> np.ndarray:
+        """F y F^dag for a complex y in sector-major order, written into y and
+        returned; the inverse of `rotate_to_sectors`, by the same pass
+        backwards:
+
+            <T^n r| y |T^m s> = 1 / sqrt(L_r L_s)
+                sum_{k, q} e^{-2 pi i (k n - q m) / N} y[(r, k), (s, q)].
+
+        The grid is gathered back into y a slab of rows at a time, so no
+        second dim x dim array is made."""
+        n_orbits, n = self._orbits.shape
+        z = np.zeros((n_orbits * n, n_orbits * n), dtype=np.complex128)
+        z[np.ix_(self._select, self._select)] = y
+        z = z.reshape(n_orbits, n, n_orbits, n)
+        np.fft.fft(z, axis=1, out=z)
+        np.fft.ifft(z, axis=3, out=z)
+        root = self._root_lengths
+        z *= np.multiply.outer(1.0 / root, n / root)[:, np.newaxis, :, np.newaxis]
+        z = z.reshape(n_orbits * n, n_orbits * n)
+        position = self._position
+        for start in range(0, self.dim, _SLAB):
+            y[start : start + _SLAB] = z[np.ix_(position[start : start + _SLAB], position)]
+        return y
 
 
 def conjugation_defect(perm, phase, rows, cols, values, antiunitary: bool = False) -> float:

@@ -15,6 +15,7 @@ affordable at the dimensions this package targets.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -130,15 +131,18 @@ def trace_product(a, b) -> complex:
     return complex(np.einsum("ij,ji->", a, b))
 
 
-def hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
+def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(a + a^dag) / 2 and max|a - a^dag|, in one pass over square tiles.
 
     The tile at (j, i) of the output is the conjugate transpose of the one
     at (i, j), so each pair is formed once, and no transposed copy of the
     whole array is made.  The result equals (a + a.conj().T) / 2 bit for bit.
+    It is written to `out`, which may be a itself: each pair of tiles is
+    read before either is written.
     """
     dim = a.shape[0]
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
     defect = 0.0
     for i in range(0, dim, _TILE):
         for j in range(i, dim, _TILE):
@@ -166,7 +170,8 @@ class HermitianOperator:
       with the coefficients of equal masks summed.  H is Hermitian exactly
       when d is real and c[x XOR m] = conj(c[x]); that is gated on the terms
       with the same tolerance and message, and the terms are stored
-      symmetrized the same way.  `matrix` is then built on first read.
+      symmetrized the same way.  `matrix` is then built on first read,
+      float64 where every term is real.
 
     `entries()` gives the nonzero entries of either form, from the terms in
     O(N dim) for N flip masks.  `sectors` are the momentum sectors of a
@@ -204,11 +209,13 @@ class HermitianOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense matrix; built and kept on first read for the term form."""
+        """The dense matrix; built and kept on first read for the term form,
+        float64 where every term is real."""
         if self._matrix is None:
             rows, cols, values = self.entries()
-            m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            m[rows, cols] = values
+            real = not values.imag.any()
+            m = np.zeros((self.dim, self.dim), dtype=np.float64 if real else np.complex128)
+            m[rows, cols] = values.real if real else values
             self._matrix = m
         return self._matrix
 
@@ -385,7 +392,10 @@ class SpectralDecomposition:
       returns v.
 
     Rotations go through F, the blocks and index gathers, in O(dim^2 log N +
-    dim^3 / N) in sector form; the dense V is built on first read of
+    dim^3 / N) in sector form: a dim x dim matrix is rotated into and out of
+    the order of W in one pass over both axes (`MomentumSectors.
+    rotate_to_sectors`, then the blocks in place), and `schur_multiplier`
+    holds its weights in that order; the dense V is built on first read of
     `eigenvectors`.  `columns` and `project` apply V and V^dag to a few
     columns at a time, reading only the blocks those columns touch.
     """
@@ -429,8 +439,7 @@ class SpectralDecomposition:
         self.real = real
         self.momenta = self.partner = self.reflection_sign = self.flip_sign = None
         if sectors is not None:
-            inv = np.empty_like(perm)
-            inv[perm] = np.arange(perm.size)
+            inv = self._spectrum_order()
             self.momenta = sectors.momenta[perm]
             self.partner = inv[partner[perm]]
             self.reflection_sign, self.flip_sign = np.asarray(labels, dtype=np.int8)[perm].T
@@ -491,20 +500,74 @@ class SpectralDecomposition:
         perm = self.basis_permutation
         return [project_pairs(y, (perm[i], a, perm[j], b)) for i, a, j, b in sets]
 
+    def _spectrum_order(self) -> np.ndarray:
+        """The index in the spectrum of each column of W."""
+        order = np.empty(self.dim, dtype=np.intp)
+        order[self.basis_permutation] = np.arange(self.dim)
+        return order
+
+    def _rotate_in(self, a: np.ndarray) -> np.ndarray:
+        """W^dag a W, a new complex array in the order of W: F^dag a F in one
+        two-sided pass, then V_k^dag on each sector's rows and V_l on each
+        sector's columns, written back in place."""
+        if self.sectors is None:
+            y = np.array(a, dtype=np.complex128)
+        else:
+            y = self.sectors.rotate_to_sectors(a)
+        for sl, v in zip(self._slices, self._blocks):
+            y[sl] = v.conj().T @ y[sl]
+        for sl, v in zip(self._slices, self._blocks):
+            y[:, sl] = y[:, sl] @ v
+        return y
+
+    def _rotate_out(self, y: np.ndarray) -> np.ndarray:
+        """W y W^dag for a complex y in the order of W, written into y and
+        returned: the reverse of `_rotate_in`."""
+        for sl, v in zip(self._slices, self._blocks):
+            y[sl] = v @ y[sl]
+        for sl, v in zip(self._slices, self._blocks):
+            y[:, sl] = y[:, sl] @ v.conj().T
+        return y if self.sectors is None else self.sectors.rotate_from_sectors(y)
+
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """V^dag a V, through W^dag a W = (W^dag (W^dag a)^dag)^dag."""
-        a = self._adjoint(self._adjoint(a).conj().T).conj().T
+        """V^dag a V, the rows and columns of W^dag a W gathered into the
+        order of the spectrum."""
         p = self.basis_permutation
-        return a[np.ix_(p, p)]
+        return self._rotate_in(a)[np.ix_(p, p)]
 
     def from_eigenbasis(self, b: np.ndarray) -> np.ndarray:
-        """V b V^dag, through W b' W^dag = (W (W b')^dag)^dag for b' = P b P^dag."""
-        inv = np.empty(self.dim, dtype=np.intp)
-        inv[self.basis_permutation] = np.arange(self.dim)
-        # rebinding b frees a temporary the caller passed in before W
-        # allocates; passing the gather straight in would keep it alive
-        b = b[np.ix_(inv, inv)]
-        return self._apply(self._apply(b).conj().T).conj().T
+        """V b V^dag, as W b' W^dag for b' = P b P^dag."""
+        order = self._spectrum_order()
+        b = np.asarray(b)[np.ix_(order, order)]
+        return self._rotate_out(b.astype(np.complex128, copy=False))
+
+    def schur_multiplier(self, weights) -> Callable[[np.ndarray], np.ndarray]:
+        """The map X -> V (Omega o V^dag X V) V^dag, for Omega(i, l) =
+        weights(i, l) on the eigenvector indices i, l of the spectrum (arrays
+        of them; None for the identity, which returns a copy of X).
+
+        (V^dag X V)_il = (W^dag X W)_(P i, P l), so Omega is built in the
+        order of W, weights(o, o) for o the index in the spectrum of each
+        column of W, on the first call and held: each call is one two-sided
+        rotation in, an in-place product and one rotation out, with no gather
+        into the order of the spectrum.
+        """
+        held = []
+
+        def apply(x):
+            x = np.asarray(x)
+            if x.shape != (self.dim, self.dim):
+                raise ValueError(f"dimension mismatch: matrix {x.shape}, spectrum {self.dim}")
+            if not held:
+                order = self._spectrum_order()
+                held.append(weights(order, order))
+            if held[0] is None:
+                return np.array(x, dtype=np.complex128)
+            y = self._rotate_in(x)
+            y *= held[0]
+            return self._rotate_out(y)
+
+        return apply
 
     def diagonal_from_eigenbasis(self, values) -> np.ndarray:
         """V diag(values) V^dag as a dense matrix, through the block-diagonal
@@ -515,8 +578,7 @@ class SpectralDecomposition:
         y = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for sl, v in zip(self._slices, self._blocks):
             y[sl, sl] = (v * d[sl][np.newaxis, :]) @ v.conj().T
-        f = self._from_sectors
-        return f(f(y).conj().T).conj().T
+        return y if self.sectors is None else self.sectors.rotate_from_sectors(y)
 
     def reconstruct(self) -> np.ndarray:
         return self.diagonal_from_eigenbasis(self.eigenvalues)

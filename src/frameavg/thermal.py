@@ -28,7 +28,8 @@ class ThermalState:
     Carrying the Hamiltonian and its decomposition lets every downstream
     entropy take the stable analytic route for log rho.  In the eigenbasis
     of H the state is diag(populations); `rho`, the certified dense matrix
-    in the computational basis, is built on first read unless one is given.
+    in the computational basis, is built on first read unless one is given,
+    and held until `release_rho`.
     """
 
     beta: float
@@ -58,6 +59,11 @@ class ThermalState:
             rho = DensityMatrix(self.hamiltonian_decomp.diagonal_from_eigenbasis(weights))
             object.__setattr__(self, "_rho", rho)
         return self._rho
+
+    def release_rho(self) -> None:
+        """Drop the held dense rho, for a caller past its last reader; a
+        later read builds it again."""
+        object.__setattr__(self, "_rho", None)
 
     @property
     def dim(self) -> int:

@@ -38,6 +38,7 @@ from frameavg.lattice import (
     translation_operator,
 )
 from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
+from sector_blocks import sector_blocks
 
 
 def ising_setup(n=4, beta=1.0, g=0.9, lam=0.7):
@@ -255,7 +256,7 @@ class TestMomentumSectors:
         t = translation_operator(lat)
         sectors = MomentumSectors(t, n)
         assert sum(sectors.dims) == lat.dim
-        blocks = sectors.blocks(rho_prime.matrix)
+        blocks = sector_blocks(sectors, rho_prime.matrix)
         assert [b.shape for b in blocks] == [(d, d) for d in sectors.dims]
         averaged = BlockDensityMatrix(tuple(blocks))
         dense = np.linalg.eigvalsh(average_translates(rho_prime.matrix, t, n))
@@ -269,8 +270,8 @@ class TestMomentumSectors:
         sectors = MomentumSectors(t, 6)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        direct = sectors.blocks(a)
-        averaged = sectors.blocks(average_translates(a, t, 6))
+        direct = sector_blocks(sectors, a)
+        averaged = sector_blocks(sectors, average_translates(a, t, 6))
         assert max(max_norm(x - y) for x, y in zip(direct, averaged)) < 1e-12
         assert abs(sum(b.trace() for b in direct) - a.trace()) < 1e-12
 
@@ -278,13 +279,13 @@ class TestMomentumSectors:
         _, _, _, rho_prime, t = ising_setup()
         rng = np.random.default_rng(5)
         skew = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        blocks = MomentumSectors(t, 4).blocks(rho_prime.matrix + 1e-6 * skew)
+        blocks = sector_blocks(MomentumSectors(t, 4), rho_prime.matrix + 1e-6 * skew)
         with pytest.raises(ValueError, match="not Hermitian"):
             BlockDensityMatrix(tuple(blocks))
 
     def test_trace_off_one_rejected(self):
         _, _, _, rho_prime, t = ising_setup()
-        blocks = MomentumSectors(t, 4).blocks(1.5 * rho_prime.matrix)
+        blocks = sector_blocks(MomentumSectors(t, 4), 1.5 * rho_prime.matrix)
         with pytest.raises(ValueError, match="is not 1 within"):
             BlockDensityMatrix(tuple(blocks))
 
@@ -293,7 +294,7 @@ class TestMomentumSectors:
         # |0000> is its own orbit, so its negative weight survives the average
         diag = np.full(16, 1.1 / 15)
         diag[0] = -0.1
-        blocks = MomentumSectors(t, 4).blocks(np.diag(diag).astype(complex))
+        blocks = sector_blocks(MomentumSectors(t, 4), np.diag(diag).astype(complex))
         with pytest.raises(ValueError, match="not positive semidefinite: min eigenvalue"):
             BlockDensityMatrix(tuple(blocks))
 

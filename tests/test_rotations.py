@@ -1,0 +1,222 @@
+"""The two-sided rotations into and out of the joint H-T eigenbasis, the
+temporal channel as a Schur multiplier that holds its weights, and the
+memory `verify` peaks at.
+
+Each rotation and each temporal average is compared with the explicit
+product V (Omega o V^dag X V) V^dag built from the dense eigenvectors V,
+which `SpectralDecomposition.eigenvectors` assembles one column at a time
+rather than through the two-sided pass.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from frameavg import averaging
+from frameavg.averaging import (
+    DEGENERACY_RTOL,
+    TAU_IDENTITY_FLOOR,
+    AveragingKind,
+    temporal_average_matrix,
+)
+from frameavg.experiments import config_from_mapping, convergence_sweep, verify_identities
+from frameavg.lattice import (
+    HamiltonianSpec,
+    LatticeSpec,
+    build_hamiltonian,
+    real_structure,
+    sigma_x,
+    sigma_y,
+    spin_flip,
+    translation_operator,
+)
+from frameavg.operators import HermitianOperator, hermitian_part, max_norm
+from frameavg.thermal import thermal_state
+
+TFI = ("transverse-field-ising", {"J": 1.0, "g": 0.9})
+# H solved with the spin flip prod X (an X kick), with the real structure K
+# (a Y kick), with neither label, and as one dense block without sectors
+SOLVES = ("flip", "real", "neither", "dense")
+TAUS = (1.5, math.inf, TAU_IDENTITY_FLOOR / 10)
+RTOL = 1e-13
+
+
+def _state(solve, n):
+    h = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI))
+    if solve == "flip":
+        assert spin_flip(h, sigma_x) == "X"
+        return thermal_state(h, 1.0, flip="X")
+    if solve == "real":
+        assert spin_flip(h, sigma_y) is None and real_structure(h, sigma_y) == "I"
+        return thermal_state(h, 1.0, real="I")
+    if solve == "dense":
+        state = thermal_state(HermitianOperator(h.matrix), 1.0)
+        assert state.hamiltonian_decomp.sectors is None
+        return state
+    return thermal_state(h, 1.0)
+
+
+def _explicit_weights(energies, tau):
+    """The Lorentzian of the temporal channel on the ascending spectrum."""
+    gaps = np.subtract.outer(energies, energies)
+    if tau < TAU_IDENTITY_FLOOR:
+        return np.ones_like(gaps)
+    if math.isinf(tau):
+        return (np.abs(gaps) < DEGENERACY_RTOL * (energies[-1] - energies[0])).astype(float)
+    return 1.0 / (1.0 + 1j * gaps * tau)
+
+
+def _probe(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("solve", SOLVES)
+def test_rotations_and_the_temporal_apply_match_the_explicit_products(solve, n):
+    state = _state(solve, n)
+    decomp = state.hamiltonian_decomp
+    v = decomp.eigenvectors
+    x = _probe(v.shape[0], n)
+    tol = RTOL * max_norm(x)
+    x_tilde = v.conj().T @ x @ v
+    assert max_norm(decomp.to_eigenbasis(x) - x_tilde) <= tol
+    assert max_norm(decomp.from_eigenbasis(x) - v @ x @ v.conj().T) <= tol
+    values = np.random.default_rng(n).standard_normal(v.shape[0])
+    assert max_norm(decomp.diagonal_from_eigenbasis(values) - (v * values) @ v.conj().T) <= tol
+    t = translation_operator(LatticeSpec(n))
+    for tau in TAUS:
+        want = v @ (_explicit_weights(decomp.eigenvalues, tau) * x_tilde) @ v.conj().T
+        channel = AveragingKind.temporal(tau).bind(state, t, n)
+        # the second apply reads the weights the first one built and held
+        for got in (channel.apply(x), channel.apply(x), temporal_average_matrix(x, decomp, tau)):
+            assert got.dtype == np.complex128
+            assert max_norm(got - want) <= tol, tau
+
+
+# N = 9 (dim 512) gathers the result back in two slabs of rows
+@pytest.mark.parametrize("n", (2, 3, 4, 6, 9))
+def test_the_momentum_rotations_match_the_dense_momentum_basis(n):
+    sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
+    dim = sectors.dim
+    f = sectors.from_sectors(np.eye(dim, dtype=np.complex128))
+    x = _probe(dim, n)
+    tol = RTOL * max_norm(x)
+    assert max_norm(f.conj().T @ f - np.eye(dim)) <= tol
+    assert max_norm(sectors.rotate_to_sectors(x) - f.conj().T @ x @ f) <= tol
+    # a real matrix is rotated like its complex copy
+    assert max_norm(sectors.rotate_to_sectors(x.real) - f.conj().T @ x.real @ f) <= tol
+    y = x.copy()
+    out = sectors.rotate_from_sectors(y)
+    assert out is y
+    assert max_norm(out - f @ x @ f.conj().T) <= tol
+
+
+def test_the_temporal_channel_builds_its_weights_on_its_first_apply(monkeypatch):
+    state = _state("neither", 5)
+    dim = state.dim
+    calls = []
+    weights = averaging._temporal_weights
+
+    def record(energies, tau, rows=slice(None), cols=slice(None)):
+        calls.append(np.size(rows))
+        return weights(energies, tau, rows, cols)
+
+    monkeypatch.setattr(averaging, "_temporal_weights", record)
+    channel = AveragingKind.temporal(1.5).bind(state, translation_operator(LatticeSpec(5)), 5)
+    assert calls == []
+    x = _probe(dim, 1)
+    first = channel.apply(x)
+    assert calls == [dim]
+    assert np.array_equal(channel.apply(x), first)
+    assert calls == [dim]
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_a_sweep_builds_no_held_weights(n, monkeypatch):
+    # a sweep reads the weights per labelled block and never calls the dense
+    # apply, so no call covers the whole spectrum
+    calls = []
+    weights = averaging._temporal_weights
+
+    def record(energies, tau, rows=slice(None), cols=slice(None)):
+        calls.append(np.size(rows))
+        return weights(energies, tau, rows, cols)
+
+    monkeypatch.setattr(averaging, "_temporal_weights", record)
+    model, couplings = TFI
+    cfg = config_from_mapping(
+        {
+            "model": {"name": model, "couplings": couplings},
+            "sizes": [n],
+            "beta": 1.0,
+            "kick": {"site": 0, "generator": "X", "strength": 0.7},
+            "averaging": [{"kind": "temporal", "tau": 1.5}],
+            "seed": 3,
+        }
+    )
+    assert len(convergence_sweep(cfg)) == 1
+    assert calls and max(calls) < 2**n
+
+
+@pytest.mark.parametrize("dim", (5, 300))
+@pytest.mark.parametrize("dtype", (np.float64, np.complex128))
+def test_the_hermitian_part_in_place_equals_the_copy(dim, dtype):
+    # 300 spans two tiles, so pairs of tiles and the diagonal ones are both met
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    if dtype is np.complex128:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    copy, defect = hermitian_part(a)
+    assert np.array_equal(copy, (a + a.conj().T) / 2)
+    same, in_place_defect = hermitian_part(a, out=a)
+    assert same is a and np.array_equal(a, copy) and in_place_defect == defect
+
+
+def test_a_chain_h_with_complex_terms_keeps_a_complex_matrix():
+    real = HermitianOperator(diagonal=np.arange(4.0), flips=[(0b11, 0.5)])
+    assert real.matrix.dtype == np.float64
+    twisted = HermitianOperator(diagonal=np.arange(4.0), flips=[(0b11, [0.5j, 0.5, 0.5, -0.5j])])
+    assert twisted.matrix.dtype == np.complex128
+    assert max_norm(twisted.matrix - twisted.matrix.conj().T) == 0.0
+
+
+def _verify_config(n, generator):
+    model, couplings = TFI
+    return config_from_mapping(
+        {
+            "model": {"name": model, "couplings": couplings},
+            "sizes": [n],
+            "beta": 1.0,
+            "kick": {"site": 0, "generator": generator, "strength": 0.7},
+            "averaging": [
+                {"kind": "uniform-spatial"},
+                {"kind": "weighted-spatial", "R": 2.0},
+                {"kind": "temporal", "tau": 1.5},
+            ],
+            "seed": 7,
+        }
+    )
+
+
+# verify's traced peak at N = 8, in units of one complex dim x dim array
+# (16 dim^2 bytes): 8.14 with either kick letter when this bound was set
+# (11.50 before the two-sided rotations and the held temporal weights),
+# plus a margin of 0.6
+VERIFY_PEAK_UNITS = 8.14 + 0.6
+
+
+@pytest.mark.parametrize("generator", ("X", "Y"))
+def test_verify_traced_peak_stays_under_its_bound(generator):
+    # a run at N = 3 first, so that allocations made once per process (FFT
+    # plans, lazily built tables) are not counted against N = 8
+    assert verify_identities(_verify_config(3, generator)).passed
+    tracemalloc.start()
+    try:
+        report = verify_identities(_verify_config(8, generator))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak / (16 * 256**2) <= VERIFY_PEAK_UNITS
