@@ -44,8 +44,9 @@ from .operators import (
     OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
+    gate,
     max_norm,
-    project_pairs,
+    symmetry_gate,
     symmetry_split,
 )
 from .thermal import ThermalState
@@ -409,8 +410,7 @@ class ConjugatedPerturbation:
 def _check_trace(norm: float, dim: int, scale: float) -> None:
     """tr(rho E) = 1 within 1e-9 plus the round-off of a trace at E's scale."""
     slack = 1e-9 + dim * np.finfo(np.float64).eps * scale
-    if abs(norm - 1.0) > slack:
-        raise ValueError(f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
+    gate(abs(norm - 1.0), slack, lambda: f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
 
 
 def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
@@ -455,8 +455,8 @@ def _kick_blocks(
     brings it back onto every set at once, so neither U, V nor the whole u~
     is formed.  Each slab's rows in the other sets pass the off-label gate
     (`ReflectionParity.gate`); with a real structure the blocks are float64,
-    each slab's imaginary part behind the real gate
-    (`ReflectionParity.gate_real`).
+    each slab's imaginary part behind the real gate: where A = prod s K
+    fixes the labelled basis, a matrix A fixes has real blocks.
     """
     columns = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
     real = parity is not None and parity.real is not None
@@ -472,7 +472,9 @@ def _kick_blocks(
                 scale = max(1.0, off, max_norm(rows[q]))
                 parity.gate(offs, scale)
                 if real:
-                    parity.gate_real(max_norm(rows[q].imag), scale)
+                    imag = max_norm(rows[q].imag)
+                    real_k = f"the antiunitary prod {parity.real} K"
+                    symmetry_gate(imag, PARITY_RTOL * scale, "matrix", real_k, "imaginary")
                     rows[q] = rows[q].real
             block[:, c] = rows[q]
         blocks.append(block)
@@ -537,18 +539,18 @@ class ReflectionParity:
     as H or rho splits into its values at i.
 
     `vectors` holds each block's columns as (i, a, j, b), the vectors
-    a e_i + b e_j, from which `eigenbasis_kick` builds the blocks of u~.
-    `split` gives the blocks of a dim x dim matrix by index gathers in
-    O(dim^2), once the off-label gate (`gate`) has checked that the blocks
-    between labels vanish.  For N = 2 the reflection is the identity and
-    every block is even.
+    a e_i + b e_j, from which `eigenbasis_kick` builds the blocks of u~,
+    each slab behind the off-label gate (`gate`), which checks that the
+    blocks between labels vanish.  `split` gives the values of a diagonal
+    on the blocks.  For N = 2 the reflection is the identity and every
+    block is even.
 
     Where H was solved with a real structure instead, an antiunitary
     A = prod s K that H and the kick commute with (`decomp.real`, copied to
     `real`), A maps e_i to e_partner(i), and the vectors are scaled by
     sqrt(conj(c_i)), so that A fixes each even one and negates each odd
     one.  Every matrix A fixes (rho', E, and their uniform and weighted
-    averages) then has real blocks; `gate_real` is their gate.
+    averages) then has real blocks, behind the real gate of `_kick_blocks`.
     """
 
     def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
@@ -595,46 +597,14 @@ class ReflectionParity:
             (True, f"the spin flip prod {self.flip}", "flip"),
             (False, "the reflection about the kicked site", "parity"),
         ):
-            off = max([r for r, f in zip(offs.values(), flips) if f == broken], default=0.0)
-            if off > tol:
-                raise ValueError(
-                    f"matrix does not commute with {what}: "
-                    f"off-{entries} entries reach {off:.3e}, above {tol:.3e}"
-                )
-
-    def gate_real(self, imag: float, scale: float) -> None:
-        """The real gate: where A = prod s K (`real`) fixes the labelled
-        basis, a matrix A fixes has real blocks, and `imag`, the largest
-        imaginary part of one, must vanish within PARITY_RTOL of the scale."""
-        tol = PARITY_RTOL * scale
-        if imag > tol:
-            raise ValueError(
-                f"matrix does not commute with the antiunitary prod {self.real} K: "
-                f"imaginary entries reach {imag:.3e}, above {tol:.3e}"
-            )
+            # np.max, unlike max, carries a NaN through to the gate
+            off = float(np.max([r for r, f in zip(offs.values(), flips) if f == broken], initial=0))
+            symmetry_gate(off, tol, "matrix", what, f"off-{entries}")
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """The labelled blocks of a P_s- and flip-invariant matrix; of a
-        diagonal, given as a 1d array, its values on the blocks."""
+        """The values of a diagonal, given as a 1d array, on the blocks."""
         x = np.asarray(x)
-        if x.ndim == 1:
-            return [x[i] for i in self.rows]
-        # parts[p][q] = (Q_p^dag x Q_q)^dag = Q_q^dag (Q_p^dag x)^dag
-        parts = [
-            [project_pairs(project_pairs(x, p).conj().T, q) for q in self.vectors]
-            for p in self.vectors
-        ]
-        blocks = [parts[p][p].conj().T for p in range(len(parts))]
-        offs = {
-            (p, q): max_norm(part)
-            for p, row in enumerate(parts)
-            for q, part in enumerate(row)
-            if p != q
-        }
-        off = max(offs.values(), default=0.0)
-        # the entry scale in the labelled basis, which needs no pass over x
-        self.gate(offs, max(1.0, off, *(max_norm(b) for b in blocks)))
-        return blocks
+        return [x[i] for i in self.rows]
 
 
 def kicked_in_eigenbasis(
@@ -681,8 +651,7 @@ def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     and rotated back.
     """
     (u_tilde,), stable_norm = eigenbasis_kick(state, u)
-    if abs(stable_norm - 1.0) > 1e-9:
-        raise ValueError(f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
+    gate(abs(stable_norm - 1.0), 1e-9, lambda: f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
     decomp = state.hamiltonian_decomp
     u_beta = _scale_to_u_beta(state.beta, decomp.eigenvalues, u_tilde)
     return decomp.from_eigenbasis(u_beta), stable_norm

@@ -50,6 +50,7 @@ from .operators import (
     BlockDensityMatrix,
     commutator,
     frobenius_norm,
+    gate,
     max_norm,
     operator_norm,
 )
@@ -358,24 +359,30 @@ class ExperimentRecord:
     wall_time_s: float
 
     def __post_init__(self):
-        if abs(self.s_rho_prime - self.s_rho) > 1e-9:
-            raise ValueError(
-                f"entropy changed under the kick: S(rho)={self.s_rho!r} "
-                f"S(rho')={self.s_rho_prime!r}"
-            )
-        if abs(self.beta_w - self.rel_ent_prime) > 1e-9:
-            raise ValueError(
-                f"beta W = {self.beta_w!r} disagrees with S(rho'|rho) = "
-                f"{self.rel_ent_prime!r}"
-            )
-        if self.rel_ent_avg < -1e-10:
-            raise ValueError(f"averaged entropy production is negative: {self.rel_ent_avg!r}")
+        gate(
+            abs(self.s_rho_prime - self.s_rho),
+            1e-9,
+            lambda: f"entropy changed under the kick: S(rho)={self.s_rho!r} "
+            f"S(rho')={self.s_rho_prime!r}",
+        )
+        gate(
+            abs(self.beta_w - self.rel_ent_prime),
+            1e-9,
+            lambda: f"beta W = {self.beta_w!r} disagrees with S(rho'|rho) = "
+            f"{self.rel_ent_prime!r}",
+        )
+        gate(
+            -self.rel_ent_avg,
+            1e-10,
+            lambda: f"averaged entropy production is negative: {self.rel_ent_avg!r}",
+        )
         decomposition = -self.s_m_rho_prime + self.s_rho_prime + self.rel_ent_prime
-        if abs(self.rel_ent_avg - decomposition) > 1e-9:
-            raise ValueError(
-                f"averaged production {self.rel_ent_avg!r} disagrees with its "
-                f"decomposition {decomposition!r}"
-            )
+        gate(
+            abs(self.rel_ent_avg - decomposition),
+            1e-9,
+            lambda: f"averaged production {self.rel_ent_avg!r} disagrees with its "
+            f"decomposition {decomposition!r}",
+        )
 
     def sort_key(self):
         return (self.n, *AveragingKind(self.avg_kind, self.avg_param).sort_key())
@@ -427,8 +434,11 @@ def _sweep_size(
     so the two routes' blocks are never held at once.  A row's construction
     gates beta W against S(rho'|rho)."""
     ctx = _SizeContext(cfg, n)
-    if abs(ctx.normalization - 1.0) > cfg.tolerance("normalization"):
-        raise ValueError(f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}")
+    gate(
+        abs(ctx.normalization - 1.0),
+        cfg.tolerance("normalization"),
+        lambda: f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}",
+    )
     state = ctx.state
     kicked = kicked_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
     energies = state.hamiltonian_decomp.eigenvalues

@@ -438,19 +438,7 @@ def spin_flip(h: HermitianOperator, generator) -> str | None:
     scale.  X is tried before Y and Z; only a degenerate chain or kick (a
     vanishing coupling, a generator proportional to 1) passes more than one.
     """
-    if h.sectors is None:
-        return None
-    g = as_square_complex(generator, "generator")
-    rows, cols, values = h.entries()
-    tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
-    for letter in "XYZ":
-        s = _PAULI[letter]
-        if max_norm(s @ g - g @ s) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
-            continue
-        perm, phase = site_product(h.sectors.n_terms, s)
-        if perm.size == h.dim and conjugation_defect(perm, phase, rows, cols, values) <= tol:
-            return letter
-    return None
+    return _pick_letter(h, generator, "XYZ", antiunitary=False)
 
 
 def real_structure(h: HermitianOperator, generator) -> str | None:
@@ -468,19 +456,32 @@ def real_structure(h: HermitianOperator, generator) -> str | None:
     transverse-field Ising chain.  A must square to 1, so at odd N the X
     kick on XXZ takes prod Z K.  A generator with a trace part has none.
     """
+    return _pick_letter(h, generator, "IXYZ", antiunitary=True)
+
+
+def _pick_letter(h: HermitianOperator, generator, letters: str, antiunitary: bool) -> str | None:
+    """The first of `letters` whose global product prod_j s_j, times K where
+    `antiunitary` (and then only one that squares to 1), commutes with the
+    kick of generator g, s g - g s or s g^* s + g vanishing within
+    RECONSTRUCTION_RTOL of g's scale, and with h's entries within that
+    fraction of theirs; None where h carries no momentum sectors."""
     if h.sectors is None:
         return None
     g = as_square_complex(generator, "generator")
     rows, cols, values = h.entries()
+    n = h.sectors.n_terms
     tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
-    for letter in "IXYZ":
+    for letter in letters:
         s = _local(letter)
-        if not _squares_to_one(letter, h.sectors.n_terms):
+        if antiunitary and not _squares_to_one(letter, n):
             continue
-        if max_norm(s @ g.conj() @ s + g) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
+        kick = s @ g.conj() @ s + g if antiunitary else s @ g - g @ s
+        if max_norm(kick) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
             continue
-        perm, phase = site_product(h.sectors.n_terms, s)
-        if perm.size == h.dim and conjugation_defect(perm, phase, rows, cols, values, True) <= tol:
+        perm, phase = site_product(n, s)
+        if perm.size == h.dim and (
+            conjugation_defect(perm, phase, rows, cols, values, antiunitary) <= tol
+        ):
             return letter
     return None
 

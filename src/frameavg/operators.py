@@ -62,6 +62,28 @@ class OverflowGuardError(ValueError):
     """An exponential-scaling step would overflow double precision."""
 
 
+def gate(residual: float, tolerance: float, error: Callable[[], str | Exception]) -> None:
+    """The one certification rule: a residual passes only if residual <=
+    tolerance, so NaN fails every gate.  `error` is called only on failure;
+    it returns the exception to raise, or a message raised as a ValueError."""
+    if not residual <= tolerance:
+        exc = error()
+        raise ValueError(exc) if isinstance(exc, str) else exc
+
+
+def symmetry_gate(
+    residual: float, tolerance: float, subject: str, symmetry: str, entries: str
+) -> None:
+    """The commutation gate: `residual`, the largest of the `entries` of the
+    `subject` that commuting with `symmetry` forbids, must pass `gate`."""
+    gate(
+        residual,
+        tolerance,
+        lambda: f"{subject} does not commute with {symmetry}: "
+        f"{entries} entries reach {residual:.3e}, above {tolerance:.3e}",
+    )
+
+
 def _as_square(matrix, name: str, keep_real: bool = False) -> np.ndarray:
     real = keep_real and isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
     a = np.asarray(matrix, dtype=np.float64 if real else np.complex128)
@@ -233,11 +255,12 @@ class HermitianOperator:
 
 
 def _check_hermitian(defect: float, scale: float) -> None:
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}"
-        )
+    gate(
+        defect,
+        HERMITICITY_RTOL * scale,
+        lambda: f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
+        f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}",
+    )
 
 
 def _hermitian_terms(diagonal, flips) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -359,11 +382,11 @@ class UnitaryOperator:
 
 def _check_unitary(a: np.ndarray) -> None:
     defect = max_norm(a.conj().T @ a - np.eye(a.shape[0]))
-    if defect > UNITARITY_ATOL:
-        raise ValueError(
-            f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} "
-            f"exceeds {UNITARITY_ATOL:g}"
-        )
+    gate(
+        defect,
+        UNITARITY_ATOL,
+        lambda: f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} exceeds {UNITARITY_ATOL:g}",
+    )
 
 
 class SpectralDecomposition:
@@ -451,9 +474,8 @@ class SpectralDecomposition:
     @property
     def eigenvectors(self) -> np.ndarray:
         if self._vectors is None:
-            v = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            v[self.basis_permutation, np.arange(self.dim)] = 1.0
-            self._vectors = self._apply(v)
+            idx = np.arange(self.dim)
+            self._vectors = self.columns(idx, np.ones(self.dim), idx, np.zeros(self.dim))
         return self._vectors
 
     def _to_sectors(self, x: np.ndarray) -> np.ndarray:
@@ -465,13 +487,6 @@ class SpectralDecomposition:
     def _from_sectors(self, y: np.ndarray) -> np.ndarray:
         """F y."""
         return y if self.sectors is None else self.sectors.from_sectors(y)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """W x for x whose leading axis has length dim."""
-        y = np.empty_like(x, dtype=np.complex128)
-        for sl, v in zip(self._slices, self._blocks):
-            y[sl] = v @ x[sl]
-        return self._from_sectors(y)
 
     def _adjoint(self, x: np.ndarray) -> np.ndarray:
         """W^dag x for x whose leading axis has length dim."""
@@ -614,9 +629,12 @@ def spectral_decompose(
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(m.shape[0], max_norm(m)) from exc
     decomp = SpectralDecomposition(w, eigenvectors=v)
-    resid = max_norm(decomp.reconstruct() - m)
-    if resid > RECONSTRUCTION_RTOL * max(1.0, max_norm(m)):
-        raise EigensolverError(m.shape[0], max_norm(m))
+    scale = max_norm(m)
+    gate(
+        max_norm(decomp.reconstruct() - m),
+        RECONSTRUCTION_RTOL * max(1.0, scale),
+        lambda: EigensolverError(m.shape[0], scale),
+    )
     return decomp
 
 
@@ -652,43 +670,33 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
     scale = max_norm(values) if values.size else 0.0
     tol = RECONSTRUCTION_RTOL * max(1.0, scale)
     off = sectors.translation_defect(rows, cols, values)
-    if off > tol:
-        raise ValueError(
-            "operator does not commute with the translation of its sectors: "
-            f"off-sector entries reach {off:.3e}, above {tol:.3e}"
-        )
+    symmetry_gate(off, tol, "operator", "the translation of its sectors", "off-sector")
     blocks = sectors.blocks_from_entries(rows, cols, values)
     slices = _sector_slices(sectors.dims)
     dim = h.dim
     flips = None if flip is None else sectors.flip(flip)
     conj = None if real is None else sectors.conjugation(real)
-    # each label's symmetry, and the entries that break it
-    names = {0: ("site reflection", "parity"), 1: (f"spin flip prod {flip}", "flip")}
+    # the symmetry of each label and of the antiunitary, and the entries
+    # that break it
+    names = {
+        0: ("the site reflection of its sectors", "off-parity"),
+        1: (f"the spin flip prod {flip} of its sectors", "off-flip"),
+        "real": (f"the antiunitary prod {real} K of its sectors", "imaginary"),
+    }
 
     def solve(block):
         if real is not None:
             imag = max_norm(block.imag) if block.size else 0.0
-            if imag > tol:
-                raise ValueError(
-                    f"operator does not commute with the antiunitary prod {real} K of "
-                    f"its sectors: imaginary entries reach {imag:.3e}, above {tol:.3e}"
-                )
+            symmetry_gate(imag, tol, "operator", *names["real"])
             block = block.real
         try:
             w, v = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(dim, scale) from exc
-        if block.size and max_norm((v * w[np.newaxis, :]) @ v.conj().T - block) > tol:
-            raise EigensolverError(dim, scale)
+        if block.size:
+            resid = max_norm((v * w[np.newaxis, :]) @ v.conj().T - block)
+            gate(resid, tol, lambda: EigensolverError(dim, scale))
         return w, v
-
-    def gate(label, defect):
-        if defect > tol:
-            what, entries = names[label]
-            raise ValueError(
-                f"operator does not commute with the {what} of its sectors: "
-                f"off-{entries} entries reach {defect:.3e}, above {tol:.3e}"
-            )
 
     n = len(slices)
     values, vectors, labels = [None] * n, [None] * n, [None] * n
@@ -722,7 +730,8 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
             for p, q in combinations(range(len(split)), 2):
                 # the first label the two sets differ in names the symmetry
                 first = np.flatnonzero(np.subtract(split[p][0], split[q][0]))[0]
-                gate(keys[first], max_norm(columns[p].conj().T @ block @ columns[q]))
+                off = max_norm(columns[p].conj().T @ block @ columns[q])
+                symmetry_gate(off, tol, "operator", *names[keys[first]])
             pieces = [(b, solve(b.conj().T @ block @ b)) for b in columns]
             values[k] = np.concatenate([w for _, (w, _) in pieces])
             vectors[k] = np.concatenate([b @ v for b, (_, v) in pieces], axis=1)
@@ -736,7 +745,8 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
         mirrored, _ = hermitian_part(blocks[k_bar])
         if block.size:
             expected = np.outer(phase, phase.conj()) * block
-            gate(0, max_norm(mirrored[np.ix_(mirror, mirror)] - expected))
+            off = max_norm(mirrored[np.ix_(mirror, mirror)] - expected)
+            symmetry_gate(off, tol, "operator", *names[0])
         v_bar = np.empty_like(v)
         v_bar[mirror] = phase[:, np.newaxis] * v
         values[k_bar], vectors[k_bar] = w, v_bar
@@ -900,12 +910,14 @@ class BlockDensityMatrix:
         if not blocks:
             raise ValueError("need at least one block")
         tr = sum(b.trace().real for b in blocks)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_ATOL:g}")
+        gate(abs(tr - 1.0), TRACE_ATOL, lambda: f"trace {tr!r} is not 1 within {TRACE_ATOL:g}")
         w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
         lo = float(w.min())
-        if lo < PSD_EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}")
+        gate(
+            -lo,
+            -PSD_EIGENVALUE_FLOOR,
+            lambda: f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}",
+        )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "eigenvalues", w)
 

@@ -16,6 +16,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     UnitaryOperator,
+    gate,
     spectral_decompose,
     trace_product,
 )
@@ -120,11 +121,12 @@ class WorkReport:
     relative_entropy_check: float
 
     def __post_init__(self):
-        if abs(self.beta_work - self.relative_entropy_check) > 1e-9:
-            raise ValueError(
-                "beta * W and the relative entropy of the kicked state disagree: "
-                f"{self.beta_work!r} vs {self.relative_entropy_check!r}"
-            )
+        gate(
+            abs(self.beta_work - self.relative_entropy_check),
+            1e-9,
+            lambda: "beta * W and the relative entropy of the kicked state disagree: "
+            f"{self.beta_work!r} vs {self.relative_entropy_check!r}",
+        )
 
 
 def thermal_state(
@@ -186,6 +188,6 @@ def work(
             f"rho' {rho_prime.dim}"
         )
     value = trace_product(hamiltonian.matrix, rho_prime.matrix - rho.matrix)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"work came out non-real: {value!r}")
+    tol = 1e-10 * max(1.0, abs(value.real))
+    gate(abs(value.imag), tol, lambda: f"work came out non-real: {value!r}")
     return value.real

@@ -38,6 +38,7 @@ from frameavg.lattice import (
     translation_operator,
 )
 from frameavg.thermal import PerturbationSpec, local_kick, perturb, thermal_state
+from parity_blocks import parity_split
 from sector_blocks import sector_blocks
 
 
@@ -215,14 +216,14 @@ class TestChannel:
         averaged = channel.apply(rho_prime.matrix)
         assert np.array_equal(averaged, dense(rho_prime.matrix, t, decomp))
         blocks, rows = channel.parity_blocks(
-            parity.split(decomp.to_eigenbasis(rho_prime.matrix)), parity
+            parity_split(parity, decomp.to_eigenbasis(rho_prime.matrix)), parity
         )
         spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         assert np.abs(spectrum - np.linalg.eigvalsh(averaged)).max() < 1e-12
         energy = sum(np.dot(decomp.eigenvalues[r], np.diagonal(b)) for r, b in zip(rows, blocks))
         assert abs(energy - np.trace(state.hamiltonian.matrix @ averaged)) < 1e-12
         if channel.classes is None:
-            whole = parity.split(decomp.to_eigenbasis(averaged))
+            whole = parity_split(parity, decomp.to_eigenbasis(averaged))
             assert max(max_norm(b - w) for b, w in zip(blocks, whole)) < 1e-12
 
     def test_no_schur_form_without_sectors(self):
@@ -230,7 +231,7 @@ class TestChannel:
         # whose basis is no joint eigenbasis with T
         _, state, _, rho_prime, t = ising_setup()
         parity = ReflectionParity(state.hamiltonian_decomp, 0, 4)
-        x_blocks = parity.split(state.hamiltonian_decomp.to_eigenbasis(rho_prime.matrix))
+        x_blocks = parity_split(parity, state.hamiltonian_decomp.to_eigenbasis(rho_prime.matrix))
         plain = thermal_state(HermitianOperator(state.hamiltonian.matrix), 1.0)
         kinds = (
             AveragingKind.uniform_spatial(),

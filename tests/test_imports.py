@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-name a module defines is used somewhere in the package or exported.
+name a module defines (a method or property too) is used somewhere in the
+package or exported.
 
 Deleting a code path tends to leave its imports and helpers behind; this
 walks each module's syntax tree rather than running a linter, so it needs
@@ -41,21 +42,31 @@ def test_module_has_no_unused_imports(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
 
 
+def _bare(name: str) -> str:
+    """The name itself, without the class of a method."""
+    return name.rsplit(".", 1)[-1]
+
+
 def _defined_names(tree: ast.Module) -> list[str]:
-    """Module-level functions, classes and constants, dunders aside."""
+    """Module-level functions, classes and constants, and the methods and
+    properties of each class as Class.name, dunders aside."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body if isinstance(m, ast.FunctionDef)]
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not (_bare(n).startswith("__") and _bare(n).endswith("__"))]
 
 
 def _dead_names(sources: list[str], exported: set[str]) -> list[str]:
-    """Names some module defines that no module reads and `exported` lacks."""
+    """Names some module defines that no module reads and `exported` lacks.
+    A method or property counts as read wherever an attribute of its name
+    is, and as exported where it is public and its class is exported."""
     trees = [ast.parse(s) for s in sources]
     read = set()
     for tree in trees:
@@ -65,7 +76,12 @@ def _dead_names(sources: list[str], exported: set[str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     defined = {name for tree in trees for name in _defined_names(tree)}
-    return sorted(defined - read - exported)
+    public = {
+        n
+        for n in defined
+        if "." in n and n.split(".")[0] in exported and not _bare(n).startswith("_")
+    }
+    return sorted(n for n in defined - exported - public if _bare(n) not in read)
 
 
 def _exported() -> set[str]:
@@ -85,6 +101,24 @@ def test_the_scan_sees_a_dead_name():
     ]
     assert _dead_names(sources, {"Kept"}) == ["dead"]
     assert _dead_names(sources, {"Kept", "dead"}) == []
+
+
+def test_the_scan_sees_a_dead_method():
+    # a method or property no module reads is dead, unless it is public
+    # and its class exported: a leftover gate of an internal class is flagged
+    sources = [
+        "class Kept:\n"
+        "    def __init__(self):\n        self.x = 1\n"
+        "    def shown(self):\n        return self._used()\n"
+        "    def _used(self):\n        return 1\n"
+        "    def _hidden(self):\n        return 2\n",
+        "class Parity:\n"
+        "    def gate(self):\n        return 1\n"
+        "    @property\n    def rows(self):\n        return 2\n"
+        "    def gate_real(self):\n        return 3\n"
+        "Parity().gate()\n",
+    ]
+    assert _dead_names(sources, {"Kept"}) == ["Kept._hidden", "Parity.gate_real", "Parity.rows"]
 
 
 def test_every_defined_name_is_used_or_exported():
@@ -155,3 +189,49 @@ def test_label_vectors_are_built_at_one_call_site():
     # a sector solve or a parity split of its own, would add a use
     uses = {p.name: _uses(p.read_text(encoding="utf-8"), LABEL_VECTORS) for p in [*MODULES, INIT]}
     assert sum(uses.values()) == 1, uses
+
+
+# the template of the commutation gates' message
+COMMUTATION_MESSAGE = "does not commute with"
+
+
+def _holders(source: str, phrase: str) -> list[str]:
+    """The function (or <module>) holding each string literal of the source
+    that contains `phrase`, f-strings included, innermost function first."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if phrase in child.value:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_every_holder_of_a_phrase():
+    source = (
+        "MESSAGE = 'x does not commute with y'\n"
+        "def gate(s):\n"
+        "    def build():\n        return f'{s} does not commute with {s}: ...'\n"
+        "    return build\n"
+        "def other():\n    raise ValueError('a does not commute with b')\n"
+    )
+    assert _holders(source, COMMUTATION_MESSAGE) == ["<module>", "build", "other"]
+    assert _holders("def f():\n    return 'commutes'\n", COMMUTATION_MESSAGE) == []
+
+
+def test_one_function_owns_the_commutation_message():
+    # every commutation gate goes through the one symmetry gate, which
+    # builds the message; a gate that spells it out again adds a holder
+    holders = [
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _holders(p.read_text(encoding="utf-8"), COMMUTATION_MESSAGE)
+    ]
+    assert len(holders) == 1, holders
