@@ -545,12 +545,14 @@ class ReflectionParity:
     on the blocks.  For N = 2 the reflection is the identity and every
     block is even.
 
-    Where H was solved with a real structure instead, an antiunitary
-    A = prod s K that H and the kick commute with (`decomp.real`, copied to
-    `real`), A maps e_i to e_partner(i), and the vectors are scaled by
-    sqrt(conj(c_i)), so that A fixes each even one and negates each odd
-    one.  Every matrix A fixes (rho', E, and their uniform and weighted
-    averages) then has real blocks, behind the real gate of `_kick_blocks`.
+    Where H was solved with a real structure, alone or beside the flip, an
+    antiunitary A = prod s K that H, the kick and any flip commute with
+    (`decomp.real`, copied to `real`), A maps e_i to e_partner(i), and the
+    vectors are scaled by sqrt(conj(c_i)), so that A fixes each even one
+    and negates each odd one; A keeps each flip sign, so it does so inside
+    every labelled block.  Every matrix A fixes (rho', E, and their uniform
+    and weighted averages) then has real blocks, two or four, behind the
+    real gate of `_kick_blocks`.
     """
 
     def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
@@ -625,11 +627,11 @@ def conjugated_in_eigenbasis(
 ) -> list[np.ndarray]:
     """The labelled blocks of E = u_beta u_beta^dag in the eigenbasis of H,
     for u_beta = G u~ S: one product per labelled block of u~ (two blocks of
-    about dim/2, real with a real structure, or four of about dim/4 with a
-    spin flip), each
-    passing the HermitianOperator gate, and tr(rho E) = sum p . diag(E_b)
-    checked over them.  The blocks of u~ are taken off the list and scaled
-    in place into those of u_beta, which are not kept."""
+    about dim/2, or four of about dim/4 with a spin flip, float64 with a
+    real structure), each passing the HermitianOperator gate, and
+    tr(rho E) = sum p . diag(E_b) checked over them.  The blocks of u~ are
+    taken off the list and scaled in place into those of u_beta, which are
+    not kept."""
     blocks = []
     for h in parity.split(state.hamiltonian_decomp.eigenvalues):
         u_beta = _scale_to_u_beta(state.beta, h, u_blocks.pop(0))

@@ -398,11 +398,12 @@ class _SizeContext:
     multiplier (`Channel`).  The reflection about the kicked site commutes
     with all of them, and so does the global spin flip that H and the kick
     both commute with, where one does (`spin_flip`; H is solved with its
-    sign).  Where none does, an antiunitary prod s K that H and the kick
-    commute with (`real_structure`; H is solved phased for it) makes the
-    blocks real.  u~ is built straight into the blocks of those labels
-    (`parity`: two blocks, real ones with a real structure, or four with a
-    flip), a column slab at a time behind the off-label gate (`u_blocks`).
+    sign).  An antiunitary prod s K that H, the kick and that flip commute
+    with, where one does (`real_structure`; H is solved phased for it),
+    makes the blocks real.  u~ is built straight into the blocks of those
+    labels (`parity`: two blocks, or four with a flip, float64 with a real
+    structure), a column slab at a time behind the off-label gate
+    (`u_blocks`).
     `conjugated_in_eigenbasis` consumes those blocks into E's, so a caller
     builds rho' from them (`kicked_in_eigenbasis`) first.
     """
@@ -411,8 +412,7 @@ class _SizeContext:
         self.lattice = LatticeSpec(n)
         h = build_hamiltonian(self.lattice, cfg.model)
         flip = spin_flip(h, cfg.kick.generator)
-        # the two are not combined: at odd N an antiunitary can swap flip signs
-        real = None if flip is not None else real_structure(h, cfg.kick.generator)
+        real = real_structure(h, cfg.kick.generator, flip)
         self.state = thermal_state(h, cfg.beta, flip, real)
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
@@ -507,7 +507,8 @@ def _record_for(
     with the populations on their rows.  The uniform channel's blocks are
     its momentum classes inside each labelled block; the weighted and
     temporal channels keep the labelled blocks whole, two of about dim/2, or
-    four of about dim/4 where a spin flip applies.
+    four of about dim/4 where a spin flip applies; beside a real structure
+    the uniform and weighted ones are float64.
     """
     start = time.perf_counter()
     state = ctx.state
@@ -693,7 +694,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
 
     bs_direct = bs_relative_entropy(averaged, state).nats
     del averaged
-    chain_violation = max(0.0, -rel_avg, rel_avg - bs_direct)
+    chain_violation = float(np.max([0.0, -rel_avg, rel_avg - bs_direct]))
     checks.append(
         IdentityCheck("bs-chain", chain_violation, cfg.tolerance("bs-chain"))
     )
@@ -743,7 +744,8 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
             lhs = channel.apply(hx)
             lhs -= rhs
             del rhs
-            worst = max(worst, max_norm(lhs))
+            # np.maximum, unlike max, keeps a NaN for the check to fail on
+            worst = float(np.maximum(worst, max_norm(lhs)))
             del lhs
         del x, hx
     checks.append(IdentityCheck("gracefulness", worst, cfg.tolerance("gracefulness")))

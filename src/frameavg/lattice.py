@@ -271,16 +271,23 @@ class MomentumSectors:
         sits at image[p], in the sector of p, for each position p."""
         return self._image(*site_product(self.n_terms, _local(letter)), reverse=False)
 
-    def conjugation(self, letter: str) -> tuple[np.ndarray, np.ndarray]:
+    def conjugation(self, letter: str, flip: str | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The antiunitary A = F K in sector-major order, for K the complex
         conjugation of the computational basis and F the flip of `letter`
         (I for none): K |r, k> = |r, -k>, so A |r, k> = phase[p] |r', -k>
         sits at image[p], in the sector mirror to that of p, and
         A sum_p y_p |p> = sum_p conj(y_p) phase[p] |image[p]>.  A must
-        square to 1 (`_squares_to_one`)."""
+        square to 1 (`_squares_to_one`), and commute with the spin flip of
+        letter `flip` where one is given (`_commutes_with_flip`), or it
+        would swap the flip's sectors instead of fixing each."""
         n = self.n_terms
         if not _squares_to_one(letter, n):
             raise ValueError(f"prod {letter} K squares to -1 on {n} sites: no real structure")
+        if flip is not None and not _commutes_with_flip(letter, flip, n):
+            raise ValueError(
+                f"prod {letter} K anticommutes with the spin flip prod {flip} on {n} sites: "
+                "no real structure beside it"
+            )
         orbit, q = np.divmod(self._select, n)
         negated = self._place[orbit * n + (-q) % n]
         image, phase = self.flip(letter)
@@ -441,30 +448,41 @@ def spin_flip(h: HermitianOperator, generator) -> str | None:
     return _pick_letter(h, generator, "XYZ", antiunitary=False)
 
 
-def real_structure(h: HermitianOperator, generator) -> str | None:
+def real_structure(h: HermitianOperator, generator, flip: str | None = None) -> str | None:
     """The letter s (I for the identity) for which the antiunitary
     A = prod_j s_j K, K the complex conjugation of the computational basis,
-    commutes both with the chain Hamiltonian h and with a kick
-    exp(-i lambda g) generated by the 2 x 2 `generator` g, or None where no
-    letter passes, or h carries no momentum sectors.
+    commutes with the chain Hamiltonian h, with a kick exp(-i lambda g)
+    generated by the 2 x 2 `generator` g and with the global spin flip
+    prod_j f_j of letter `flip` where one is given, or None where no letter
+    passes, or h carries no momentum sectors.
 
     A fixes the kick exactly when s g^* s = -g, and h when its entries
-    conjugated and moved by the flip match (`conjugation_defect`), both
+    conjugated and moved by prod_j s_j match (`conjugation_defect`), both
     tested like `spin_flip`'s commutations and tried in the order I, X, Y, Z.
-    A Y kick is real (A = K) on every model; an X kick takes time reversal
-    prod Y K on XXZ and prod Z K on free spins, and none on the
-    transverse-field Ising chain.  A must square to 1, so at odd N the X
-    kick on XXZ takes prod Z K.  A generator with a trace part has none.
+    Without a flip, a Y kick is real (A = K) on every model; an X kick takes
+    time reversal prod Y K on XXZ and prod Z K on free spins, and none on
+    the transverse-field Ising chain.  A must square to 1, so at odd N the
+    X kick on XXZ takes prod Z K.  A generator with a trace part has none.
+
+    With a flip, A must also commute with it (`_commutes_with_flip`), so
+    that A fixes each flip sector and H splits into four real blocks: on
+    XXZ at even N, the X, Y and Z kicks take (flip, A) = (X, prod Y K),
+    (Y, K) and (Z, prod X K).  At odd N every A that fixes XXZ and the
+    kick anticommutes with the flip, swapping its two sectors, and None is
+    returned.
     """
-    return _pick_letter(h, generator, "IXYZ", antiunitary=True)
+    return _pick_letter(h, generator, "IXYZ", antiunitary=True, flip=flip)
 
 
-def _pick_letter(h: HermitianOperator, generator, letters: str, antiunitary: bool) -> str | None:
+def _pick_letter(
+    h: HermitianOperator, generator, letters: str, antiunitary: bool, flip: str | None = None
+) -> str | None:
     """The first of `letters` whose global product prod_j s_j, times K where
-    `antiunitary` (and then only one that squares to 1), commutes with the
-    kick of generator g, s g - g s or s g^* s + g vanishing within
-    RECONSTRUCTION_RTOL of g's scale, and with h's entries within that
-    fraction of theirs; None where h carries no momentum sectors."""
+    `antiunitary` (and then only one that squares to 1 and commutes with the
+    flip of letter `flip`, if given), commutes with the kick of generator g,
+    s g - g s or s g^* s + g vanishing within RECONSTRUCTION_RTOL of g's
+    scale, and with h's entries within that fraction of theirs; None where
+    h carries no momentum sectors."""
     if h.sectors is None:
         return None
     g = as_square_complex(generator, "generator")
@@ -473,7 +491,9 @@ def _pick_letter(h: HermitianOperator, generator, letters: str, antiunitary: boo
     tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
     for letter in letters:
         s = _local(letter)
-        if antiunitary and not _squares_to_one(letter, n):
+        if antiunitary and not (
+            _squares_to_one(letter, n) and (flip is None or _commutes_with_flip(letter, flip, n))
+        ):
             continue
         kick = s @ g.conj() @ s + g if antiunitary else s @ g - g @ s
         if max_norm(kick) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
@@ -496,6 +516,16 @@ def _squares_to_one(letter: str, n: int) -> bool:
     reversal prod Y K at odd n squares to -1, and then no vector is fixed."""
     s = _local(letter)
     return (s @ s.conj())[0, 0].real ** n > 0
+
+
+def _commutes_with_flip(letter: str, flip: str, n: int) -> bool:
+    """Whether A = prod_j s_j K commutes with the flip F = prod_j f_j on n
+    sites: A F A^-1 = prod_j s f^* s^dag = eps^n F for the sign eps of
+    s f^* s^dag = eps f, so A commutes with F where eps^n = 1 and swaps
+    its two sectors otherwise."""
+    s, f = _local(letter), _local(flip)
+    eps = np.trace(f.conj().T @ s @ f.conj() @ s.conj().T).real / 2
+    return eps**n > 0
 
 
 def _site_reflection(dim: int, n: int) -> np.ndarray:

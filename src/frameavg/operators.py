@@ -170,7 +170,7 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
         for j in range(i, dim, _TILE):
             upper = a[i : i + _TILE, j : j + _TILE]
             lower = a[j : j + _TILE, i : i + _TILE].conj().T
-            defect = max(defect, max_norm(upper - lower))
+            defect = float(np.maximum(defect, max_norm(upper - lower)))
             out[i : i + _TILE, j : j + _TILE] = (upper + lower) / 2
             if j > i:
                 out[j : j + _TILE, i : i + _TILE] = out[i : i + _TILE, j : j + _TILE].conj().T
@@ -280,9 +280,12 @@ def _hermitian_terms(diagonal, flips) -> tuple[np.ndarray, dict[int, np.ndarray]
         merged[mask] = merged.get(mask, 0) + c
     # c[x XOR m] is the coefficient of the transposed entry
     adjoints = {m: c[idx ^ m].conj() for m, c in merged.items()}
-    scale = max([max_norm(d), *(max_norm(c) for c in merged.values())])
+    # np.max, unlike max, carries a NaN in any term through to the gates
+    scale = float(np.max([max_norm(d), *(max_norm(c) for c in merged.values())]))
     _check_finite(np.isfinite(scale), "matrix")
-    defect = max([2 * max_norm(d.imag), *(max_norm(merged[m] - a) for m, a in adjoints.items())])
+    defect = float(
+        np.max([2 * max_norm(d.imag), *(max_norm(merged[m] - a) for m, a in adjoints.items())])
+    )
     _check_hermitian(defect, scale)
     return d.real.astype(np.complex128), {m: (merged[m] + a) / 2 for m, a in adjoints.items()}
 
@@ -615,9 +618,9 @@ def spectral_decompose(
     (`_sector_decompose`), from its nonzero entries, so its eigenbasis is a
     joint eigenbasis with the translation, and with the global spin flip of
     Pauli letter `flip` where one is given.  With `real`, the letter of an
-    antiunitary prod s K (`lattice.real_structure`), its eigenvectors are
-    phased so that it maps each to its reflection partner.  Any other
-    operator takes one dense eigensolve.
+    antiunitary prod s K (`lattice.real_structure`), alone or beside a flip
+    it commutes with, its eigenvectors are phased so that it maps each to
+    its reflection partner.  Any other operator takes one dense eigensolve.
     """
     if a.sectors is not None:
         return _sector_decompose(a, a.sectors, flip, real)
@@ -661,8 +664,11 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
     with, each block is solved in the basis that R_0 A (0 < k < N/2), or A
     (k = 0, N/2), maps onto itself sector by sector (`symmetry_split`), where
     it must be real; its eigenvectors v then obey A v = R_0 v, so A maps each
-    eigenvector to its partner, or to itself.  Every solve must reconstruct
-    its block; all gates hold within RECONSTRUCTION_RTOL of the scale.
+    eigenvector to its partner, or to itself.  Beside a flip, A must commute
+    with it (`sectors.conjugation` refuses one that anticommutes, which
+    would swap the flip signs), so each (parity, flip sign) label is solved
+    as a real block.  Every solve must reconstruct its block; all gates
+    hold within RECONSTRUCTION_RTOL of the scale.
     """
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
@@ -675,7 +681,7 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
     slices = _sector_slices(sectors.dims)
     dim = h.dim
     flips = None if flip is None else sectors.flip(flip)
-    conj = None if real is None else sectors.conjugation(real)
+    conj = None if real is None else sectors.conjugation(real, flip)
     # the symmetry of each label and of the antiunitary, and the entries
     # that break it
     names = {

@@ -4,17 +4,30 @@ Each gate family is fed a residual just above its tolerance and then a NaN,
 and must raise its message both times: a NaN compares false with everything,
 so a gate written as `residual > tol` would let it through.  Where the
 public path cannot carry a NaN (a state's entries are gated finite first),
-the residual's source is patched to return one.
+the residual's source is patched to return one.  The running maxima that
+feed a gate or a verify line must carry a NaN through as well.
 """
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from frameavg import averaging, operators, thermal
-from frameavg.averaging import ReflectionParity, _check_trace, _kick_blocks, conjugated_kick
-from frameavg.experiments import ExperimentRecord, config_from_mapping, convergence_sweep
+from frameavg import averaging, experiments, operators, thermal
+from frameavg.averaging import (
+    AveragingKind,
+    ReflectionParity,
+    _check_trace,
+    _kick_blocks,
+    conjugated_kick,
+)
+from frameavg.experiments import (
+    ExperimentRecord,
+    config_from_mapping,
+    convergence_sweep,
+    verify_identities,
+)
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
@@ -37,6 +50,7 @@ from frameavg.operators import (
     _check_hermitian,
     _check_unitary,
     _sector_decompose,
+    hermitian_part,
     max_norm,
     spectral_decompose,
 )
@@ -327,3 +341,49 @@ def test_the_sweep_refuses_a_nan_relative_entropy(monkeypatch):
     monkeypatch.setattr(ThermalState, "relative_entropy_of", lambda *a: NAN)
     with pytest.raises(ValueError, match="disagrees with S"):
         _sweep(monkeypatch, 0.0)
+
+
+# Python's max drops a NaN unless it comes first: max(0.0, nan) is 0.0
+
+
+def test_a_nan_flip_coefficient_is_refused():
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        HermitianOperator(diagonal=[1, 2, 3, 4], flips=[(1, [0.5, NAN, 0.5, NAN])])
+
+
+def test_the_hermitian_part_carries_a_nan_defect():
+    _, defect = hermitian_part(np.array([[1.0, NAN], [0.0, 1.0]]))
+    assert np.isnan(defect)
+
+
+def _verify_lines():
+    """The verdict of each line of a small verify report, by check name."""
+    cfg = config_from_mapping(
+        {
+            "model": {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}},
+            "sizes": [4],
+            "beta": 1.0,
+            "kick": {"site": 1, "generator": "X", "strength": 0.7},
+            "averaging": [{"kind": "uniform-spatial"}, {"kind": "temporal", "tau": 1.5}],
+            "seed": 7,
+        }
+    )
+    return {line.split()[0]: line.split()[-1] for line in verify_identities(cfg).lines()}
+
+
+def test_a_nan_commutator_fails_the_gracefulness_line(monkeypatch):
+    assert _verify_lines()["gracefulness"] == "PASS"
+    bind = AveragingKind.bind
+
+    def nan_apply(self, state, t, n_terms):
+        channel = bind(self, state, t, n_terms)
+        return replace(channel, apply=lambda a: np.full(np.shape(a), NAN, complex))
+
+    monkeypatch.setattr(AveragingKind, "bind", nan_apply)
+    assert _verify_lines()["gracefulness"] == "FAIL"
+
+
+def test_a_nan_bs_entropy_fails_the_chain_line(monkeypatch):
+    assert _verify_lines()["bs-chain"] == "PASS"
+    monkeypatch.setattr(experiments, "bs_relative_entropy", lambda *a: SimpleNamespace(nats=NAN))
+    assert _verify_lines()["bs-chain"] == "FAIL"

@@ -24,7 +24,10 @@ then applies one mutation with monkeypatch and sees the same check fail:
   the off-label gate names the flip and raises;
 - complex conjugation K declared the real structure of an X kick on the
   transverse-field Ising chain, which K does not fix: the real gate on the
-  blocks of u~ raises.
+  blocks of u~ raises;
+- prod Z K forced beside the flip prod X on XXZ with an X kick at N = 5,
+  where it anticommutes with the flip and swaps its sectors: the sector
+  solve refuses the pair.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
@@ -286,8 +289,27 @@ def test_a_real_structure_the_kick_breaks_trips_the_real_gate(monkeypatch):
     cfg = config_from_mapping(mapping)
     assert len(convergence_sweep(cfg)) == 2
     monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: None)
-    monkeypatch.setattr(experiments, "real_structure", lambda h, generator: "I")
+    monkeypatch.setattr(experiments, "real_structure", lambda h, generator, flip: "I")
     with pytest.raises(
         ValueError, match="does not commute with the antiunitary prod I K: imaginary entries reach"
     ):
+        convergence_sweep(cfg)
+
+
+def test_a_real_structure_that_anticommutes_with_the_flip_is_refused(monkeypatch):
+    # XXZ and an X kick commute with prod X and with prod Z K, but at odd N
+    # prod Z K anticommutes with prod X, so no real structure is chosen
+    # beside the flip; forced, it would swap the flip's two sectors
+    mapping = {
+        "model": {"name": "heisenberg-xxz", "couplings": {"J": 1.0, "delta": 0.5}},
+        "sizes": [5],
+        "beta": 1.0,
+        "kick": {"site": 1, "generator": "X", "strength": 0.7},
+        "averaging": [{"kind": "weighted-spatial", "R": 2.0}],
+        "seed": 17,
+    }
+    cfg = config_from_mapping(mapping)
+    assert len(convergence_sweep(cfg)) == 1
+    monkeypatch.setattr(experiments, "real_structure", lambda h, generator, flip: "Z")
+    with pytest.raises(ValueError, match="prod Z K anticommutes with the spin flip prod X"):
         convergence_sweep(cfg)

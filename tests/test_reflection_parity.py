@@ -12,6 +12,7 @@ from frameavg.averaging import (
     ReflectionParity,
     conjugated_in_eigenbasis,
     conjugated_perturbation,
+    kicked_in_eigenbasis,
 )
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
 from frameavg.lattice import (
@@ -70,6 +71,12 @@ def _generator(kick):
     if isinstance(kick, str):
         return pauli(kick)
     return np.array([[complex(*np.atleast_1d(x)) for x in row] for row in kick])
+
+
+def _labels(h, generator):
+    """The (flip, real structure) pair a size's setup solves H with."""
+    flip = spin_flip(h, generator)
+    return flip, real_structure(h, generator, flip)
 
 
 def _config(model, couplings, n, site, beta=1.0, generator=GENERATOR):
@@ -159,27 +166,75 @@ def test_the_real_structure_is_chosen_by_commutation(model, couplings, kick, rea
 
 
 @pytest.mark.parametrize(
-    "model,couplings,real",
-    [(*XXZ, "Y"), (*XXZ, "I"), (*XXZ, "X"), (*TFI, "I"), (*TFI, "X"), (*FREE, "Z")],
+    "model,couplings,kick,even,odd",
+    [
+        (*XXZ, "X", ("X", "Y"), ("X", None)),
+        (*XXZ, "Y", ("Y", "I"), ("Y", None)),
+        (*XXZ, "Z", ("Z", "X"), ("Z", None)),
+        (*XXZ, GENERATOR, (None, None), (None, None)),
+        (*TFI, "X", ("X", None), ("X", None)),
+        (*TFI, "Y", (None, "I"), (None, "I")),
+        (*TFI, "Z", (None, "X"), (None, "X")),
+        (*TFI, GENERATOR, (None, None), (None, None)),
+        (*FREE, "X", (None, "Z"), (None, "Z")),
+        (*FREE, "Y", (None, "I"), (None, "I")),
+        (*FREE, "Z", ("Z", None), ("Z", None)),
+        (*FREE, GENERATOR, (None, None), (None, None)),
+    ],
+)
+def test_the_label_pair_is_chosen_by_commutation(model, couplings, kick, even, odd):
+    # the (flip, real structure) pair a size's setup solves H with: the real
+    # structure must also commute with the flip, A F A^-1 = eps^N F for
+    # s f^* s^dag = eps f, so on XXZ both labels apply at even N and the flip
+    # alone at odd N; TFI and free spins never take both
+    for n in range(2, 10):
+        want = odd if n % 2 else even
+        assert _labels(_hamiltonian(model, couplings, n), _generator(kick)) == want, n
+
+
+@pytest.mark.parametrize(
+    "model,couplings,flip,real",
+    [
+        (*XXZ, None, "Y"),
+        (*XXZ, None, "I"),
+        (*XXZ, None, "X"),
+        (*TFI, None, "I"),
+        (*TFI, None, "X"),
+        (*FREE, None, "Z"),
+        (*XXZ, "X", "Y"),
+        (*XXZ, "Y", "I"),
+        (*XXZ, "Z", "X"),
+    ],
 )
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
-def test_a_real_structure_maps_each_eigenvector_to_its_partner(model, couplings, real, n):
-    # solved with A = prod s K, A v_i is v_partner(i), itself where the
-    # partner is i, on the dense V, and the spectrum is that of the plain
-    # solve; prod Y K squares to -1 at odd N and is refused
+def test_a_real_structure_maps_each_eigenvector_to_its_partner(model, couplings, flip, real, n):
+    # solved with A = prod s K, beside the flip F where one is given, A v_i
+    # is v_partner(i), itself where the partner is i, on the dense V, each v_i
+    # keeps its flip sign, and the spectrum is that of the plain solve;
+    # prod Y K squares to -1 at odd N and is refused, and so is an A that
+    # anticommutes with F, as every A beside a flip does on XXZ at odd N
     h = _hamiltonian(model, couplings, n)
     if real == "Y" and n % 2:
         with pytest.raises(ValueError, match="prod Y K squares to -1"):
-            spectral_decompose(h, real=real)
+            spectral_decompose(h, flip, real)
         return
-    decomp = spectral_decompose(h, real=real)
-    assert decomp.real == real and decomp.flip is None
+    if flip is not None and n % 2:
+        with pytest.raises(ValueError, match=f"prod {real} K anticommutes with the spin flip"):
+            spectral_decompose(h, flip, real)
+        return
+    decomp = spectral_decompose(h, flip, real)
+    assert decomp.real == real and decomp.flip == flip
     v = decomp.eigenvectors
     local = np.eye(2, dtype=complex) if real == "I" else pauli(real)
     perm, phase = site_product(n, local)
     image = np.empty_like(v)
     image[perm] = phase[:, np.newaxis] * v.conj()  # A v
     assert max_norm(image - v[:, decomp.partner]) < 1e-13
+    if flip is not None:
+        perm, phase = site_product(n, pauli(flip))
+        flipped = np.empty_like(v)
+        flipped[perm] = phase[:, np.newaxis] * v  # F v
+        assert max_norm(flipped - v * decomp.flip_sign) < 1e-13
     plain = spectral_decompose(h)
     assert np.abs(decomp.eigenvalues - plain.eigenvalues).max() < 1e-12
     assert plain.real is None
@@ -227,17 +282,28 @@ def test_sector_solve_refuses_a_real_structure_the_operator_breaks(n):
 
 
 @pytest.mark.parametrize(
-    "model,couplings,flip",
-    [(*XXZ, "X"), (*XXZ, "Y"), (*XXZ, "Z"), (*TFI, "X"), (*FREE, "Z")],
+    "model,couplings,flip,real",
+    [
+        (*XXZ, "X", None),
+        (*XXZ, "Y", None),
+        (*XXZ, "Z", None),
+        (*TFI, "X", None),
+        (*FREE, "Z", None),
+        (*XXZ, "X", "Y"),
+        (*XXZ, "Y", "I"),
+        (*XXZ, "Z", "X"),
+    ],
 )
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
-def test_a_flip_labels_every_eigenvector(model, couplings, flip, n):
-    # solved with a flip F, each dense eigenvector is one of F with its
-    # flip_sign, R_0 partners share it, and the spectrum and momenta are
+def test_a_flip_labels_every_eigenvector(model, couplings, flip, real, n):
+    # solved with a flip F, and beside it the real structure `real` at even
+    # N, where it commutes with F, each dense eigenvector is one of F with
+    # its flip_sign, R_0 partners share it, and the spectrum and momenta are
     # those of the solve without the flip
     h = _hamiltonian(model, couplings, n)
-    decomp = spectral_decompose(h, flip)
-    assert decomp.flip == flip
+    real = None if n % 2 else real
+    decomp = spectral_decompose(h, flip, real)
+    assert decomp.flip == flip and decomp.real == real
     v = decomp.eigenvectors
     perm, phase = site_product(n, pauli(flip))
     flipped = np.empty_like(v)
@@ -396,18 +462,18 @@ KINDS = (
 def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, couplings, n):
     # every channel maps the labelled blocks of rho' and of E straight to
     # the labelled split of the dense W o X~, for every kick site and an X,
-    # a Y, a Z and a generic kick, each with H solved under the spin flip
-    # that H and the kick commute with, where one does, and otherwise under
-    # their real structure, which makes rho' and E real in the labelled
-    # basis; the uniform channel's class blocks hold all of it, and their
-    # spectra are those of the dense average
+    # a Y, a Z and a generic kick, each with H solved under the labels a
+    # size's setup picks: the spin flip that H and the kick commute with,
+    # where one does, and their real structure, where one commutes with the
+    # flip too, which makes rho' and E real in the labelled basis; the
+    # uniform channel's class blocks hold all of it, and their spectra are
+    # those of the dense average
     lattice = LatticeSpec(n)
     h = _hamiltonian(model, couplings, n)
     t = translation_operator(lattice)
     for letter in KICKS:
         generator = _generator(letter)
-        flip = spin_flip(h, generator)
-        real = None if flip else real_structure(h, generator)
+        flip, real = _labels(h, generator)
         state = thermal_state(h, 1.0, flip, real)
         decomp = state.hamiltonian_decomp
         channels = [
@@ -447,6 +513,33 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
                         union = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
                         dense = np.linalg.eigvalsh(channel.apply(rho_prime))
                         assert np.abs(union - dense).max() <= 1e-13, (site, letter)
+
+
+@pytest.mark.parametrize("kick,labels", [("X", ("X", "Y")), ("Y", ("Y", "I")), ("Z", ("Z", "X"))])
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_xxz_at_even_n_holds_four_real_blocks(kick, labels, n):
+    # with the flip and the real structure both applied, u~, rho', E and the
+    # uniform and weighted M rho' and ME are four float64 blocks that sum to
+    # dim, equal to the labelled split of the dense matrices; the temporal
+    # channel's Lorentzian is odd in time, so its averages stay complex
+    ctx = _SizeContext(_config(*XXZ, n, 1, generator=kick), n)
+    state, parity = ctx.state, ctx.parity
+    decomp = state.hamiltonian_decomp
+    assert (decomp.flip, decomp.real) == labels
+    assert len(ctx.u_blocks) == 4 and all(u.dtype == np.float64 for u in ctx.u_blocks)
+    dense = (perturb(state, ctx.kick).matrix, conjugated_perturbation(state, ctx.kick).E.matrix)
+    rho_blocks = kicked_in_eigenbasis(state, ctx.u_blocks, parity).blocks
+    e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, parity)
+    channels = [kind.bind(state, ctx.translation, n) for kind in KINDS]
+    for blocks, x in zip((rho_blocks, e_blocks), dense):
+        assert len(blocks) == 4 and all(b.dtype == np.float64 for b in blocks)
+        assert sum(b.shape[0] for b in blocks) == 2**n
+        want = parity_split(parity, decomp.to_eigenbasis(x))
+        assert max(max_norm(b - w) for b, w in zip(blocks, want)) <= 1e-13 * max_norm(x)
+        for kind, channel in zip(KINDS, channels):
+            averaged, _ = channel.parity_blocks(blocks, parity)
+            dtype = np.complex128 if kind.kind == "temporal" else np.float64
+            assert all(b.dtype == dtype for b in averaged), kind.kind
 
 
 @pytest.mark.parametrize("model,couplings", MODELS)

@@ -35,9 +35,11 @@ from frameavg.operators import HermitianOperator, hermitian_part, max_norm
 from frameavg.thermal import thermal_state
 
 TFI = ("transverse-field-ising", {"J": 1.0, "g": 0.9})
+XXZ = ("heisenberg-xxz", {"J": 1.0, "delta": 0.5})
 # H solved with the spin flip prod X (an X kick), with the real structure K
-# (a Y kick), with neither label, and as one dense block without sectors
-SOLVES = ("flip", "real", "neither", "dense")
+# (a Y kick), with both labels (XXZ with an X kick: prod X and, at even N,
+# prod Y K), with neither label, and as one dense block without sectors
+SOLVES = ("flip", "real", "both", "neither", "dense")
 TAUS = (1.5, math.inf, TAU_IDENTITY_FLOOR / 10)
 RTOL = 1e-13
 
@@ -50,6 +52,12 @@ def _state(solve, n):
     if solve == "real":
         assert spin_flip(h, sigma_y) is None and real_structure(h, sigma_y) == "I"
         return thermal_state(h, 1.0, real="I")
+    if solve == "both":
+        h = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*XXZ))
+        flip = spin_flip(h, sigma_x)
+        real = real_structure(h, sigma_x, flip)
+        assert (flip, real) == ("X", None if n % 2 else "Y")
+        return thermal_state(h, 1.0, flip, real)
     if solve == "dense":
         state = thermal_state(HermitianOperator(h.matrix), 1.0)
         assert state.hamiltonian_decomp.sectors is None
