@@ -7,16 +7,17 @@ eigenbasis (exact dephasing over degenerate blocks at tau = infinity).  Each
 is a convex mixture of unitary conjugations that fix the Gibbs state, hence
 trace preserving, positivity preserving, and entropy non-decreasing.
 
+`KINDS` holds each kind's config key and the rule its parameter obeys, and
 `AveragingKind.bind` turns a kind into a `Channel` for one chain, the one
-place that dispatches on the kind tag.  A channel applies itself densely in
-the computational basis, and it carries its form in the joint H-T
-eigenbasis: H commutes with T, so one basis diagonalises H, rho and T
-together, and there every channel is a Schur multiplier.  The reflection
-about the kicked site commutes with all of them, and so does a global spin
-flip that H and the kick commute with, so `Channel.parity_blocks` maps the
-labelled blocks of a matrix (`ReflectionParity`: its even and odd blocks,
-per flip sign where there is a flip) straight to those of its average by
-one rule for all three kinds.
+place that dispatches on the kind tag (spatial or temporal).  A channel
+applies itself densely in the computational basis, and it carries its form
+in the joint H-T eigenbasis: H commutes with T, so one basis diagonalises
+H, rho and T together, and there every channel is a Schur multiplier.  The
+reflection about the kicked site commutes with all of them, and so does a
+global spin flip that H and the kick commute with, so
+`Channel.parity_blocks` maps the labelled blocks of a matrix
+(`ReflectionParity`: its even and odd blocks, per flip sign where there is
+a flip) straight to those of its average by one rule for all three kinds.
 
 The module also builds the conjugated-kick pair u = e^{beta H/2} U e^{-beta H/2}
 and E = u u^dag whose frame average tending to the identity controls how the
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +56,16 @@ from .thermal import ThermalState
 UNIFORM_SPATIAL = "uniform-spatial"
 WEIGHTED_SPATIAL = "weighted-spatial"
 TEMPORAL = "temporal"
+
+# each kind's config key for its parameter, the rule the parameter obeys,
+# and that rule as a refusal states it
+KINDS = {
+    UNIFORM_SPATIAL: (None, lambda p: p is None, "takes no parameter"),
+    WEIGHTED_SPATIAL: (
+        "R", lambda p: p is not None and 0 < p < np.inf, "needs a finite R > 0, got {!r}"
+    ),
+    TEMPORAL: ("tau", lambda p: p is not None and p > 0, "needs tau > 0 (inf allowed), got {!r}"),
+}
 
 # below this, the Lorentzian weights are indistinguishable from 1
 TAU_IDENTITY_FLOOR = 1e-12
@@ -80,22 +92,16 @@ class AveragingKind:
     parameter: float | None = None
 
     def __post_init__(self):
-        if self.kind == UNIFORM_SPATIAL:
-            if self.parameter is not None:
-                raise ValueError("uniform-spatial takes no parameter")
-            return
-        if self.kind == WEIGHTED_SPATIAL:
-            if self.parameter is None or not np.isfinite(self.parameter) or self.parameter <= 0:
-                raise ValueError(f"weighted-spatial needs a finite R > 0, got {self.parameter!r}")
-        elif self.kind == TEMPORAL:
-            if self.parameter is None or np.isnan(self.parameter) or self.parameter <= 0:
-                raise ValueError(f"temporal needs tau > 0 (inf allowed), got {self.parameter!r}")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(
                 f"unknown averaging kind {self.kind!r}, expected one of "
-                f"{UNIFORM_SPATIAL!r}, {WEIGHTED_SPATIAL!r}, {TEMPORAL!r}"
+                + ", ".join(repr(k) for k in KINDS)
             )
-        object.__setattr__(self, "parameter", float(self.parameter))
+        key, holds, rule = KINDS[self.kind]
+        if not holds(self.parameter):
+            raise ValueError(f"{self.kind} {rule.format(self.parameter)}")
+        if key is not None:
+            object.__setattr__(self, "parameter", float(self.parameter))
 
     @classmethod
     def uniform_spatial(cls) -> "AveragingKind":
@@ -119,38 +125,34 @@ class AveragingKind:
         sector form for this same translation."""
         decomp = state.hamiltonian_decomp
         momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
-        classes = None
-        if self.kind == UNIFORM_SPATIAL:
-            def apply(a):
-                return average_translates(a, t, n_terms)
-
-            # the projection onto the momentum sectors: M X vanishes between
-            # classes min(k, N - k), each the pair of partner sectors k, N - k
-            def weights(rows, cols):
-                return (momenta[rows, np.newaxis] == momenta[np.newaxis, cols]).astype(float)
-
-            if momenta is not None:
-                classes = np.minimum(momenta, n_terms - momenta)
-        elif self.kind == WEIGHTED_SPATIAL:
-            def apply(a):
-                return weighted_average_translates(a, t, n_terms, self.parameter)
-
-            # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so M scales
-            # entry (i, j) by w^(k_i - k_j) = sum_n w_n e^{2 pi i (k_i - k_j) n / N},
-            # real because w_n = w_{N-n}
-            w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
-
-            def weights(rows, cols):
-                return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n_terms]
-        else:
-            def weights(rows, cols):
-                return _temporal_weights(decomp.eigenvalues, self.parameter, rows, cols)
-
+        if self.kind == TEMPORAL:
+            weights = partial(_temporal_weights, decomp.eigenvalues, self.parameter)
             # the dense map holds its weights from its first call on, in the
             # order of the eigenbasis; a sweep never calls it
-            apply = decomp.schur_multiplier(weights)
+            return Channel(decomp.schur_multiplier(weights), None if momenta is None else weights)
+        # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so the mixture
+        # sum_n w_n T^n X T^-n scales entry (i, j) by w^(k_i - k_j) =
+        # sum_n w_n e^{2 pi i (k_i - k_j) n / N}, real because w_n = w_{N-n};
+        # for the uniform w_n = 1 / N, w^ is the unit impulse, held exactly.
+        # The dense map is the module's translate sum, looked up here, so a
+        # wrapper put on it (a traced run's span) sees every call
+        uniform = self.kind == UNIFORM_SPATIAL
+        if uniform:
+            apply = partial(average_translates, t=t, n_terms=n_terms)
+            w_hat = np.eye(1, n_terms)[0]
+        else:
+            apply = partial(weighted_average_translates, t=t, n_terms=n_terms, scale=self.parameter)
+            w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
+        if momenta is None:
+            return Channel(apply)
 
-        return Channel(apply, None if momenta is None else weights, classes)
+        def weights(rows, cols):
+            return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n_terms]
+
+        # the uniform average is the projection onto the momentum sectors: M X
+        # vanishes between classes min(k, N - k), each the pair of partner
+        # sectors k, N - k
+        return Channel(apply, weights, np.minimum(momenta, n_terms - momenta) if uniform else None)
 
 
 def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
@@ -341,10 +343,7 @@ def temporal_average_matrix(
     weights are built for this one call (`SpectralDecomposition.
     schur_multiplier`); a bound temporal channel holds its own.
     """
-    def weights(rows, cols):
-        return _temporal_weights(decomp.eigenvalues, tau, rows, cols)
-
-    return decomp.schur_multiplier(weights)(a)
+    return decomp.schur_multiplier(partial(_temporal_weights, decomp.eigenvalues, tau))(a)
 
 
 def _temporal_weights(

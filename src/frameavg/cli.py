@@ -27,7 +27,7 @@ from .experiments import (
     saturation_scan,
     verify_identities,
 )
-from .operators import OverflowGuardError
+from .operators import EigensolverError
 
 PROBE_HEADER = "site,distance,kick_commutator_norm,conjugated_commutator_norm"
 
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowGuardError, OSError) as exc:
+    except (ValueError, EigensolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

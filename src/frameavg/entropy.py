@@ -83,25 +83,24 @@ def von_neumann_entropy(
     return EntropyValue(_clamped(eta(np.clip(state.eigenvalues, 0.0, None)).sum()))
 
 
-def _support_split(w: np.ndarray) -> np.ndarray:
-    """Boolean kernel mask for an ascending eigenvalue array."""
-    top = w[-1] if w[-1] > 0.0 else 0.0
-    return w < SUPPORT_RTOL * top
+def _rho_eigenframe(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending spectrum of a dense rho clipped at 0, its eigenvectors,
+    and the kernel mask: eigenvalues below SUPPORT_RTOL times the largest."""
+    w, v = np.linalg.eigh(rho.matrix)
+    w = np.clip(w, 0.0, None)
+    return w, v, w < SUPPORT_RTOL * w[-1]
 
 
 def relative_entropy(
     sigma: DensityMatrix, rho: DensityMatrix | ThermalState
 ) -> EntropyValue:
     """tr[sigma (log sigma - log rho)]; infinite on support violation."""
-    if isinstance(rho, ThermalState):
-        if sigma.dim != rho.dim:
-            raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
-        s_sigma = von_neumann_entropy(sigma).nats
-        return EntropyValue(rho.relative_entropy_of(s_sigma, rho.energy(sigma.matrix)))
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    kernel = _support_split(np.clip(w, 0.0, None))
+    if isinstance(rho, ThermalState):
+        s_sigma = von_neumann_entropy(sigma).nats
+        return EntropyValue(rho.relative_entropy_of(s_sigma, rho.energy(sigma.matrix)))
+    w, v, kernel = _rho_eigenframe(rho)
     # diagonal of sigma rotated into the rho eigenbasis
     diag = np.einsum("ij,jk,ki->i", v.conj().T, sigma.matrix, v).real
     if diag[kernel].sum() > KERNEL_WEIGHT_ATOL:
@@ -136,9 +135,9 @@ def bs_relative_entropy(
     For thermal rho the inverse square root is the analytic
     exp(beta H / 2) sqrt(Z), evaluated entirely in the energy eigenbasis.
     """
+    if sigma.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
     if isinstance(rho, ThermalState):
-        if sigma.dim != rho.dim:
-            raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
         energies = rho.hamiltonian_decomp.eigenvalues
         top_exponent = rho.beta * (energies[-1] - energies[0])
         if top_exponent > EXP_GUARD:
@@ -149,11 +148,7 @@ def bs_relative_entropy(
         scale = np.exp(rho.beta * energies / 2 + rho.log_partition / 2)
         sigma_tilde = rho.hamiltonian_decomp.to_eigenbasis(sigma.matrix)
         return EntropyValue(_clamped(_bs_value(sigma_tilde, scale, rho.populations)))
-    if sigma.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    kernel = _support_split(w)
+    w, v, kernel = _rho_eigenframe(rho)
     sigma_tilde = v.conj().T @ sigma.matrix @ v
     if np.diagonal(sigma_tilde).real[kernel].sum() > KERNEL_WEIGHT_ATOL:
         return EntropyValue(0.0, support_violation=True)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .averaging import (
-    TEMPORAL,
-    UNIFORM_SPATIAL,
+    KINDS,
     WEIGHTED_SPATIAL,
     AveragingKind,
     Channel,
@@ -112,6 +111,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kick site {self.kick.site} does not fit the smallest chain ({sizes[0]} sites)"
             )
+        # every model is a chain of qubits
+        shape = self.kick.generator.shape
+        if shape != (2, 2):
+            raise ConfigError(f"kick generator must act on one qubit (2 x 2), got shape {shape}")
         if not self.averaging:
             raise ConfigError("averaging must list at least one kind")
         overrides = dict(self.tolerance_overrides or {})
@@ -186,10 +189,6 @@ def _parse_generator(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-# the config key that carries each kind's parameter
-_PARAMETER_KEYS = {UNIFORM_SPATIAL: None, WEIGHTED_SPATIAL: "R", TEMPORAL: "tau"}
-
-
 def _parse_averaging(entries, where: str) -> tuple[AveragingKind, ...]:
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{where} must be a nonempty list of channel objects")
@@ -199,9 +198,9 @@ def _parse_averaging(entries, where: str) -> tuple[AveragingKind, ...]:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"{spot} must be an object with a 'kind' key")
         kind = entry["kind"]
-        if not isinstance(kind, str) or kind not in _PARAMETER_KEYS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ConfigError(f"{spot}.kind is unknown: {kind!r}")
-        key = _PARAMETER_KEYS[kind]
+        key = KINDS[kind][0]
         try:
             _require_keys(entry, ("kind",) if key is None else ("kind", key), (), spot)
             parameter = None if key is None else _parse_number(entry[key], f"{spot}.{key}")
@@ -308,7 +307,10 @@ def check_capacity(cfg: ExperimentConfig, command: str | None = None, jobs: int 
     MEMINFO.  The estimate is PEAK_FACTORS[command] * 16 dim^2 bytes summed
     over the sizes that may run at once: the `jobs` largest for sweep and
     saturate, whose sizes run on `jobs` threads, the first size for verify
-    and probe.  Without a readable MemAvailable nothing is checked."""
+    and probe.  Without a readable MemAvailable nothing is checked, but
+    `jobs` must be at least 1 regardless."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     available = _mem_available()
     if available is None:
         return

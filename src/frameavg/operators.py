@@ -27,6 +27,9 @@ UNITARITY_ATOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_EIGENVALUE_FLOOR = -1e-12
+# how far a symmetry's image of a labelled column may miss a phase times a
+# column of its set, in any coefficient (`symmetry_split`)
+COLUMN_ATOL = 1e-10
 
 # relative cutoff separating a genuine spectral kernel from round-off
 SUPPORT_RTOL = 1e-14
@@ -627,18 +630,24 @@ def spectral_decompose(
     if flip is not None or real is not None:
         raise ValueError("a symmetry label needs an operator that carries momentum sectors")
     m = a.matrix
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(m.shape[0], max_norm(m)) from exc
-    decomp = SpectralDecomposition(w, eigenvectors=v)
     scale = max_norm(m)
-    gate(
-        max_norm(decomp.reconstruct() - m),
-        RECONSTRUCTION_RTOL * max(1.0, scale),
-        lambda: EigensolverError(m.shape[0], scale),
-    )
-    return decomp
+    w, v = _certified_eigh(m, RECONSTRUCTION_RTOL * max(1.0, scale), m.shape[0], scale)
+    return SpectralDecomposition(w, eigenvectors=v)
+
+
+def _certified_eigh(block: np.ndarray, tol: float, dim: int, scale: float):
+    """eigh of a Hermitian block behind the reconstruction gate, the one
+    eigensolve of H: a LAPACK failure, or a residual max |V diag(w) V^dag -
+    block| above tol, raises EigensolverError(dim, scale), for the dim and
+    entry scale of the whole operator."""
+    try:
+        w, v = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(dim, scale) from exc
+    if block.size:
+        resid = max_norm((v * w[np.newaxis, :]) @ v.conj().T - block)
+        gate(resid, tol, lambda: EigensolverError(dim, scale))
+    return w, v
 
 
 def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition:
@@ -695,14 +704,7 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
             imag = max_norm(block.imag) if block.size else 0.0
             symmetry_gate(imag, tol, "operator", *names["real"])
             block = block.real
-        try:
-            w, v = np.linalg.eigh(block)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(dim, scale) from exc
-        if block.size:
-            resid = max_norm((v * w[np.newaxis, :]) @ v.conj().T - block)
-            gate(resid, tol, lambda: EigensolverError(dim, scale))
-        return w, v
+        return _certified_eigh(block, tol, dim, scale)
 
     n = len(slices)
     values, vectors, labels = [None] * n, [None] * n, [None] * n
@@ -812,10 +814,10 @@ def symmetry_split(
     coefficient nonzero, and no basis index in two columns.  An involution
     Q e_p = phase[p] e_image[p] must map each set onto itself and commute
     with those before it; then Q sends each column to a phase times another
-    column of its set, read off the column's first index, and the set
-    splits into the +1 and the -1 eigenvectors of that column involution
-    (`parity_vectors`), its labels extended by the sign and its terms
-    doubled.  Empty sets are dropped.
+    column of its set, checked on every term, and squares to 1 there
+    (`_column_involution`); the set splits into the +1 and the -1
+    eigenvectors of that column involution (`parity_vectors`), its labels
+    extended by the sign and its terms doubled.  Empty sets are dropped.
 
     An `antiunitary` involution A (image, phase), A sum_p y_p e_p =
     sum_p conj(y_p) phase[p] e_image[p], which must commute with all of
@@ -832,24 +834,13 @@ def symmetry_split(
         out = []
         for labels, terms in sets:
             idx, coef = terms[0::2], terms[1::2]
-            owner = np.full(image.size, -1)
-            weight = np.zeros(image.size, dtype=np.complex128)
-            cols = np.arange(idx[0].size)
-            for i, c in zip(idx, coef):
-                held = c != 0
-                owner[i[held]] = cols[held]
-                weight[i[held]] = c[held]
-            target = image[idx[0]]
-            if (owner[target] < 0).any():
-                raise ValueError("a symmetry does not map a labelled column set onto itself")
-            lead = coef[0].conj() if anti else coef[0]
-            q_phase = lead * phase[idx[0]] / weight[target]
+            target, q_phase = _column_involution(idx, coef, image, phase, anti)
             if anti:
-                pieces = [(labels, _real_vectors(owner[target], q_phase))]
+                pieces = [(labels, _real_vectors(target, q_phase))]
             else:
                 pieces = [
                     ((*labels, sign), v)
-                    for sign, v in zip((1, -1), parity_vectors(owner[target], q_phase))
+                    for sign, v in zip((1, -1), parity_vectors(target, q_phase))
                 ]
             for new_labels, (i, a, j, b) in pieces:
                 if i.size:
@@ -858,6 +849,45 @@ def symmetry_split(
                     out.append((new_labels, (*left, *right)))
         sets = out
     return sets
+
+
+def _column_involution(idx, coef, image, phase, anti: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The map a step Q of `symmetry_split` makes of a set's columns (terms
+    idx[t], coef[t]): Q x = q[x] times column target[x], for every term of
+    x, and Q^2 = 1 on the set, target an involution with q[x] q[target[x]]
+    = 1 (conj(q[x]) q[target[x]] = 1 for an antiunitary Q), so a fixed
+    column's phase is +-1 (of modulus 1 for an antiunitary Q).  The
+    coefficients and phases pass `gate` within COLUMN_ATOL."""
+    owner = np.full(image.size, -1)
+    weight = np.zeros(image.size, dtype=np.complex128)
+    cols = np.arange(idx[0].size)
+    for i, c in zip(idx, coef):
+        held = c != 0
+        owner[i[held]] = cols[held]
+        weight[i[held]] = c[held]
+    off_set = "a symmetry does not map a labelled column set onto itself"
+    target = owner[image[idx[0]]]
+    if (target < 0).any():
+        raise ValueError(off_set)
+    lead = coef[0].conj() if anti else coef[0]
+    q_phase = lead * phase[idx[0]] / weight[image[idx[0]]]
+    misses = []
+    for i, c in zip(idx, coef):
+        held = c != 0
+        to = image[i[held]]
+        if (owner[to] != target[held]).any():
+            raise ValueError(off_set)
+        moved = (c.conj() if anti else c)[held] * phase[i[held]]
+        misses.append(np.abs(moved - q_phase[held] * weight[to]))
+    miss = float(np.max(np.concatenate(misses), initial=0.0))
+    gate(miss, COLUMN_ATOL, lambda: f"{off_set}: coefficients miss by {miss:.3e}")
+    unsquared = "a symmetry does not square to 1 on a labelled column set"
+    if (target[target] != cols).any():
+        raise ValueError(unsquared)
+    square = (q_phase.conj() if anti else q_phase) * q_phase[target]
+    defect = float(np.max(np.abs(square - 1.0), initial=0.0))
+    gate(defect, COLUMN_ATOL, lambda: f"{unsquared}: phases miss 1 by {defect:.3e}")
+    return target, q_phase
 
 
 def _real_vectors(partner: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frameavg import averaging
 from frameavg import (
     DensityMatrix,
     HermitianOperator,
@@ -85,6 +86,27 @@ class TestAveragingKind:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AveragingKind("radial")
+
+    @pytest.mark.parametrize(
+        "kind, parameter, message",
+        (
+            ("uniform-spatial", 2.0, "uniform-spatial takes no parameter"),
+            ("weighted-spatial", None, "weighted-spatial needs a finite R > 0, got None"),
+            ("weighted-spatial", np.inf, "weighted-spatial needs a finite R > 0, got inf"),
+            ("temporal", -1.0, "temporal needs tau > 0 (inf allowed), got -1.0"),
+            ("temporal", np.nan, "temporal needs tau > 0 (inf allowed), got nan"),
+            (
+                "radial",
+                None,
+                "unknown averaging kind 'radial', expected one of "
+                "'uniform-spatial', 'weighted-spatial', 'temporal'",
+            ),
+        ),
+    )
+    def test_each_refusal_states_the_rule_of_the_kind_table(self, kind, parameter, message):
+        with pytest.raises(ValueError) as info:
+            AveragingKind(kind, parameter)
+        assert str(info.value) == message
 
 
 class TestFrameAverage:
@@ -225,6 +247,46 @@ class TestChannel:
         if channel.classes is None:
             whole = parity_split(parity, decomp.to_eigenbasis(averaged))
             assert max(max_norm(b - w) for b, w in zip(blocks, whole)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_spatial_weights_are_the_momentum_rules_bit_for_bit(self, n):
+        # both spatial kinds read one weight w^[(k_i - k_l) mod N]; the
+        # uniform w^ is the exact unit impulse, so its weights are
+        # delta(k_i, k_l), exactly 1.0 or 0.0, and its classes are |k|
+        lat = LatticeSpec(n)
+        spec = HamiltonianSpec("heisenberg-xxz", {"J": 1.0, "delta": 0.5})
+        state = thermal_state(build_hamiltonian(lat, spec), 1.0)
+        t = translation_operator(lat)
+        k = state.hamiltonian_decomp.momenta
+        rows, cols = np.arange(0, state.dim, 2), np.arange(state.dim)
+        uniform = AveragingKind.uniform_spatial().bind(state, t, n)
+        delta = (k[rows, np.newaxis] == k[np.newaxis, cols]).astype(float)
+        assert uniform.weights(rows, cols).tobytes() == delta.tobytes()
+        assert np.array_equal(uniform.classes, np.minimum(k, n - k))
+        weighted = AveragingKind.weighted_spatial(2.0).bind(state, t, n)
+        w_hat = np.fft.fft(distance_weights(n, 2.0)).real
+        expected = w_hat[np.subtract.outer(k[rows], k[cols]) % n]
+        assert weighted.weights(rows, cols).tobytes() == expected.tobytes()
+        assert weighted.classes is None
+
+    def test_spatial_channels_call_the_module_translates(self, monkeypatch):
+        # the dense apply looks the module's translate sums up when a kind is
+        # bound, so a wrapper put there (a tracer's span) sees every call
+        _, state, _, rho_prime, t = ising_setup()
+        calls = []
+
+        def spy(name):
+            def record(a, *args, **kwargs):
+                calls.append(name)
+                return a
+
+            return record
+
+        monkeypatch.setattr(averaging, "average_translates", spy("uniform"))
+        monkeypatch.setattr(averaging, "weighted_average_translates", spy("weighted"))
+        AveragingKind.uniform_spatial().bind(state, t, 4).apply(rho_prime.matrix)
+        AveragingKind.weighted_spatial(2.0).bind(state, t, 4).apply(rho_prime.matrix)
+        assert calls == ["uniform", "weighted"]
 
     def test_no_schur_form_without_sectors(self):
         # an H without momentum sectors is solved by one dense eigensolve,

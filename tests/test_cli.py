@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frameavg import experiments
 from frameavg.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -137,6 +141,31 @@ class TestConfigErrors:
         code = main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", (0, -1))
+    def test_capacity_guard_refuses_fewer_than_one_job(self, tmp_path, monkeypatch, jobs):
+        # against the faked 205 MB that refuses a sweep at N = 12, jobs = 0
+        # would charge every size at once and jobs = -1 would drop the first,
+        # estimating a single-size config at 0 bytes
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       8000000 kB\nMemAvailable:    200000 kB\n")
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        cfg = write_config(tmp_path, sizes=[12])
+        with pytest.raises(experiments.ConfigError, match="sweep at N=12"):
+            experiments.load_config(cfg, "sweep", jobs=1)
+        for command in ("sweep", "verify", None):
+            refusal = f"jobs must be at least 1, got {jobs}"
+            with pytest.raises(experiments.ConfigError, match=refusal):
+                experiments.load_config(cfg, command, jobs=jobs)
+
+    def test_a_generator_that_is_not_one_qubit_exits_two(self, tmp_path, capsys):
+        model = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+        kick = {"site": 0, "generator": [[1, 0, 0], [0, -1, 0], [0, 0, 0]], "strength": 0.7}
+        code = main(["sweep", "--config", write_config(tmp_path, model=model, kick=kick)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kick generator must act on one qubit (2 x 2), got shape (3, 3)\n"
+        )
+
     @pytest.mark.parametrize("site", (2.7, "1", True))
     def test_kick_site_must_be_an_integer(self, tmp_path, capsys, site):
         kick = {"site": site, "generator": "X", "strength": 0.7}
@@ -202,6 +231,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--jobs", "2", "--output", str(b)]) == 0
         strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
         assert strip(a.read_text()) == strip(b.read_text())
+
+    def test_an_eigensolver_failure_exits_one_with_its_message(self, monkeypatch, capsys):
+        # LAPACK fails on every block wider than 3, so the first such solve
+        # of H raises EigensolverError, which is a RuntimeError
+        eigh = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            if a.shape[-1] > 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        code = main(["sweep", "--config", str(CONFIGS / "sweep_free_spins.json")])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: eigensolver failed to converge on a 16x16 Hermitian matrix")
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

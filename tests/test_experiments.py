@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from frameavg.averaging import (
+    KINDS,
+    AveragingKind,
     average_translates,
     averaged_E_stats,
     deviation_report,
@@ -112,6 +114,24 @@ class TestConfigParsing:
         data["kick"]["generator"] = [[0, [0, -1]], [[0, 1], 0]]
         cfg = config_from_mapping(data)
         assert np.allclose(cfg.kick.generator, np.array([[0, -1j], [1j, 0]]))
+
+    def test_a_generator_that_is_not_one_qubit_is_refused(self):
+        data = base_mapping()
+        data["kick"]["generator"] = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+        message = r"kick generator must act on one qubit \(2 x 2\), got shape \(3, 3\)"
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping(data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_round_trips_through_its_config_key(self, kind):
+        key = KINDS[kind][0]
+        entry = {"kind": kind} if key is None else {"kind": kind, key: 1.5}
+        (parsed,) = config_from_mapping(base_mapping(averaging=[entry])).averaging
+        assert parsed == AveragingKind(kind, None if key is None else 1.5)
+        # the key of every other kind is unknown here
+        for other in {k for k, *_ in KINDS.values()} - {key, None}:
+            with pytest.raises(ConfigError, match=f"unknown keys \\['{other}'\\]"):
+                config_from_mapping(base_mapping(averaging=[{**entry, other: 1.5}]))
 
     def test_temporal_tau_inf_token(self):
         data = base_mapping(averaging=[{"kind": "temporal", "tau": "inf"}])

@@ -46,6 +46,7 @@ from frameavg.operators import (
     UNITARITY_ATOL,
     BlockDensityMatrix,
     DensityMatrix,
+    EigensolverError,
     HermitianOperator,
     _check_hermitian,
     _check_unitary,
@@ -313,6 +314,45 @@ def test_a_gate_fails_just_above_its_tolerance_and_on_nan(monkeypatch, family, r
         value = above(tolerance) if tolerance is not None else 0.0
     with pytest.raises(ValueError, match=message):
         trigger(monkeypatch, value)
+
+
+@pytest.mark.parametrize("failure", ("lapack", "below", "above", "nan"))
+@pytest.mark.parametrize("form", ("dense", "sector"))
+def test_every_eigensolve_of_h_is_gated_by_one_routine(monkeypatch, form, failure):
+    # the dense solve and each sector block's solve both go through
+    # `_certified_eigh`: a LAPACK failure, a reconstruction residual above
+    # RECONSTRUCTION_RTOL of the operator's scale (every eigenvalue shifted
+    # by delta leaves a residual of delta) or a NaN raises EigensolverError
+    # there, naming the whole operator's dim and scale
+    h = build_hamiltonian(LatticeSpec(4), XXZ)
+    op = h if form == "sector" else HermitianOperator(h.matrix)
+    scale = max_norm(h.matrix)
+    tol = RECONSTRUCTION_RTOL * max(1.0, scale)
+    shift = {"below": tol * (1 - 1e-2), "above": tol * (1 + 1e-2), "nan": NAN}.get(failure)
+    eigh, certified, raised = np.linalg.eigh, operators._certified_eigh, []
+
+    def broken(block):
+        if failure == "lapack":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        w, v = eigh(block)
+        return w + shift, v
+
+    def spy(*args):
+        try:
+            return certified(*args)
+        except EigensolverError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    monkeypatch.setattr(operators, "_certified_eigh", spy)
+    if failure == "below":
+        spectral_decompose(op)
+        return
+    with pytest.raises(EigensolverError, match="on a 16x16 Hermitian matrix") as info:
+        spectral_decompose(op)
+    assert raised and raised[-1] is info.value
+    assert (info.value.dim, info.value.scale) == (16, scale)
 
 
 # the fields the record's four identities read

@@ -235,3 +235,42 @@ def test_one_function_owns_the_commutation_message():
         for owner in _holders(p.read_text(encoding="utf-8"), COMMUTATION_MESSAGE)
     ]
     assert len(holders) == 1, holders
+
+
+def _readers(source: str, name: str) -> list[str]:
+    """The function (or <module>) holding each read of `name`, bare or as an
+    attribute, innermost function first."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            read = isinstance(getattr(child, "ctx", None), ast.Load)
+            if read and name in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_every_reader_of_a_name():
+    source = (
+        "import numpy as np\n"
+        "def solve(m):\n    return np.linalg.eigh(m)\n"
+        "def gate(m):\n    def fail():\n        raise Error(1)\n    return fail\n"
+        "eigh = 1\n"
+    )
+    assert _readers(source, "eigh") == ["solve"]
+    assert _readers(source, "Error") == ["fail"]
+
+
+def test_one_routine_solves_and_certifies_h():
+    # the dense solve and each sector block's solve go through one certified
+    # eigensolve; a second call of eigh or a second EigensolverError in
+    # operators.py would add a reader
+    source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
+    assert set(_readers(source, "eigh")) == {"_certified_eigh"}
+    assert set(_readers(source, "EigensolverError")) == {"_certified_eigh"}

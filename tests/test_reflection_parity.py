@@ -7,6 +7,7 @@ that makes the split's phases observable."""
 import numpy as np
 import pytest
 
+from frameavg import lattice, operators
 from frameavg.averaging import (
     AveragingKind,
     ReflectionParity,
@@ -270,6 +271,56 @@ def test_the_antiunitary_split_spans_each_set_with_fixed_vectors():
         columns.append(v)
     v = np.concatenate(columns, axis=1)
     assert max_norm(v.conj().T @ v - np.eye(dim)) < 1e-14
+
+
+def test_the_split_refuses_an_antiunitary_that_swaps_the_flip_signs(monkeypatch):
+    # XXZ at N = 5 with prod Z K beside prod X, past the refusal of
+    # `MomentumSectors.conjugation`: A maps the first index of each column
+    # of a flip sign onto a column of the same sign, but sends its other
+    # term to the partner with the opposite coefficient, so the split itself
+    # must raise
+    h = _hamiltonian(*XXZ, 5)
+    monkeypatch.setattr(lattice, "_commutes_with_flip", lambda *args: True)
+    split, raised = operators.symmetry_split, []
+
+    def spy(*args):
+        try:
+            return split(*args)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(operators, "symmetry_split", spy)
+    with pytest.raises(ValueError, match="does not map a labelled column set onto itself") as info:
+        spectral_decompose(h, "X", "Z")
+    assert raised and raised[-1] is info.value
+
+
+def test_the_split_checks_every_term_of_a_column():
+    # Q fixes e_0 and swaps e_1 with e_2: it sends the first term of
+    # (e_0 + e_1) / sqrt(2) home but its second into (e_2 + e_3) / sqrt(2)
+    half = np.full(2, np.sqrt(0.5))
+    pairs = (np.array([0, 2]), half, np.array([1, 3]), half)
+    with pytest.raises(ValueError, match="does not map a labelled column set onto itself"):
+        symmetry_split([((), pairs)], [(np.array([0, 2, 1, 3]), np.ones(4))])
+    # K keeps every index of (e_0 + i e_1) / sqrt(2) but conjugates its
+    # second coefficient, so it maps the column to no multiple of itself
+    column = (np.array([0]), half[:1], np.array([1]), 1j * half[:1])
+    with pytest.raises(ValueError, match="onto itself: coefficients miss by 1.414e\\+00"):
+        symmetry_split([((), column)], [], (np.arange(2), np.ones(2)))
+
+
+def test_the_split_refuses_a_step_that_does_not_square_to_one():
+    # a fixed column of phase i, where Q^2 = -1, used to fall out of both
+    # signs; a three-cycle of unit columns is no involution at all
+    unit = (np.arange(3), np.ones(3))
+    with pytest.raises(ValueError, match="does not square to 1 .*: phases miss 1 by 2.000e\\+00"):
+        symmetry_split([((), unit)], [(np.arange(3), np.array([1, 1j, -1]))])
+    with pytest.raises(ValueError, match="does not square to 1 on a labelled column set$"):
+        symmetry_split([((), unit)], [(np.array([1, 2, 0]), np.ones(3))])
+    # an antiunitary step may fix a column with any phase of modulus 1
+    (_, (i, a, _, _)), = symmetry_split([((), unit)], [], (np.arange(3), np.array([1, 1j, -1])))
+    assert i.size == 3
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
