@@ -311,15 +311,15 @@ def test_the_split_checks_every_term_of_a_column():
 
 
 def test_the_split_refuses_a_step_that_does_not_square_to_one():
-    # a fixed column of phase i, where Q^2 = -1, used to fall out of both
-    # signs; a three-cycle of unit columns is no involution at all
+    # a fixed column of phase i, where Q^2 = -1, is an eigenvector of
+    # neither sign; a three-cycle of unit columns is no involution at all
     unit = (np.arange(3), np.ones(3))
     with pytest.raises(ValueError, match="does not square to 1 .*: phases miss 1 by 2.000e\\+00"):
         symmetry_split([((), unit)], [(np.arange(3), np.array([1, 1j, -1]))])
     with pytest.raises(ValueError, match="does not square to 1 on a labelled column set$"):
         symmetry_split([((), unit)], [(np.array([1, 2, 0]), np.ones(3))])
     # an antiunitary step may fix a column with any phase of modulus 1
-    (_, (i, a, _, _)), = symmetry_split([((), unit)], [], (np.arange(3), np.array([1, 1j, -1])))
+    ((_, (i, *_)),) = symmetry_split([((), unit)], [], (np.arange(3), np.array([1, 1j, -1])))
     assert i.size == 3
 
 
