@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .entropy import eta
+from .entropy import _eta_trace
 from .lattice import NEEDS_PERMUTATION
 from .operators import (
     BlockDensityMatrix,
@@ -458,7 +458,7 @@ def _kick_blocks(
     fixes the labelled basis, a matrix A fixes has real blocks.
     """
     columns = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
-    real = parity is not None and parity.real is not None
+    real = parity is not None and decomp.symmetry.real is not None
     blocks = []
     for q, (i, a, j, b) in enumerate(columns):
         block = np.empty((i.size, i.size), dtype=np.float64 if real else np.complex128)
@@ -471,8 +471,7 @@ def _kick_blocks(
                 scale = max(1.0, off, max_norm(rows[q]))
                 parity.gate(offs, scale)
                 if real:
-                    imag = max_norm(rows[q].imag)
-                    real_k = f"the antiunitary prod {parity.real} K"
+                    imag, real_k = max_norm(rows[q].imag), decomp.symmetry.real_name
                     symmetry_gate(imag, PARITY_RTOL * scale, "matrix", real_k, "imaginary")
                     rows[q] = rows[q].real
             block[:, c] = rows[q]
@@ -515,12 +514,12 @@ def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> 
 class ReflectionParity:
     """The labelled blocks of the joint H-T eigenbasis of `decomp` under the
     reflection P_s = T^s R_0 T^-s about the kicked site s and, where H was
-    solved with one, the global spin flip F (`decomp.flip`).
+    solved with one, the global spin flip F of `decomp.symmetry`.
 
     P_s commutes with H, with a kick at site s and with every channel (the
     distance weights obey w_n = w_{N-n}, the Lorentzian is a function of H),
     and so does a flip chosen to commute with H and the kick
-    (`lattice.spin_flip`), so rho', E, M rho' and ME split into one block
+    (`lattice.chain_symmetry`), so rho', E, M rho' and ME split into one block
     per label (flip sign, P_s sign) in `labels`: two blocks, or four of
     about dim/4 with a flip.  R_0 maps eigenvector i to `decomp.partner[i]`,
     or to +-1 times itself, and T^s multiplies momentum k by
@@ -546,7 +545,7 @@ class ReflectionParity:
 
     Where H was solved with a real structure, alone or beside the flip, an
     antiunitary A = prod s K that H, the kick and any flip commute with
-    (`decomp.real`, copied to `real`), A maps e_i to e_partner(i), and the
+    (the same `symmetry`), A maps e_i to e_partner(i), and the
     vectors are scaled by sqrt(conj(c_i)), so that A fixes each even one
     and negates each odd one; A keeps each flip sign, so it does so inside
     every labelled block.  Every matrix A fixes (rho', E, and their uniform
@@ -566,9 +565,8 @@ class ReflectionParity:
         idx = np.arange(partner.size)
         sets = [((f,), (idx[flip == f], np.ones(np.count_nonzero(flip == f)))) for f in (1, 0, -1)]
         split = symmetry_split([s for s in sets if s[1][0].size], [(partner, c)])
-        self.flip = decomp.flip
-        self.real = decomp.real
-        if self.real is not None:
+        self.symmetry = decomp.symmetry
+        if self.symmetry.real is not None:
             # A e_i = e_partner(i) sends (e_i +- c_i e_j) / sqrt(2) to
             # +-conj(c_i) times itself, so sqrt(conj(c_i)) times it to +-1
             # times itself; one root per pair keeps (A - B) / 2 o X_oo in
@@ -595,7 +593,7 @@ class ReflectionParity:
         tol = PARITY_RTOL * scale
         flips = [self.labels[p][0] != self.labels[q][0] for p, q in offs]
         for broken, what, entries in (
-            (True, f"the spin flip prod {self.flip}", "flip"),
+            (True, self.symmetry.flip_name, "flip"),
             (False, "the reflection about the kicked site", "parity"),
         ):
             # np.max, unlike max, carries a NaN through to the gate
@@ -687,11 +685,9 @@ def averaged_E_stats(
     e_blocks: list[np.ndarray], rho_blocks: list[np.ndarray]
 ) -> tuple[DeviationReport, float]:
     """Deviation report of ME plus -tr[rho eta(ME)], from one eigensolve per
-    block of ME paired with the same block of rho.
-
-    A block of rho is a matrix, or a 1d array where rho is diagonal (in the
-    joint eigenbasis of H, it holds the populations): then the weight on
-    eigenvector v_k is sum_i p_i |v_ik|^2, read without a product with rho.
+    block of ME paired with the same block of rho (`entropy._eta_trace`): a
+    matrix, or the populations where rho is diagonal in the joint
+    eigenbasis of H.
 
     -tr[rho eta(ME)] equals the operator-convex relative entropy
     S_BS(M rho' | rho) because every function of rho is invariant under the
@@ -704,19 +700,7 @@ def averaged_E_stats(
     energy, land within 1.0e-10 of a 40-digit value, where a float64 rho in
     the computational basis added 4e-8.
     """
-    spectra, weights = [], []
-    for e, rho in zip(e_blocks, rho_blocks):
-        # eigh reads the lower triangle: the joint-basis blocks are exactly
-        # Hermitian, and a computational-basis block is Hermitian to
-        # round-off, so that triangle stands for it within round-off
-        w, v = np.linalg.eigh(e)
-        spectra.append(w)
-        # the weight rho puts on each eigenvector of the block
-        if rho.ndim == 1:
-            weights.append(rho @ (v.real**2 + v.imag**2))
-        else:
-            weights.append(np.einsum("ik,ik->k", v.conj(), rho @ v).real)
-    w, q = np.concatenate(spectra), np.concatenate(weights)
+    w, q, bs_value = _eta_trace(e_blocks, rho_blocks)
     dev = w - 1.0
     report = DeviationReport(
         op_norm=float(np.abs(dev).max()),
@@ -725,7 +709,7 @@ def averaged_E_stats(
         state_trace=float((q * w).sum()),
         bs_floor=_bs_floor(w),
     )
-    return report, max(-float(np.dot(eta(w), q)), 0.0)
+    return report, max(bs_value, 0.0)
 
 
 def _bs_floor(spectrum: np.ndarray) -> float:

@@ -105,9 +105,6 @@ def _run_probe(cfg: ExperimentConfig, args, output: str | None) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config, args.command, args.jobs)
     except ConfigError as exc:

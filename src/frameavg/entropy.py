@@ -110,6 +110,31 @@ def relative_entropy(
     return EntropyValue(_clamped(-s_sigma - cross))
 
 
+def _eta_trace(x_blocks, rho_blocks) -> tuple[np.ndarray, np.ndarray, float]:
+    """-tr[rho eta(X)] for X and rho given as matching lists of diagonal
+    blocks, from one eigensolve per block of X: the spectrum w of X, the
+    weight q_k = <v_k| rho |v_k> rho puts on each eigenvector, and
+    -sum_k eta(w_k) q_k, all over the blocks in order.
+
+    A block of rho is a matrix, or a 1d array where rho is diagonal (in its
+    own eigenbasis, or the joint one of H): then q_k = sum_i p_i |v_ik|^2,
+    read without a product with rho.
+    """
+    spectra, weights = [], []
+    for x, rho in zip(x_blocks, rho_blocks):
+        # eigh reads the lower triangle: the joint-basis blocks are exactly
+        # Hermitian, and a computational-basis block is Hermitian to
+        # round-off, so that triangle stands for it within round-off
+        w, v = np.linalg.eigh(x)
+        spectra.append(w)
+        if rho.ndim == 1:
+            weights.append(rho @ (v.real**2 + v.imag**2))
+        else:
+            weights.append(np.einsum("ik,ik->k", v.conj(), rho @ v).real)
+    w, q = np.concatenate(spectra), np.concatenate(weights)
+    return w, q, -float(np.dot(eta(w), q))
+
+
 def _bs_value(sigma_tilde: np.ndarray, scale: np.ndarray, weights: np.ndarray) -> float:
     """-tr[rho eta(X)] with X = diag(scale) sigma_tilde diag(scale).
 
@@ -121,10 +146,7 @@ def _bs_value(sigma_tilde: np.ndarray, scale: np.ndarray, weights: np.ndarray) -
     x *= scale[:, np.newaxis]
     x *= scale[np.newaxis, :]
     hermitian_part(x, out=x)
-    xw, xv = np.linalg.eigh(x)
-    # weight of each X eigenvector under rho
-    q = (weights[:, np.newaxis] * (xv.real**2 + xv.imag**2)).sum(axis=0)
-    return -float(np.dot(eta(xw), q))
+    return _eta_trace([x], [weights])[2]
 
 
 def bs_relative_entropy(

@@ -39,10 +39,9 @@ from .lattice import (
     LatticeSpec,
     SiteOperator,
     build_hamiltonian,
+    chain_symmetry,
     embed_site_operator,
     pauli,
-    real_structure,
-    spin_flip,
     translation_operator,
 )
 from .operators import (
@@ -226,10 +225,15 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if not isinstance(model_data, dict):
         raise ConfigError("model must be an object")
     _require_keys(model_data, ("name", "couplings"), (), "model")
+    if not isinstance(model_data["name"], str):
+        raise ConfigError(f"model.name must be a string, got {model_data['name']!r}")
     if not isinstance(model_data["couplings"], dict):
         raise ConfigError("model.couplings must be an object")
+    couplings = {
+        k: _parse_number(v, f"model.couplings.{k}") for k, v in model_data["couplings"].items()
+    }
     try:
-        model = HamiltonianSpec(model_data["name"], dict(model_data["couplings"]))
+        model = HamiltonianSpec(model_data["name"], couplings)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -399,23 +403,22 @@ class _SizeContext:
     that basis rho = diag(p) and H = diag(E), and every channel is a Schur
     multiplier (`Channel`).  The reflection about the kicked site commutes
     with all of them, and so does the global spin flip that H and the kick
-    both commute with, where one does (`spin_flip`; H is solved with its
-    sign).  An antiunitary prod s K that H, the kick and that flip commute
-    with, where one does (`real_structure`; H is solved phased for it),
-    makes the blocks real.  u~ is built straight into the blocks of those
-    labels (`parity`: two blocks, or four with a flip, float64 with a real
-    structure), a column slab at a time behind the off-label gate
-    (`u_blocks`).
-    `conjugated_in_eigenbasis` consumes those blocks into E's, so a caller
-    builds rho' from them (`kicked_in_eigenbasis`) first.
+    both commute with, where one does.  An antiunitary prod s K that H, the
+    kick and that flip commute with, where one does, makes the blocks real.
+    Both are picked once per size as one `ChainSymmetry` value
+    (`chain_symmetry`), which H is solved with: split by the flip's sign
+    and phased for the antiunitary.  u~ is built straight into the blocks
+    of those labels (`parity`: two blocks, or four with a flip, float64
+    with a real structure), a column slab at a time behind the off-label
+    gate (`u_blocks`).  `conjugated_in_eigenbasis` consumes those blocks
+    into E's, so a caller builds rho' from them (`kicked_in_eigenbasis`)
+    first.
     """
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.lattice = LatticeSpec(n)
         h = build_hamiltonian(self.lattice, cfg.model)
-        flip = spin_flip(h, cfg.kick.generator)
-        real = real_structure(h, cfg.kick.generator, flip)
-        self.state = thermal_state(h, cfg.beta, flip, real)
+        self.state = thermal_state(h, cfg.beta, chain_symmetry(h, cfg.kick.generator))
         self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
         self.s_rho = von_neumann_entropy(self.state).nats

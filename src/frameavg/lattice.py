@@ -271,23 +271,15 @@ class MomentumSectors:
         sits at image[p], in the sector of p, for each position p."""
         return self._image(*site_product(self.n_terms, _local(letter)), reverse=False)
 
-    def conjugation(self, letter: str, flip: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def conjugation(self, letter: str) -> tuple[np.ndarray, np.ndarray]:
         """The antiunitary A = F K in sector-major order, for K the complex
         conjugation of the computational basis and F the flip of `letter`
         (I for none): K |r, k> = |r, -k>, so A |r, k> = phase[p] |r', -k>
         sits at image[p], in the sector mirror to that of p, and
         A sum_p y_p |p> = sum_p conj(y_p) phase[p] |image[p]>.  A must
-        square to 1 (`_squares_to_one`), and commute with the spin flip of
-        letter `flip` where one is given (`_commutes_with_flip`), or it
-        would swap the flip's sectors instead of fixing each."""
+        square to 1 and commute with any flip beside it, which
+        `ChainSymmetry` checks."""
         n = self.n_terms
-        if not _squares_to_one(letter, n):
-            raise ValueError(f"prod {letter} K squares to -1 on {n} sites: no real structure")
-        if flip is not None and not _commutes_with_flip(letter, flip, n):
-            raise ValueError(
-                f"prod {letter} K anticommutes with the spin flip prod {flip} on {n} sites: "
-                "no real structure beside it"
-            )
         orbit, q = np.divmod(self._select, n)
         negated = self._place[orbit * n + (-q) % n]
         image, phase = self.flip(letter)
@@ -434,98 +426,101 @@ def site_product(n: int, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def spin_flip(h: HermitianOperator, generator) -> str | None:
-    """The Pauli letter s whose global flip prod_j s_j commutes both with the
-    chain Hamiltonian h and with a kick generated by the 2 x 2 `generator`,
-    or None where no letter passes, or h carries no momentum sectors.
+@dataclass(frozen=True)
+class ChainSymmetry:
+    """The symmetry labels a chain of `sites` sites is solved with: the
+    global spin flip F = prod_j f_j of Pauli letter `flip`, and the
+    antiunitary A = prod_j s_j K of letter `real` (I for K alone), K the
+    complex conjugation of the computational basis; None for a label that
+    is absent.  `chain_symmetry` picks them.
 
-    Both are tested, never read off a model name: the flip against h's
-    entries (`conjugation_defect`) within RECONSTRUCTION_RTOL of their
-    scale, and s against the generator within the same fraction of its
-    scale.  X is tried before Y and Z; only a degenerate chain or kick (a
-    vanishing coupling, a generator proportional to 1) passes more than one.
+    The constructor holds the rules that pair them.  A must square to 1:
+    (prod_j s_j K)^2 = (s s^*)^N, which only time reversal prod Y K at odd
+    N breaks, and then no vector is fixed.  Beside a flip, A must commute
+    with it: A F A^-1 = prod_j s f^* s^dag = eps^N F for the sign eps of
+    s f^* s^dag = eps f, and where eps^N = -1, A would swap the flip's two
+    sectors instead of fixing each.  `flip_name` and `real_name` name the
+    two symmetries in every message that quotes one.
     """
-    return _pick_letter(h, generator, "XYZ", antiunitary=False)
+
+    sites: int
+    flip: str | None = None
+    real: str | None = None
+
+    def __post_init__(self):
+        if self.real is None:
+            return
+        n, s, f = self.sites, _local(self.real), _local(self.flip or "I")
+        if not (s @ s.conj())[0, 0].real ** n > 0:
+            raise ValueError(f"prod {self.real} K squares to -1 on {n} sites: no real structure")
+        # eps of s f^* s^dag = eps f, 1 where there is no flip
+        if not (np.trace(f.conj().T @ s @ f.conj() @ s.conj().T).real / 2) ** n > 0:
+            raise ValueError(
+                f"prod {self.real} K anticommutes with {self.flip_name} on {n} sites: "
+                "no real structure beside it"
+            )
+
+    @property
+    def flip_name(self) -> str:
+        return f"the spin flip prod {self.flip}"
+
+    @property
+    def real_name(self) -> str:
+        return f"the antiunitary prod {self.real} K"
 
 
-def real_structure(h: HermitianOperator, generator, flip: str | None = None) -> str | None:
-    """The letter s (I for the identity) for which the antiunitary
-    A = prod_j s_j K, K the complex conjugation of the computational basis,
-    commutes with the chain Hamiltonian h, with a kick exp(-i lambda g)
-    generated by the 2 x 2 `generator` g and with the global spin flip
-    prod_j f_j of letter `flip` where one is given, or None where no letter
-    passes, or h carries no momentum sectors.
+def chain_symmetry(h: HermitianOperator, generator) -> ChainSymmetry | None:
+    """The labels that the chain Hamiltonian h and a kick exp(-i lambda g)
+    generated by the 2 x 2 `generator` g are solved with, or None where h
+    carries no momentum sectors of qubits: the first letter s of X, Y, Z
+    whose global flip prod_j s_j commutes with both, and the first of I, X,
+    Y, Z whose antiunitary prod_j s_j K commutes with both and pairs with
+    that flip (`ChainSymmetry`); None for a label no letter passes.  H's
+    entries and their tolerance are read once for both labels.
 
-    A fixes the kick exactly when s g^* s = -g, and h when its entries
-    conjugated and moved by prod_j s_j match (`conjugation_defect`), both
-    tested like `spin_flip`'s commutations and tried in the order I, X, Y, Z.
-    Without a flip, a Y kick is real (A = K) on every model; an X kick takes
-    time reversal prod Y K on XXZ and prod Z K on free spins, and none on
-    the transverse-field Ising chain.  A must square to 1, so at odd N the
-    X kick on XXZ takes prod Z K.  A generator with a trace part has none.
+    Both are tested, never read off a model name: s against g (s g - g s,
+    or s g^* s + g for the antiunitary, vanishing) within RECONSTRUCTION_RTOL
+    of g's scale, and the global product against h's entries
+    (`conjugation_defect`) within that fraction of theirs.  Only a
+    degenerate chain or kick (a vanishing coupling, a generator
+    proportional to 1) passes more than one flip.
 
-    With a flip, A must also commute with it (`_commutes_with_flip`), so
-    that A fixes each flip sector and H splits into four real blocks: on
-    XXZ at even N, the X, Y and Z kicks take (flip, A) = (X, prod Y K),
-    (Y, K) and (Z, prod X K).  At odd N every A that fixes XXZ and the
-    kick anticommutes with the flip, swapping its two sectors, and None is
-    returned.
+    Alone, a Y kick is real (A = K) on every model; an X kick takes time
+    reversal prod Y K on XXZ (prod Z K at odd N, where prod Y K squares to
+    -1) and prod Z K on free spins, and none on the transverse-field Ising
+    chain.  A generator with a trace part has none.  Beside the flip, on XXZ
+    at even N the X, Y and Z kicks take (flip, A) = (X, prod Y K), (Y, K)
+    and (Z, prod X K); at odd N every A that fixes XXZ and the kick
+    anticommutes with the flip, and the flip stands alone.
     """
-    return _pick_letter(h, generator, "IXYZ", antiunitary=True, flip=flip)
-
-
-def _pick_letter(
-    h: HermitianOperator, generator, letters: str, antiunitary: bool, flip: str | None = None
-) -> str | None:
-    """The first of `letters` whose global product prod_j s_j, times K where
-    `antiunitary` (and then only one that squares to 1 and commutes with the
-    flip of letter `flip`, if given), commutes with the kick of generator g,
-    s g - g s or s g^* s + g vanishing within RECONSTRUCTION_RTOL of g's
-    scale, and with h's entries within that fraction of theirs; None where
-    h carries no momentum sectors."""
-    if h.sectors is None:
+    if h.sectors is None or h.dim != 2**h.sectors.n_terms:
         return None
     g = as_square_complex(generator, "generator")
     rows, cols, values = h.entries()
     n = h.sectors.n_terms
     tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
-    for letter in letters:
+
+    def fixes(letter: str, antiunitary: bool) -> bool:
         s = _local(letter)
-        if antiunitary and not (
-            _squares_to_one(letter, n) and (flip is None or _commutes_with_flip(letter, flip, n))
-        ):
-            continue
         kick = s @ g.conj() @ s + g if antiunitary else s @ g - g @ s
-        if max_norm(kick) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)):
+        return not max_norm(kick) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)) and (
+            conjugation_defect(*site_product(n, s), rows, cols, values, antiunitary) <= tol
+        )
+
+    flip = next((s for s in "XYZ" if fixes(s, False)), None)
+    for letter in "IXYZ":
+        try:
+            symmetry = ChainSymmetry(n, flip, letter)
+        except ValueError:
             continue
-        perm, phase = site_product(n, s)
-        if perm.size == h.dim and (
-            conjugation_defect(perm, phase, rows, cols, values, antiunitary) <= tol
-        ):
-            return letter
-    return None
+        if fixes(letter, True):
+            return symmetry
+    return ChainSymmetry(n, flip)
 
 
 def _local(letter: str) -> np.ndarray:
     """The one-site factor of a global flip: a Pauli matrix, or 1 for I."""
     return np.eye(2, dtype=complex) if letter == "I" else pauli(letter)
-
-
-def _squares_to_one(letter: str, n: int) -> bool:
-    """Whether (prod_j s_j K)^2 = (s s^*)^n is 1 rather than -1: only time
-    reversal prod Y K at odd n squares to -1, and then no vector is fixed."""
-    s = _local(letter)
-    return (s @ s.conj())[0, 0].real ** n > 0
-
-
-def _commutes_with_flip(letter: str, flip: str, n: int) -> bool:
-    """Whether A = prod_j s_j K commutes with the flip F = prod_j f_j on n
-    sites: A F A^-1 = prod_j s f^* s^dag = eps^n F for the sign eps of
-    s f^* s^dag = eps f, so A commutes with F where eps^n = 1 and swaps
-    its two sectors otherwise."""
-    s, f = _local(letter), _local(flip)
-    eps = np.trace(f.conj().T @ s @ f.conj() @ s.conj().T).real / 2
-    return eps**n > 0
 
 
 def _site_reflection(dim: int, n: int) -> np.ndarray:

@@ -409,16 +409,17 @@ class SpectralDecomposition:
       eigenvector.  The site reflection R_0 maps eigenvector j to eigenvector
       `partner[j]`, or to `reflection_sign[j]` (+1 or -1) times itself where
       the partner is j (momenta 0 and N/2); elsewhere the sign reads 0.
-      Where H was solved with a global spin `flip` F (its Pauli letter),
-      each eigenvector is also one of F, with eigenvalue `flip_sign[j]`, the
-      same as its partner's; without one, `flip` is None and the signs 0.
-      Where H was solved with an antiunitary A = prod s K, `real` is its
-      letter s (I for K alone), and A maps each eigenvector to its partner,
-      or to itself where the partner is itself; elsewhere `real` is None.
+      `symmetry` holds the labels H was solved with (`lattice.
+      ChainSymmetry`, with no letters where none were given).  Where they
+      hold a global spin flip F, each eigenvector is also one of F, with
+      eigenvalue `flip_sign[j]`, the same as its partner's; without one,
+      the signs read 0.  Where they hold an antiunitary A = prod s K, A
+      maps each eigenvector to its partner, or to itself where the partner
+      is itself.
     - For any other operator `sectors` is None, W is one dense block
-      (F = 1), and those six read None.  `SpectralDecomposition(w,
-      eigenvectors=v)` holds v as that block with P = 1, and `eigenvectors`
-      returns v.
+      (F = 1), and those six and `symmetry` read None.
+      `SpectralDecomposition(w, eigenvectors=v)` holds v as that block with
+      P = 1, and `eigenvectors` returns v.
 
     Rotations go through F, the blocks and index gathers, in O(dim^2 log N +
     dim^3 / N) in sector form: a dim x dim matrix is rotated into and out of
@@ -442,20 +443,16 @@ class SpectralDecomposition:
         self._vectors = v
 
     @classmethod
-    def _in_sectors(
-        cls, w, sectors, blocks, partner, labels, flip, real
-    ) -> "SpectralDecomposition":
+    def _in_sectors(cls, w, sectors, blocks, partner, labels, symmetry) -> "SpectralDecomposition":
         """The sector form: the spectrum w and the `blocks` V_k in the order
         of W, the reflection partner of each column of W, and its labels,
-        rows of (reflection sign, flip sign)."""
+        rows of (reflection sign, flip sign), solved with `symmetry`."""
         order = np.argsort(w, kind="stable")
         decomp = cls.__new__(cls)
-        decomp._hold(w[order], order, sectors, blocks, partner, labels, flip, real)
+        decomp._hold(w[order], order, sectors, blocks, partner, labels, symmetry)
         return decomp
 
-    def _hold(
-        self, w, perm, sectors, blocks, partner=None, labels=None, flip=None, real=None
-    ) -> None:
+    def _hold(self, w, perm, sectors, blocks, partner=None, labels=None, symmetry=None) -> None:
         """Keep both forms' fields; the labels of the columns of W are read
         in the order of the spectrum through perm."""
         self.eigenvalues = w
@@ -464,8 +461,7 @@ class SpectralDecomposition:
         self._blocks = blocks
         self._slices = _sector_slices((w.size,) if sectors is None else sectors.dims)
         self._vectors = None
-        self.flip = flip
-        self.real = real
+        self.symmetry = symmetry
         self.momenta = self.partner = self.reflection_sign = self.flip_sign = None
         if sectors is not None:
             inv = self._spectrum_order()
@@ -611,23 +607,20 @@ def _sector_slices(dims) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def spectral_decompose(
-    a: HermitianOperator, flip: str | None = None, real: str | None = None
-) -> SpectralDecomposition:
+def spectral_decompose(a: HermitianOperator, symmetry=None) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
     An operator that carries momentum `sectors` (every chain Hamiltonian) is
     diagonalised sector by sector in the momentum basis
     (`_sector_decompose`), from its nonzero entries, so its eigenbasis is a
-    joint eigenbasis with the translation, and with the global spin flip of
-    Pauli letter `flip` where one is given.  With `real`, the letter of an
-    antiunitary prod s K (`lattice.real_structure`), alone or beside a flip
-    it commutes with, its eigenvectors are phased so that it maps each to
+    joint eigenbasis with the translation, and with the labels of a given
+    `symmetry` (`lattice.ChainSymmetry`): with its global spin flip, and
+    phased for its antiunitary prod s K, so that A maps each eigenvector to
     its reflection partner.  Any other operator takes one dense eigensolve.
     """
     if a.sectors is not None:
-        return _sector_decompose(a, a.sectors, flip, real)
-    if flip is not None or real is not None:
+        return _sector_decompose(a, a.sectors, symmetry)
+    if symmetry is not None:
         raise ValueError("a symmetry label needs an operator that carries momentum sectors")
     m = a.matrix
     scale = max_norm(m)
@@ -650,7 +643,7 @@ def _certified_eigh(block: np.ndarray, tol: float, dim: int, scale: float):
     return w, v
 
 
-def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition:
+def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
     """One eigensolve per momentum sector pair of F^dag H F and label, for H
     a HermitianOperator or a Hermitian matrix, read as its nonzero entries.
 
@@ -663,21 +656,21 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
     permutation Q (`sectors.mirror`), so for 0 < k < N/2 only sector k is
     solved and sector N - k takes the vectors Q V_k and the same eigenvalues,
     once its block equals Q H_k Q^dag.  Sectors 0 and N/2 map onto
-    themselves, and the spin flip of letter `flip`, which commutes with T and
-    R_0, maps every sector onto itself (`sectors.flip`): a sector is solved
-    per label, its R_0 parity where it has one and then its flip sign
-    (`symmetry_split`), and each block between two labels must vanish.  A
-    flip sign is shared by R_0 partners.
+    themselves, and the spin flip of a `symmetry` (`lattice.ChainSymmetry`),
+    which commutes with T and R_0, maps every sector onto itself
+    (`sectors.flip`): a sector is solved per label, its R_0 parity where it
+    has one and then its flip sign (`symmetry_split`), and each block
+    between two labels must vanish.  A flip sign is shared by R_0 partners.
 
-    With `real`, the letter of an antiunitary A = prod s K that H commutes
+    Where the symmetry holds an antiunitary A = prod s K that H commutes
     with, each block is solved in the basis that R_0 A (0 < k < N/2), or A
     (k = 0, N/2), maps onto itself sector by sector (`symmetry_split`), where
     it must be real; its eigenvectors v then obey A v = R_0 v, so A maps each
-    eigenvector to its partner, or to itself.  Beside a flip, A must commute
-    with it (`sectors.conjugation` refuses one that anticommutes, which
-    would swap the flip signs), so each (parity, flip sign) label is solved
-    as a real block.  Every solve must reconstruct its block; all gates
-    hold within RECONSTRUCTION_RTOL of the scale.
+    eigenvector to its partner, or to itself.  Beside a flip, A commutes
+    with it (`ChainSymmetry` refuses one that anticommutes, which would swap
+    the flip signs), so each (parity, flip sign) label is solved as a real
+    block.  Every solve must reconstruct its block; all gates hold within
+    RECONSTRUCTION_RTOL of the scale.
     """
     if not isinstance(h, HermitianOperator):
         h = HermitianOperator(h)
@@ -689,18 +682,23 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
     blocks = sectors.blocks_from_entries(rows, cols, values)
     slices = _sector_slices(sectors.dims)
     dim = h.dim
-    flips = None if flip is None else sectors.flip(flip)
-    conj = None if real is None else sectors.conjugation(real, flip)
+    if symmetry is None:
+        # lattice builds on this module, so its symmetry value is read here
+        from .lattice import ChainSymmetry
+
+        symmetry = ChainSymmetry(sectors.n_terms)
+    flips = None if symmetry.flip is None else sectors.flip(symmetry.flip)
+    conj = None if symmetry.real is None else sectors.conjugation(symmetry.real)
     # the symmetry of each label and of the antiunitary, and the entries
     # that break it
     names = {
         0: ("the site reflection of its sectors", "off-parity"),
-        1: (f"the spin flip prod {flip} of its sectors", "off-flip"),
-        "real": (f"the antiunitary prod {real} K of its sectors", "imaginary"),
+        1: (f"{symmetry.flip_name} of its sectors", "off-flip"),
+        "real": (f"{symmetry.real_name} of its sectors", "imaginary"),
     }
 
     def solve(block):
-        if real is not None:
+        if conj is not None:
             imag = max_norm(block.imag) if block.size else 0.0
             symmetry_gate(imag, tol, "operator", *names["real"])
             block = block.real
@@ -763,7 +761,7 @@ def _sector_decompose(h, sectors, flip=None, real=None) -> SpectralDecomposition
         partner[sl] = np.arange(slices[k_bar].start, slices[k_bar].stop)
         partner[slices[k_bar]] = np.arange(sl.start, sl.stop)
     return SpectralDecomposition._in_sectors(
-        np.concatenate(values), sectors, vectors, partner, np.concatenate(labels), flip, real
+        np.concatenate(values), sectors, vectors, partner, np.concatenate(labels), symmetry
     )
 
 

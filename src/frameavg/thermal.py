@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, SiteOperator, pauli, site_unitary
+from .lattice import ChainSymmetry, LatticeSpec, SiteOperator, pauli, site_unitary
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -130,19 +130,16 @@ class WorkReport:
 
 
 def thermal_state(
-    hamiltonian: HermitianOperator,
-    beta: float,
-    flip: str | None = None,
-    real: str | None = None,
+    hamiltonian: HermitianOperator, beta: float, symmetry: ChainSymmetry | None = None
 ) -> ThermalState:
     """Gibbs state at inverse temperature beta; beta = 0 gives the flat state.
-    H is solved with the labels of the global spin flip of Pauli letter
-    `flip`, and phased for the antiunitary prod s K of letter `real`, where
-    one is given (`spectral_decompose`)."""
+    H is solved with the labels of `symmetry` where one is given: split by
+    its global spin flip and phased for its antiunitary prod s K
+    (`spectral_decompose`)."""
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-    decomp = spectral_decompose(hamiltonian, flip, real)
+    decomp = spectral_decompose(hamiltonian, symmetry)
     _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
     return ThermalState(None, beta, log_partition, hamiltonian, decomp)
 

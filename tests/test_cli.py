@@ -140,6 +140,7 @@ class TestConfigErrors:
     def test_bad_jobs_exits_two(self, tmp_path, capsys):
         code = main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
         assert code == 2
+        assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("jobs", (0, -1))
     def test_capacity_guard_refuses_fewer_than_one_job(self, tmp_path, monkeypatch, jobs):
@@ -165,6 +166,34 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             "error: kick generator must act on one qubit (2 x 2), got shape (3, 3)\n"
         )
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            (
+                {"name": "heisenberg-xxz", "couplings": {"J": "1.0", "delta": 0.5}},
+                "model.couplings.J must be a number, got '1.0'",
+            ),
+            (
+                {"name": "heisenberg-xxz", "couplings": {"J": 1.0, "delta": True}},
+                "model.couplings.delta must be a number, got True",
+            ),
+            (
+                {"name": "heisenberg-xxz", "couplings": {"J": [1.0], "delta": 0.5}},
+                "model.couplings.J must be a number, got [1.0]",
+            ),
+            (
+                {"name": ["heisenberg-xxz"], "couplings": {"J": 1.0, "delta": 0.5}},
+                "model.name must be a string, got ['heisenberg-xxz']",
+            ),
+        ],
+    )
+    def test_a_model_field_of_the_wrong_type_exits_two(self, tmp_path, capsys, model, message):
+        # each coupling goes through the number parser and the name must be
+        # a string, so neither is coerced nor crashes on its type
+        code = main(["verify", "--config", write_config(tmp_path, model=model)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("site", (2.7, "1", True))
     def test_kick_site_must_be_an_integer(self, tmp_path, capsys, site):

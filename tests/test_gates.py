@@ -29,6 +29,7 @@ from frameavg.experiments import (
     verify_identities,
 )
 from frameavg.lattice import (
+    ChainSymmetry,
     HamiltonianSpec,
     LatticeSpec,
     MomentumSectors,
@@ -138,7 +139,7 @@ def _off_label(residual, flip_pair):
     """ReflectionParity.gate on one entry between two labelled blocks, of
     different flip signs or of the same one."""
     h = build_hamiltonian(LatticeSpec(4), XXZ)
-    parity = ReflectionParity(spectral_decompose(h, flip="X"), 0, 4)
+    parity = ReflectionParity(spectral_decompose(h, ChainSymmetry(4, flip="X")), 0, 4)
     labels = parity.labels
     p, q = next(
         (p, q)
@@ -154,7 +155,7 @@ def _real_gate(residual):
     labelled block leaves no off-label entries: a stand-in kick adds an
     imaginary part of `residual` to every column."""
     h = build_hamiltonian(LatticeSpec(2), TFI)
-    decomp = spectral_decompose(h, real="I")
+    decomp = spectral_decompose(h, ChainSymmetry(2, real="I"))
     parity = ReflectionParity(decomp, 0, 2)
     assert len(parity.vectors) == 1
     scale = 1 / np.sqrt(1 + residual**2) if np.isfinite(residual) else 1.0
@@ -201,6 +202,7 @@ def _broken(monkeypatch, residual, which):
     the tolerance off the gate's message (to 4 digits), and the residual is
     linear in delta.  A NaN run solves H with NaN blocks instead."""
     spec, breaking, flip, real, nan_block = BREAKS[which]
+    symmetry = ChainSymmetry(4, flip, real)
     lattice = LatticeSpec(4)
     h = build_hamiltonian(lattice, spec).matrix
     sectors = MomentumSectors(translation_operator(lattice), 4)
@@ -212,12 +214,12 @@ def _broken(monkeypatch, residual, which):
             return (np.full(a.shape, NAN, complex), 0.0) if len(calls) >= nan_block else part(a)
 
         monkeypatch.setattr(operators, "hermitian_part", nan_from)
-        _sector_decompose(op, sectors, flip, real)
+        _sector_decompose(op, sectors, symmetry)
     with pytest.raises(ValueError) as first:
-        _sector_decompose(HermitianOperator(h + 1e-6 * breaking()), sectors, flip, real)
+        _sector_decompose(HermitianOperator(h + 1e-6 * breaking()), sectors, symmetry)
     reach, tol = (float(x) for x in re.findall(r"reach (\S+), above (\S+)$", str(first.value))[0])
     delta = 1e-6 * tol / reach * (1 + 1e-2)
-    _sector_decompose(HermitianOperator(h + delta * breaking()), sectors, flip, real)
+    _sector_decompose(HermitianOperator(h + delta * breaking()), sectors, symmetry)
 
 
 # family: (trigger(monkeypatch, residual), tolerance, or None where the

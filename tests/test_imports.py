@@ -8,6 +8,7 @@ nothing beyond the standard library.  `__init__.py` is skipped by the import
 scan: its imports are the exported names.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -195,9 +196,10 @@ def test_label_vectors_are_built_at_one_call_site():
 COMMUTATION_MESSAGE = "does not commute with"
 
 
-def _holders(source: str, phrase: str) -> list[str]:
+def _holders(source: str, phrase: str | re.Pattern) -> list[str]:
     """The function (or <module>) holding each string literal of the source
-    that contains `phrase`, f-strings included, innermost function first."""
+    that contains `phrase`, or that a compiled pattern matches whole,
+    f-strings included, innermost function first."""
     found = []
 
     def visit(node, owner):
@@ -206,7 +208,8 @@ def _holders(source: str, phrase: str) -> list[str]:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Constant) and isinstance(child.value, str):
-                if phrase in child.value:
+                text = child.value
+                if phrase.fullmatch(text) if isinstance(phrase, re.Pattern) else phrase in text:
                     found.append(owner)
             visit(child, owner)
 
@@ -235,6 +238,86 @@ def test_one_function_owns_the_commutation_message():
         for owner in _holders(p.read_text(encoding="utf-8"), COMMUTATION_MESSAGE)
     ]
     assert len(holders) == 1, holders
+
+
+# the name of each symmetry a chain is solved with, as messages quote it
+SYMMETRY_NAMES = ("the spin flip prod", "the antiunitary prod")
+
+
+def test_the_scan_sees_every_builder_of_a_symmetry_name():
+    source = (
+        "class Symmetry:\n"
+        "    @property\n    def flip_name(self):\n        return f'the spin flip prod {self.flip}'\n"
+        "def gate(flip):\n    raise ValueError(f'does not commute with the spin flip prod {flip}')\n"
+    )
+    assert _holders(source, SYMMETRY_NAMES[0]) == ["flip_name", "gate"]
+    assert _holders(source, SYMMETRY_NAMES[1]) == []
+
+
+@pytest.mark.parametrize("phrase", SYMMETRY_NAMES)
+def test_one_function_builds_each_symmetry_name(phrase):
+    # every message that quotes the flip or the antiunitary reads the name
+    # off the one symmetry value; a message that spells it out adds a holder
+    holders = [
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _holders(p.read_text(encoding="utf-8"), phrase)
+    ]
+    assert len(holders) == 1, holders
+
+
+# a run of candidate Pauli letters, which a symmetry label is picked from
+LABEL_LETTERS = re.compile(r"I?XYZ")
+
+
+def test_the_scan_sees_every_run_of_label_letters():
+    source = (
+        "def pick(h, flips='XYZ'):\n    for s in 'IXYZ':\n        pass\n"
+        "def other():\n    return 'X' + 'XYZ!' + 'IXYZ'\n"
+    )
+    assert _holders(source, LABEL_LETTERS) == ["pick", "pick", "other"]
+
+
+def test_the_label_letters_are_picked_in_one_function():
+    # one picker reads H's entries for both labels; a second pass over the
+    # candidate letters, for the flip or for the antiunitary, adds a holder
+    holders = {
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _holders(p.read_text(encoding="utf-8"), LABEL_LETTERS)
+    }
+    assert holders == {"lattice.py:chain_symmetry"}
+
+
+def _taking(source: str, names: set[str]) -> list[str]:
+    """The functions (lambdas too) of the source whose parameters include
+    every one of `names`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs]}
+            if names <= params:
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_the_scan_sees_a_function_taking_both_labels():
+    source = (
+        "def solve(h, flip=None, real=None):\n    return h\n"
+        "def pick(h, *, flip, real):\n    return lambda flip, real: flip\n"
+        "def one(h, flip):\n    return flip\n"
+    )
+    assert sorted(_taking(source, {"flip", "real"})) == ["<lambda>", "pick", "solve"]
+
+
+def test_no_function_takes_the_two_labels_apart():
+    # the flip and the real structure travel as one symmetry value
+    taking = {
+        p.name: _taking(p.read_text(encoding="utf-8"), {"flip", "real"})
+        for p in [*MODULES, INIT]
+    }
+    assert {name: found for name, found in taking.items() if found} == {}
 
 
 def _readers(source: str, name: str) -> list[str]:

@@ -267,7 +267,9 @@ def test_a_flip_the_kick_does_not_fix_trips_the_off_label_gate(monkeypatch):
     }
     cfg = config_from_mapping(mapping)
     assert len(convergence_sweep(cfg)) == 2
-    monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: "X")
+    monkeypatch.setattr(
+        experiments, "chain_symmetry", lambda h, g: lattice.ChainSymmetry(h.sectors.n_terms, "X", "I")
+    )
     with pytest.raises(
         ValueError, match="does not commute with the spin flip prod X: off-flip entries reach"
     ):
@@ -288,8 +290,9 @@ def test_a_real_structure_the_kick_breaks_trips_the_real_gate(monkeypatch):
     }
     cfg = config_from_mapping(mapping)
     assert len(convergence_sweep(cfg)) == 2
-    monkeypatch.setattr(experiments, "spin_flip", lambda h, generator: None)
-    monkeypatch.setattr(experiments, "real_structure", lambda h, generator, flip: "I")
+    monkeypatch.setattr(
+        experiments, "chain_symmetry", lambda h, g: lattice.ChainSymmetry(h.sectors.n_terms, real="I")
+    )
     with pytest.raises(
         ValueError, match="does not commute with the antiunitary prod I K: imaginary entries reach"
     ):
@@ -310,6 +313,8 @@ def test_a_real_structure_that_anticommutes_with_the_flip_is_refused(monkeypatch
     }
     cfg = config_from_mapping(mapping)
     assert len(convergence_sweep(cfg)) == 1
-    monkeypatch.setattr(experiments, "real_structure", lambda h, generator, flip: "Z")
+    monkeypatch.setattr(
+        experiments, "chain_symmetry", lambda h, g: lattice.ChainSymmetry(h.sectors.n_terms, "X", "Z")
+    )
     with pytest.raises(ValueError, match="prod Z K anticommutes with the spin flip prod X"):
         convergence_sweep(cfg)

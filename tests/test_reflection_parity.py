@@ -17,13 +17,13 @@ from frameavg.averaging import (
 )
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
 from frameavg.lattice import (
+    ChainSymmetry,
     HamiltonianSpec,
     LatticeSpec,
     build_hamiltonian,
+    chain_symmetry,
     pauli,
-    real_structure,
     site_product,
-    spin_flip,
     translation_operator,
 )
 from frameavg.operators import (
@@ -76,8 +76,8 @@ def _generator(kick):
 
 def _labels(h, generator):
     """The (flip, real structure) pair a size's setup solves H with."""
-    flip = spin_flip(h, generator)
-    return flip, real_structure(h, generator, flip)
+    symmetry = chain_symmetry(h, generator)
+    return symmetry.flip, symmetry.real
 
 
 def _config(model, couplings, n, site, beta=1.0, generator=GENERATOR):
@@ -137,7 +137,7 @@ FREE = MODELS[0]
 def test_the_flip_is_chosen_by_commutation(model, couplings, kick, flip):
     # the flip that commutes with H's terms and with the kick's generator
     for n in (2, 3, 4, 5, 6):
-        assert spin_flip(_hamiltonian(model, couplings, n), _generator(kick)) == flip
+        assert chain_symmetry(_hamiltonian(model, couplings, n), _generator(kick)).flip == flip
 
 
 @pytest.mark.parametrize(
@@ -157,13 +157,22 @@ def test_the_flip_is_chosen_by_commutation(model, couplings, kick, flip):
         (*FREE, GENERATOR, None),
     ],
 )
-def test_the_real_structure_is_chosen_by_commutation(model, couplings, kick, real):
-    # the antiunitary prod s K that fixes H's terms and the kick, given for
-    # even and odd N where they differ: time reversal prod Y K squares to -1
-    # at odd N; GENERATOR has a trace part, which K cannot send to minus itself
+def test_the_real_structure_is_chosen_by_commutation(model, couplings, kick, real, monkeypatch):
+    # the antiunitary prod s K that fixes H's terms and the kick, picked
+    # alone: every flip is withheld, its defect on H's terms reading
+    # infinite; given for even and odd N where they differ: time reversal
+    # prod Y K squares to -1 at odd N; GENERATOR has a trace part, which K
+    # cannot send to minus itself
+    defect = lattice.conjugation_defect
+
+    def withheld(perm, phase, rows, cols, values, antiunitary=False):
+        return defect(perm, phase, rows, cols, values, antiunitary) if antiunitary else np.inf
+
+    monkeypatch.setattr(lattice, "conjugation_defect", withheld)
     for n in (2, 3, 4, 5, 6):
         want = real[n % 2] if isinstance(real, tuple) else real
-        assert real_structure(_hamiltonian(model, couplings, n), _generator(kick)) == want
+        symmetry = chain_symmetry(_hamiltonian(model, couplings, n), _generator(kick))
+        assert symmetry.flip is None and symmetry.real == want
 
 
 @pytest.mark.parametrize(
@@ -217,14 +226,14 @@ def test_a_real_structure_maps_each_eigenvector_to_its_partner(model, couplings,
     h = _hamiltonian(model, couplings, n)
     if real == "Y" and n % 2:
         with pytest.raises(ValueError, match="prod Y K squares to -1"):
-            spectral_decompose(h, flip, real)
+            spectral_decompose(h, ChainSymmetry(n, flip, real))
         return
     if flip is not None and n % 2:
         with pytest.raises(ValueError, match=f"prod {real} K anticommutes with the spin flip"):
-            spectral_decompose(h, flip, real)
+            spectral_decompose(h, ChainSymmetry(n, flip, real))
         return
-    decomp = spectral_decompose(h, flip, real)
-    assert decomp.real == real and decomp.flip == flip
+    decomp = spectral_decompose(h, ChainSymmetry(n, flip, real))
+    assert decomp.symmetry.real == real and decomp.symmetry.flip == flip
     v = decomp.eigenvectors
     local = np.eye(2, dtype=complex) if real == "I" else pauli(real)
     perm, phase = site_product(n, local)
@@ -238,7 +247,7 @@ def test_a_real_structure_maps_each_eigenvector_to_its_partner(model, couplings,
         assert max_norm(flipped - v * decomp.flip_sign) < 1e-13
     plain = spectral_decompose(h)
     assert np.abs(decomp.eigenvalues - plain.eigenvalues).max() < 1e-12
-    assert plain.real is None
+    assert plain.symmetry.real is None
 
 
 def test_the_antiunitary_split_spans_each_set_with_fixed_vectors():
@@ -275,12 +284,12 @@ def test_the_antiunitary_split_spans_each_set_with_fixed_vectors():
 
 def test_the_split_refuses_an_antiunitary_that_swaps_the_flip_signs(monkeypatch):
     # XXZ at N = 5 with prod Z K beside prod X, past the refusal of
-    # `MomentumSectors.conjugation`: A maps the first index of each column
+    # `ChainSymmetry`: A maps the first index of each column
     # of a flip sign onto a column of the same sign, but sends its other
     # term to the partner with the opposite coefficient, so the split itself
     # must raise
     h = _hamiltonian(*XXZ, 5)
-    monkeypatch.setattr(lattice, "_commutes_with_flip", lambda *args: True)
+    monkeypatch.setattr(ChainSymmetry, "__post_init__", lambda self: None)
     split, raised = operators.symmetry_split, []
 
     def spy(*args):
@@ -292,7 +301,7 @@ def test_the_split_refuses_an_antiunitary_that_swaps_the_flip_signs(monkeypatch)
 
     monkeypatch.setattr(operators, "symmetry_split", spy)
     with pytest.raises(ValueError, match="does not map a labelled column set onto itself") as info:
-        spectral_decompose(h, "X", "Z")
+        spectral_decompose(h, ChainSymmetry(5, "X", "Z"))
     assert raised and raised[-1] is info.value
 
 
@@ -327,9 +336,9 @@ def test_the_split_refuses_a_step_that_does_not_square_to_one():
 def test_sector_solve_refuses_a_real_structure_the_operator_breaks(n):
     # TFI is real, but prod Z K flips the sign of its transverse field
     h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, n)
-    spectral_decompose(h, real="I")
+    spectral_decompose(h, ChainSymmetry(n, real="I"))
     with pytest.raises(ValueError, match="antiunitary prod Z K of its sectors: imaginary"):
-        spectral_decompose(h, real="Z")
+        spectral_decompose(h, ChainSymmetry(n, real="Z"))
 
 
 @pytest.mark.parametrize(
@@ -353,8 +362,8 @@ def test_a_flip_labels_every_eigenvector(model, couplings, flip, real, n):
     # those of the solve without the flip
     h = _hamiltonian(model, couplings, n)
     real = None if n % 2 else real
-    decomp = spectral_decompose(h, flip, real)
-    assert decomp.flip == flip and decomp.real == real
+    decomp = spectral_decompose(h, ChainSymmetry(n, flip, real))
+    assert decomp.symmetry.flip == flip and decomp.symmetry.real == real
     v = decomp.eigenvectors
     perm, phase = site_product(n, pauli(flip))
     flipped = np.empty_like(v)
@@ -364,7 +373,7 @@ def test_a_flip_labels_every_eigenvector(model, couplings, flip, real, n):
     assert np.array_equal(decomp.flip_sign[decomp.partner], decomp.flip_sign)
     plain = spectral_decompose(h)
     assert np.abs(decomp.eigenvalues - plain.eigenvalues).max() < 1e-12
-    assert plain.flip is None and not plain.flip_sign.any()
+    assert plain.symmetry.flip is None and not plain.flip_sign.any()
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
@@ -372,9 +381,9 @@ def test_sector_solve_refuses_a_flip_the_operator_breaks(n):
     # TFI commutes with prod X but not with prod Z, which flips the sign of
     # its transverse field: the off-flip gate of the sector solve trips
     h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, n)
-    spectral_decompose(h, "X")
+    spectral_decompose(h, ChainSymmetry(n, "X"))
     with pytest.raises(ValueError, match="with the spin flip prod Z of its sectors: off-flip"):
-        spectral_decompose(h, "Z")
+        spectral_decompose(h, ChainSymmetry(n, "Z"))
 
 
 
@@ -524,8 +533,8 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
     t = translation_operator(lattice)
     for letter in KICKS:
         generator = _generator(letter)
-        flip, real = _labels(h, generator)
-        state = thermal_state(h, 1.0, flip, real)
+        symmetry = chain_symmetry(h, generator)
+        state = thermal_state(h, 1.0, symmetry)
         decomp = state.hamiltonian_decomp
         channels = [
             (kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS
@@ -539,7 +548,7 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
                 x_tilde = decomp.to_eigenbasis(x)
                 x_blocks = parity_split(parity, x_tilde)
                 scale = max_norm(x_tilde)
-                if real is not None:
+                if symmetry.real is not None:
                     assert max(max_norm(b.imag) for b in x_blocks) <= 1e-13 * scale
                 for kind, channel, w in channels:
                     blocks, rows = channel.parity_blocks(x_blocks, parity)
@@ -576,7 +585,7 @@ def test_xxz_at_even_n_holds_four_real_blocks(kick, labels, n):
     ctx = _SizeContext(_config(*XXZ, n, 1, generator=kick), n)
     state, parity = ctx.state, ctx.parity
     decomp = state.hamiltonian_decomp
-    assert (decomp.flip, decomp.real) == labels
+    assert (decomp.symmetry.flip, decomp.symmetry.real) == labels
     assert len(ctx.u_blocks) == 4 and all(u.dtype == np.float64 for u in ctx.u_blocks)
     dense = (perturb(state, ctx.kick).matrix, conjugated_perturbation(state, ctx.kick).E.matrix)
     rho_blocks = kicked_in_eigenbasis(state, ctx.u_blocks, parity).blocks

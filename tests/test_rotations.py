@@ -24,11 +24,11 @@ from frameavg.experiments import config_from_mapping, convergence_sweep, verify_
 from frameavg.lattice import (
     HamiltonianSpec,
     LatticeSpec,
+    ChainSymmetry,
     build_hamiltonian,
-    real_structure,
+    chain_symmetry,
     sigma_x,
     sigma_y,
-    spin_flip,
     translation_operator,
 )
 from frameavg.operators import HermitianOperator, hermitian_part, max_norm
@@ -47,17 +47,17 @@ RTOL = 1e-13
 def _state(solve, n):
     h = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI))
     if solve == "flip":
-        assert spin_flip(h, sigma_x) == "X"
-        return thermal_state(h, 1.0, flip="X")
+        assert chain_symmetry(h, sigma_x).flip == "X"
+        return thermal_state(h, 1.0, ChainSymmetry(n, flip="X"))
     if solve == "real":
-        assert spin_flip(h, sigma_y) is None and real_structure(h, sigma_y) == "I"
-        return thermal_state(h, 1.0, real="I")
+        symmetry = chain_symmetry(h, sigma_y)
+        assert symmetry.flip is None and symmetry.real == "I"
+        return thermal_state(h, 1.0, ChainSymmetry(n, real="I"))
     if solve == "both":
         h = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*XXZ))
-        flip = spin_flip(h, sigma_x)
-        real = real_structure(h, sigma_x, flip)
-        assert (flip, real) == ("X", None if n % 2 else "Y")
-        return thermal_state(h, 1.0, flip, real)
+        symmetry = chain_symmetry(h, sigma_x)
+        assert (symmetry.flip, symmetry.real) == ("X", None if n % 2 else "Y")
+        return thermal_state(h, 1.0, symmetry)
     if solve == "dense":
         state = thermal_state(HermitianOperator(h.matrix), 1.0)
         assert state.hamiltonian_decomp.sectors is None
