@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def with_common(p):
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--output", help="output file (default: config output_path, else stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over chain sizes")
+        p.add_argument("--jobs", type=int, choices=(1,), default=1, help="sizes run one at a time")
         return p
 
     with_common(sub.add_parser("verify", help="run the exact-identity suite"))
@@ -82,14 +82,13 @@ def _run_verify(cfg: ExperimentConfig, output: str | None) -> int:
     return 0
 
 
-def _run_records(cfg: ExperimentConfig, runner, output: str | None, jobs: int) -> int:
-    records = runner(cfg, jobs=jobs)
-    destination = output if output is not None else cfg.output_path
-    if destination is None:
+def _run_records(cfg: ExperimentConfig, runner, output: str | None) -> int:
+    records = runner(cfg)
+    if output is None:
         _emit([CSV_HEADER] + [record_to_row(r) for r in records], None)
     else:
-        emit_csv(records, destination)
-        print(f"wrote {len(records)} records to {destination}", file=sys.stderr)
+        emit_csv(records, output)
+        print(f"wrote {len(records)} records to {output}", file=sys.stderr)
     return 0
 
 
@@ -106,18 +105,19 @@ def _run_probe(cfg: ExperimentConfig, args, output: str | None) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command, args.jobs)
+        cfg = load_config(args.config, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    output = args.output if args.output is not None else cfg.output_path
     try:
         if args.command == "verify":
-            return _run_verify(cfg, args.output)
+            return _run_verify(cfg, output)
         if args.command == "sweep":
-            return _run_records(cfg, convergence_sweep, args.output, args.jobs)
+            return _run_records(cfg, convergence_sweep, output)
         if args.command == "saturate":
-            return _run_records(cfg, saturation_scan, args.output, args.jobs)
-        return _run_probe(cfg, args, args.output)
+            return _run_records(cfg, saturation_scan, output)
+        return _run_probe(cfg, args, output)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

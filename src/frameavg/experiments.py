@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -288,10 +287,10 @@ PEAK_FACTORS = {"sweep": 2.9, "saturate": 2.9, "verify": 7.9, "probe": 10.2}
 MEMINFO = "/proc/meminfo"
 
 
-def load_config(path: str, command: str | None = None, jobs: int = 1) -> ExperimentConfig:
+def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     """Read and validate a JSON config file, and refuse it if the peak memory
-    `command` (by default, each command) is estimated to need with `jobs`
-    sizes at once exceeds what the machine has available (`check_capacity`)."""
+    `command` (by default, each command) is estimated to need exceeds what
+    the machine has available (`check_capacity`)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -302,29 +301,25 @@ def load_config(path: str, command: str | None = None, jobs: int = 1) -> Experim
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     cfg = config_from_mapping(data)
-    check_capacity(cfg, command, jobs)
+    check_capacity(cfg, command)
     return cfg
 
 
-def check_capacity(cfg: ExperimentConfig, command: str | None = None, jobs: int = 1) -> None:
+def check_capacity(cfg: ExperimentConfig, command: str | None = None) -> None:
     """Raise ConfigError if a command's estimated peak exceeds MemAvailable in
-    MEMINFO.  The estimate is PEAK_FACTORS[command] * 16 dim^2 bytes summed
-    over the sizes that may run at once: the `jobs` largest for sweep and
-    saturate, whose sizes run on `jobs` threads, the first size for verify
-    and probe.  Without a readable MemAvailable nothing is checked, but
-    `jobs` must be at least 1 regardless."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    MEMINFO.  Sizes run one after another, so the estimate charges one size,
+    PEAK_FACTORS[command] * 16 dim^2 bytes: the largest for sweep and
+    saturate, the first for verify and probe.  Without a readable
+    MemAvailable nothing is checked."""
     available = _mem_available()
     if available is None:
         return
     for name in PEAK_FACTORS if command is None else (command,):
-        sizes = cfg.sizes[-jobs:] if name in ("sweep", "saturate") else cfg.sizes[:1]
-        estimate = sum(PEAK_FACTORS[name] * 16 * LatticeSpec(n).dim ** 2 for n in sizes)
+        n = cfg.sizes[-1] if name in ("sweep", "saturate") else cfg.sizes[0]
+        estimate = PEAK_FACTORS[name] * 16 * LatticeSpec(n).dim ** 2
         if estimate > available:
-            at = ", ".join(str(n) for n in sizes)
             raise ConfigError(
-                f"{name} at N={at} is estimated to peak at {estimate / 1e6:.0f} MB, "
+                f"{name} at N={n} is estimated to peak at {estimate / 1e6:.0f} MB, "
                 f"above the {available / 1e6:.0f} MB available"
             )
 
@@ -389,9 +384,6 @@ class ExperimentRecord:
             lambda: f"averaged production {self.rel_ent_avg!r} disagrees with its "
             f"decomposition {decomposition!r}",
         )
-
-    def sort_key(self):
-        return (self.n, *AveragingKind(self.avg_kind, self.avg_param).sort_key())
 
 
 class _SizeContext:
@@ -533,26 +525,15 @@ def _record_for(
     )
 
 
-def convergence_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
-    """One record per (chain size, averaging kind), sorted by (N, kind, parameter).
-
-    With jobs > 1 the sizes run on a thread pool (the heavy numpy calls release
-    the interpreter lock); records are sorted before return either way, so the
-    output order never depends on scheduling.
-    """
+def convergence_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
+    """One record per (chain size, averaging kind), sorted by (N, kind,
+    parameter): the sizes ascend and run one after another, each in sorted
+    kind order."""
     kinds = sorted(cfg.averaging, key=AveragingKind.sort_key)
-
-    if jobs > 1 and len(cfg.sizes) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(cfg.sizes))) as pool:
-            batches = list(pool.map(lambda n: _sweep_size(cfg, n, kinds), cfg.sizes))
-    else:
-        batches = [_sweep_size(cfg, n, kinds) for n in cfg.sizes]
-    records = [record for batch in batches for record in batch]
-    records.sort(key=ExperimentRecord.sort_key)
-    return records
+    return [record for n in cfg.sizes for record in _sweep_size(cfg, n, kinds)]
 
 
-def saturation_scan(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
+def saturation_scan(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Entropy gain versus coarse-graining scale R at one fixed chain size."""
     if len(cfg.sizes) != 1:
         raise ConfigError("saturation scans run at a single chain size")
@@ -561,7 +542,7 @@ def saturation_scan(cfg: ExperimentConfig, jobs: int = 1) -> list[ExperimentReco
     scales = [k.parameter for k in cfg.averaging]
     if scales != sorted(scales):
         raise ConfigError("weighted-spatial scales must ascend")
-    return convergence_sweep(cfg, jobs=jobs)
+    return convergence_sweep(cfg)
 
 
 @dataclass(frozen=True)

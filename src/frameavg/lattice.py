@@ -7,7 +7,6 @@ sites 0 .. N-1.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ from .operators import (
 )
 
 DIM_GUARD = 2**14
-DIM_GUARD_ENV = "FRAMEAVG_MAX_DIM"
 
 # rows of a dim x dim matrix that `MomentumSectors.rotate_from_sectors`
 # gathers at a time
@@ -59,40 +57,22 @@ def pauli(name: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli name {name!r}, expected one of X, Y, Z") from None
 
 
-def _dim_guard() -> int:
-    raw = os.environ.get(DIM_GUARD_ENV)
-    if raw is None:
-        return DIM_GUARD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{DIM_GUARD_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{DIM_GUARD_ENV} must be positive, got {value}")
-    # the environment may only lower the guard, never raise it
-    return min(value, DIM_GUARD)
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Periodic chain geometry: N sites of local dimension d."""
 
     sites: int
     local_dim: int = 2
-    periodic: bool = True
 
     def __post_init__(self):
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
         if self.local_dim < 1:
             raise ValueError(f"local_dim must be >= 1, got {self.local_dim}")
-        if not self.periodic:
-            raise ValueError("only periodic chains are supported")
-        guard = _dim_guard()
-        if self.dim > guard:
+        if self.dim > DIM_GUARD:
             raise LatticeSizeError(
                 f"chain of {self.sites} sites with local dimension {self.local_dim} "
-                f"has Hilbert dimension {self.dim}, above the guard {guard}"
+                f"has Hilbert dimension {self.dim}, above the guard {DIM_GUARD}"
             )
 
     @property

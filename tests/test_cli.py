@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frameavg import experiments
-from frameavg.cli import main
+from frameavg.cli import PROBE_HEADER, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -111,23 +111,25 @@ class TestConfigErrors:
         with pytest.raises(experiments.ConfigError, match="sweep at N=12"):
             experiments.load_config(cfg)
 
-    def test_capacity_guard_counts_the_sizes_jobs_run_at_once(self, tmp_path, monkeypatch, capsys):
-        # --jobs 2 runs N = 10 and 11 at once: 48.7 + 194.6 MB against a
-        # faked 220 MB, of which one size at a time fits
+    def test_capacity_guard_charges_the_largest_size_alone(self, tmp_path, monkeypatch, capsys):
+        # sizes run one after another, so a sweep at N = 10 and 11 peaks at
+        # N = 11's 194.6 MB, not at the sum 243.3 MB: it fits a faked 220 MB
+        # and is refused against 150 MB, where N = 10's 48.7 MB would fit
         each = [experiments.PEAK_FACTORS["sweep"] * 16 * 4**n / 1e6 for n in (10, 11)]
         assert [round(x, 1) for x in each] == [48.7, 194.6]
         meminfo = tmp_path / "meminfo"
-        meminfo.write_text(f"MemAvailable:    {int(220e6 / 1024)} kB\n")
         monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
         cfg = write_config(tmp_path, sizes=[10, 11])
-        assert experiments.load_config(cfg, "sweep", jobs=1).sizes == (10, 11)
-        code = main(["sweep", "--config", cfg, "--jobs", "2"])
+        meminfo.write_text(f"MemAvailable:    {int(220e6 / 1024)} kB\n")
+        assert experiments.load_config(cfg, "sweep").sizes == (10, 11)
+        meminfo.write_text(f"MemAvailable:    {int(150e6 / 1024)} kB\n")
+        code = main(["sweep", "--config", cfg])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"sweep at N=10, 11 is estimated to peak at {sum(each):.0f} MB" in err
-        assert "above the 220 MB available" in err
-        # verify runs only the first size, whatever --jobs says
-        assert experiments.load_config(cfg, "verify", jobs=2).sizes == (10, 11)
+        assert f"sweep at N=11 is estimated to peak at {each[1]:.0f} MB" in err
+        assert "above the 150 MB available" in err
+        # verify runs only the first size, N = 10's 132.5 MB
+        assert experiments.load_config(cfg, "verify").sizes == (10, 11)
 
     def test_capacity_guard_passes_without_meminfo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "MEMINFO", str(tmp_path / "absent"))
@@ -137,26 +139,15 @@ class TestConfigErrors:
         monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
         assert experiments.load_config(write_config(tmp_path, sizes=[12])).sizes == (12,)
 
-    def test_bad_jobs_exits_two(self, tmp_path, capsys):
-        code = main(["sweep", "--config", write_config(tmp_path), "--jobs", "0"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: jobs must be at least 1, got 0\n"
-
-    @pytest.mark.parametrize("jobs", (0, -1))
-    def test_capacity_guard_refuses_fewer_than_one_job(self, tmp_path, monkeypatch, jobs):
-        # against the faked 205 MB that refuses a sweep at N = 12, jobs = 0
-        # would charge every size at once and jobs = -1 would drop the first,
-        # estimating a single-size config at 0 bytes
-        meminfo = tmp_path / "meminfo"
-        meminfo.write_text("MemTotal:       8000000 kB\nMemAvailable:    200000 kB\n")
-        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
-        cfg = write_config(tmp_path, sizes=[12])
-        with pytest.raises(experiments.ConfigError, match="sweep at N=12"):
-            experiments.load_config(cfg, "sweep", jobs=1)
-        for command in ("sweep", "verify", None):
-            refusal = f"jobs must be at least 1, got {jobs}"
-            with pytest.raises(experiments.ConfigError, match=refusal):
-                experiments.load_config(cfg, command, jobs=jobs)
+    @pytest.mark.parametrize("jobs", ("0", "2"))
+    def test_bad_jobs_exits_two(self, tmp_path, capsys, jobs):
+        # sizes run one after another, so 1 is the only --jobs there is
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", write_config(tmp_path), "--jobs", jobs])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --jobs: invalid choice: {jobs} (choose from 1)" in captured.err
 
     def test_a_generator_that_is_not_one_qubit_exits_two(self, tmp_path, capsys):
         model = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
@@ -237,27 +228,12 @@ class TestSweepCommand:
         assert capsys.readouterr().out == ""
         assert len(target.read_text().splitlines()) == 2
 
-    def test_config_output_path_honored(self, tmp_path):
-        target = tmp_path / "from-config.csv"
-        cfg = write_config(tmp_path, output_path=str(target))
-        assert main(["sweep", "--config", cfg]) == 0
-        assert target.exists()
-
     def test_deterministic_bytes_modulo_wall_time(self, tmp_path):
         cfg = write_config(tmp_path, sizes=[4, 6])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         assert main(["sweep", "--config", cfg, "--output", str(a)]) == 0
         assert main(["sweep", "--config", cfg, "--output", str(b)]) == 0
-        strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
-        assert strip(a.read_text()) == strip(b.read_text())
-
-    def test_jobs_flag_keeps_ordering(self, tmp_path):
-        cfg = write_config(tmp_path, sizes=[4, 6])
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "jobs.csv"
-        assert main(["sweep", "--config", cfg, "--output", str(a)]) == 0
-        assert main(["sweep", "--config", cfg, "--jobs", "2", "--output", str(b)]) == 0
         strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
         assert strip(a.read_text()) == strip(b.read_text())
 
@@ -341,6 +317,34 @@ class TestProbeCommand:
     def test_multi_size_config_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sizes=[4, 6])
         assert main(["probe", "--config", cfg]) == 2
+
+
+# a tiny config each command accepts, and the first line of its output
+COMMANDS = {
+    "verify": ({}, "unitary-invariance"),
+    "sweep": ({}, experiments.CSV_HEADER),
+    "saturate": ({"averaging": [{"kind": "weighted-spatial", "R": 2.0}]}, experiments.CSV_HEADER),
+    "probe": ({}, PROBE_HEADER),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_jobs_one_is_accepted(tmp_path, capsys, command):
+    # the benchmark harness passes --jobs 1 to every child it runs
+    overrides, first_line = COMMANDS[command]
+    code = main([command, "--config", write_config(tmp_path, **overrides), "--jobs", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith(first_line)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_output_path_takes_every_command(tmp_path, capsys, command):
+    overrides, first_line = COMMANDS[command]
+    target = tmp_path / "out.txt"
+    cfg = write_config(tmp_path, output_path=str(target), **overrides)
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text().splitlines()[0].startswith(first_line)
 
 
 def test_module_entry_point(tmp_path):

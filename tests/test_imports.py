@@ -357,3 +357,50 @@ def test_one_routine_solves_and_certifies_h():
     source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
     assert set(_readers(source, "eigh")) == {"_certified_eigh"}
     assert set(_readers(source, "EigensolverError")) == {"_certified_eigh"}
+
+
+# modules that would run work a second way, on threads or processes, and
+# the os names that would read a setting from the environment
+CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
+ENVIRONMENT = {"environ", "getenv"}
+
+
+def _second_paths(source: str) -> list[str]:
+    """Each import of a concurrency module and each read of the environment
+    in the source, by the name it is reached as."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in CONCURRENCY]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in CONCURRENCY:
+                found.append(node.module)
+            elif node.module == "os":
+                found += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT]
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return sorted(found)
+
+
+def test_the_scan_sees_threads_processes_and_the_environment():
+    source = (
+        "import os\nimport concurrent.futures\nfrom threading import Lock\n"
+        "import multiprocessing as mp\nfrom os import getenv\n"
+        "def guard():\n    return os.environ.get('LIMIT'), os.getenv('JOBS')\n"
+    )
+    assert _second_paths(source) == [
+        "concurrent.futures",
+        "multiprocessing",
+        "os.environ",
+        "os.getenv",
+        "os.getenv",
+        "threading",
+    ]
+    assert _second_paths("import os\nos.path.join('a')\nfrom concurrency import x\n") == []
+
+
+def test_no_module_runs_on_threads_or_reads_the_environment():
+    # sizes run one after another, and every setting comes from the config
+    # or the command line
+    found = {p.name: _second_paths(p.read_text(encoding="utf-8")) for p in [*MODULES, INIT]}
+    assert {name: paths for name, paths in found.items() if paths} == {}

@@ -33,29 +33,9 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(1)
 
-    def test_rejects_open_chain(self):
-        with pytest.raises(ValueError):
-            LatticeSpec(4, periodic=False)
-
     def test_guard_refuses_blowup(self):
         with pytest.raises(LatticeSizeError):
             LatticeSpec(15)
-
-    def test_guard_env_lowers(self, monkeypatch):
-        monkeypatch.setenv("FRAMEAVG_MAX_DIM", "256")
-        LatticeSpec(8)
-        with pytest.raises(LatticeSizeError):
-            LatticeSpec(9)
-
-    def test_guard_env_cannot_raise(self, monkeypatch):
-        monkeypatch.setenv("FRAMEAVG_MAX_DIM", "1000000")
-        with pytest.raises(LatticeSizeError):
-            LatticeSpec(15)
-
-    def test_guard_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("FRAMEAVG_MAX_DIM", "lots")
-        with pytest.raises(ValueError):
-            LatticeSpec(4)
 
 
 class TestHamiltonianSpec:
