@@ -7,8 +7,8 @@ Subcommands:
   probe     commutator norms of the kick against evolved site probes
 
 Exit status: 0 all checks passed, 1 check or runtime failure, 2 usage or
-configuration error.  Diagnostics go to standard error; data to --output or
-standard output.
+configuration error.  Diagnostics go to standard error; data to --output, else
+the config's output_path, else standard output.
 """
 from __future__ import annotations
 
