@@ -37,13 +37,12 @@ from functools import partial
 
 import numpy as np
 
-from .entropy import _eta_trace
+from .entropy import _eta_trace, _exp_guard
 from .lattice import NEEDS_PERMUTATION
 from .operators import (
     BlockDensityMatrix,
     DensityMatrix,
     HermitianOperator,
-    OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
     gate,
@@ -119,17 +118,21 @@ class AveragingKind:
         """Order by kind tag, then by parameter; the absent one sorts first."""
         return (self.kind, self.parameter if self.parameter is not None else -np.inf)
 
-    def bind(self, state: ThermalState, t: UnitaryOperator, n_terms: int) -> "Channel":
-        """This kind as a channel on the n_terms-site chain of `state`, whose
-        translation is t, with its Schur multiplier wherever H is held in
-        sector form for this same translation."""
+    def bind(self, state: ThermalState) -> "Channel":
+        """This kind as a channel on the chain of `state`, with its Schur
+        multiplier in the joint H-T eigenbasis H was solved in.  The spatial
+        kinds read the translation T and its order N from the momentum
+        sectors H carries, the one place the chain's frame is stated, and
+        refuse an H without them; the temporal kind binds on any H."""
         decomp = state.hamiltonian_decomp
-        momenta = decomp.momenta if _same_translation(decomp, t, n_terms) else None
         if self.kind == TEMPORAL:
             weights = partial(_temporal_weights, decomp.eigenvalues, self.parameter)
             # the dense map holds its weights from its first call on, in the
             # order of the eigenbasis; a sweep never calls it
-            return Channel(decomp.schur_multiplier(weights), None if momenta is None else weights)
+            return Channel(decomp.schur_multiplier(weights), weights)
+        if decomp.sectors is None:
+            raise ValueError(f"{self.kind} needs H solved in its translation's momentum sectors")
+        t, n, momenta = decomp.sectors.translation, decomp.sectors.n_terms, decomp.momenta
         # T^n has eigenvalue e^{2 pi i k / N} on momentum k, so the mixture
         # sum_n w_n T^n X T^-n scales entry (i, j) by w^(k_i - k_j) =
         # sum_n w_n e^{2 pi i (k_i - k_j) n / N}, real because w_n = w_{N-n};
@@ -138,29 +141,19 @@ class AveragingKind:
         # wrapper put on it (a traced run's span) sees every call
         uniform = self.kind == UNIFORM_SPATIAL
         if uniform:
-            apply = partial(average_translates, t=t, n_terms=n_terms)
-            w_hat = np.eye(1, n_terms)[0]
+            apply = partial(average_translates, t=t, n_terms=n)
+            w_hat = np.eye(1, n)[0]
         else:
-            apply = partial(weighted_average_translates, t=t, n_terms=n_terms, scale=self.parameter)
-            w_hat = np.fft.fft(distance_weights(n_terms, self.parameter)).real
-        if momenta is None:
-            return Channel(apply)
+            apply = partial(weighted_average_translates, t=t, n_terms=n, scale=self.parameter)
+            w_hat = np.fft.fft(distance_weights(n, self.parameter)).real
 
         def weights(rows, cols):
-            return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n_terms]
+            return w_hat[np.subtract.outer(momenta[rows], momenta[cols]) % n]
 
         # the uniform average is the projection onto the momentum sectors: M X
         # vanishes between classes min(k, N - k), each the pair of partner
         # sectors k, N - k
-        return Channel(apply, weights, np.minimum(momenta, n_terms - momenta) if uniform else None)
-
-
-def _same_translation(decomp: SpectralDecomposition, t: UnitaryOperator, n_terms: int) -> bool:
-    """Whether decomp is in sector form for the translation t of order n_terms."""
-    sectors = decomp.sectors
-    if sectors is None or t.permutation is None:
-        return False
-    return sectors.n_terms == n_terms and np.array_equal(sectors.permutation, t.permutation)
+        return Channel(apply, weights, np.minimum(momenta, n - momenta) if uniform else None)
 
 
 @dataclass(frozen=True)
@@ -175,12 +168,12 @@ class Channel:
     Schur multiplier: delta(k_i, k_l) (uniform), w^(k_i - k_l) (weighted) or
     1 / (1 + i (E_i - E_l) tau) (temporal).  `weights(rows, cols)` gives
     Omega on those eigenvector indices (None for the identity), and
-    `classes` the uniform average's |k|, between whose values M X vanishes.
-    Both are None where H was not solved in that basis.
+    `classes` the uniform average's |k|, between whose values M X vanishes
+    (None for the other kinds).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
-    weights: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None
+    weights: Callable[[np.ndarray, np.ndarray], np.ndarray | None]
     classes: np.ndarray | None = None
 
     def parity_blocks(
@@ -205,8 +198,6 @@ class Channel:
         stay real under the real uniform and weighted weights, and turn
         complex under the Lorentzian, which is odd in time.
         """
-        if self.weights is None:
-            raise ValueError("the channel has no form in the eigenbasis H was solved in")
         out, rows = [], []
         for q, x in enumerate(x_blocks):
             i, j = parity.rows[q], parity.partners[q]
@@ -267,7 +258,7 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     inv[perm] = np.arange(dim)
     shift = _site_shift(inv, n_terms)
     if shift is not None:
-        tensor = a.reshape((round(dim ** (1.0 / n_terms)),) * (2 * n_terms))
+        tensor = a.reshape((2,) * (2 * n_terms))
     acc = weights[0] * a
     cur = inv
     for n in range(1, n_terms):
@@ -291,22 +282,20 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
 
 def _site_shift(inv: np.ndarray, n_sites: int) -> int | None:
     """The s for which the basis permutation of T (given by its inverse
-    inv) moves the content of each of n_sites sites of equal dimension s
-    sites on, site 0 the most significant digit: read off where T sends a
-    lone digit at site 0, and checked against inv as a whole, as the roll
-    of the sites' axes that `_translate_conjugations` makes.  None where T
-    is no such roll."""
+    inv) moves the content of each of n_sites qubits s sites on, site 0 the
+    most significant bit: read off where T sends a lone bit at site 0, and
+    checked against inv as a whole, as the roll of the sites' axes that
+    `_translate_conjugations` makes.  None where T is no such roll."""
     dim = inv.size
-    d = round(dim ** (1.0 / n_sites))
-    if n_sites < 2 or d < 2 or d**n_sites != dim:
+    if n_sites < 2 or 2**n_sites != dim:
         return None
-    digits = (np.flatnonzero(inv == d ** (n_sites - 1)) // d ** np.arange(n_sites - 1, -1, -1)) % d
+    digits = (np.flatnonzero(inv == 2 ** (n_sites - 1)) // 2 ** np.arange(n_sites - 1, -1, -1)) % 2
     moved = np.flatnonzero(digits)
     if moved.size != 1:
         return None
     shift = int(moved[0])
     axes = np.roll(np.arange(n_sites), shift)
-    rolled = np.arange(dim).reshape((d,) * n_sites).transpose(axes).ravel()
+    rolled = np.arange(dim).reshape((2,) * n_sites).transpose(axes).ravel()
     return shift if np.array_equal(rolled, inv) else None
 
 
@@ -491,13 +480,7 @@ def eigenbasis_kick(
     """
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
-    energies = state.hamiltonian_decomp.eigenvalues
-    radius = max(abs(energies[0]), abs(energies[-1]))
-    if state.beta * radius > 700.0:
-        raise OverflowGuardError(
-            f"beta times the spectral radius is {state.beta * radius:.1f}, beyond "
-            "the 700 overflow guard; reduce beta or the chain size"
-        )
+    _exp_guard(state)
     blocks = _kick_blocks(state.hamiltonian_decomp, u, parity)
     rows = [np.arange(state.dim)] if parity is None else parity.rows
     return blocks, _normalization(state, blocks, rows)
@@ -553,13 +536,14 @@ class ReflectionParity:
     real gate of `_kick_blocks`.
     """
 
-    def __init__(self, decomp: SpectralDecomposition, site: int, n_sites: int):
+    def __init__(self, decomp: SpectralDecomposition, site: int):
         if decomp.partner is None:
             raise ValueError("the reflection parity needs H solved in sector form")
         partner, sign, flip = decomp.partner, decomp.reflection_sign, decomp.flip_sign
         if not np.array_equal(decomp.eigenvalues[partner], decomp.eigenvalues):
             raise ValueError("reflection partners must carry equal energies")
-        c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n_sites) / n_sites)
+        n = decomp.sectors.n_terms
+        c = np.exp(-2j * np.pi * ((2 * decomp.momenta * site) % n) / n)
         c *= np.where(sign == 0, 1, sign)
         # the unit vectors of each flip sign (all of them without a flip)
         idx = np.arange(partner.size)

@@ -30,7 +30,7 @@ from .thermal import ThermalState
 
 KERNEL_WEIGHT_ATOL = 1e-10
 
-# largest exponent handed to exp() on the analytic inverse-square-root route
+# largest beta (E_max - E_min) a route that scales by exp(beta E / 2) accepts
 EXP_GUARD = 700.0
 
 
@@ -135,6 +135,20 @@ def _eta_trace(x_blocks, rho_blocks) -> tuple[np.ndarray, np.ndarray, float]:
     return w, q, -float(np.dot(eta(w), q))
 
 
+def _exp_guard(state: ThermalState) -> None:
+    """Refuse a state whose beta times spectral spread exceeds EXP_GUARD, the
+    edge of float64 exponentials: the conjugated kick of a sweep and the
+    rho^{-1/2} of verify's state route scale by exp(+-beta E / 2), and their
+    products grow like exp(beta (E_max - E_min))."""
+    energies = state.hamiltonian_decomp.eigenvalues
+    spread = state.beta * (energies[-1] - energies[0])
+    if spread > EXP_GUARD:
+        raise OverflowGuardError(
+            f"beta times the spectral spread is {spread:.1f}, beyond the "
+            f"{EXP_GUARD:g} overflow guard; reduce beta or the chain size"
+        )
+
+
 def _bs_value(sigma_tilde: np.ndarray, scale: np.ndarray, weights: np.ndarray) -> float:
     """-tr[rho eta(X)] with X = diag(scale) sigma_tilde diag(scale).
 
@@ -160,13 +174,8 @@ def bs_relative_entropy(
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
     if isinstance(rho, ThermalState):
+        _exp_guard(rho)
         energies = rho.hamiltonian_decomp.eigenvalues
-        top_exponent = rho.beta * (energies[-1] - energies[0])
-        if top_exponent > EXP_GUARD:
-            raise OverflowGuardError(
-                f"beta times the spectral spread is {top_exponent:.1f}, beyond the "
-                f"{EXP_GUARD:g} overflow guard; reduce beta or the chain size"
-            )
         scale = np.exp(rho.beta * energies / 2 + rho.log_partition / 2)
         sigma_tilde = rho.hamiltonian_decomp.to_eigenbasis(sigma.matrix)
         return EntropyValue(_clamped(_bs_value(sigma_tilde, scale, rho.populations)))

@@ -41,7 +41,6 @@ from .lattice import (
     chain_symmetry,
     embed_site_operator,
     pauli,
-    translation_operator,
 )
 from .operators import (
     BlockDensityMatrix,
@@ -160,7 +159,10 @@ def _parse_number(value, where: str) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond float range") from None
 
 
 def _parse_generator(value, where: str) -> np.ndarray:
@@ -180,7 +182,7 @@ def _parse_generator(value, where: str) -> np.ndarray:
             if isinstance(entry, list):
                 if len(entry) != 2:
                     raise ConfigError(f"{where} complex entries are [re, im] pairs")
-                entries.append(complex(entry[0], entry[1]))
+                entries.append(complex(*(_parse_number(x, where) for x in entry)))
             else:
                 entries.append(complex(_parse_number(entry, where)))
         rows.append(entries)
@@ -300,6 +302,10 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # text that is not UTF-8, an integer past int's digit limit, or
+        # brackets nested past the recursion limit
+        raise ConfigError(f"config {path} cannot be parsed: {exc}") from None
     cfg = config_from_mapping(data)
     check_capacity(cfg, command)
     return cfg
@@ -390,7 +396,7 @@ class _SizeContext:
     """One chain size's setup, shared by every averaging kind.
 
     The state (H held as its bit-flip terms, its dense matrix never built
-    here), the kick and the translation, S(rho), and the kick in the joint
+    here), the kick, S(rho), and the kick in the joint
     H-T eigenbasis, u~ = V^dag U V, with tr(rho E) evaluated from it.  In
     that basis rho = diag(p) and H = diag(E), and every channel is a Schur
     multiplier (`Channel`).  The reflection about the kicked site commutes
@@ -411,10 +417,9 @@ class _SizeContext:
         self.lattice = LatticeSpec(n)
         h = build_hamiltonian(self.lattice, cfg.model)
         self.state = thermal_state(h, cfg.beta, chain_symmetry(h, cfg.kick.generator))
-        self.translation = translation_operator(self.lattice)
         self.kick = local_kick(self.lattice, cfg.kick)
         self.s_rho = von_neumann_entropy(self.state).nats
-        self.parity = ReflectionParity(self.state.hamiltonian_decomp, cfg.kick.site, n)
+        self.parity = ReflectionParity(self.state.hamiltonian_decomp, cfg.kick.site)
         # kind-independent: every averaging frame fixes rho, so tr(rho ME)
         # equals tr(rho E) and this conditioned evaluation covers all records
         self.u_blocks, self.normalization = eigenbasis_kick(self.state, self.kick, self.parity)
@@ -457,7 +462,7 @@ def _sweep_size(
         beta_w=state.beta * (energy_prime - float(np.dot(energies, state.populations))),
         entropy_density=ctx.s_rho / n,
     )
-    channels = [kind.bind(state, ctx.translation, n) for kind in kinds]
+    channels = [kind.bind(state) for kind in kinds]
     states = [_state_route(ctx, channel, kicked.blocks) for channel in channels]
     del kicked
     # E's blocks are size setup too: built here, so that no row's timer pays for them
@@ -664,7 +669,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
         )
     )
 
-    averaged = frame_average(rho_prime, ctx.translation, n)
+    averaged = frame_average(rho_prime, state.hamiltonian.sectors.translation, n)
     del rho_prime
     rel_avg = relative_entropy(averaged, state).nats
     decomposition = (
@@ -688,7 +693,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     # the operator route: the uniform average of E's labelled blocks in the
     # joint eigenbasis, paired with the exact populations there; the state
     # route above ran in the computational basis
-    uniform = AveragingKind.uniform_spatial().bind(state, ctx.translation, n)
+    uniform = AveragingKind.uniform_spatial().bind(state)
     e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
     me_blocks, rows = uniform.parity_blocks(e_blocks, ctx.parity)
     del e_blocks
@@ -718,7 +723,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
     # weights) and one probe with its commutator at a time
     h = state.hamiltonian.matrix
     dim = ctx.lattice.dim
-    channels = [kind.bind(state, ctx.translation, n) for kind in cfg.averaging]
+    channels = [kind.bind(state) for kind in cfg.averaging]
     worst = 0.0
     rng = np.random.default_rng(cfg.seed)
     for _ in range(5):

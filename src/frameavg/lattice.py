@@ -1,9 +1,9 @@
 """Finite periodic spin chains.
 
 Site-local operator embedding, the cyclic translation unitary and its
-momentum sectors, and the model Hamiltonians.  Basis convention: site 0 is the most significant digit of the
-computational-basis index, so for qubits the index bits read left to right as
-sites 0 .. N-1.
+momentum sectors, and the model Hamiltonians.  Every site is a qubit.  Basis
+convention: site 0 is the most significant bit of the computational-basis
+index, so the index bits read left to right as sites 0 .. N-1.
 """
 from __future__ import annotations
 
@@ -59,25 +59,22 @@ def pauli(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic chain geometry: N sites of local dimension d."""
+    """Periodic chain geometry: N sites, each a qubit."""
 
     sites: int
-    local_dim: int = 2
 
     def __post_init__(self):
         if self.sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.sites}")
-        if self.local_dim < 1:
-            raise ValueError(f"local_dim must be >= 1, got {self.local_dim}")
         if self.dim > DIM_GUARD:
             raise LatticeSizeError(
-                f"chain of {self.sites} sites with local dimension {self.local_dim} "
-                f"has Hilbert dimension {self.dim}, above the guard {DIM_GUARD}"
+                f"chain of {self.sites} sites has Hilbert dimension {self.dim}, "
+                f"above the guard {DIM_GUARD}"
             )
 
     @property
     def dim(self) -> int:
-        return self.local_dim**self.sites
+        return 2**self.sites
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,9 @@ def _outer_dims(lattice: LatticeSpec, op: SiteOperator) -> tuple[int, int]:
     """Dimensions of the identities left and right of op's site."""
     if op.site >= lattice.sites:
         raise ValueError(f"site {op.site} out of range for {lattice.sites} sites")
-    d = lattice.local_dim
-    if op.local_matrix.shape[0] != d:
-        raise ValueError(
-            f"local matrix has dim {op.local_matrix.shape[0]}, lattice expects {d}"
-        )
-    return d**op.site, d ** (lattice.sites - 1 - op.site)
+    if op.local_matrix.shape[0] != 2:
+        raise ValueError(f"local matrix has dim {op.local_matrix.shape[0]}, lattice expects 2")
+    return 2**op.site, 2 ** (lattice.sites - 1 - op.site)
 
 
 def embed_site_operator(lattice: LatticeSpec, op: SiteOperator) -> np.ndarray:
@@ -152,17 +146,20 @@ def translation_operator(lattice: LatticeSpec) -> UnitaryOperator:
     """Right cyclic shift of site contents.
 
     T maps |s_0 s_1 ... s_{N-1}> to |s_{N-1} s_0 ... s_{N-2}>, so on basis
-    indices T e_i = e_{perm[i]} with perm[i] = (i mod d) * d^(N-1) + i div d.
+    indices T e_i = e_{perm[i]} with perm[i] = (i mod 2) * 2^(N-1) + i div 2.
     The operator is held as that permutation; its dense matrix is built only
-    when read.
+    when read.  `build_hamiltonian` is its one caller in the package: H
+    carries its momentum sectors, and every channel and reflection reads T
+    and N from there.
     """
-    d, dim = lattice.local_dim, lattice.dim
+    dim = lattice.dim
     idx = np.arange(dim)
-    return UnitaryOperator(permutation=(idx % d) * (dim // d) + idx // d)
+    return UnitaryOperator(permutation=(idx % 2) * (dim // 2) + idx // 2)
 
 
 class MomentumSectors:
-    """The momentum basis F of a translation, built from its basis permutation.
+    """The momentum basis F of a translation, built from its basis permutation;
+    `translation` and `n_terms` keep T and its order N.
 
     With r running over the orbits of the permutation and L_r the orbit
     length, sector k holds the orbits with N | k L_r, through the vectors
@@ -192,7 +189,7 @@ class MomentumSectors:
         if t.permutation is None:
             raise ValueError(NEEDS_PERMUTATION)
         dim = t.dim
-        self.permutation = t.permutation
+        self.translation = t
         self.n_terms = n_terms
         # shifts[n, i] is the basis index of T^n e_i
         shifts = np.empty((n_terms, dim), dtype=np.intp)
@@ -306,7 +303,7 @@ class MomentumSectors:
         """max |T H T^-1 - H| over the entries of H, given as H[rows, cols] =
         values with no position listed twice; 0 exactly when H commutes with
         T, so that the blocks of F^dag H F between sectors vanish."""
-        return conjugation_defect(self.permutation, None, rows, cols, values)
+        return conjugation_defect(self.translation.permutation, None, rows, cols, values)
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
         """F^dag x in sector-major order, for x whose leading axis has length dim."""
@@ -506,11 +503,10 @@ def _local(letter: str) -> np.ndarray:
 def _site_reflection(dim: int, n: int) -> np.ndarray:
     """The basis permutation of R_0: |s_0 s_1 ... s_{N-1}> -> |s_0 s_{N-1} ... s_1>,
     the content of site j moved to site -j mod N, for a chain of dimension dim."""
-    d = round(dim ** (1.0 / n))
-    if d**n != dim:
+    if 2**n != dim:
         raise ValueError(f"dimension {dim} is not that of a chain of {n} sites")
-    powers = d ** np.arange(n - 1, -1, -1)
-    digits = (np.arange(dim)[:, np.newaxis] // powers) % d
+    powers = 2 ** np.arange(n - 1, -1, -1)
+    digits = (np.arange(dim)[:, np.newaxis] // powers) % 2
     return digits[:, (-np.arange(n)) % n] @ powers
 
 
@@ -555,8 +551,6 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
     refuses off-sector, off-parity and off-flip entries above its
     reconstruction tolerance.
     """
-    if lattice.local_dim != 2:
-        raise ValueError("the chain models are defined for local dimension 2")
     c = spec.couplings
     n = lattice.sites
     idx = np.arange(lattice.dim)
@@ -577,11 +571,11 @@ def build_hamiltonian(lattice: LatticeSpec, spec: HamiltonianSpec) -> HermitianO
 
 
 def reduce_to_site(lattice: LatticeSpec, matrix: np.ndarray, site: int) -> np.ndarray:
-    """Partial trace down to one site's d x d operator."""
+    """Partial trace down to one site's 2 x 2 operator."""
     if not 0 <= site < lattice.sites:
         raise ValueError(f"site {site} out of range for {lattice.sites} sites")
-    n, d = lattice.sites, lattice.local_dim
-    a = np.asarray(matrix, dtype=complex).reshape([d] * (2 * n))
+    n = lattice.sites
+    a = np.asarray(matrix, dtype=complex).reshape([2] * (2 * n))
     letters = "abcdefghijklmnop"
     rows = letters[:n]
     cols = rows[:site] + "z" + rows[site + 1 :]

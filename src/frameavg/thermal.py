@@ -156,13 +156,10 @@ def _gibbs_weights(energies: np.ndarray, beta: float) -> tuple[np.ndarray, float
 def local_kick(lattice: LatticeSpec, p: PerturbationSpec) -> UnitaryOperator:
     """U = exp(-i lambda a) acting on one site, identity elsewhere.
 
-    U is held as its d x d factor, so applying it costs O(d dim^2).
+    U is held as its 2 x 2 factor, so applying it costs O(dim^2).
     """
-    d = lattice.local_dim
-    if p.generator.shape[0] != d:
-        raise ValueError(
-            f"generator has dim {p.generator.shape[0]}, lattice expects {d}"
-        )
+    if p.generator.shape[0] != 2:
+        raise ValueError(f"generator has dim {p.generator.shape[0]}, lattice expects 2")
     w, v = np.linalg.eigh(p.generator)
     small = (v * np.exp(-1j * p.strength * w)[np.newaxis, :]) @ v.conj().T
     return site_unitary(lattice, SiteOperator(p.site, small))

@@ -233,8 +233,8 @@ class TestChannel:
         # and paired with diag(E) on their rows they give tr(H M rho')
         _, state, _, rho_prime, t = ising_setup()
         decomp = state.hamiltonian_decomp
-        parity = ReflectionParity(decomp, 0, 4)
-        channel = kind.bind(state, t, 4)
+        parity = ReflectionParity(decomp, 0)
+        channel = kind.bind(state)
         averaged = channel.apply(rho_prime.matrix)
         assert np.array_equal(averaged, dense(rho_prime.matrix, t, decomp))
         blocks, rows = channel.parity_blocks(
@@ -259,11 +259,11 @@ class TestChannel:
         t = translation_operator(lat)
         k = state.hamiltonian_decomp.momenta
         rows, cols = np.arange(0, state.dim, 2), np.arange(state.dim)
-        uniform = AveragingKind.uniform_spatial().bind(state, t, n)
+        uniform = AveragingKind.uniform_spatial().bind(state)
         delta = (k[rows, np.newaxis] == k[np.newaxis, cols]).astype(float)
         assert uniform.weights(rows, cols).tobytes() == delta.tobytes()
         assert np.array_equal(uniform.classes, np.minimum(k, n - k))
-        weighted = AveragingKind.weighted_spatial(2.0).bind(state, t, n)
+        weighted = AveragingKind.weighted_spatial(2.0).bind(state)
         w_hat = np.fft.fft(distance_weights(n, 2.0)).real
         expected = w_hat[np.subtract.outer(k[rows], k[cols]) % n]
         assert weighted.weights(rows, cols).tobytes() == expected.tobytes()
@@ -284,26 +284,40 @@ class TestChannel:
 
         monkeypatch.setattr(averaging, "average_translates", spy("uniform"))
         monkeypatch.setattr(averaging, "weighted_average_translates", spy("weighted"))
-        AveragingKind.uniform_spatial().bind(state, t, 4).apply(rho_prime.matrix)
-        AveragingKind.weighted_spatial(2.0).bind(state, t, 4).apply(rho_prime.matrix)
+        AveragingKind.uniform_spatial().bind(state).apply(rho_prime.matrix)
+        AveragingKind.weighted_spatial(2.0).bind(state).apply(rho_prime.matrix)
         assert calls == ["uniform", "weighted"]
 
-    def test_no_schur_form_without_sectors(self):
-        # an H without momentum sectors is solved by one dense eigensolve,
-        # whose basis is no joint eigenbasis with T
-        _, state, _, rho_prime, t = ising_setup()
-        parity = ReflectionParity(state.hamiltonian_decomp, 0, 4)
-        x_blocks = parity_split(parity, state.hamiltonian_decomp.to_eigenbasis(rho_prime.matrix))
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_spatial_apply_is_the_translate_sum_bit_for_bit(self, n):
+        # the chain's T is stated once, by the sectors H carries; the dense
+        # apply of each spatial kind is the translate sum over a T built
+        # afresh for the chain, bit for bit
+        lat = LatticeSpec(n)
+        spec = HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9})
+        state = thermal_state(build_hamiltonian(lat, spec), 1.0)
+        t = translation_operator(lat)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((lat.dim, lat.dim)) + 1j * rng.standard_normal((lat.dim, lat.dim))
+        uniform = AveragingKind.uniform_spatial().bind(state)
+        assert np.array_equal(uniform.apply(a), average_translates(a, t, n))
+        weighted = AveragingKind.weighted_spatial(2.0).bind(state)
+        assert np.array_equal(weighted.apply(a), weighted_average_translates(a, t, n, 2.0))
+
+    def test_spatial_kinds_need_the_momentum_sectors(self):
+        # an H without momentum sectors states no translation, so the
+        # spatial kinds refuse it; the temporal kind is a function of H alone
+        _, state, _, rho_prime, _ = ising_setup()
         plain = thermal_state(HermitianOperator(state.hamiltonian.matrix), 1.0)
-        kinds = (
-            AveragingKind.uniform_spatial(),
-            AveragingKind.weighted_spatial(2.0),
-            AveragingKind.temporal(1.5),
-        )
-        for kind in kinds:
-            channel = kind.bind(plain, t, 4)
-            with pytest.raises(ValueError, match="no form in the eigenbasis"):
-                channel.parity_blocks(x_blocks, parity)
+        for kind in (AveragingKind.uniform_spatial(), AveragingKind.weighted_spatial(2.0)):
+            with pytest.raises(ValueError) as info:
+                kind.bind(plain)
+            assert str(info.value) == (
+                f"{kind.kind} needs H solved in its translation's momentum sectors"
+            )
+        temporal = AveragingKind.temporal(1.5).bind(plain)
+        want = temporal_average_matrix(rho_prime.matrix, plain.hamiltonian_decomp, 1.5)
+        assert np.array_equal(temporal.apply(rho_prime.matrix), want)
 
 
 class TestMomentumSectors:

@@ -211,6 +211,58 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, tolerance_overrides={"bs-equality": value})
         assert experiments.load_config(cfg).tolerance("bs-equality") == value
 
+    @staticmethod
+    def _refused(capsys, path, message):
+        # a config error exits 2 with one "error: " line naming what was
+        # refused, and no traceback
+        code = main(["verify", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_a_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        # a Latin-1 byte where the Pauli letter stands: 0xe9 opens no UTF-8 sequence
+        path = Path(write_config(tmp_path))
+        path.write_bytes(path.read_bytes().replace(b'"X"', b'"\xe9"'))
+        self._refused(capsys, path, f"config {path} cannot be parsed: 'utf-8' codec can't decode")
+
+    def test_an_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        path = Path(write_config(tmp_path))
+        path.write_text(path.read_text().replace('"seed": 7', '"seed": 1' + "0" * 5000))
+        self._refused(capsys, path, f"config {path} cannot be parsed: Exceeds the limit")
+
+    def test_brackets_nested_past_the_recursion_limit_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self._refused(capsys, path, f"config {path} cannot be parsed: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"beta": "BIG"}, "beta"),
+            ({"kick": {"site": 0, "generator": "X", "strength": "BIG"}}, "kick.strength"),
+            (
+                {"kick": {"site": 0, "generator": [[0, "BIG"], [1, 0]], "strength": 0}},
+                "kick.generator",
+            ),
+            (
+                {"kick": {"site": 0, "generator": [[0, [0, "BIG"]], [1, 0]], "strength": 0}},
+                "kick.generator",
+            ),
+            ({"averaging": [{"kind": "weighted-spatial", "R": "BIG"}]}, "averaging[0].R"),
+            ({"averaging": [{"kind": "temporal", "tau": "BIG"}]}, "averaging[0].tau"),
+            ({"model": {"name": "free-spins", "couplings": {"h": "BIG"}}}, "model.couplings.h"),
+            ({"tolerance_overrides": {"gracefulness": "BIG"}}, "tolerance_overrides.gracefulness"),
+        ],
+        ids=("beta", "strength", "entry", "pair", "R", "tau", "coupling", "tolerance"),
+    )
+    def test_an_integer_beyond_float_range_exits_two(self, tmp_path, capsys, overrides, field):
+        path = Path(write_config(tmp_path, **overrides))
+        path.write_text(path.read_text().replace('"BIG"', "1" + "0" * 400))
+        self._refused(capsys, path, f"error: {field} is beyond float range")
+
 
 class TestSweepCommand:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -252,6 +304,26 @@ class TestSweepCommand:
         assert code == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: eigensolver failed to converge on a 16x16 Hermitian matrix")
+
+    def test_the_overflow_guard_refuses_the_sweep_as_it_does_verify(self, tmp_path, capsys):
+        # beta (E_max - E_min) = 714.2 > 700, while beta max|E| stays below
+        # 700: both routes refuse it by the one spread guard, before any row
+        model = {"name": "heisenberg-xxz", "couplings": {"J": 1.0, "delta": 0.5}}
+        kick = {"site": 1, "generator": "Y", "strength": 0.6}
+        averaging = [{"kind": "uniform-spatial"}, {"kind": "temporal", "tau": 1.5}]
+        cfg = write_config(
+            tmp_path, model=model, sizes=[5], beta=60.0, kick=kick, averaging=averaging
+        )
+        message = (
+            "error: beta times the spectral spread is 714.2, beyond the 700 overflow guard; "
+            "reduce beta or the chain size\n"
+        )
+        for command in ("sweep", "verify"):
+            code = main([command, "--config", cfg])
+            captured = capsys.readouterr()
+            assert code == 1, command
+            assert captured.out == ""
+            assert captured.err == message, command
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -643,13 +643,14 @@ class TestUniformSectorRoute:
         for record in convergence_sweep(cfg):
             n = record.n
             ctx = _SizeContext(cfg, n)
-            averaged = frame_average(perturb(ctx.state, ctx.kick), ctx.translation, n)
+            t = translation_operator(ctx.lattice)
+            averaged = frame_average(perturb(ctx.state, ctx.kick), t, n)
             s_m = von_neumann_entropy(averaged).nats
             rel_ent_avg = max(
                 0.0, -s_m + beta * ctx.state.energy(averaged.matrix) + ctx.state.log_partition
             )
             e = conjugated_perturbation(ctx.state, ctx.kick).E.matrix
-            me = average_translates(e, ctx.translation, n)
+            me = average_translates(e, t, n)
             report, bs_value = averaged_E_stats([me], [ctx.state.rho.matrix])
             assert close(record.s_m_rho_prime, s_m)
             assert close(record.rel_ent_avg, rel_ent_avg)

@@ -139,7 +139,7 @@ def _off_label(residual, flip_pair):
     """ReflectionParity.gate on one entry between two labelled blocks, of
     different flip signs or of the same one."""
     h = build_hamiltonian(LatticeSpec(4), XXZ)
-    parity = ReflectionParity(spectral_decompose(h, ChainSymmetry(4, flip="X")), 0, 4)
+    parity = ReflectionParity(spectral_decompose(h, ChainSymmetry(4, flip="X")), 0)
     labels = parity.labels
     p, q = next(
         (p, q)
@@ -156,7 +156,7 @@ def _real_gate(residual):
     imaginary part of `residual` to every column."""
     h = build_hamiltonian(LatticeSpec(2), TFI)
     decomp = spectral_decompose(h, ChainSymmetry(2, real="I"))
-    parity = ReflectionParity(decomp, 0, 2)
+    parity = ReflectionParity(decomp, 0)
     assert len(parity.vectors) == 1
     scale = 1 / np.sqrt(1 + residual**2) if np.isfinite(residual) else 1.0
     kick = SimpleNamespace(apply=lambda x: x * complex(scale, residual * scale))
@@ -417,8 +417,8 @@ def test_a_nan_commutator_fails_the_gracefulness_line(monkeypatch):
     assert _verify_lines()["gracefulness"] == "PASS"
     bind = AveragingKind.bind
 
-    def nan_apply(self, state, t, n_terms):
-        channel = bind(self, state, t, n_terms)
+    def nan_apply(self, state):
+        channel = bind(self, state)
         return replace(channel, apply=lambda a: np.full(np.shape(a), NAN, complex))
 
     monkeypatch.setattr(AveragingKind, "bind", nan_apply)

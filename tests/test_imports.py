@@ -404,3 +404,30 @@ def test_no_module_runs_on_threads_or_reads_the_environment():
     # or the command line
     found = {p.name: _second_paths(p.read_text(encoding="utf-8")) for p in [*MODULES, INIT]}
     assert {name: paths for name, paths in found.items() if paths} == {}
+
+
+# the chain's translation, stated once: by the momentum sectors H carries
+TRANSLATION = "translation_operator"
+
+
+def test_the_scan_sees_every_reader_of_the_translation():
+    source = (
+        "from .lattice import translation_operator\n"
+        "def build_hamiltonian(lat):\n    return translation_operator(lat)\n"
+        "class Context:\n"
+        "    def __init__(self, lat):\n        self.t = lattice.translation_operator(lat)\n"
+        "make = partial(translation_operator)\n"
+        "__all__ = ['translation_operator']\n"
+    )
+    assert _readers(source, TRANSLATION) == ["build_hamiltonian", "__init__", "<module>"]
+
+
+def test_only_build_hamiltonian_builds_the_translation():
+    # every channel, the kicked-site reflection and verify's state route read
+    # T and N from H's sectors; a second caller would state the frame twice
+    readers = [
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _readers(p.read_text(encoding="utf-8"), TRANSLATION)
+    ]
+    assert readers == ["lattice.py:build_hamiltonian"]

@@ -73,7 +73,7 @@ class TestSectorForm:
         dense_diagonal = (v * values) @ v.conj().T
         assert max_norm(decomp.diagonal_from_eigenbasis(values) - dense_diagonal) < 1e-13
         # each eigenvector is a translation eigenvector of its momentum
-        shifted = v[np.argsort(h.sectors.permutation)]  # T V
+        shifted = v[np.argsort(h.sectors.translation.permutation)]  # T V
         phases = np.exp(2j * np.pi * decomp.momenta / n)
         assert max_norm(shifted - v * phases[np.newaxis, :]) < 1e-13
 
@@ -126,7 +126,7 @@ class TestSlabPrimitives:
         y = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
         idx = np.arange(dim)
         unit = [(idx, np.ones(dim, dtype=complex), idx, np.zeros(dim, dtype=complex))]
-        parity = [ReflectionParity(decomp, site, n).vectors for site in (0, n // 2)]
+        parity = [ReflectionParity(decomp, site).vectors for site in (0, n // 2)]
         for sets in [*parity, unit]:
             qs = [_dense_columns(dim, *c) for c in sets]
             for c, q in zip(sets, qs):

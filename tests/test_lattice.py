@@ -17,6 +17,7 @@ from frameavg.lattice import (
     sigma_z,
     translation_operator,
 )
+from frameavg.thermal import PerturbationSpec, local_kick
 
 
 def translation_defect(matrix, t):
@@ -27,7 +28,6 @@ def translation_defect(matrix, t):
 class TestLatticeSpec:
     def test_dim(self):
         assert LatticeSpec(4).dim == 16
-        assert LatticeSpec(3, local_dim=3).dim == 27
 
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
@@ -79,8 +79,13 @@ class TestEmbedding:
             embed_site_operator(LatticeSpec(2), SiteOperator(2, sigma_x))
 
     def test_local_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            embed_site_operator(LatticeSpec(2, local_dim=3), SiteOperator(0, sigma_x))
+        # every site is a qubit, so a 3 x 3 site operator or kick generator
+        # is refused
+        qutrit = np.diag([1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match="local matrix has dim 3, lattice expects 2"):
+            embed_site_operator(LatticeSpec(2), SiteOperator(0, qutrit))
+        with pytest.raises(ValueError, match="generator has dim 3, lattice expects 2"):
+            local_kick(LatticeSpec(2), PerturbationSpec(0, qutrit, 0.7))
 
     def test_pauli_lookup(self):
         assert max_norm(pauli("Y") - np.array([[0, -1j], [1j, 0]])) == 0.0

@@ -108,11 +108,11 @@ def test_a_channel_the_dynamics_do_not_fix_trips_gracefulness(monkeypatch):
     assert gracefulness(verify_identities(cfg)).passed
     bind = AveragingKind.bind
 
-    def kick_conjugation(self, state, t, n_terms):
+    def kick_conjugation(self, state):
         # U X U^dag is a unitary channel, but U does not commute with H, so
         # M [H, X] and [H, M X] part; the parity blocks stay the clean ones
-        kick = local_kick(lattice.LatticeSpec(n_terms), cfg.kick)
-        return replace(bind(self, state, t, n_terms), apply=kick.conjugate)
+        kick = local_kick(lattice.LatticeSpec(state.hamiltonian.sectors.n_terms), cfg.kick)
+        return replace(bind(self, state), apply=kick.conjugate)
 
     monkeypatch.setattr(AveragingKind, "bind", kick_conjugation)
     check = gracefulness(verify_identities(cfg))
@@ -130,9 +130,9 @@ def test_weighted_operator_side_with_another_r_trips_the_oracle(monkeypatch):
     bind = AveragingKind.bind
     calls = []
 
-    def one_sided(self, state, t, n_terms):
-        clean = bind(self, state, t, n_terms)
-        other = bind(AveragingKind.weighted_spatial(3.0), state, t, n_terms)
+    def one_sided(self, state):
+        clean = bind(self, state)
+        other = bind(AveragingKind.weighted_spatial(3.0), state)
 
         def parity_blocks(x_blocks, parity):
             # a sweep row averages rho' first and E second, so the second
@@ -187,7 +187,6 @@ def test_translation_of_the_wrong_order_trips_the_oracle(monkeypatch):
         return UnitaryOperator(permutation=perm[perm])
 
     monkeypatch.setattr(lattice, "translation_operator", two_site_shift)
-    monkeypatch.setattr(experiments, "translation_operator", two_site_shift)
     (row,) = convergence_sweep(cfg)
     assert abs(row.s_m_rho_prime - entropy) > 1e-6
 
@@ -197,8 +196,8 @@ def test_reflection_about_the_next_site_trips_the_parity_gate(monkeypatch):
     assert len(convergence_sweep(cfg)) == 2
     parity = experiments.ReflectionParity
 
-    def next_site(decomp, site, n_sites):
-        return parity(decomp, site + 1, n_sites)
+    def next_site(decomp, site):
+        return parity(decomp, site + 1)
 
     monkeypatch.setattr(experiments, "ReflectionParity", next_site)
     with pytest.raises(ValueError, match="does not commute with the reflection about the kick"):
@@ -208,10 +207,10 @@ def test_reflection_about_the_next_site_trips_the_parity_gate(monkeypatch):
 def _unpaired(monkeypatch):
     parity = experiments.ReflectionParity
 
-    def unpaired(decomp, site, n_sites):
+    def unpaired(decomp, site):
         # the rule reads each block's partnered rows from `pairs`; with
         # none, no block of M X takes its mate's (A - B) / 2 term
-        p = parity(decomp, site, n_sites)
+        p = parity(decomp, site)
         p.pairs = [0] * len(p.pairs)
         return p
 
@@ -237,7 +236,7 @@ def test_rule_without_the_cross_term_trips_the_oracle(monkeypatch, n, entry):
         convergence_sweep(cfg)
     ctx = _SizeContext(cfg, n)
     kicked = averaging.kicked_in_eigenbasis(ctx.state, ctx.u_blocks, ctx.parity)
-    channel = AveragingKind(entry["kind"], entry.get("R")).bind(ctx.state, ctx.translation, n)
+    channel = AveragingKind(entry["kind"], entry.get("R")).bind(ctx.state)
     blocks, _ = channel.parity_blocks(kicked.blocks, ctx.parity)
     w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
     w = w[w > 0]

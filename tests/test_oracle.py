@@ -16,6 +16,7 @@ import pytest
 from frameavg.averaging import frame_average, temporal_average, weighted_frame_average
 from frameavg.entropy import bs_relative_entropy
 from frameavg.experiments import _SizeContext, config_from_mapping, convergence_sweep
+from frameavg.lattice import translation_operator
 from frameavg.thermal import perturb
 
 mpmath = pytest.importorskip("mpmath")
@@ -67,10 +68,11 @@ def state_route(ctx, kind, parameter, n):
     """The computational-basis state route: the channel applied to rho' by its
     public dense function, then bs_relative_entropy."""
     rho_prime = perturb(ctx.state, ctx.kick)
+    t = translation_operator(ctx.lattice)
     if kind == "uniform-spatial":
-        averaged = frame_average(rho_prime, ctx.translation, n)
+        averaged = frame_average(rho_prime, t, n)
     elif kind == "weighted-spatial":
-        averaged = weighted_frame_average(rho_prime, ctx.translation, n, parameter)
+        averaged = weighted_frame_average(rho_prime, t, n, parameter)
     else:
         averaged = temporal_average(rho_prime, ctx.state.hamiltonian_decomp, parameter)
     return bs_relative_entropy(averaged, ctx.state).nats

@@ -461,7 +461,7 @@ def test_the_reflection_itself_splits_into_plus_and_minus_one(model, couplings, 
     decomp = spectral_decompose(_hamiltonian(model, couplings, n))
     v = decomp.eigenvectors
     for site in range(n):
-        parity = ReflectionParity(decomp, site, n)
+        parity = ReflectionParity(decomp, site)
         blocks = parity_split(parity, v.conj().T @ _dense_reflection(n, site) @ v)
         assert len(blocks) == (1 if n == 2 else 2)
         for block, sign in zip(blocks, (1, -1)):
@@ -537,10 +537,10 @@ def test_the_even_odd_rule_is_the_parity_split_of_the_schur_product(model, coupl
         state = thermal_state(h, 1.0, symmetry)
         decomp = state.hamiltonian_decomp
         channels = [
-            (kind, kind.bind(state, t, n), _dense_weights(kind, decomp, n)) for kind in KINDS
+            (kind, kind.bind(state), _dense_weights(kind, decomp, n)) for kind in KINDS
         ]
         for site in range(n):
-            parity = ReflectionParity(decomp, site, n)
+            parity = ReflectionParity(decomp, site)
             kick = local_kick(lattice, PerturbationSpec(site, generator, 0.7))
             rho_prime = perturb(state, kick).matrix
             e = conjugated_perturbation(state, kick).E.matrix
@@ -590,7 +590,7 @@ def test_xxz_at_even_n_holds_four_real_blocks(kick, labels, n):
     dense = (perturb(state, ctx.kick).matrix, conjugated_perturbation(state, ctx.kick).E.matrix)
     rho_blocks = kicked_in_eigenbasis(state, ctx.u_blocks, parity).blocks
     e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, parity)
-    channels = [kind.bind(state, ctx.translation, n) for kind in KINDS]
+    channels = [kind.bind(state) for kind in KINDS]
     for blocks, x in zip((rho_blocks, e_blocks), dense):
         assert len(blocks) == 4 and all(b.dtype == np.float64 for b in blocks)
         assert sum(b.shape[0] for b in blocks) == 2**n

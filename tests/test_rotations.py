@@ -29,7 +29,6 @@ from frameavg.lattice import (
     chain_symmetry,
     sigma_x,
     sigma_y,
-    translation_operator,
 )
 from frameavg.operators import HermitianOperator, hermitian_part, max_norm
 from frameavg.thermal import thermal_state
@@ -93,10 +92,9 @@ def test_rotations_and_the_temporal_apply_match_the_explicit_products(solve, n):
     assert max_norm(decomp.from_eigenbasis(x) - v @ x @ v.conj().T) <= tol
     values = np.random.default_rng(n).standard_normal(v.shape[0])
     assert max_norm(decomp.diagonal_from_eigenbasis(values) - (v * values) @ v.conj().T) <= tol
-    t = translation_operator(LatticeSpec(n))
     for tau in TAUS:
         want = v @ (_explicit_weights(decomp.eigenvalues, tau) * x_tilde) @ v.conj().T
-        channel = AveragingKind.temporal(tau).bind(state, t, n)
+        channel = AveragingKind.temporal(tau).bind(state)
         # the second apply reads the weights the first one built and held
         for got in (channel.apply(x), channel.apply(x), temporal_average_matrix(x, decomp, tau)):
             assert got.dtype == np.complex128
@@ -132,7 +130,7 @@ def test_the_temporal_channel_builds_its_weights_on_its_first_apply(monkeypatch)
         return weights(energies, tau, rows, cols)
 
     monkeypatch.setattr(averaging, "_temporal_weights", record)
-    channel = AveragingKind.temporal(1.5).bind(state, translation_operator(LatticeSpec(5)), 5)
+    channel = AveragingKind.temporal(1.5).bind(state)
     assert calls == []
     x = _probe(dim, 1)
     first = channel.apply(x)
