@@ -40,9 +40,11 @@ import numpy as np
 from .entropy import _eta_trace, _exp_guard
 from .lattice import NEEDS_PERMUTATION
 from .operators import (
+    SLAB,
     BlockDensityMatrix,
     DensityMatrix,
     HermitianOperator,
+    OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
     gate,
@@ -75,8 +77,8 @@ DEGENERACY_RTOL = 1e-10
 # off-label entries a split tolerates, relative to the entry scale
 PARITY_RTOL = 1e-10
 
-# columns of u~ that _kick_blocks builds at a time
-_SLAB = 256
+# the largest x with exp(x) finite in float64
+EXP_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ class AveragingKind:
         decomp = state.hamiltonian_decomp
         if self.kind == TEMPORAL:
             weights = partial(_temporal_weights, decomp.eigenvalues, self.parameter)
-            # the dense map holds its weights from its first call on, in the
-            # order of the eigenbasis; a sweep never calls it
+            # the dense map builds its weights a slab of rows at a time on
+            # each call, in the order of the eigenbasis; a sweep never calls it
             return Channel(decomp.schur_multiplier(weights), weights)
         if decomp.sectors is None:
             raise ValueError(f"{self.kind} needs H solved in its translation's momentum sectors")
@@ -163,7 +165,7 @@ class Channel:
     apply(X) is the dense M X in the computational basis: sums of
     translates for the spatial channels, and for the temporal one the
     Schur multiplier of `SpectralDecomposition.schur_multiplier`, whose
-    weights are built on the first call and held.  In the joint H-T
+    weights are built a slab of rows at a time on each call.  In the joint H-T
     eigenbasis M multiplies X~ = V^dag X V entry by entry by Omega(i, l), a
     Schur multiplier: delta(k_i, k_l) (uniform), w^(k_i - k_l) (weighted) or
     1 / (1 + i (E_i - E_l) tau) (temporal).  `weights(rows, cols)` gives
@@ -237,14 +239,15 @@ class Channel:
 
 def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, weights):
     """sum_n w_n T^n a T^-n with fixed left-to-right accumulation, each
-    translate a reindexing of a by the permutation of T.
+    translate a reindexing of a by the permutation of T, added SLAB rows at
+    a time, so no whole translate is made.
 
     Where T moves the content of every site s sites on (`_site_shift`), the
     reindexing is a transpose: with a viewed as a tensor of one axis per
     site of its row and of its column, T^n a T^-n rolls the row axes and
-    the column axes each by n s, and is made contiguous; any other
-    permutation is gathered.  Verifies T^n_terms = 1 along the way and
-    raises if the order is off.
+    the column axes each by n s, and a slab of its rows, the leading row
+    axes fixed, is made contiguous; any other permutation is gathered.
+    Verifies T^n_terms = 1 along the way and raises if the order is off.
     """
     dim = a.shape[0]
     if t.dim != dim:
@@ -257,23 +260,30 @@ def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, wei
     inv = np.empty_like(perm)
     inv[perm] = np.arange(dim)
     shift = _site_shift(inv, n_terms)
+    rows = min(SLAB, dim)
     if shift is not None:
         tensor = a.reshape((2,) * (2 * n_terms))
+        # a slab of `rows` rows fixes the leading `lead` row axes
+        lead = n_terms - (rows.bit_length() - 1)
     acc = weights[0] * a
     cur = inv
     for n in range(1, n_terms):
         if weights[n] != 0.0:
-            # in place, bit for bit acc + w_n * translate, with one
-            # translate alive at a time
-            if shift is None:
-                g = a[np.ix_(cur, cur)].astype(acc.dtype, copy=False)
-            else:
+            # in place, bit for bit acc + w_n * translate, with one slab of
+            # one translate alive at a time
+            if shift is not None:
                 axes = np.roll(np.arange(n_terms), n * shift)
-                g = tensor.transpose(*axes, *(axes + n_terms))
-                g = np.ascontiguousarray(g, dtype=acc.dtype).reshape(dim, dim)
-            g *= weights[n]
-            acc += g
-            del g
+                view = tensor.transpose(*axes, *(axes + n_terms))
+            for start in range(0, dim, rows):
+                r = slice(start, start + rows)
+                if shift is None:
+                    g = a[np.ix_(cur[r], cur)].astype(acc.dtype, copy=False)
+                else:
+                    g = view[np.unravel_index(start // rows, (2,) * lead)]
+                    g = np.ascontiguousarray(g, dtype=acc.dtype).reshape(rows, dim)
+                g *= weights[n]
+                acc[r] += g
+                del g
         cur = cur[inv]
     if not np.array_equal(cur, np.arange(dim)):
         raise ValueError(f"translation operator does not have order {n_terms}")
@@ -329,8 +339,8 @@ def temporal_average_matrix(
     tau below TAU_IDENTITY_FLOOR returns the input unchanged; tau = inf keeps
     only matrix elements inside degenerate blocks (gap below DEGENERACY_RTOL
     of the spectral width), the exact long-memory dephasing limit.  The
-    weights are built for this one call (`SpectralDecomposition.
-    schur_multiplier`); a bound temporal channel holds its own.
+    weights are built a slab of rows at a time (`SpectralDecomposition.
+    schur_multiplier`), as a bound temporal channel's are on each call.
     """
     return decomp.schur_multiplier(partial(_temporal_weights, decomp.eigenvalues, tau))(a)
 
@@ -435,7 +445,7 @@ def _kick_blocks(
 ) -> list[np.ndarray]:
     """The blocks Q_q^dag u~ Q_q of u~ = V^dag U V for the column sets Q_q of
     the eigenbasis, each given as (i, a, j, b): the labelled blocks of
-    `parity`, or without one all unit vectors.  They are built _SLAB columns
+    `parity`, or without one all unit vectors.  They are built SLAB columns
     at a time.
 
     A slab of V Q_q comes from `SpectralDecomposition.columns`, U acts on it
@@ -451,8 +461,8 @@ def _kick_blocks(
     blocks = []
     for q, (i, a, j, b) in enumerate(columns):
         block = np.empty((i.size, i.size), dtype=np.float64 if real else np.complex128)
-        for start in range(0, i.size, _SLAB):
-            c = slice(start, start + _SLAB)
+        for start in range(0, i.size, SLAB):
+            c = slice(start, start + SLAB)
             rows = decomp.project(u.apply(decomp.columns(i[c], a[c], j[c], b[c])), columns)
             if parity is not None:
                 offs = {(q, p): max_norm(r) for p, r in enumerate(rows) if p != q}
@@ -472,7 +482,7 @@ def eigenbasis_kick(
     state: ThermalState, u: UnitaryOperator, parity: ReflectionParity | None = None
 ) -> tuple[list[np.ndarray], float]:
     """The blocks of u~ = V^dag U V and tr(rho E) from them, behind the
-    overflow guard; the caller gates tr(rho E) against its own tolerance.
+    overflow guards; the caller gates tr(rho E) against its own tolerance.
 
     With a `parity`, the blocks are the labelled blocks of u~, each slab
     behind the off-label gate; without, one block, the whole u~.  Both come
@@ -481,6 +491,16 @@ def eigenbasis_kick(
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     _exp_guard(state)
+    # u_beta scales by exp(+-beta E / 2) of each energy itself
+    # (`_scale_to_u_beta`), which the spread bounds only for a traceless H
+    energies = state.hamiltonian_decomp.eigenvalues
+    exponent = state.beta * max(abs(energies[0]), abs(energies[-1])) / 2
+    if exponent > EXP_MAX:
+        raise OverflowGuardError(
+            f"beta times the largest |energy| over 2 is {exponent:.1f}, beyond "
+            f"float64's exponential range of {EXP_MAX:.1f}; shift H toward trace zero "
+            "or reduce beta"
+        )
     blocks = _kick_blocks(state.hamiltonian_decomp, u, parity)
     rows = [np.arange(state.dim)] if parity is None else parity.rows
     return blocks, _normalization(state, blocks, rows)

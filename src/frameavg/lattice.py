@@ -13,17 +13,15 @@ import numpy as np
 
 from .operators import (
     RECONSTRUCTION_RTOL,
+    SLAB,
     HermitianOperator,
     UnitaryOperator,
+    _sector_slices,
     as_square_complex,
     max_norm,
 )
 
 DIM_GUARD = 2**14
-
-# rows of a dim x dim matrix that `MomentumSectors.rotate_from_sectors`
-# gathers at a time
-_SLAB = 256
 
 # raised where a translation is used through its basis permutation
 NEEDS_PERMUTATION = "the translation must carry its basis permutation, not only a dense matrix"
@@ -179,8 +177,10 @@ class MomentumSectors:
     array through an FFT over the shift index of each orbit, in O(dim log N)
     per column; their sector-major order lists sector 0, then sector 1, and
     so on, and `momenta` gives the sector of each position.
-    `rotate_to_sectors` and `rotate_from_sectors` apply F^dag a F and F y F^dag
-    to a dim x dim matrix in one pass over both of its axes.
+    `rotate_to_sectors` and `rotate_from_sectors` apply W^dag a W and
+    W y W^dag to a dim x dim matrix, for W = F (+)_k B_k with a block B_k
+    inside each sector (the identity where none are given), by two
+    one-sided passes: on slabs of its columns, then on slabs of its rows.
     """
 
     def __init__(self, t: UnitaryOperator, n_terms: int):
@@ -224,6 +224,12 @@ class MomentumSectors:
         self._place = np.empty(self._orbits.size, dtype=np.intp)
         self._place[self._select] = np.arange(dim)
         self.mirror, self.mirror_phase = self._image(r, np.ones(dim), reverse=True)
+        # the rotations' shift-major grid: T^m |r> at m * n_orbits + r, and
+        # where each basis state sits on it
+        n_orbits = reps.size
+        self._grid = self._orbits.T.ravel()
+        orbit, m = np.divmod(self._position, n_terms)
+        self._spot = m * n_orbits + orbit
 
     def _image(self, perm, phase, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
         """Where a phased permutation G e_x = phase[x] e_perm[x] of the basis
@@ -324,49 +330,87 @@ class MomentumSectors:
         z /= self._root_lengths.reshape(-1, *[1] * y.ndim)
         return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
 
-    def rotate_to_sectors(self, a: np.ndarray) -> np.ndarray:
-        """F^dag a F in sector-major order, for a dim x dim matrix a, as a new
-        complex array, in one two-sided pass:
+    def _spread(self, blocks, scale: np.ndarray) -> list[np.ndarray]:
+        """Each sector's block B_k with its rows moved onto the orbits of the
+        grid and scaled by `scale` there, an n_orbits x d_k array that is
+        zero on the orbits outside sector k; identity blocks where `blocks`
+        is None."""
+        out = []
+        for k, members in enumerate(self._members):
+            b = np.eye(members.size) if blocks is None else blocks[k]
+            spread = np.zeros((self._orbits.shape[0], members.size), dtype=np.complex128)
+            spread[members] = scale[members, np.newaxis] * b
+            out.append(spread)
+        return out
+
+    def rotate_to_sectors(self, a: np.ndarray, blocks=None) -> np.ndarray:
+        """W^dag a W in sector-major order, for a dim x dim matrix a and W = F
+        (+)_k B_k, as a new complex array:
 
             <r, k| a |s, q> = sqrt(L_r L_s) / N^2
                 sum_{n, m < N} e^{2 pi i (k n - q m) / N} a[T^n r, T^m s],
 
-        one gather of a onto the (orbit, shift) grid of its rows and columns,
-        an inverse FFT over the row shifts and an FFT over the column shifts,
-        both in place, and one gather into sector-major order."""
+        in two one-sided passes.  Each slab of SLAB columns of a is gathered
+        onto the (shift, orbit) grid, inverse-transformed over the shifts,
+        and each momentum's row of the grid taken into its sector through
+        B_k^dag; then each slab of rows of the result, the same from the
+        right, transformed over the shifts along each row and taken through
+        B_k.  The orbit weights sqrt(L_r) / N ride on the blocks."""
+        dim = self.dim
         n_orbits, n = self._orbits.shape
-        grid = self._orbits.ravel()
-        g = np.asarray(a)[np.ix_(grid, grid)].astype(np.complex128, copy=False)
-        g = g.reshape(n_orbits, n, n_orbits, n)
-        np.fft.ifft(g, axis=1, out=g)
-        np.fft.fft(g, axis=3, out=g)
-        root = self._root_lengths
-        g *= np.multiply.outer(root, root / n)[:, np.newaxis, :, np.newaxis]
-        g = g.reshape(n_orbits * n, n_orbits * n)
-        return g[np.ix_(self._select, self._select)]
+        a = np.asarray(a)
+        y = np.empty((dim, dim), dtype=np.complex128)
+        slices = _sector_slices(self.dims)
+        left = self._spread(blocks, self._root_lengths)
+        for c in range(0, dim, SLAB):
+            g = a[:, c : c + SLAB][self._grid].astype(np.complex128, copy=False)
+            g = g.reshape(n, n_orbits, -1)
+            np.fft.ifft(g, axis=0, out=g)
+            for k, sl in enumerate(slices):
+                np.matmul(left[k].conj().T, g[k], out=y[sl, c : c + SLAB])
+            # freed before the next slab's gather, as below
+            del g
+        del left
+        right = self._spread(blocks, self._root_lengths / n)
+        for r in range(0, dim, SLAB):
+            g = np.take(y[r : r + SLAB], self._grid, axis=1).reshape(-1, n, n_orbits)
+            np.fft.fft(g, axis=1, out=g)
+            for k, sl in enumerate(slices):
+                np.matmul(g[:, k], right[k], out=y[r : r + SLAB, sl])
+            del g
+        return y
 
-    def rotate_from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """F y F^dag for a complex y in sector-major order, written into y and
-        returned; the inverse of `rotate_to_sectors`, by the same pass
+    def rotate_from_sectors(self, y: np.ndarray, blocks=None) -> np.ndarray:
+        """W y W^dag for a complex y in sector-major order, written into y and
+        returned; the inverse of `rotate_to_sectors`, by the same passes
         backwards:
 
             <T^n r| y |T^m s> = 1 / sqrt(L_r L_s)
                 sum_{k, q} e^{-2 pi i (k n - q m) / N} y[(r, k), (s, q)].
 
-        The grid is gathered back into y a slab of rows at a time, so no
-        second dim x dim array is made."""
+        Each slab of columns is taken out of the sectors through B_k onto
+        the grid, transformed over the shifts and gathered back into y;
+        then each slab of rows the same from the right through B_k^dag."""
+        dim = self.dim
         n_orbits, n = self._orbits.shape
-        z = np.zeros((n_orbits * n, n_orbits * n), dtype=np.complex128)
-        z[np.ix_(self._select, self._select)] = y
-        z = z.reshape(n_orbits, n, n_orbits, n)
-        np.fft.fft(z, axis=1, out=z)
-        np.fft.ifft(z, axis=3, out=z)
-        root = self._root_lengths
-        z *= np.multiply.outer(1.0 / root, n / root)[:, np.newaxis, :, np.newaxis]
-        z = z.reshape(n_orbits * n, n_orbits * n)
-        position = self._position
-        for start in range(0, self.dim, _SLAB):
-            y[start : start + _SLAB] = z[np.ix_(position[start : start + _SLAB], position)]
+        slices = _sector_slices(self.dims)
+        left = self._spread(blocks, 1.0 / self._root_lengths)
+        for c in range(0, dim, SLAB):
+            z = np.empty((n, n_orbits, min(SLAB, dim - c)), dtype=np.complex128)
+            for k, sl in enumerate(slices):
+                np.matmul(left[k], y[sl, c : c + SLAB], out=z[k])
+            np.fft.fft(z, axis=0, out=z)
+            y[:, c : c + SLAB] = z.reshape(n * n_orbits, -1)[self._spot]
+            del z
+        del left
+        right = self._spread(blocks, n / self._root_lengths)
+        for r in range(0, dim, SLAB):
+            z = np.empty((min(SLAB, dim - r), n, n_orbits), dtype=np.complex128)
+            for k, sl in enumerate(slices):
+                np.matmul(y[r : r + SLAB, sl], right[k].conj().T, out=z[:, k])
+            np.fft.ifft(z, axis=1, out=z)
+            y[r : r + SLAB] = np.take(z.reshape(z.shape[0], -1), self._spot, axis=1)
+            del z
         return y
 
 

@@ -34,8 +34,11 @@ COLUMN_ATOL = 1e-10
 # relative cutoff separating a genuine spectral kernel from round-off
 SUPPORT_RTOL = 1e-14
 
-# edge of the square tiles HermitianOperator symmetrizes at a time
-_TILE = 256
+# rows or columns of a dim x dim matrix that a slab pass handles at a time
+# (the rotations, the commutator, the translate sum, the kick's columns), and
+# the edge of the square tiles `hermitian_part` symmetrizes at a time; a power
+# of two, so that a slab of rows of a chain's matrix fixes its leading site axes
+SLAB = 256
 
 
 class EigensolverError(RuntimeError):
@@ -146,8 +149,10 @@ def commutator(a, b) -> np.ndarray:
     # the float64 view needs contiguous rows; a channel may return a transpose
     b = np.ascontiguousarray(b)
     out = (a @ b.view(np.float64)).view(np.complex128)
-    out.real -= np.ascontiguousarray(b.real) @ a
-    out.imag -= np.ascontiguousarray(b.imag) @ a
+    # b's parts are copied SLAB rows at a time, the GEMMs needing contiguous ones
+    for r in range(0, b.shape[0], SLAB):
+        out.real[r : r + SLAB] -= np.ascontiguousarray(b.real[r : r + SLAB]) @ a
+        out.imag[r : r + SLAB] -= np.ascontiguousarray(b.imag[r : r + SLAB]) @ a
     return out
 
 
@@ -169,14 +174,14 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
     if out is None:
         out = np.empty_like(a)
     defect = 0.0
-    for i in range(0, dim, _TILE):
-        for j in range(i, dim, _TILE):
-            upper = a[i : i + _TILE, j : j + _TILE]
-            lower = a[j : j + _TILE, i : i + _TILE].conj().T
+    for i in range(0, dim, SLAB):
+        for j in range(i, dim, SLAB):
+            upper = a[i : i + SLAB, j : j + SLAB]
+            lower = a[j : j + SLAB, i : i + SLAB].conj().T
             defect = float(np.maximum(defect, max_norm(upper - lower)))
-            out[i : i + _TILE, j : j + _TILE] = (upper + lower) / 2
+            out[i : i + SLAB, j : j + SLAB] = (upper + lower) / 2
             if j > i:
-                out[j : j + _TILE, i : i + _TILE] = out[i : i + _TILE, j : j + _TILE].conj().T
+                out[j : j + SLAB, i : i + SLAB] = out[i : i + SLAB, j : j + SLAB].conj().T
     return out, defect
 
 
@@ -423,9 +428,11 @@ class SpectralDecomposition:
 
     Rotations go through F, the blocks and index gathers, in O(dim^2 log N +
     dim^3 / N) in sector form: a dim x dim matrix is rotated into and out of
-    the order of W in one pass over both axes (`MomentumSectors.
-    rotate_to_sectors`, then the blocks in place), and `schur_multiplier`
-    holds its weights in that order; the dense V is built on first read of
+    the order of W by two one-sided passes, W^dag or W on slabs of its
+    columns, then W or W^dag from the right on slabs of its rows, each
+    slab through F and the blocks together (`MomentumSectors.
+    rotate_to_sectors`), and `schur_multiplier` builds its weights in that
+    order a slab of rows at a time; the dense V is built on first read of
     `eigenvectors`.  `columns` and `project` apply V and V^dag to a few
     columns at a time, reading only the blocks those columns touch.
     """
@@ -524,27 +531,32 @@ class SpectralDecomposition:
         return order
 
     def _rotate_in(self, a: np.ndarray) -> np.ndarray:
-        """W^dag a W, a new complex array in the order of W: F^dag a F in one
-        two-sided pass, then V_k^dag on each sector's rows and V_l on each
-        sector's columns, written back in place."""
-        if self.sectors is None:
-            y = np.array(a, dtype=np.complex128)
-        else:
-            y = self.sectors.rotate_to_sectors(a)
-        for sl, v in zip(self._slices, self._blocks):
-            y[sl] = v.conj().T @ y[sl]
-        for sl, v in zip(self._slices, self._blocks):
-            y[:, sl] = y[:, sl] @ v
+        """W^dag a W, a new complex array in the order of W: W^dag on slabs
+        of a's columns, then W from the right on slabs of the result's rows
+        (`MomentumSectors.rotate_to_sectors` with the blocks)."""
+        if self.sectors is not None:
+            return self.sectors.rotate_to_sectors(a, self._blocks)
+        (v,) = self._blocks
+        a, vh = np.asarray(a), v.conj().T
+        y = np.empty(a.shape, dtype=np.complex128)
+        for c in range(0, self.dim, SLAB):
+            y[:, c : c + SLAB] = vh @ a[:, c : c + SLAB]
+        for r in range(0, self.dim, SLAB):
+            y[r : r + SLAB] = y[r : r + SLAB] @ v
         return y
 
     def _rotate_out(self, y: np.ndarray) -> np.ndarray:
         """W y W^dag for a complex y in the order of W, written into y and
         returned: the reverse of `_rotate_in`."""
-        for sl, v in zip(self._slices, self._blocks):
-            y[sl] = v @ y[sl]
-        for sl, v in zip(self._slices, self._blocks):
-            y[:, sl] = y[:, sl] @ v.conj().T
-        return y if self.sectors is None else self.sectors.rotate_from_sectors(y)
+        if self.sectors is not None:
+            return self.sectors.rotate_from_sectors(y, self._blocks)
+        (v,) = self._blocks
+        vh = v.conj().T
+        for c in range(0, self.dim, SLAB):
+            y[:, c : c + SLAB] = v @ y[:, c : c + SLAB]
+        for r in range(0, self.dim, SLAB):
+            y[r : r + SLAB] = y[r : r + SLAB] @ vh
+        return y
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V^dag a V, the rows and columns of W^dag a W gathered into the
@@ -565,23 +577,21 @@ class SpectralDecomposition:
 
         (V^dag X V)_il = (W^dag X W)_(P i, P l), so Omega is built in the
         order of W, weights(o, o) for o the index in the spectrum of each
-        column of W, on the first call and held: each call is one two-sided
-        rotation in, an in-place product and one rotation out, with no gather
-        into the order of the spectrum.
+        column of W, a slab of SLAB rows at a time on each call and not
+        held: each call is one rotation in, an in-place product and one
+        rotation out, with no gather into the order of the spectrum.
         """
-        held = []
 
         def apply(x):
             x = np.asarray(x)
             if x.shape != (self.dim, self.dim):
                 raise ValueError(f"dimension mismatch: matrix {x.shape}, spectrum {self.dim}")
-            if not held:
-                order = self._spectrum_order()
-                held.append(weights(order, order))
-            if held[0] is None:
+            order = self._spectrum_order()
+            if weights(order[:1], order[:1]) is None:
                 return np.array(x, dtype=np.complex128)
             y = self._rotate_in(x)
-            y *= held[0]
+            for r in range(0, self.dim, SLAB):
+                y[r : r + SLAB] *= weights(order[r : r + SLAB], order)
             return self._rotate_out(y)
 
         return apply

@@ -181,12 +181,14 @@ class TestFrameAverage:
                 expected = expected + w * g
             assert np.array_equal(average(a), expected)
 
-    def test_a_translation_that_is_no_roll_is_gathered(self):
+    # N = 9 (dim 512) adds each translate in two slabs of rows
+    @pytest.mark.parametrize("n", (4, 9))
+    def test_a_translation_that_is_no_roll_is_gathered(self, n):
         # the chain's T moves every site one on, so its translates are rolls
         # of the site axes; relabeled by a basis permutation it keeps its
         # order but is no roll, so its translates are gathered; both sum
         # bit for bit like their explicit conjugations
-        n, dim = 4, 16
+        dim = 2**n
         t = translation_operator(LatticeSpec(n))
         rng = np.random.default_rng(3)
         sigma = rng.permutation(dim)
@@ -600,6 +602,20 @@ class TestConjugatedPerturbation:
         u = local_kick(lat, PerturbationSpec(0, sigma_x, 0.7))
         with pytest.raises(OverflowGuardError):
             conjugated_perturbation(state, u)
+
+    def test_overflow_guard_on_a_shifted_h(self):
+        # H + 1500: the spread (about 7) passes the spread guard, but u_beta
+        # scales by exp(+-beta E / 2) of energies near 1500, past exp's range
+        lat = LatticeSpec(3)
+        h = build_hamiltonian(lat, HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9}))
+        state = thermal_state(HermitianOperator(h.matrix + 1500 * np.eye(lat.dim)), beta=1.0)
+        u = local_kick(lat, PerturbationSpec(0, sigma_x, 0.7))
+        with pytest.raises(OverflowGuardError, match="largest"):
+            conjugated_perturbation(state, u)
+        # below the edge the shifted chain is served and matches the unshifted one
+        low = thermal_state(HermitianOperator(h.matrix + 1000 * np.eye(lat.dim)), beta=1.0)
+        want = conjugated_perturbation(thermal_state(h, beta=1.0), u).E.matrix
+        assert max_norm(conjugated_perturbation(low, u).E.matrix - want) <= 1e-9 * max_norm(want)
 
 
 class TestDeviation:

@@ -128,8 +128,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"sweep at N=11 is estimated to peak at {each[1]:.0f} MB" in err
         assert "above the 150 MB available" in err
-        # verify runs only the first size, N = 10's 132.5 MB
+        # verify runs only the first size, N = 10's 130.9 MB
         assert experiments.load_config(cfg, "verify").sizes == (10, 11)
+
+    def test_capacity_guard_admits_verify_at_its_estimate(self, tmp_path, monkeypatch, capsys):
+        # verify at N = 13 is admitted with 1 MB more than its estimated
+        # peak available and refused with 1 MB less, before any work
+        estimate = experiments.PEAK_FACTORS["verify"] * 16 * 8192**2
+        assert round(estimate / 1e6) == 8375
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        cfg = write_config(tmp_path, sizes=[13])
+        meminfo.write_text(f"MemAvailable:    {int((estimate + 1e6) / 1024)} kB\n")
+        assert experiments.load_config(cfg, "verify").sizes == (13,)
+        below = int((estimate - 1e6) / 1024)
+        meminfo.write_text(f"MemAvailable:    {below} kB\n")
+        code = main(["verify", "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"verify at N=13 is estimated to peak at {estimate / 1e6:.0f} MB" in err
+        assert f"above the {below * 1024 / 1e6:.0f} MB available" in err
 
     def test_capacity_guard_passes_without_meminfo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "MEMINFO", str(tmp_path / "absent"))

@@ -257,10 +257,12 @@ class TestCommutator:
             ("heisenberg-xxz", {"J": 1.0, "delta": 0.5}),
         ],
     )
-    def test_real_h_matches_the_complex_products(self, model, couplings):
+    # N = 9 (dim 512) takes b's parts in two slabs of rows
+    @pytest.mark.parametrize("n", (7, 9))
+    def test_real_h_matches_the_complex_products(self, model, couplings, n):
         # a chain H with real terms is held as float64, and a complex copy
         # with no imaginary part takes the same float64 GEMMs
-        h = build_hamiltonian(LatticeSpec(7), HamiltonianSpec(model, couplings)).matrix
+        h = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(model, couplings)).matrix
         assert h.dtype == np.float64
         rng = np.random.default_rng(3)
         for name, b in self.operands(h.shape[0], rng).items():

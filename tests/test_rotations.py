@@ -1,6 +1,6 @@
-"""The two-sided rotations into and out of the joint H-T eigenbasis, the
-temporal channel as a Schur multiplier that holds its weights, and the
-memory `verify` peaks at.
+"""The rotations into and out of the joint H-T eigenbasis, the temporal
+channel as a Schur multiplier that builds its weights a slab of rows at a
+time, the memory each dense kernel holds, and the memory `verify` peaks at.
 
 Each rotation and each temporal average is compared with the explicit
 product V (Omega o V^dag X V) V^dag built from the dense eigenvectors V,
@@ -18,6 +18,7 @@ from frameavg.averaging import (
     DEGENERACY_RTOL,
     TAU_IDENTITY_FLOOR,
     AveragingKind,
+    average_translates,
     temporal_average_matrix,
 )
 from frameavg.experiments import config_from_mapping, convergence_sweep, verify_identities
@@ -30,7 +31,7 @@ from frameavg.lattice import (
     sigma_x,
     sigma_y,
 )
-from frameavg.operators import HermitianOperator, hermitian_part, max_norm
+from frameavg.operators import SLAB, HermitianOperator, commutator, hermitian_part, max_norm
 from frameavg.thermal import thermal_state
 
 TFI = ("transverse-field-ising", {"J": 1.0, "g": 0.9})
@@ -119,24 +120,34 @@ def test_the_momentum_rotations_match_the_dense_momentum_basis(n):
     assert max_norm(out - f @ x @ f.conj().T) <= tol
 
 
-def test_the_temporal_channel_builds_its_weights_on_its_first_apply(monkeypatch):
-    state = _state("neither", 5)
+def test_the_temporal_channel_holds_no_dense_weights(monkeypatch):
+    # N = 9 (dim 512) spans two slabs of rows: every weight array covers one
+    # slab, each apply builds its own, and none outlives the call
+    state = _state("flip", 9)
     dim = state.dim
-    calls = []
+    shapes = []
     weights = averaging._temporal_weights
 
     def record(energies, tau, rows=slice(None), cols=slice(None)):
-        calls.append(np.size(rows))
-        return weights(energies, tau, rows, cols)
+        out = weights(energies, tau, rows, cols)
+        shapes.append(out.shape)
+        return out
 
     monkeypatch.setattr(averaging, "_temporal_weights", record)
     channel = AveragingKind.temporal(1.5).bind(state)
-    assert calls == []
+    assert shapes == []
+    decomp = state.hamiltonian_decomp
+    v = decomp.eigenvectors
     x = _probe(dim, 1)
-    first = channel.apply(x)
-    assert calls == [dim]
-    assert np.array_equal(channel.apply(x), first)
-    assert calls == [dim]
+    want = v @ (_explicit_weights(decomp.eigenvalues, 1.5) * (v.conj().T @ x @ v)) @ v.conj().T
+    for calls in (1, 2):
+        assert max_norm(channel.apply(x) - want) <= RTOL * max_norm(x)
+        assert max(rows for rows, _ in shapes) < dim
+        assert sum(rows for rows, cols in shapes if cols == dim) == calls * dim
+    assert not any(
+        isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.size >= dim**2
+        for cell in channel.apply.__closure__
+    )
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -188,6 +199,47 @@ def test_a_chain_h_with_complex_terms_keeps_a_complex_matrix():
     assert max_norm(twisted.matrix - twisted.matrix.conj().T) == 0.0
 
 
+def _traced_peak(f, *args):
+    """f(*args) and the bytes traced at its peak, above those alive before."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_each_dense_kernel_holds_its_result_and_slabs():
+    # N = 10 (dim 1024) spans four slabs: beside its argument, each kernel
+    # holds its result (none for the rotation out, which writes into its
+    # argument) and slab-sized temporaries, of at most three complex
+    # dim x SLAB arrays here; a whole-matrix temporary would be four
+    n = 10
+    state = _state("flip", n)
+    decomp = state.hamiltonian_decomp
+    dim = state.dim
+    h = state.hamiltonian.matrix
+    sectors = decomp.sectors
+    temporal = AveragingKind.temporal(1.5).bind(state)
+    slabs = 3 * 16 * dim * SLAB
+    unit = 16 * dim**2
+    x = _probe(dim, 1)
+    y = decomp._rotate_in(x)
+    kernels = {
+        "rotation in": (decomp._rotate_in, x),
+        "rotation out": (decomp._rotate_out, y),
+        "commutator": (commutator, h, x),
+        "translate sum": (average_translates, x, sectors.translation, n),
+        "temporal apply": (temporal.apply, x),
+    }
+    for name, (f, *args) in kernels.items():
+        f(*args)  # FFT plans and other once-per-process tables
+        out, peak = _traced_peak(f, *args)
+        result = 0 if out is y else unit
+        assert peak <= result + slabs, (name, peak / unit)
+
+
 def _verify_config(n, generator):
     model, couplings = TFI
     return config_from_mapping(
@@ -207,10 +259,10 @@ def _verify_config(n, generator):
 
 
 # verify's traced peak at N = 8, in units of one complex dim x dim array
-# (16 dim^2 bytes): 8.14 with either kick letter when this bound was set
-# (11.50 before the two-sided rotations and the held temporal weights),
-# plus a margin of 0.6
-VERIFY_PEAK_UNITS = 8.14 + 0.6
+# (16 dim^2 bytes): 7.26 with either kick letter when this bound was set
+# (8.14 with whole-matrix rotations and held temporal weights, 11.50 before
+# those), plus a margin of 0.6
+VERIFY_PEAK_UNITS = 7.26 + 0.6
 
 
 @pytest.mark.parametrize("generator", ("X", "Y"))
