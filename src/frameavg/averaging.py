@@ -449,31 +449,48 @@ def _kick_blocks(
     at a time.
 
     A slab of V Q_q comes from `SpectralDecomposition.columns`, U acts on it
-    through its own structured form, and `SpectralDecomposition.project`
-    brings it back onto every set at once, so neither U, V nor the whole u~
-    is formed.  Each slab's rows in the other sets pass the off-label gate
-    (`ReflectionParity.gate`); with a real structure the blocks are float64,
-    each slab's imaginary part behind the real gate: where A = prod s K
-    fixes the labelled basis, a matrix A fixes has real blocks.
+    through its own structured form and drops it, and `SpectralDecomposition.
+    project` brings U's output back onto each set in turn, in place, so
+    neither U, V nor the whole u~ is formed, and beside the blocks two
+    complex dim x SLAB arrays are alive at most (one of them may be a slab
+    of the shift-major grid, N n_orbits rows).  The set's own rows are
+    written into its block, and
+    each other set's rows are reduced to their largest entry for the
+    off-label gate (`ReflectionParity.gate`); with a real structure the
+    blocks are float64, each slab's imaginary part behind the real gate:
+    where A = prod s K fixes the labelled basis, a matrix A fixes has real
+    blocks.
     """
-    columns = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
+    sets = [_unit_columns(decomp.dim)] if parity is None else parity.vectors
     real = parity is not None and decomp.symmetry.real is not None
     blocks = []
-    for q, (i, a, j, b) in enumerate(columns):
+    for q, (i, a, j, b) in enumerate(sets):
         block = np.empty((i.size, i.size), dtype=np.float64 if real else np.complex128)
         for start in range(0, i.size, SLAB):
             c = slice(start, start + SLAB)
-            rows = decomp.project(u.apply(decomp.columns(i[c], a[c], j[c], b[c])), columns)
+            y = u.apply(decomp.columns(i[c], a[c], j[c], b[c]))
+            offs = {}
+            # not enumerate, whose reused result tuple would hold each set's
+            # rows until the next set's are gathered
+            projected = decomp.project(y, sets)
+            for p in range(len(sets)):
+                rows = next(projected)
+                if p == q:
+                    own = max_norm(rows)
+                    if real:
+                        imag = max_norm(rows.imag)
+                        rows = rows.real
+                    block[:, c] = rows
+                else:
+                    offs[(q, p)] = max_norm(rows)
+                del rows
+            del y, projected
             if parity is not None:
-                offs = {(q, p): max_norm(r) for p, r in enumerate(rows) if p != q}
-                off = max(offs.values(), default=0.0)
-                scale = max(1.0, off, max_norm(rows[q]))
+                scale = max(1.0, max(offs.values(), default=0.0), own)
                 parity.gate(offs, scale)
                 if real:
-                    imag, real_k = max_norm(rows[q].imag), decomp.symmetry.real_name
+                    real_k = decomp.symmetry.real_name
                     symmetry_gate(imag, PARITY_RTOL * scale, "matrix", real_k, "imaginary")
-                    rows[q] = rows[q].real
-            block[:, c] = rows[q]
         blocks.append(block)
     return blocks
 
@@ -616,11 +633,21 @@ def kicked_in_eigenbasis(
     """rho' = u~ diag(p) u~^dag in the eigenbasis of H, one product per
     labelled block of u~, held as a BlockDensityMatrix of those blocks,
     whose eigensolves are both the positivity gate and the spectrum S(rho')
-    reads, so no Cholesky runs."""
+    reads, so no Cholesky runs.  The blocks reach the gate one at a time,
+    so rho' is held with one block's copy at most beside u~."""
     populations = parity.split(state.populations)
-    return BlockDensityMatrix(
-        tuple((u * p[np.newaxis, :]) @ u.conj().T for u, p in zip(u_blocks, populations))
-    )
+    return BlockDensityMatrix(_kicked_block(u, p) for u, p in zip(u_blocks, populations))
+
+
+def _kicked_block(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """u diag(p) u^dag, formed as the conjugate of conj(u) diag(p) u^T, so
+    that one temporary sits beside the result where (u * p) @ u.conj().T
+    made two."""
+    t = np.conj(u)
+    t *= p
+    out = t @ u.T
+    del t
+    return np.conjugate(out, out=out)
 
 
 def conjugated_in_eigenbasis(

@@ -284,8 +284,9 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 # largest peak measured at each of N = 10, 11, 12 (sweep: XXZ and TFI with
 # three channels, free spins; saturate runs the same path) or N = 10, 11
 # (verify: TFI with three channels, an X and a Y kick, median of 3 runs,
-# its N = 11 peak set in bs_relative_entropy's eigh; probe), 2 vCPU, OpenBLAS
-PEAK_FACTORS = {"sweep": 2.9, "saturate": 2.9, "verify": 7.8, "probe": 10.2}
+# its N = 11 peak set in bs_relative_entropy's eigh; probe: XXZ with an X
+# kick and the default X probe, median of 3 runs), 2 vCPU, OpenBLAS
+PEAK_FACTORS = {"sweep": 2.9, "saturate": 2.9, "verify": 7.8, "probe": 7.2}
 MEMINFO = "/proc/meminfo"
 
 
@@ -481,8 +482,9 @@ def _state_route(
     rows of the blocks of M rho'."""
     start = time.perf_counter()
     blocks, rows = channel.parity_blocks(rho_blocks, ctx.parity)
-    averaged = BlockDensityMatrix(tuple(blocks))
-    del blocks
+    # handed over one at a time, so that each raw block is dropped once the
+    # gate has made its symmetrized copy
+    averaged = BlockDensityMatrix(blocks.pop(0) for _ in range(len(blocks)))
     energies = ctx.state.hamiltonian_decomp.eigenvalues
     energy = sum(
         float(np.dot(energies[r], np.diagonal(b).real)) for r, b in zip(rows, averaged.blocks)

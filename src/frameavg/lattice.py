@@ -173,14 +173,17 @@ class MomentumSectors:
     maps sector k onto sector N - k, |r, k> to a phase times |r', -k> with r'
     the reflected orbit (`reflection`, `mirror`, `mirror_phase`).
 
-    `to_sectors` and `from_sectors` apply F^dag and F to the rows of an
-    array through an FFT over the shift index of each orbit, in O(dim log N)
-    per column; their sector-major order lists sector 0, then sector 1, and
-    so on, and `momenta` gives the sector of each position.
-    `rotate_to_sectors` and `rotate_from_sectors` apply W^dag a W and
-    W y W^dag to a dim x dim matrix, for W = F (+)_k B_k with a block B_k
-    inside each sector (the identity where none are given), by two
-    one-sided passes: on slabs of its columns, then on slabs of its rows.
+    `to_sector_columns` and `from_sector_columns` apply W^dag and W to the
+    columns of an array, for W = F (+)_k B_k with a block B_k inside each
+    sector (the identity where none are given), through an FFT over the
+    shifts on the shift-major grid of the orbits, in O(dim log N) per column
+    plus the blocks; the sector-major order lists sector 0, then sector 1,
+    and so on, and `momenta` gives the sector of each position.  They are
+    the one statement of W and W^dag on columns: `to_sectors` and
+    `from_sectors` are F^dag and F alone, and `rotate_to_sectors` and
+    `rotate_from_sectors` apply W^dag a W and W y W^dag to a dim x dim
+    matrix by two one-sided passes, those on slabs of its columns, then
+    their mirror from the right on slabs of its rows.
     """
 
     def __init__(self, t: UnitaryOperator, n_terms: int):
@@ -224,12 +227,13 @@ class MomentumSectors:
         self._place = np.empty(self._orbits.size, dtype=np.intp)
         self._place[self._select] = np.arange(dim)
         self.mirror, self.mirror_phase = self._image(r, np.ones(dim), reverse=True)
-        # the rotations' shift-major grid: T^m |r> at m * n_orbits + r, and
-        # where each basis state sits on it
+        # the shift-major grid of W and W^dag: T^m |r> at m * n_orbits + r,
+        # where each basis state sits on it, and each sector's rows
         n_orbits = reps.size
         self._grid = self._orbits.T.ravel()
         orbit, m = np.divmod(self._position, n_terms)
         self._spot = m * n_orbits + orbit
+        self._slices = _sector_slices(self.dims)
 
     def _image(self, perm, phase, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
         """Where a phased permutation G e_x = phase[x] e_perm[x] of the basis
@@ -312,36 +316,56 @@ class MomentumSectors:
         return conjugation_defect(self.translation.permutation, None, rows, cols, values)
 
     def to_sectors(self, x: np.ndarray) -> np.ndarray:
-        """F^dag x in sector-major order, for x whose leading axis has length dim."""
-        n_orbits, n = self._orbits.shape
-        # <r, k | x> = sqrt(L_r) (1/N) sum_n e^{2 pi i k n / N} x[T^n r]
-        g = np.fft.ifft(x[self._orbits], axis=1)
-        g *= self._root_lengths.reshape(-1, *[1] * x.ndim)
-        return g.reshape(n_orbits * n, *x.shape[1:])[self._select]
+        """F^dag x in sector-major order, for a dim-row x, as a new array."""
+        return self.to_sector_columns(x)
 
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """F y for y in sector-major order; the inverse of `to_sectors`."""
-        n_orbits, n = self._orbits.shape
-        z = np.zeros((n_orbits * n, *y.shape[1:]), dtype=np.complex128)
-        z[self._select] = y
-        # <T^n r | r, k> = e^{-2 pi i k n / N} / sqrt(L_r): an orbit of length
-        # L_r < N repeats N / L_r times in the defining sum
-        z = np.fft.fft(z.reshape(n_orbits, n, *y.shape[1:]), axis=1)
-        z /= self._root_lengths.reshape(-1, *[1] * y.ndim)
-        return z.reshape(n_orbits * n, *y.shape[1:])[self._position]
+        """F y for a y of dim rows in sector-major order; the inverse of
+        `to_sectors`."""
+        return self.from_sector_columns(lambda k: y[self._slices[k]], y.shape[1])
 
-    def _spread(self, blocks, scale: np.ndarray) -> list[np.ndarray]:
-        """Each sector's block B_k with its rows moved onto the orbits of the
-        grid and scaled by `scale` there, an n_orbits x d_k array that is
-        zero on the orbits outside sector k; identity blocks where `blocks`
-        is None."""
-        out = []
-        for k, members in enumerate(self._members):
-            b = np.eye(members.size) if blocks is None else blocks[k]
-            spread = np.zeros((self._orbits.shape[0], members.size), dtype=np.complex128)
-            spread[members] = scale[members, np.newaxis] * b
-            out.append(spread)
+    def to_sector_columns(self, x: np.ndarray, blocks=None, out=None) -> np.ndarray:
+        """W^dag x in sector-major order, for W = F (+)_k B_k and the columns
+        of a dim-row x, written to `out` (which may be x itself) or to a new
+        complex array:
+
+            <r, k| F^dag x = sqrt(L_r) / N sum_{n < N} e^{2 pi i k n / N} x[T^n r].
+
+        x is gathered onto the shift-major (shift, orbit) grid, T^n |r> at
+        row n, orbit r, inverse-transformed over the shifts in place, and
+        each momentum k takes its member orbits' row of the grid into its
+        sector through B_k^dag (the identity where `blocks` is None)."""
+        n_orbits, n = self._orbits.shape
+        g = x[self._grid].astype(np.complex128, copy=False).reshape(n, n_orbits, -1)
+        np.fft.ifft(g, axis=0, out=g)
+        g *= self._root_lengths[:, np.newaxis]
+        if out is None:
+            out = np.empty((self.dim, g.shape[2]), dtype=np.complex128)
+        for k, (members, sl) in enumerate(zip(self._members, self._slices)):
+            if blocks is None:
+                out[sl] = g[k, members]
+            else:
+                np.matmul(blocks[k].conj().T, g[k, members], out=out[sl])
         return out
+
+    def from_sector_columns(self, piece, width: int) -> np.ndarray:
+        """F y for `width` columns y in sector-major order, given a sector at
+        a time: piece(k) is y's d_k x width rows in sector k, B_k already
+        applied for W y.  The pieces are laid onto the member orbits of the
+        shift-major grid, transformed over the shifts in place and gathered
+        into a new complex dim-row array:
+
+            <T^n r| F y = 1 / sqrt(L_r) sum_k e^{-2 pi i k n / N} y[(r, k)],
+
+        an orbit of length L_r < N repeating N / L_r times in each column of
+        the grid."""
+        n_orbits, n = self._orbits.shape
+        z = np.zeros((n, n_orbits, width), dtype=np.complex128)
+        for k, members in enumerate(self._members):
+            z[k, members] = piece(k)
+        np.fft.fft(z, axis=0, out=z)
+        z /= self._root_lengths[:, np.newaxis]
+        return z.reshape(n * n_orbits, width)[self._spot]
 
     def rotate_to_sectors(self, a: np.ndarray, blocks=None) -> np.ndarray:
         """W^dag a W in sector-major order, for a dim x dim matrix a and W = F
@@ -350,33 +374,27 @@ class MomentumSectors:
             <r, k| a |s, q> = sqrt(L_r L_s) / N^2
                 sum_{n, m < N} e^{2 pi i (k n - q m) / N} a[T^n r, T^m s],
 
-        in two one-sided passes.  Each slab of SLAB columns of a is gathered
-        onto the (shift, orbit) grid, inverse-transformed over the shifts,
-        and each momentum's row of the grid taken into its sector through
-        B_k^dag; then each slab of rows of the result, the same from the
-        right, transformed over the shifts along each row and taken through
-        B_k.  The orbit weights sqrt(L_r) / N ride on the blocks."""
+        in two one-sided passes: `to_sector_columns` on each slab of SLAB
+        columns of a, written straight into the result; then each slab of
+        rows of the result the same from the right, gathered onto the grid
+        along each row, transformed over the shifts and each momentum's
+        member orbits taken through B_k."""
         dim = self.dim
         n_orbits, n = self._orbits.shape
         a = np.asarray(a)
         y = np.empty((dim, dim), dtype=np.complex128)
-        slices = _sector_slices(self.dims)
-        left = self._spread(blocks, self._root_lengths)
         for c in range(0, dim, SLAB):
-            g = a[:, c : c + SLAB][self._grid].astype(np.complex128, copy=False)
-            g = g.reshape(n, n_orbits, -1)
-            np.fft.ifft(g, axis=0, out=g)
-            for k, sl in enumerate(slices):
-                np.matmul(left[k].conj().T, g[k], out=y[sl, c : c + SLAB])
-            # freed before the next slab's gather, as below
-            del g
-        del left
-        right = self._spread(blocks, self._root_lengths / n)
+            self.to_sector_columns(a[:, c : c + SLAB], blocks, out=y[:, c : c + SLAB])
         for r in range(0, dim, SLAB):
             g = np.take(y[r : r + SLAB], self._grid, axis=1).reshape(-1, n, n_orbits)
             np.fft.fft(g, axis=1, out=g)
-            for k, sl in enumerate(slices):
-                np.matmul(g[:, k], right[k], out=y[r : r + SLAB, sl])
+            g *= self._root_lengths / n
+            for k, (members, sl) in enumerate(zip(self._members, self._slices)):
+                if blocks is None:
+                    y[r : r + SLAB, sl] = g[:, k, members]
+                else:
+                    np.matmul(g[:, k, members], blocks[k], out=y[r : r + SLAB, sl])
+            # freed before the next slab's gather, as below
             del g
         return y
 
@@ -388,28 +406,26 @@ class MomentumSectors:
             <T^n r| y |T^m s> = 1 / sqrt(L_r L_s)
                 sum_{k, q} e^{-2 pi i (k n - q m) / N} y[(r, k), (s, q)].
 
-        Each slab of columns is taken out of the sectors through B_k onto
-        the grid, transformed over the shifts and gathered back into y;
-        then each slab of rows the same from the right through B_k^dag."""
+        Each slab of columns is taken out of the sectors through B_k and
+        back to the basis (`from_sector_columns`); then each slab of rows
+        the same from the right through B_k^dag."""
         dim = self.dim
         n_orbits, n = self._orbits.shape
-        slices = _sector_slices(self.dims)
-        left = self._spread(blocks, 1.0 / self._root_lengths)
+        slices = self._slices
         for c in range(0, dim, SLAB):
-            z = np.empty((n, n_orbits, min(SLAB, dim - c)), dtype=np.complex128)
-            for k, sl in enumerate(slices):
-                np.matmul(left[k], y[sl, c : c + SLAB], out=z[k])
-            np.fft.fft(z, axis=0, out=z)
-            y[:, c : c + SLAB] = z.reshape(n * n_orbits, -1)[self._spot]
-            del z
-        del left
-        right = self._spread(blocks, n / self._root_lengths)
+            cols = slice(c, c + SLAB)
+            y[:, cols] = self.from_sector_columns(
+                lambda k: y[slices[k], cols] if blocks is None else blocks[k] @ y[slices[k], cols],
+                min(SLAB, dim - c),
+            )
         for r in range(0, dim, SLAB):
-            z = np.empty((min(SLAB, dim - r), n, n_orbits), dtype=np.complex128)
-            for k, sl in enumerate(slices):
-                np.matmul(y[r : r + SLAB, sl], right[k].conj().T, out=z[:, k])
+            rows = slice(r, r + SLAB)
+            z = np.zeros((min(SLAB, dim - r), n, n_orbits), dtype=np.complex128)
+            for k, (members, sl) in enumerate(zip(self._members, slices)):
+                z[:, k, members] = y[rows, sl] if blocks is None else y[rows, sl] @ blocks[k].conj().T
             np.fft.ifft(z, axis=1, out=z)
-            y[r : r + SLAB] = np.take(z.reshape(z.shape[0], -1), self._spot, axis=1)
+            z *= n / self._root_lengths
+            y[rows] = np.take(z.reshape(z.shape[0], -1), self._spot, axis=1)
             del z
         return y
 

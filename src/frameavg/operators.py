@@ -157,7 +157,14 @@ def commutator(a, b) -> np.ndarray:
 
 
 def trace_product(a, b) -> complex:
-    """tr(a @ b) without forming the product matrix."""
+    """tr(a @ b) without forming the product matrix.  A HermitianOperator
+    held as its bit-flip terms is read through its nonzero entries,
+    sum a[r, c] b[c, r] in O(N dim), and its dense matrix is not built."""
+    if isinstance(a, HermitianOperator):
+        if a._terms is not None:
+            rows, cols, values = a.entries()
+            return complex(np.dot(values, np.asarray(b)[cols, rows]))
+        a = a.matrix
     return complex(np.einsum("ij,ji->", a, b))
 
 
@@ -434,7 +441,8 @@ class SpectralDecomposition:
     rotate_to_sectors`), and `schur_multiplier` builds its weights in that
     order a slab of rows at a time; the dense V is built on first read of
     `eigenvectors`.  `columns` and `project` apply V and V^dag to a few
-    columns at a time, reading only the blocks those columns touch.
+    columns at a time through the same column pass of W and W^dag
+    (`MomentumSectors.from_sector_columns`, `to_sector_columns`).
     """
 
     def __init__(self, eigenvalues, eigenvectors):
@@ -487,42 +495,40 @@ class SpectralDecomposition:
             self._vectors = self.columns(idx, np.ones(self.dim), idx, np.zeros(self.dim))
         return self._vectors
 
-    def _to_sectors(self, x: np.ndarray) -> np.ndarray:
-        """F^dag x, always a new array."""
-        if self.sectors is None:
-            return np.array(x, dtype=np.complex128)
-        return self.sectors.to_sectors(x)
-
-    def _from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """F y."""
-        return y if self.sectors is None else self.sectors.from_sectors(y)
-
-    def _adjoint(self, x: np.ndarray) -> np.ndarray:
-        """W^dag x for x whose leading axis has length dim."""
-        y = self._to_sectors(x)
-        for sl, v in zip(self._slices, self._blocks):
-            y[sl] = v.conj().T @ y[sl]
-        return y
-
     def columns(self, i, a, j, b) -> np.ndarray:
         """V (a e_i + b e_j) for each entry of (i, a, j, b), as the columns of
-        a dim-row array; only two columns of W are read for each."""
+        a new complex dim-row array: W on these pair coefficients, each
+        sector's rows built from the two columns of its block that an entry
+        reads at most (`MomentumSectors.from_sector_columns`)."""
         perm = self.basis_permutation
         i, j = perm[i], perm[j]
-        y = np.zeros((self.dim, i.size), dtype=np.complex128)
         cols = np.arange(i.size)
-        for sl, v in zip(self._slices, self._blocks):
+
+        def piece(k):
+            sl, v = self._slices[k], self._blocks[k]
+            y = np.zeros((v.shape[0], i.size), dtype=np.complex128)
             for p, coefficient in ((i, a), (j, b)):
                 inside = (p >= sl.start) & (p < sl.stop)
-                y[sl, cols[inside]] += v[:, p[inside] - sl.start] * coefficient[inside]
-        return self._from_sectors(y)
+                y[:, cols[inside]] += v[:, p[inside] - sl.start] * coefficient[inside]
+            return y
 
-    def project(self, y: np.ndarray, sets) -> list[np.ndarray]:
+        if self.sectors is None:
+            return piece(0)
+        return self.sectors.from_sector_columns(piece, i.size)
+
+    def project(self, y: np.ndarray, sets):
         """Q_p^dag V^dag y for each set Q_p of columns a e_i + b e_j of the
-        eigenbasis, given as (i, a, j, b), from one pass of W^dag over y."""
-        y = self._adjoint(y)
+        eigenbasis, given as (i, a, j, b), yielded one set at a time from one
+        pass of W^dag over the complex dim-row y, which it overwrites
+        (`MomentumSectors.to_sector_columns`)."""
+        if self.sectors is None:
+            (v,) = self._blocks
+            y[:] = v.conj().T @ y
+        else:
+            self.sectors.to_sector_columns(y, self._blocks, out=y)
         perm = self.basis_permutation
-        return [project_pairs(y, (perm[i], a, perm[j], b)) for i, a, j, b in sets]
+        for i, a, j, b in sets:
+            yield project_pairs(y, (perm[i], a, perm[j], b))
 
     def _spectrum_order(self) -> np.ndarray:
         """The index in the spectrum of each column of W."""
@@ -788,7 +794,13 @@ def _dense_columns(dim: int, *terms) -> np.ndarray:
 def project_pairs(z: np.ndarray, columns) -> np.ndarray:
     """Q^dag z for the columns a e_i + b e_j of Q, given as (i, a, j, b)."""
     i, a, j, b = columns
-    return a.conj()[:, np.newaxis] * z[i] + b.conj()[:, np.newaxis] * z[j]
+    # in place on each gather, so that two row sets are alive at once
+    out = z[i]
+    np.multiply(a.conj()[:, np.newaxis], out, out=out)
+    part = z[j]
+    np.multiply(b.conj()[:, np.newaxis], part, out=part)
+    out += part
+    return out
 
 
 def parity_vectors(partner: np.ndarray, phase: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -943,14 +955,20 @@ class BlockDensityMatrix:
     and no eigenvalue lies below PSD_EIGENVALUE_FLOOR, which absorbs
     round-off from channel arithmetic.  The positivity check is the
     per-block eigvalsh itself, whose concatenated spectrum is kept as
-    `eigenvalues`, so no state is eigensolved twice.
+    `eigenvalues`, so no state is eigensolved twice.  The blocks may be
+    given by any iterable; each is dropped once its symmetrized copy is
+    made, so a generator of blocks is held with one raw block at a time.
     """
 
     blocks: tuple[np.ndarray, ...]
     eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        blocks = tuple(HermitianOperator(b).matrix for b in self.blocks)
+        blocks = []
+        for b in self.blocks:
+            blocks.append(HermitianOperator(b).matrix)
+            del b
+        blocks = tuple(blocks)
         if not blocks:
             raise ValueError("need at least one block")
         tr = sum(b.trace().real for b in blocks)

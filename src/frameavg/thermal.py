@@ -76,8 +76,9 @@ class ThermalState:
         return np.exp(-self.beta * self.hamiltonian_decomp.eigenvalues - self.log_partition)
 
     def energy(self, matrix: np.ndarray) -> float:
-        """tr(H sigma) for a state given as a plain matrix."""
-        return trace_product(self.hamiltonian.matrix, matrix).real
+        """tr(H sigma) for a state given as a plain matrix, read from H's
+        terms where it is held so (`trace_product`)."""
+        return trace_product(self.hamiltonian, matrix).real
 
     def relative_entropy_of(self, entropy: float, energy: float) -> float:
         """S(sigma|rho) = -S(sigma) + beta tr(H sigma) + log Z for a state
@@ -175,13 +176,14 @@ def perturb(state: ThermalState, u: UnitaryOperator) -> DensityMatrix:
 def work(
     hamiltonian: HermitianOperator, rho: DensityMatrix, rho_prime: DensityMatrix
 ) -> float:
-    """tr(H rho') - tr(H rho)."""
+    """tr(H rho') - tr(H rho), read from H's terms where it is held so
+    (`trace_product`)."""
     if not hamiltonian.dim == rho.dim == rho_prime.dim:
         raise ValueError(
             f"dimension mismatch: H {hamiltonian.dim}, rho {rho.dim}, "
             f"rho' {rho_prime.dim}"
         )
-    value = trace_product(hamiltonian.matrix, rho_prime.matrix - rho.matrix)
+    value = trace_product(hamiltonian, rho_prime.matrix - rho.matrix)
     tol = 1e-10 * max(1.0, abs(value.real))
     gate(abs(value.imag), tol, lambda: f"work came out non-real: {value!r}")
     return value.real

@@ -149,6 +149,25 @@ class TestConfigErrors:
         assert f"verify at N=13 is estimated to peak at {estimate / 1e6:.0f} MB" in err
         assert f"above the {below * 1024 / 1e6:.0f} MB available" in err
 
+    def test_capacity_guard_admits_probe_at_its_estimate(self, tmp_path, monkeypatch, capsys):
+        # probe at N = 11, where its factor was fitted (451.9 MiB measured),
+        # is admitted with 1 MB more than its estimated peak available and
+        # refused with 1 MB less, before any work
+        estimate = experiments.PEAK_FACTORS["probe"] * 16 * 2048**2
+        assert round(estimate / 1e6) == 483
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(experiments, "MEMINFO", str(meminfo))
+        cfg = write_config(tmp_path, sizes=[11])
+        meminfo.write_text(f"MemAvailable:    {int((estimate + 1e6) / 1024)} kB\n")
+        assert experiments.load_config(cfg, "probe").sizes == (11,)
+        below = int((estimate - 1e6) / 1024)
+        meminfo.write_text(f"MemAvailable:    {below} kB\n")
+        code = main(["probe", "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"probe at N=11 is estimated to peak at {estimate / 1e6:.0f} MB" in err
+        assert f"above the {below * 1024 / 1e6:.0f} MB available" in err
+
     def test_capacity_guard_passes_without_meminfo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "MEMINFO", str(tmp_path / "absent"))
         assert experiments.load_config(write_config(tmp_path, sizes=[12])).sizes == (12,)

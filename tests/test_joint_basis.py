@@ -117,8 +117,8 @@ class TestSlabPrimitives:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_columns_and_project_match_the_dense_eigenvectors(self, model, couplings, n):
         # the kick's slabs: columns(i, a, j, b) = V Q and project(y, sets) =
-        # [Q_p^dag V^dag y], for the parity column sets at two kick sites and
-        # for the unit columns
+        # [Q_p^dag V^dag y], one set at a time, for the parity column sets at
+        # two kick sites and for the unit columns; project overwrites y
         decomp = spectral_decompose(_hamiltonian(model, couplings, n))
         v = decomp.eigenvectors
         dim = v.shape[0]
@@ -132,7 +132,7 @@ class TestSlabPrimitives:
             for c, q in zip(sets, qs):
                 expected = v @ q
                 assert max_norm(decomp.columns(*c) - expected) <= 1e-13 * max_norm(expected)
-            projected = decomp.project(y, sets)
+            projected = list(decomp.project(y.copy(), sets))
             assert len(projected) == len(sets)
             for got, q in zip(projected, qs):
                 expected = q.conj().T @ v.conj().T @ y
@@ -244,10 +244,12 @@ def test_sweep_gates_no_whole_matrix_but_h(model, couplings, monkeypatch):
         check = cls.__post_init__
 
         def record(self):
+            # the shapes are read off the certified operator: a state's gate
+            # consumes its blocks when they come as a generator
+            check(self)
             # H is the one gated operator that carries momentum sectors
             is_h = getattr(self, "sectors", None) is not None
             gated.extend((shape, is_h) for shape in shapes(self))
-            check(self)
 
         monkeypatch.setattr(cls, "__post_init__", record)
 

@@ -1,6 +1,8 @@
-"""The rotations into and out of the joint H-T eigenbasis, the temporal
-channel as a Schur multiplier that builds its weights a slab of rows at a
-time, the memory each dense kernel holds, and the memory `verify` peaks at.
+"""The rotations into and out of the joint H-T eigenbasis and the column
+passes of W and W^dag they share with the kick, the temporal channel as a
+Schur multiplier that builds its weights a slab of rows at a time, the memory
+each dense kernel, the kick and the kicked state hold, and the memory
+`verify` peaks at.
 
 Each rotation and each temporal average is compared with the explicit
 product V (Omega o V^dag X V) V^dag built from the dense eigenvectors V,
@@ -18,7 +20,10 @@ from frameavg.averaging import (
     DEGENERACY_RTOL,
     TAU_IDENTITY_FLOOR,
     AveragingKind,
+    ReflectionParity,
     average_translates,
+    eigenbasis_kick,
+    kicked_in_eigenbasis,
     temporal_average_matrix,
 )
 from frameavg.experiments import config_from_mapping, convergence_sweep, verify_identities
@@ -32,7 +37,7 @@ from frameavg.lattice import (
     sigma_y,
 )
 from frameavg.operators import SLAB, HermitianOperator, commutator, hermitian_part, max_norm
-from frameavg.thermal import thermal_state
+from frameavg.thermal import PerturbationSpec, local_kick, thermal_state
 
 TFI = ("transverse-field-ising", {"J": 1.0, "g": 0.9})
 XXZ = ("heisenberg-xxz", {"J": 1.0, "delta": 0.5})
@@ -118,6 +123,76 @@ def test_the_momentum_rotations_match_the_dense_momentum_basis(n):
     out = sectors.rotate_from_sectors(y)
     assert out is y
     assert max_norm(out - f @ x @ f.conj().T) <= tol
+
+
+def _dense_momentum_basis(sectors):
+    """F from its definition, read off the translation's permutation alone:
+    for each momentum k, each orbit r (by its least member, ascending) with
+    N | k L_r gives the column (sqrt(L_r) / N) sum_n e^{-2 pi i k n / N} T^n e_r."""
+    n, dim, perm = sectors.n_terms, sectors.dim, sectors.translation.permutation
+    orbits = {}
+    for x in range(dim):
+        orbit = [x]
+        while perm[orbit[-1]] != x:
+            orbit.append(perm[orbit[-1]])
+        orbits.setdefault(min(orbit), orbit)
+    columns = []
+    for k in range(n):
+        for r in sorted(orbits):
+            length = len(orbits[r])
+            if k * length % n:
+                continue
+            v = np.zeros(dim, dtype=np.complex128)
+            site = r
+            for m in range(n):
+                v[site] += np.exp(-2j * np.pi * k * m / n)
+                site = perm[site]
+            columns.append(np.sqrt(length) / n * v)
+    return np.stack(columns, axis=1)
+
+
+def _random_blocks(dims, seed):
+    """A random unitary block inside each sector."""
+    rng = np.random.default_rng(seed)
+    return [np.linalg.qr(_probe(d, int(rng.integers(1 << 30))))[0] for d in dims]
+
+
+# N = 9 (dim 512) spans two slabs of columns and of rows
+@pytest.mark.parametrize("n", (2, 3, 4, 6, 9))
+@pytest.mark.parametrize("with_blocks", (False, True))
+def test_the_column_passes_are_w_and_its_adjoint(n, with_blocks):
+    # W = F (+)_k B_k on columns and W^dag, the one statement of both that
+    # the rotations, V's columns and the kick's projection use, against the
+    # dense F built from its definition; and the rotations through the same
+    # blocks against W^dag x W and W y W^dag
+    sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
+    dim, dims = sectors.dim, sectors.dims
+    f = _dense_momentum_basis(sectors)
+    assert max_norm(sectors.from_sectors(np.eye(dim, dtype=np.complex128)) - f) <= 1e-14
+    blocks = _random_blocks(dims, n) if with_blocks else None
+    b = np.zeros((dim, dim), dtype=np.complex128)
+    edges = np.cumsum((0, *dims))
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        b[lo:hi, lo:hi] = np.eye(hi - lo) if blocks is None else blocks[k]
+    w = f @ b
+    x = _probe(dim, n)[:, :7]
+    tol = RTOL * max_norm(x)
+    assert max_norm(sectors.to_sector_columns(x, blocks) - w.conj().T @ x) <= tol
+    assert max_norm(sectors.to_sector_columns(x.real, blocks) - w.conj().T @ x.real) <= tol
+    # in place, as the kick's projection runs it
+    y = x.copy()
+    assert sectors.to_sector_columns(y, blocks, out=y) is y
+    assert max_norm(y - w.conj().T @ x) <= tol
+
+    def piece(k):
+        rows = x[edges[k] : edges[k + 1]]
+        return rows if blocks is None else blocks[k] @ rows
+
+    assert max_norm(sectors.from_sector_columns(piece, x.shape[1]) - w @ x) <= tol
+    a = _probe(dim, n + 1)
+    tol = RTOL * max_norm(a)
+    assert max_norm(sectors.rotate_to_sectors(a, blocks) - w.conj().T @ a @ w) <= tol
+    assert max_norm(sectors.rotate_from_sectors(a.copy(), blocks) - w @ a @ w.conj().T) <= tol
 
 
 def test_the_temporal_channel_holds_no_dense_weights(monkeypatch):
@@ -238,6 +313,47 @@ def test_each_dense_kernel_holds_its_result_and_slabs():
         out, peak = _traced_peak(f, *args)
         result = 0 if out is y else unit
         assert peak <= result + slabs, (name, peak / unit)
+
+
+def _kicked(solve, n):
+    """A state of `_state` with the kick at site 0 that keeps its labels,
+    its reflection parity, and the labelled blocks of u~ after a warm-up
+    build (FFT plans and other once-per-process tables)."""
+    state = _state(solve, n)
+    kick = local_kick(LatticeSpec(n), PerturbationSpec(0, "Y" if solve == "real" else "X", 0.7))
+    parity = ReflectionParity(state.hamiltonian_decomp, 0)
+    blocks, _ = eigenbasis_kick(state, kick, parity)
+    return state, kick, parity, blocks
+
+
+@pytest.mark.parametrize("solve", ("flip", "real", "both", "neither"))
+def test_the_kick_holds_its_blocks_and_two_slabs(solve):
+    # N = 10 (dim 1024) spans four slabs.  Beside the blocks of u~, a slab
+    # holds at most two complex dim x SLAB arrays: V's columns and U's
+    # output, or U's output and its slab of the shift-major grid (N n_orbits
+    # rows, 5 % above dim here), plus one sector's rows, under 0.2 slab more;
+    # building V's columns, applying U and projecting onto every set beside
+    # them held about four
+    state, kick, parity, _ = _kicked(solve, 10)
+    (blocks, _), peak = _traced_peak(eigenbasis_kick, state, kick, parity)
+    held = sum(b.nbytes for b in blocks)
+    slab = 16 * state.dim * SLAB
+    assert peak <= held + 2.25 * slab, (peak - held) / slab
+
+
+@pytest.mark.parametrize("solve", ("real", "neither"))
+def test_the_kicked_state_holds_one_block_beside_u(solve):
+    # rho' reaches its gate a block at a time, each raw block dropped once
+    # its symmetrized copy is made: beside u~ (alive before) and rho', one
+    # block's copy and the Hermitian gate's tiles (two complex SLAB x SLAB
+    # temporaries) at most, where every raw block beside its copy held twice
+    # rho'.  Two blocks of about dim/2 at N = 10, real and complex
+    state, _, parity, blocks = _kicked(solve, 10)
+    kicked_in_eigenbasis(state, blocks, parity)
+    rho, peak = _traced_peak(kicked_in_eigenbasis, state, blocks, parity)
+    held = sum(b.nbytes for b in rho.blocks)
+    largest = max(b.nbytes for b in rho.blocks)
+    assert peak <= held + largest + 2 * 16 * SLAB**2, (peak - held) / largest
 
 
 def _verify_config(n, generator):

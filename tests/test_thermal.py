@@ -294,6 +294,30 @@ class TestWork:
                 u = local_kick(lat, PerturbationSpec(site, gen, lam))
                 assert work(h, st.rho, perturb(st, u)) >= -1e-10
 
+    @pytest.mark.parametrize(
+        "model,couplings",
+        [
+            ("transverse-field-ising", {"J": 1.0, "g": 0.9}),
+            ("heisenberg-xxz", {"J": 1.0, "delta": 0.5}),
+        ],
+    )
+    def test_energy_and_work_read_h_from_its_terms(self, model, couplings):
+        # tr(H sigma) is summed over H's O(N dim) nonzero entries, so neither
+        # reader builds the dense H; both agree with the dense trace to
+        # round-off on the sum of the terms' magnitudes
+        lat = LatticeSpec(6)
+        h = build_hamiltonian(lat, HamiltonianSpec(model, couplings))
+        st = thermal_state(h, beta=1.0)
+        rho_prime = perturb(st, local_kick(lat, PerturbationSpec(1, sigma_x, 0.7)))
+        energy = st.energy(rho_prime.matrix)
+        w = work(h, st.rho, rho_prime)
+        assert h._matrix is None
+        dense = h.matrix
+        delta = rho_prime.matrix - st.rho.matrix
+        for got, sigma in ((energy, rho_prime.matrix), (w, delta)):
+            scale = np.abs(dense * sigma.T).sum()
+            assert abs(got - np.einsum("ij,ji->", dense, sigma).real) <= 1e-14 * scale
+
     def test_work_report_consistency_gate(self):
         WorkReport(work=0.5, beta_work=1.0, relative_entropy_check=1.0)
         with pytest.raises(ValueError):
