@@ -44,7 +44,6 @@ from .operators import (
     BlockDensityMatrix,
     DensityMatrix,
     HermitianOperator,
-    OverflowGuardError,
     SpectralDecomposition,
     UnitaryOperator,
     gate,
@@ -76,9 +75,6 @@ DEGENERACY_RTOL = 1e-10
 
 # off-label entries a split tolerates, relative to the entry scale
 PARITY_RTOL = 1e-10
-
-# the largest x with exp(x) finite in float64
-EXP_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,11 @@ class AveragingKind:
         refuse an H without them; the temporal kind binds on any H."""
         decomp = state.hamiltonian_decomp
         if self.kind == TEMPORAL:
-            weights = partial(_temporal_weights, decomp.eigenvalues, self.parameter)
-            # the dense map builds its weights a slab of rows at a time on
-            # each call, in the order of the eigenbasis; a sweep never calls it
-            return Channel(decomp.schur_multiplier(weights), weights)
+            # the dense map is the module's temporal average, looked up here
+            # as the translate sums are below; it builds its weights a slab
+            # of rows at a time on each call, and a sweep never calls it
+            apply = partial(temporal_average_matrix, decomp=decomp, tau=self.parameter)
+            return Channel(apply, partial(_temporal_weights, decomp.eigenvalues, self.parameter))
         if decomp.sectors is None:
             raise ValueError(f"{self.kind} needs H solved in its translation's momentum sectors")
         t, n, momenta = decomp.sectors.translation, decomp.sectors.n_terms, decomp.momenta
@@ -238,55 +235,40 @@ class Channel:
 
 
 def _translate_conjugations(a: np.ndarray, t: UnitaryOperator, n_terms: int, weights):
-    """sum_n w_n T^n a T^-n with fixed left-to-right accumulation, each
-    translate a reindexing of a by the permutation of T, added SLAB rows at
-    a time, so no whole translate is made.
-
-    Where T moves the content of every site s sites on (`_site_shift`), the
-    reindexing is a transpose: with a viewed as a tensor of one axis per
-    site of its row and of its column, T^n a T^-n rolls the row axes and
-    the column axes each by n s, and a slab of its rows, the leading row
-    axes fixed, is made contiguous; any other permutation is gathered.
-    Verifies T^n_terms = 1 along the way and raises if the order is off.
+    """sum_n w_n T^n a T^-n with fixed left-to-right accumulation, for the
+    chain's T, which moves the content of every one of n_terms sites s
+    sites on (`_site_shift`), and so has order n_terms; any other T is
+    refused.  Each translate is a transpose: with a viewed as a tensor of
+    one axis per site of its row and of its column, T^n a T^-n rolls the
+    row axes and the column axes each by n s, and it is added SLAB rows at
+    a time, each slab, the leading row axes fixed, made contiguous, so no
+    whole translate is made.
     """
     dim = a.shape[0]
     if t.dim != dim:
         raise ValueError(f"dimension mismatch: matrix {dim}, translation {t.dim}")
-    if n_terms < 1:
-        raise ValueError("need at least one term")
     if t.permutation is None:
         raise ValueError(NEEDS_PERMUTATION)
-    perm = t.permutation
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(dim)
-    shift = _site_shift(inv, n_terms)
+    shift = _site_shift(np.argsort(t.permutation), n_terms)
+    if shift is None:
+        raise ValueError(f"translation operator is no roll of {n_terms} sites")
     rows = min(SLAB, dim)
-    if shift is not None:
-        tensor = a.reshape((2,) * (2 * n_terms))
-        # a slab of `rows` rows fixes the leading `lead` row axes
-        lead = n_terms - (rows.bit_length() - 1)
+    tensor = a.reshape((2,) * (2 * n_terms))
+    # a slab of `rows` rows fixes the leading `lead` row axes
+    lead = n_terms - (rows.bit_length() - 1)
     acc = weights[0] * a
-    cur = inv
     for n in range(1, n_terms):
         if weights[n] != 0.0:
             # in place, bit for bit acc + w_n * translate, with one slab of
             # one translate alive at a time
-            if shift is not None:
-                axes = np.roll(np.arange(n_terms), n * shift)
-                view = tensor.transpose(*axes, *(axes + n_terms))
+            axes = np.roll(np.arange(n_terms), n * shift)
+            view = tensor.transpose(*axes, *(axes + n_terms))
             for start in range(0, dim, rows):
-                r = slice(start, start + rows)
-                if shift is None:
-                    g = a[np.ix_(cur[r], cur)].astype(acc.dtype, copy=False)
-                else:
-                    g = view[np.unravel_index(start // rows, (2,) * lead)]
-                    g = np.ascontiguousarray(g, dtype=acc.dtype).reshape(rows, dim)
+                g = view[np.unravel_index(start // rows, (2,) * lead)]
+                g = np.ascontiguousarray(g, dtype=acc.dtype).reshape(rows, dim)
                 g *= weights[n]
-                acc[r] += g
+                acc[start : start + rows] += g
                 del g
-        cur = cur[inv]
-    if not np.array_equal(cur, np.arange(dim)):
-        raise ValueError(f"translation operator does not have order {n_terms}")
     return acc
 
 
@@ -499,7 +481,7 @@ def eigenbasis_kick(
     state: ThermalState, u: UnitaryOperator, parity: ReflectionParity | None = None
 ) -> tuple[list[np.ndarray], float]:
     """The blocks of u~ = V^dag U V and tr(rho E) from them, behind the
-    overflow guards; the caller gates tr(rho E) against its own tolerance.
+    overflow guard; the caller gates tr(rho E) against its own tolerance.
 
     With a `parity`, the blocks are the labelled blocks of u~, each slab
     behind the off-label gate; without, one block, the whole u~.  Both come
@@ -508,16 +490,6 @@ def eigenbasis_kick(
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     _exp_guard(state)
-    # u_beta scales by exp(+-beta E / 2) of each energy itself
-    # (`_scale_to_u_beta`), which the spread bounds only for a traceless H
-    energies = state.hamiltonian_decomp.eigenvalues
-    exponent = state.beta * max(abs(energies[0]), abs(energies[-1])) / 2
-    if exponent > EXP_MAX:
-        raise OverflowGuardError(
-            f"beta times the largest |energy| over 2 is {exponent:.1f}, beyond "
-            f"float64's exponential range of {EXP_MAX:.1f}; shift H toward trace zero "
-            "or reduce beta"
-        )
     blocks = _kick_blocks(state.hamiltonian_decomp, u, parity)
     rows = [np.arange(state.dim)] if parity is None else parity.rows
     return blocks, _normalization(state, blocks, rows)
@@ -525,7 +497,11 @@ def eigenbasis_kick(
 
 def _scale_to_u_beta(beta: float, energies: np.ndarray, u_tilde: np.ndarray) -> np.ndarray:
     """u~ scaled in place into the eigenbasis u_beta = G u~ S, with
-    G = e^{beta H/2} and S = e^{-beta H/2} on these energies."""
+    G = e^{beta H/2} and S = e^{-beta H/2} on these energies, read from
+    their midpoint: a constant cancels between G and S, and from there each
+    factor lies within e^{+-beta spread / 4}, inside float64's range
+    wherever `entropy._exp_guard` admits the state."""
+    energies = energies - (energies.min() + energies.max()) / 2
     u_tilde *= np.exp(beta * energies / 2)[:, np.newaxis]
     u_tilde *= np.exp(-beta * energies / 2)[np.newaxis, :]
     return u_tilde

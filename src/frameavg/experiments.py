@@ -634,8 +634,10 @@ class IdentityReport:
         out = []
         for c in self.checks:
             verdict = "PASS" if c.passed else "FAIL"
+            # + 0.0 prints a residual of -0.0 (a max over -0.0) unsigned,
+            # and keeps a NaN, which fails
             out.append(
-                f"{c.name:<{width}}  residual {c.residual:12.5e}  "
+                f"{c.name:<{width}}  residual {c.residual + 0.0:12.5e}  "
                 f"tolerance {c.tolerance:8.1e}  {verdict}"
             )
         return out

@@ -179,11 +179,11 @@ class MomentumSectors:
     shifts on the shift-major grid of the orbits, in O(dim log N) per column
     plus the blocks; the sector-major order lists sector 0, then sector 1,
     and so on, and `momenta` gives the sector of each position.  They are
-    the one statement of W and W^dag on columns: `to_sectors` and
-    `from_sectors` are F^dag and F alone, and `rotate_to_sectors` and
-    `rotate_from_sectors` apply W^dag a W and W y W^dag to a dim x dim
-    matrix by two one-sided passes, those on slabs of its columns, then
-    their mirror from the right on slabs of its rows.
+    the one statement of W and W^dag on columns: `from_sectors` is F
+    alone, and `rotate_to_sectors` and `rotate_from_sectors` apply W^dag a W
+    and W y W^dag to a dim x dim matrix by two one-sided passes, those on
+    slabs of its columns, then their mirror from the right on slabs of its
+    rows.
     """
 
     def __init__(self, t: UnitaryOperator, n_terms: int):
@@ -315,13 +315,8 @@ class MomentumSectors:
         T, so that the blocks of F^dag H F between sectors vanish."""
         return conjugation_defect(self.translation.permutation, None, rows, cols, values)
 
-    def to_sectors(self, x: np.ndarray) -> np.ndarray:
-        """F^dag x in sector-major order, for a dim-row x, as a new array."""
-        return self.to_sector_columns(x)
-
     def from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """F y for a y of dim rows in sector-major order; the inverse of
-        `to_sectors`."""
+        """F y for a y of dim rows in sector-major order, as a new array."""
         return self.from_sector_columns(lambda k: y[self._slices[k]], y.shape[1])
 
     def to_sector_columns(self, x: np.ndarray, blocks=None, out=None) -> np.ndarray:

@@ -537,32 +537,23 @@ class SpectralDecomposition:
         return order
 
     def _rotate_in(self, a: np.ndarray) -> np.ndarray:
-        """W^dag a W, a new complex array in the order of W: W^dag on slabs
-        of a's columns, then W from the right on slabs of the result's rows
-        (`MomentumSectors.rotate_to_sectors` with the blocks)."""
+        """W^dag a W, a new complex array in the order of W: in sector form
+        W^dag on slabs of a's columns, then W from the right on slabs of the
+        result's rows (`MomentumSectors.rotate_to_sectors` with the blocks);
+        with one block v, the product v^dag a v."""
         if self.sectors is not None:
             return self.sectors.rotate_to_sectors(a, self._blocks)
         (v,) = self._blocks
-        a, vh = np.asarray(a), v.conj().T
-        y = np.empty(a.shape, dtype=np.complex128)
-        for c in range(0, self.dim, SLAB):
-            y[:, c : c + SLAB] = vh @ a[:, c : c + SLAB]
-        for r in range(0, self.dim, SLAB):
-            y[r : r + SLAB] = y[r : r + SLAB] @ v
-        return y
+        return v.conj().T @ a @ v
 
     def _rotate_out(self, y: np.ndarray) -> np.ndarray:
-        """W y W^dag for a complex y in the order of W, written into y and
-        returned: the reverse of `_rotate_in`."""
+        """W y W^dag for a complex y in the order of W: the reverse of
+        `_rotate_in`, in sector form written into y and returned; with one
+        block v, the new product v y v^dag."""
         if self.sectors is not None:
             return self.sectors.rotate_from_sectors(y, self._blocks)
         (v,) = self._blocks
-        vh = v.conj().T
-        for c in range(0, self.dim, SLAB):
-            y[:, c : c + SLAB] = v @ y[:, c : c + SLAB]
-        for r in range(0, self.dim, SLAB):
-            y[r : r + SLAB] = y[r : r + SLAB] @ vh
-        return y
+        return v @ y @ v.conj().T
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V^dag a V, the rows and columns of W^dag a W gathered into the
@@ -661,7 +652,7 @@ def _certified_eigh(block: np.ndarray, tol: float, dim: int, scale: float):
 
 def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
     """One eigensolve per momentum sector pair of F^dag H F and label, for H
-    a HermitianOperator or a Hermitian matrix, read as its nonzero entries.
+    a HermitianOperator, read as its nonzero entries.
 
     The blocks F_k^dag H F_k are built from the entries in the orbits'
     representative columns (`sectors.blocks_from_entries`), which stand for
@@ -688,8 +679,6 @@ def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
     block.  Every solve must reconstruct its block; all gates hold within
     RECONSTRUCTION_RTOL of the scale.
     """
-    if not isinstance(h, HermitianOperator):
-        h = HermitianOperator(h)
     rows, cols, values = h.entries()
     scale = max_norm(values) if values.size else 0.0
     tol = RECONSTRUCTION_RTOL * max(1.0, scale)

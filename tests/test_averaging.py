@@ -183,24 +183,26 @@ class TestFrameAverage:
 
     # N = 9 (dim 512) adds each translate in two slabs of rows
     @pytest.mark.parametrize("n", (4, 9))
-    def test_a_translation_that_is_no_roll_is_gathered(self, n):
+    def test_a_translation_that_is_no_roll_is_refused(self, n):
         # the chain's T moves every site one on, so its translates are rolls
-        # of the site axes; relabeled by a basis permutation it keeps its
-        # order but is no roll, so its translates are gathered; both sum
-        # bit for bit like their explicit conjugations
+        # of the site axes and sum bit for bit like their explicit
+        # conjugations; relabeled by a basis permutation it keeps its order
+        # but is no roll, and the translate sums refuse it
         dim = 2**n
         t = translation_operator(LatticeSpec(n))
         rng = np.random.default_rng(3)
         sigma = rng.permutation(dim)
         relabeled = UnitaryOperator(permutation=sigma[t.permutation[np.argsort(sigma)]])
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for u, shift in ((t, 1), (relabeled, None)):
-            assert _site_shift(np.argsort(u.permutation), n) == shift
-            expected, g = a / n, a
-            for _ in range(1, n):
-                g = u.conjugate(g)
-                expected = expected + g / n
-            assert np.array_equal(average_translates(a, u, n), expected)
+        assert _site_shift(np.argsort(t.permutation), n) == 1
+        assert _site_shift(np.argsort(relabeled.permutation), n) is None
+        expected, g = a / n, a
+        for _ in range(1, n):
+            g = t.conjugate(g)
+            expected = expected + g / n
+        assert np.array_equal(average_translates(a, t, n), expected)
+        with pytest.raises(ValueError, match=f"translation operator is no roll of {n} sites"):
+            average_translates(a, relabeled, n)
 
     def test_bit_stable_repetition(self):
         _, _, _, rho_prime, t = ising_setup()
@@ -272,8 +274,9 @@ class TestChannel:
         assert weighted.classes is None
 
     def test_spatial_channels_call_the_module_translates(self, monkeypatch):
-        # the dense apply looks the module's translate sums up when a kind is
-        # bound, so a wrapper put there (a tracer's span) sees every call
+        # the dense apply looks the module's translate sums, and the temporal
+        # average, up when a kind is bound, so a wrapper put there (a
+        # tracer's span) sees every call
         _, state, _, rho_prime, t = ising_setup()
         calls = []
 
@@ -286,9 +289,11 @@ class TestChannel:
 
         monkeypatch.setattr(averaging, "average_translates", spy("uniform"))
         monkeypatch.setattr(averaging, "weighted_average_translates", spy("weighted"))
+        monkeypatch.setattr(averaging, "temporal_average_matrix", spy("temporal"))
         AveragingKind.uniform_spatial().bind(state).apply(rho_prime.matrix)
         AveragingKind.weighted_spatial(2.0).bind(state).apply(rho_prime.matrix)
-        assert calls == ["uniform", "weighted"]
+        AveragingKind.temporal(1.5).bind(state).apply(rho_prime.matrix)
+        assert calls == ["uniform", "weighted", "temporal"]
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_spatial_apply_is_the_translate_sum_bit_for_bit(self, n):
@@ -603,19 +608,19 @@ class TestConjugatedPerturbation:
         with pytest.raises(OverflowGuardError):
             conjugated_perturbation(state, u)
 
-    def test_overflow_guard_on_a_shifted_h(self):
-        # H + 1500: the spread (about 7) passes the spread guard, but u_beta
-        # scales by exp(+-beta E / 2) of energies near 1500, past exp's range
+    @pytest.mark.parametrize("shift", (1500.0, 1e5))
+    def test_a_shifted_h_gives_the_same_e(self, shift):
+        # u = e^{beta H/2} U e^{-beta H/2} does not see where H's energy zero
+        # sits: H + shift, far past exp's range at beta / 2 times its
+        # energies, passes the spread guard (the spread is about 7) and gives
+        # the E of H
         lat = LatticeSpec(3)
         h = build_hamiltonian(lat, HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.9}))
-        state = thermal_state(HermitianOperator(h.matrix + 1500 * np.eye(lat.dim)), beta=1.0)
+        shifted = thermal_state(HermitianOperator(h.matrix + shift * np.eye(lat.dim)), beta=1.0)
         u = local_kick(lat, PerturbationSpec(0, sigma_x, 0.7))
-        with pytest.raises(OverflowGuardError, match="largest"):
-            conjugated_perturbation(state, u)
-        # below the edge the shifted chain is served and matches the unshifted one
-        low = thermal_state(HermitianOperator(h.matrix + 1000 * np.eye(lat.dim)), beta=1.0)
         want = conjugated_perturbation(thermal_state(h, beta=1.0), u).E.matrix
-        assert max_norm(conjugated_perturbation(low, u).E.matrix - want) <= 1e-9 * max_norm(want)
+        got = conjugated_perturbation(shifted, u).E.matrix
+        assert max_norm(got - want) <= 1e-9 * max_norm(want)
 
 
 class TestDeviation:

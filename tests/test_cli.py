@@ -35,6 +35,16 @@ class TestVerifyCommand:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_no_residual_prints_a_sign(self, tmp_path, capsys):
+        # at beta = 0 the averaged state's relative entropy is 0, and the
+        # bs-chain residual, a max over -0 among others, reads 0
+        xxz = {"name": "heisenberg-xxz", "couplings": {"J": 1.0, "delta": 0.5}}
+        code = main(["verify", "--config", write_config(tmp_path, model=xxz, beta=0.0)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bs-chain" in out
+        assert "residual -" not in out
+
     def test_tampered_tolerance_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tolerance_overrides={"work-identity": 1e-18})
         code = main(["verify", "--config", cfg])

@@ -431,3 +431,50 @@ def test_only_build_hamiltonian_builds_the_translation():
         for owner in _readers(p.read_text(encoding="utf-8"), TRANSLATION)
     ]
     assert readers == ["lattice.py:build_hamiltonian"]
+
+
+# the overflow rule, stated once: the spread guard of the exponentials
+OVERFLOW = "OverflowGuardError"
+
+
+def _raisers(source: str, name: str) -> list[str]:
+    """The function (or <module>) holding each raise of `name`, called or
+    bare, innermost function first."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_scan_sees_every_raise_of_an_error():
+    source = (
+        "from .operators import OverflowGuardError\n"
+        "def guard(x):\n    if x:\n        raise OverflowGuardError(f'{x}')\n"
+        "def second(x):\n    raise operators.OverflowGuardError\n"
+        "def caught():\n    try:\n        pass\n    except OverflowGuardError:\n        raise\n"
+        "class OverflowGuardError(ValueError):\n    pass\n"
+        "raise ValueError('OverflowGuardError')\n"
+    )
+    assert _raisers(source, OVERFLOW) == ["guard", "second"]
+
+
+def test_one_function_raises_the_overflow_guard():
+    # the one overflow rule is the spread guard; a second guard, on the
+    # largest energy say, adds a raiser
+    raisers = [
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _raisers(p.read_text(encoding="utf-8"), OVERFLOW)
+    ]
+    assert raisers == ["entropy.py:_exp_guard"]

@@ -49,7 +49,7 @@ class TestSectorForm:
         h = _hamiltonian(model, couplings, n)
         dense = np.linalg.eigvalsh(h.matrix)
         scale = max(1.0, max_norm(h.matrix))
-        decomp = _sector_decompose(h.matrix, h.sectors)
+        decomp = _sector_decompose(HermitianOperator(h.matrix), h.sectors)
         assert np.abs(decomp.eigenvalues - dense).max() <= 1e-12 * scale
         assert sorted(np.bincount(decomp.momenta, minlength=n)) == sorted(h.sectors.dims)
         chosen = spectral_decompose(h)
