@@ -293,7 +293,8 @@ def _site_shift(inv: np.ndarray, n_sites: int) -> int | None:
 
 def average_translates(a: np.ndarray, t: UnitaryOperator, n_terms: int) -> np.ndarray:
     """(1/N) sum_n T^n a T^-n for an arbitrary square matrix."""
-    return _translate_conjugations(a, t, n_terms, np.full(n_terms, 1.0 / n_terms))
+    # formed elementwise, so n_terms = 0 reaches the translate sum's refusal
+    return _translate_conjugations(a, t, n_terms, np.ones(n_terms) / n_terms)
 
 
 def distance_weights(n_terms: int, scale: float) -> np.ndarray:

@@ -94,11 +94,7 @@ def _run_records(cfg: ExperimentConfig, runner, output: str | None) -> int:
 
 def _run_probe(cfg: ExperimentConfig, args, output: str | None) -> int:
     rows = locality_probe(cfg, args.time, probe=args.probe)
-    lines = [PROBE_HEADER] + [
-        f"{r.site},{r.distance},{r.kick_commutator:.12g},{r.conjugated_commutator:.12g}"
-        for r in rows
-    ]
-    _emit(lines, output)
+    _emit([PROBE_HEADER] + [record_to_row(r) for r in rows], output)
     return 0
 
 

@@ -761,8 +761,9 @@ def _format_cell(value) -> str:
     return f"{v:.12g}"
 
 
-def record_to_row(record: ExperimentRecord) -> str:
-    """The record's cells in field order, which is CSV_HEADER's."""
+def record_to_row(record: ExperimentRecord | ProbeRow) -> str:
+    """The record's cells in field order, which is its header's: CSV_HEADER
+    for an ExperimentRecord, `cli.PROBE_HEADER` for a ProbeRow."""
     return ",".join(_format_cell(getattr(record, f.name)) for f in fields(record))
 
 

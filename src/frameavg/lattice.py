@@ -174,16 +174,18 @@ class MomentumSectors:
     the reflected orbit (`reflection`, `mirror`, `mirror_phase`).
 
     `to_sector_columns` and `from_sector_columns` apply W^dag and W to the
-    columns of an array, for W = F (+)_k B_k with a block B_k inside each
-    sector (the identity where none are given), through an FFT over the
-    shifts on the shift-major grid of the orbits, in O(dim log N) per column
-    plus the blocks; the sector-major order lists sector 0, then sector 1,
-    and so on, and `momenta` gives the sector of each position.  They are
-    the one statement of W and W^dag on columns: `from_sectors` is F
-    alone, and `rotate_to_sectors` and `rotate_from_sectors` apply W^dag a W
+    columns of an array, for W = F (+)_k B_k with a unitary block B_k inside
+    each sector, through an FFT over the shifts on the shift-major grid of
+    the orbits, in O(dim log N) per column plus the blocks; the sector-major
+    order lists sector 0, then sector 1, and so on, and `momenta` gives the
+    sector of each position.  They are the one statement of W and W^dag on
+    columns: `rotate_to_sectors` and `rotate_from_sectors` apply W^dag a W
     and W y W^dag to a dim x dim matrix by two one-sided passes, those on
     slabs of its columns, then their mirror from the right on slabs of its
     rows.
+
+    Every slot of the grid is held shift-major: T^m |r> at m n_orbits + r,
+    which after the FFT over the shifts is |r, k> at k n_orbits + r.
     """
 
     def __init__(self, t: UnitaryOperator, n_terms: int):
@@ -202,6 +204,7 @@ class MomentumSectors:
         if not np.array_equal(t.permutation[shifts[-1]], shifts[0]):
             raise ValueError(f"translation operator does not have order {n_terms}")
         reps = np.nonzero(shifts.min(axis=0) == shifts[0])[0]
+        n_orbits = reps.size
         self.dim = dim
         self._orbits = shifts[:, reps].T
         returns = shifts[1:, reps] == reps
@@ -210,12 +213,14 @@ class MomentumSectors:
         k = np.arange(n_terms)
         allowed = np.outer(k, lengths) % n_terms == 0
         self._members = [np.nonzero(row)[0] for row in allowed]
-        # |r, k> sits at r * N + k of the (orbit, momentum) layout; basis state
-        # T^n |r> at r * N + n for its first shift n < L_r
-        self._select = np.concatenate([m * n_terms + q for q, m in enumerate(self._members)])
-        first = k[np.newaxis, :] < lengths[:, np.newaxis]
+        # the basis index on each slot of the grid, the slot of each basis
+        # state (T^m |r> at its first shift m < L_r), and the slot of each
+        # position of the sector-major order
+        self._grid = self._orbits.T.ravel()
+        first = (k[:, np.newaxis] < lengths).ravel()
         self._position = np.empty(dim, dtype=np.intp)
-        self._position[self._orbits[first]] = np.nonzero(first.ravel())[0]
+        self._position[self._grid[first]] = np.nonzero(first)[0]
+        self._select = np.concatenate([q * n_orbits + m for q, m in enumerate(self._members)])
         self.momenta = np.repeat(k, self.dims)
         # the site reflection R_0 (j -> -j mod N) reverses T, so it maps
         # R_0 |r, k> = e^{-2 pi i k m / N} |r', -k> where R_0 |r> = T^m |r'>:
@@ -227,12 +232,6 @@ class MomentumSectors:
         self._place = np.empty(self._orbits.size, dtype=np.intp)
         self._place[self._select] = np.arange(dim)
         self.mirror, self.mirror_phase = self._image(r, np.ones(dim), reverse=True)
-        # the shift-major grid of W and W^dag: T^m |r> at m * n_orbits + r,
-        # where each basis state sits on it, and each sector's rows
-        n_orbits = reps.size
-        self._grid = self._orbits.T.ravel()
-        orbit, m = np.divmod(self._position, n_terms)
-        self._spot = m * n_orbits + orbit
         self._slices = _sector_slices(self.dims)
 
     def _image(self, perm, phase, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -243,14 +242,14 @@ class MomentumSectors:
             G |r, k> = phase[r] e^{+-2 pi i k m / N} |r', +-k>,
 
         the lower signs where G reverses T."""
-        n = self.n_terms
-        orbit, q = np.divmod(self._select, n)
+        n_orbits, n = self._orbits.shape
+        q, orbit = np.divmod(self._select, n_orbits)
         rep = self._orbits[orbit, 0]
-        image, m = np.divmod(self._position[perm[rep]], n)
+        m, image = np.divmod(self._position[perm[rep]], n_orbits)
         angle = 2j * np.pi * ((q * m) % n) / n
         if reverse:
-            return self._place[image * n + (-q) % n], phase[rep] * np.exp(-angle)
-        return self._place[image * n + q], phase[rep] * np.exp(angle)
+            return self._place[((-q) % n) * n_orbits + image], phase[rep] * np.exp(-angle)
+        return self._place[q * n_orbits + image], phase[rep] * np.exp(angle)
 
     def flip(self, letter: str) -> tuple[np.ndarray, np.ndarray]:
         """The global spin flip F = prod_j sigma_j for the Pauli `letter`
@@ -266,9 +265,9 @@ class MomentumSectors:
         A sum_p y_p |p> = sum_p conj(y_p) phase[p] |image[p]>.  A must
         square to 1 and commute with any flip beside it, which
         `ChainSymmetry` checks."""
-        n = self.n_terms
-        orbit, q = np.divmod(self._select, n)
-        negated = self._place[orbit * n + (-q) % n]
+        n_orbits, n = self._orbits.shape
+        q, orbit = np.divmod(self._select, n_orbits)
+        negated = self._place[((-q) % n) * n_orbits + orbit]
         image, phase = self.flip(letter)
         return image[negated], phase[negated]
 
@@ -294,7 +293,7 @@ class MomentumSectors:
         column[self._orbits[:, 0]] = np.arange(n_orbits)
         keep = column[cols] >= 0
         r = column[cols[keep]]
-        r_a, n_a = np.divmod(self._position[rows[keep]], n)
+        n_a, r_a = np.divmod(self._position[rows[keep]], n_orbits)
         amplitude = values[keep] * (self._root_lengths[r] / self._root_lengths[r_a])
         out = []
         for k, members in enumerate(self._members):
@@ -315,11 +314,7 @@ class MomentumSectors:
         T, so that the blocks of F^dag H F between sectors vanish."""
         return conjugation_defect(self.translation.permutation, None, rows, cols, values)
 
-    def from_sectors(self, y: np.ndarray) -> np.ndarray:
-        """F y for a y of dim rows in sector-major order, as a new array."""
-        return self.from_sector_columns(lambda k: y[self._slices[k]], y.shape[1])
-
-    def to_sector_columns(self, x: np.ndarray, blocks=None, out=None) -> np.ndarray:
+    def to_sector_columns(self, x: np.ndarray, blocks, out=None) -> np.ndarray:
         """W^dag x in sector-major order, for W = F (+)_k B_k and the columns
         of a dim-row x, written to `out` (which may be x itself) or to a new
         complex array:
@@ -329,7 +324,7 @@ class MomentumSectors:
         x is gathered onto the shift-major (shift, orbit) grid, T^n |r> at
         row n, orbit r, inverse-transformed over the shifts in place, and
         each momentum k takes its member orbits' row of the grid into its
-        sector through B_k^dag (the identity where `blocks` is None)."""
+        sector through B_k^dag."""
         n_orbits, n = self._orbits.shape
         g = x[self._grid].astype(np.complex128, copy=False).reshape(n, n_orbits, -1)
         np.fft.ifft(g, axis=0, out=g)
@@ -337,10 +332,7 @@ class MomentumSectors:
         if out is None:
             out = np.empty((self.dim, g.shape[2]), dtype=np.complex128)
         for k, (members, sl) in enumerate(zip(self._members, self._slices)):
-            if blocks is None:
-                out[sl] = g[k, members]
-            else:
-                np.matmul(blocks[k].conj().T, g[k, members], out=out[sl])
+            np.matmul(blocks[k].conj().T, g[k, members], out=out[sl])
         return out
 
     def from_sector_columns(self, piece, width: int) -> np.ndarray:
@@ -360,9 +352,9 @@ class MomentumSectors:
             z[k, members] = piece(k)
         np.fft.fft(z, axis=0, out=z)
         z /= self._root_lengths[:, np.newaxis]
-        return z.reshape(n * n_orbits, width)[self._spot]
+        return z.reshape(n * n_orbits, width)[self._position]
 
-    def rotate_to_sectors(self, a: np.ndarray, blocks=None) -> np.ndarray:
+    def rotate_to_sectors(self, a: np.ndarray, blocks) -> np.ndarray:
         """W^dag a W in sector-major order, for a dim x dim matrix a and W = F
         (+)_k B_k, as a new complex array:
 
@@ -385,15 +377,12 @@ class MomentumSectors:
             np.fft.fft(g, axis=1, out=g)
             g *= self._root_lengths / n
             for k, (members, sl) in enumerate(zip(self._members, self._slices)):
-                if blocks is None:
-                    y[r : r + SLAB, sl] = g[:, k, members]
-                else:
-                    np.matmul(g[:, k, members], blocks[k], out=y[r : r + SLAB, sl])
+                np.matmul(g[:, k, members], blocks[k], out=y[r : r + SLAB, sl])
             # freed before the next slab's gather, as below
             del g
         return y
 
-    def rotate_from_sectors(self, y: np.ndarray, blocks=None) -> np.ndarray:
+    def rotate_from_sectors(self, y: np.ndarray, blocks) -> np.ndarray:
         """W y W^dag for a complex y in sector-major order, written into y and
         returned; the inverse of `rotate_to_sectors`, by the same passes
         backwards:
@@ -410,17 +399,16 @@ class MomentumSectors:
         for c in range(0, dim, SLAB):
             cols = slice(c, c + SLAB)
             y[:, cols] = self.from_sector_columns(
-                lambda k: y[slices[k], cols] if blocks is None else blocks[k] @ y[slices[k], cols],
-                min(SLAB, dim - c),
+                lambda k: blocks[k] @ y[slices[k], cols], min(SLAB, dim - c)
             )
         for r in range(0, dim, SLAB):
             rows = slice(r, r + SLAB)
             z = np.zeros((min(SLAB, dim - r), n, n_orbits), dtype=np.complex128)
             for k, (members, sl) in enumerate(zip(self._members, slices)):
-                z[:, k, members] = y[rows, sl] if blocks is None else y[rows, sl] @ blocks[k].conj().T
+                z[:, k, members] = y[rows, sl] @ blocks[k].conj().T
             np.fft.ifft(z, axis=1, out=z)
             z *= n / self._root_lengths
-            y[rows] = np.take(z.reshape(z.shape[0], -1), self._spot, axis=1)
+            y[rows] = np.take(z.reshape(z.shape[0], -1), self._position, axis=1)
             del z
         return y
 

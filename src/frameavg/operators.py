@@ -129,8 +129,9 @@ def operator_norm(a) -> float:
     scale = max_norm(a)
     if scale == 0.0:
         return 0.0
-    if max_norm(a - a.conj().T) <= 1e-12 * scale:
-        return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).max())
+    h, defect = hermitian_part(a)
+    if defect <= 1e-12 * scale:
+        return float(np.abs(np.linalg.eigvalsh(h)).max())
     return float(np.linalg.norm(a, 2))
 
 
@@ -594,15 +595,12 @@ class SpectralDecomposition:
         return apply
 
     def diagonal_from_eigenbasis(self, values) -> np.ndarray:
-        """V diag(values) V^dag as a dense matrix, through the block-diagonal
-        F^dag V diag(values) V^dag F."""
-        values = np.asarray(values)
-        d = np.zeros(self.dim, dtype=values.dtype)
-        d[self.basis_permutation] = values
+        """V diag(values) V^dag as a dense matrix: W d W^dag for d the
+        values on the diagonal in the order of W (`_rotate_out`)."""
+        perm = self.basis_permutation
         y = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for sl, v in zip(self._slices, self._blocks):
-            y[sl, sl] = (v * d[sl][np.newaxis, :]) @ v.conj().T
-        return y if self.sectors is None else self.sectors.rotate_from_sectors(y)
+        y[perm, perm] = values
+        return self._rotate_out(y)
 
     def reconstruct(self) -> np.ndarray:
         return self.diagonal_from_eigenbasis(self.eigenvalues)

@@ -22,36 +22,22 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ThermalState:
     """Gibbs state exp(-beta H) / Z together with its defining data.
 
     Carrying the Hamiltonian and its decomposition lets every downstream
     entropy take the stable analytic route for log rho.  In the eigenbasis
     of H the state is diag(populations); `rho`, the certified dense matrix
-    in the computational basis, is built on first read unless one is given,
-    and held until `release_rho`.
+    in the computational basis, V diag(populations) V^dag, is always built
+    from them, on first read, and held until `release_rho`.
     """
 
     beta: float
     log_partition: float
     hamiltonian: HermitianOperator
     hamiltonian_decomp: SpectralDecomposition
-    _rho: DensityMatrix | None = field(default=None, repr=False, compare=False)
-
-    def __init__(
-        self,
-        rho: DensityMatrix | None,
-        beta: float,
-        log_partition: float,
-        hamiltonian: HermitianOperator,
-        hamiltonian_decomp: SpectralDecomposition,
-    ):
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "log_partition", log_partition)
-        object.__setattr__(self, "hamiltonian", hamiltonian)
-        object.__setattr__(self, "hamiltonian_decomp", hamiltonian_decomp)
+    _rho: DensityMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rho(self) -> DensityMatrix:
@@ -142,7 +128,7 @@ def thermal_state(
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     decomp = spectral_decompose(hamiltonian, symmetry)
     _, log_partition = _gibbs_weights(decomp.eigenvalues, beta)
-    return ThermalState(None, beta, log_partition, hamiltonian, decomp)
+    return ThermalState(beta, log_partition, hamiltonian, decomp)
 
 
 def _gibbs_weights(energies: np.ndarray, beta: float) -> tuple[np.ndarray, float]:

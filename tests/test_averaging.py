@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,17 @@ class TestFrameAverage:
         assert np.array_equal(average_translates(a, t, n), expected)
         with pytest.raises(ValueError, match=f"translation operator is no roll of {n} sites"):
             average_translates(a, relabeled, n)
+
+    @pytest.mark.parametrize(
+        "average",
+        (average_translates, partial(weighted_average_translates, scale=1.0)),
+        ids=("uniform", "weighted"),
+    )
+    def test_no_translates_are_refused_with_a_message(self, average):
+        # zero terms reach the translate sum's refusal, not a division by zero
+        t = translation_operator(LatticeSpec(3))
+        with pytest.raises(ValueError, match="translation operator is no roll of 0 sites"):
+            average(np.eye(8, dtype=complex), t, 0)
 
     def test_bit_stable_repetition(self):
         _, _, _, rho_prime, t = ising_setup()

@@ -5,13 +5,15 @@ package or exported.
 Deleting a code path tends to leave its imports and helpers behind; this
 walks each module's syntax tree rather than running a linter, so it needs
 nothing beyond the standard library.  `__init__.py` is skipped by the import
-scan: its imports are the exported names.
+scan: its imports are the exported names.  The code-line count of
+`code_lines.py`, which changes quote, is checked here on a snippet.
 """
 import ast
 import re
 from pathlib import Path
 
 import pytest
+from code_lines import code_lines
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frameavg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -36,6 +38,23 @@ def test_the_scan_sees_an_unused_import():
         "sep",
     ]
     assert _unused_imports("from __future__ import annotations\nimport numpy as np\nnp.eye\n") == []
+
+
+def test_the_line_count_skips_blank_comment_and_docstring_lines():
+    snippet = (
+        '"""Module docstring,\nover two lines."""\n'
+        "import math  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        '    s = """a string\n'
+        'that is assigned"""\n'
+        "    return math.floor(x), s\n"
+    )
+    # the import, the def, the two lines of the assignment and the return
+    assert code_lines(snippet) == 5
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])

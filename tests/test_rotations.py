@@ -112,15 +112,16 @@ def test_rotations_and_the_temporal_apply_match_the_explicit_products(solve, n):
 def test_the_momentum_rotations_match_the_dense_momentum_basis(n):
     sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
     dim = sectors.dim
-    f = sectors.from_sectors(np.eye(dim, dtype=np.complex128))
+    f = _dense_momentum_basis(sectors)
+    ones = _identity_blocks(sectors.dims)
     x = _probe(dim, n)
     tol = RTOL * max_norm(x)
     assert max_norm(f.conj().T @ f - np.eye(dim)) <= tol
-    assert max_norm(sectors.rotate_to_sectors(x) - f.conj().T @ x @ f) <= tol
+    assert max_norm(sectors.rotate_to_sectors(x, ones) - f.conj().T @ x @ f) <= tol
     # a real matrix is rotated like its complex copy
-    assert max_norm(sectors.rotate_to_sectors(x.real) - f.conj().T @ x.real @ f) <= tol
+    assert max_norm(sectors.rotate_to_sectors(x.real, ones) - f.conj().T @ x.real @ f) <= tol
     y = x.copy()
-    out = sectors.rotate_from_sectors(y)
+    out = sectors.rotate_from_sectors(y, ones)
     assert out is y
     assert max_norm(out - f @ x @ f.conj().T) <= tol
 
@@ -151,6 +152,11 @@ def _dense_momentum_basis(sectors):
     return np.stack(columns, axis=1)
 
 
+def _identity_blocks(dims):
+    """W = F: the identity block inside each sector."""
+    return [np.eye(d) for d in dims]
+
+
 def _random_blocks(dims, seed):
     """A random unitary block inside each sector."""
     rng = np.random.default_rng(seed)
@@ -168,12 +174,14 @@ def test_the_column_passes_are_w_and_its_adjoint(n, with_blocks):
     sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
     dim, dims = sectors.dim, sectors.dims
     f = _dense_momentum_basis(sectors)
-    assert max_norm(sectors.from_sectors(np.eye(dim, dtype=np.complex128)) - f) <= 1e-14
-    blocks = _random_blocks(dims, n) if with_blocks else None
-    b = np.zeros((dim, dim), dtype=np.complex128)
     edges = np.cumsum((0, *dims))
+    eye = np.eye(dim, dtype=np.complex128)
+    f_alone = sectors.from_sector_columns(lambda k: eye[edges[k] : edges[k + 1]], dim)
+    assert max_norm(f_alone - f) <= 1e-14
+    blocks = _random_blocks(dims, n) if with_blocks else _identity_blocks(dims)
+    b = np.zeros((dim, dim), dtype=np.complex128)
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        b[lo:hi, lo:hi] = np.eye(hi - lo) if blocks is None else blocks[k]
+        b[lo:hi, lo:hi] = blocks[k]
     w = f @ b
     x = _probe(dim, n)[:, :7]
     tol = RTOL * max_norm(x)
@@ -185,8 +193,7 @@ def test_the_column_passes_are_w_and_its_adjoint(n, with_blocks):
     assert max_norm(y - w.conj().T @ x) <= tol
 
     def piece(k):
-        rows = x[edges[k] : edges[k + 1]]
-        return rows if blocks is None else blocks[k] @ rows
+        return blocks[k] @ x[edges[k] : edges[k + 1]]
 
     assert max_norm(sectors.from_sector_columns(piece, x.shape[1]) - w @ x) <= tol
     a = _probe(dim, n + 1)

@@ -40,15 +40,21 @@ class TestThermalState:
         assert max_norm(state.rho.matrix - np.eye(4) / 4) < 1e-14
         assert abs(state.log_partition - np.log(4)) < 1e-12
 
-    def test_rho_given_first_seeds_the_state(self):
+    def test_rho_is_never_seeded(self):
+        # rho is always built from H's spectrum, so a state takes no rho that
+        # could disagree with its populations
         built = thermal_state(HermitianOperator(sigma_z), beta=1.0)
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        given = ThermalState(
-            rho, built.beta, built.log_partition, built.hamiltonian, built.hamiltonian_decomp
-        )
-        assert given.rho is rho
-        assert given.dim == 2
-        np.testing.assert_allclose(given.populations, built.populations, atol=0)
+        fields = (built.beta, built.log_partition, built.hamiltonian, built.hamiltonian_decomp)
+        with pytest.raises(TypeError):
+            ThermalState(rho, *fields)
+        with pytest.raises(TypeError):
+            ThermalState(*fields, _rho=rho)
+        state = ThermalState(*fields)
+        assert state.dim == 2
+        # e^{-+beta} / (2 cosh beta) on the Z eigenvalues, in the basis order
+        gibbs = np.diag(np.exp([-1.0, 1.0]) / (2 * np.cosh(1.0)))
+        assert max_norm(state.rho.matrix - gibbs) < 1e-15
 
     def test_single_spin_populations(self):
         state = thermal_state(HermitianOperator(sigma_z), beta=1.0)
