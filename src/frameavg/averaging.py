@@ -642,10 +642,15 @@ def conjugated_in_eigenbasis(
         u_beta = _scale_to_u_beta(state.beta, h, u_blocks.pop(0))
         blocks.append(HermitianOperator(u_beta @ u_beta.conj().T).matrix)
         del u_beta
-    populations = parity.split(state.populations)
-    norm = sum(float(np.dot(p, np.diagonal(e).real)) for p, e in zip(populations, blocks))
+    norm = _diagonal_trace(state.populations, blocks, parity.rows)
     _check_trace(norm, state.dim, max(max_norm(e) for e in blocks))
     return blocks
+
+
+def _diagonal_trace(values: np.ndarray, blocks: list[np.ndarray], rows: list[np.ndarray]) -> float:
+    """tr(diag(values) X) = sum_b values[rows_b] . diag(X_b) for X held as
+    its blocks, whose rows are the eigenvectors `rows`."""
+    return sum(float(np.dot(values[r], np.diagonal(b).real)) for r, b in zip(rows, blocks))
 
 
 def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:

@@ -17,10 +17,10 @@ import sys
 
 from .experiments import (
     CSV_HEADER,
+    PROBE_HEADER,
     ConfigError,
     ExperimentConfig,
     convergence_sweep,
-    emit_csv,
     load_config,
     locality_probe,
     record_to_row,
@@ -28,8 +28,6 @@ from .experiments import (
     verify_identities,
 )
 from .operators import EigensolverError
-
-PROBE_HEADER = "site,distance,kick_commutator_norm,conjugated_commutator_norm"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,10 +82,8 @@ def _run_verify(cfg: ExperimentConfig, output: str | None) -> int:
 
 def _run_records(cfg: ExperimentConfig, runner, output: str | None) -> int:
     records = runner(cfg)
-    if output is None:
-        _emit([CSV_HEADER] + [record_to_row(r) for r in records], None)
-    else:
-        emit_csv(records, output)
+    _emit([CSV_HEADER] + [record_to_row(r) for r in records], output)
+    if output is not None:
         print(f"wrote {len(records)} records to {output}", file=sys.stderr)
     return 0
 

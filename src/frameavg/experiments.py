@@ -23,7 +23,9 @@ from .averaging import (
     WEIGHTED_SPATIAL,
     AveragingKind,
     Channel,
+    DeviationReport,
     ReflectionParity,
+    _diagonal_trace,
     averaged_E_stats,
     conjugated_in_eigenbasis,
     conjugated_kick,
@@ -50,7 +52,7 @@ from .operators import (
     max_norm,
     operator_norm,
 )
-from .thermal import PerturbationSpec, local_kick, perturb, thermal_state, work
+from .thermal import PerturbationSpec, ThermalState, local_kick, perturb, thermal_state, work
 
 CSV_HEADER = (
     "model,N,beta,kick_site,kick_strength,avg_kind,avg_param,"
@@ -58,14 +60,15 @@ CSV_HEADER = (
     "bs_rel_ent_avg,beta_W,ME_deviation,entropy_density,wall_time_s"
 )
 
+# each identity's tolerance, in the order verify prints them
 IDENTITY_TOLERANCES = {
     "unitary-invariance": 1e-9,
     "work-identity": 1e-9,
     "averaging-identity": 1e-9,
     "bs-chain": 1e-9,
     "bs-equality": 1e-8,
-    "gracefulness": 1e-10,
     "normalization": 1e-9,
+    "gracefulness": 1e-10,
 }
 
 
@@ -369,13 +372,13 @@ class ExperimentRecord:
     def __post_init__(self):
         gate(
             abs(self.s_rho_prime - self.s_rho),
-            1e-9,
+            IDENTITY_TOLERANCES["unitary-invariance"],
             lambda: f"entropy changed under the kick: S(rho)={self.s_rho!r} "
             f"S(rho')={self.s_rho_prime!r}",
         )
         gate(
             abs(self.beta_w - self.rel_ent_prime),
-            1e-9,
+            IDENTITY_TOLERANCES["work-identity"],
             lambda: f"beta W = {self.beta_w!r} disagrees with S(rho'|rho) = "
             f"{self.rel_ent_prime!r}",
         )
@@ -387,7 +390,7 @@ class ExperimentRecord:
         decomposition = -self.s_m_rho_prime + self.s_rho_prime + self.rel_ent_prime
         gate(
             abs(self.rel_ent_avg - decomposition),
-            1e-9,
+            IDENTITY_TOLERANCES["averaging-identity"],
             lambda: f"averaged production {self.rel_ent_avg!r} disagrees with its "
             f"decomposition {decomposition!r}",
         )
@@ -445,10 +448,7 @@ def _sweep_size(
     state = ctx.state
     kicked = kicked_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
     energies = state.hamiltonian_decomp.eigenvalues
-    energy_prime = sum(
-        float(np.dot(h, np.diagonal(b).real))
-        for h, b in zip(ctx.parity.split(energies), kicked.blocks)
-    )
+    energy_prime = _diagonal_trace(energies, kicked.blocks, ctx.parity.rows)
     s_rho_prime = von_neumann_entropy(kicked).nats
     # the fields every row of this size shares
     shared = dict(
@@ -485,10 +485,7 @@ def _state_route(
     # handed over one at a time, so that each raw block is dropped once the
     # gate has made its symmetrized copy
     averaged = BlockDensityMatrix(blocks.pop(0) for _ in range(len(blocks)))
-    energies = ctx.state.hamiltonian_decomp.eigenvalues
-    energy = sum(
-        float(np.dot(energies[r], np.diagonal(b).real)) for r, b in zip(rows, averaged.blocks)
-    )
+    energy = _diagonal_trace(ctx.state.hamiltonian_decomp.eigenvalues, averaged.blocks, rows)
     return von_neumann_entropy(averaged).nats, energy, time.perf_counter() - start
 
 
@@ -503,21 +500,12 @@ def _record_for(
     state_seconds: float,
 ) -> ExperimentRecord:
     """One sweep row from the size's `shared` fields and its state route's
-    S(M rho') and tr(H M rho'); its wall time covers the channel work of
-    both routes, not the size setup.
-
-    The operator route averages the labelled blocks of E
-    (`Channel.parity_blocks`), and the ME statistics pair the blocks of ME
-    with the populations on their rows.  The uniform channel's blocks are
-    its momentum classes inside each labelled block; the weighted and
-    temporal channels keep the labelled blocks whole, two of about dim/2, or
-    four of about dim/4 where a spin flip applies; beside a real structure
-    the uniform and weighted ones are float64.
-    """
+    S(M rho') and tr(H M rho'), and its operator route's ME statistics
+    (`_operator_route`); its wall time covers the channel work of both
+    routes, not the size setup."""
     start = time.perf_counter()
     state = ctx.state
-    me_blocks, rows = channel.parity_blocks(e_blocks, ctx.parity)
-    report, bs_value = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
+    report, bs_value = _operator_route(state, channel, e_blocks, ctx.parity)
     rel_ent_avg = state.relative_entropy_of(s_m, energy)
     elapsed = state_seconds + time.perf_counter() - start
     return ExperimentRecord(
@@ -530,6 +518,23 @@ def _record_for(
         me_deviation=report.op_norm,
         wall_time_s=elapsed,
     )
+
+
+def _operator_route(
+    state: ThermalState, channel: Channel, e_blocks: list[np.ndarray], parity: ReflectionParity
+) -> tuple[DeviationReport, float]:
+    """ME's deviation report and -tr[rho eta(ME)] = S_BS(M rho' | rho).
+
+    The channel averages the labelled blocks of E (`Channel.parity_blocks`),
+    and the ME statistics pair the blocks of ME with the populations on
+    their rows.  The uniform channel's blocks are its momentum classes
+    inside each labelled block; the weighted and temporal channels keep the
+    labelled blocks whole, two of about dim/2, or four of about dim/4 where
+    a spin flip applies; beside a real structure the uniform and weighted
+    ones are float64.
+    """
+    me_blocks, rows = channel.parity_blocks(e_blocks, parity)
+    return averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
 
 
 def convergence_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -550,6 +555,9 @@ def saturation_scan(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     if scales != sorted(scales):
         raise ConfigError("weighted-spatial scales must ascend")
     return convergence_sweep(cfg)
+
+
+PROBE_HEADER = "site,distance,kick_commutator_norm,conjugated_commutator_norm"
 
 
 @dataclass(frozen=True)
@@ -644,89 +652,58 @@ class IdentityReport:
 
 
 def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
-    """Run the exact-identity suite at the smallest configured size."""
+    """Run the exact-identity suite at the smallest configured size: one
+    residual per name of IDENTITY_TOLERANCES, in its order, each against
+    its tolerance."""
     n = cfg.sizes[0]
     ctx = _SizeContext(cfg, n)
     state = ctx.state
     # each dense matrix below is released after its last reader: the dense
-    # rho after the work, rho' once averaged, the average after S_BS
+    # rho after the work, rho' once averaged, the average after S_BS, and
+    # E's blocks after the operator route
     rho_prime = perturb(state, ctx.kick)
     s_rho_prime = von_neumann_entropy(rho_prime).nats
     beta_w = state.beta * work(state.hamiltonian, state.rho, rho_prime)
     state.release_rho()
-    checks = []
-
-    checks.append(
-        IdentityCheck(
-            "unitary-invariance",
-            abs(s_rho_prime - ctx.s_rho),
-            cfg.tolerance("unitary-invariance"),
-        )
-    )
-
-    rel_prime_direct = relative_entropy(rho_prime, state).nats
-    checks.append(
-        IdentityCheck(
-            "work-identity",
-            abs(beta_w - rel_prime_direct),
-            cfg.tolerance("work-identity"),
-        )
-    )
-
+    rel_prime = relative_entropy(rho_prime, state).nats
+    residuals = {
+        "unitary-invariance": abs(s_rho_prime - ctx.s_rho),
+        "work-identity": abs(beta_w - rel_prime),
+    }
     averaged = frame_average(rho_prime, state.hamiltonian.sectors.translation, n)
     del rho_prime
     rel_avg = relative_entropy(averaged, state).nats
-    decomposition = (
-        -von_neumann_entropy(averaged).nats + s_rho_prime + rel_prime_direct
-    )
-    checks.append(
-        IdentityCheck(
-            "averaging-identity",
-            abs(rel_avg - decomposition),
-            cfg.tolerance("averaging-identity"),
-        )
-    )
-
+    decomposition = -von_neumann_entropy(averaged).nats + s_rho_prime + rel_prime
+    residuals["averaging-identity"] = abs(rel_avg - decomposition)
     bs_direct = bs_relative_entropy(averaged, state).nats
     del averaged
-    chain_violation = float(np.max([0.0, -rel_avg, rel_avg - bs_direct]))
-    checks.append(
-        IdentityCheck("bs-chain", chain_violation, cfg.tolerance("bs-chain"))
-    )
-
+    residuals["bs-chain"] = float(np.max([0.0, -rel_avg, rel_avg - bs_direct]))
     # the operator route: the uniform average of E's labelled blocks in the
     # joint eigenbasis, paired with the exact populations there; the state
     # route above ran in the computational basis
     uniform = AveragingKind.uniform_spatial().bind(state)
     e_blocks = conjugated_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
-    me_blocks, rows = uniform.parity_blocks(e_blocks, ctx.parity)
+    me_report, bs_from_me = _operator_route(state, uniform, e_blocks, ctx.parity)
     del e_blocks
-    me_report, bs_from_me = averaged_E_stats(me_blocks, [state.populations[r] for r in rows])
-    del me_blocks
-    checks.append(
-        IdentityCheck(
-            "bs-equality",
-            abs(bs_direct - bs_from_me),
-            cfg.tolerance("bs-equality"),
-            me_report.bs_floor,
-        )
+    residuals["bs-equality"] = abs(bs_direct - bs_from_me)
+    residuals["normalization"] = abs(ctx.normalization - 1.0)
+    residuals["gracefulness"] = _gracefulness(cfg, state)
+    floors = {"bs-equality": me_report.bs_floor}
+    return IdentityReport(
+        tuple(IdentityCheck(k, r, cfg.tolerance(k), floors.get(k)) for k, r in residuals.items())
     )
 
-    checks.append(
-        IdentityCheck(
-            "normalization",
-            abs(ctx.normalization - 1.0),
-            cfg.tolerance("normalization"),
-        )
-    )
 
-    # M[H, X] = [H, M X] is linear in X, so unit-norm Gaussian matrices probe
-    # it as well as states would, without certifying each one; every channel
-    # sees the same five probes, each commuted with H once.  The loop holds
-    # H (float64 for a real chain), the channels (the temporal one its
-    # weights) and one probe with its commutator at a time
+def _gracefulness(cfg: ExperimentConfig, state: ThermalState) -> float:
+    """The largest entry of M[H, X] - [H, M X] over the configured channels.
+
+    M[H, X] = [H, M X] is linear in X, so unit-norm Gaussian matrices probe
+    it as well as states would, without certifying each one; every channel
+    sees the same five probes, each commuted with H once.  The loop holds
+    H (float64 for a real chain), the channels (the temporal one its
+    weights) and one probe with its commutator at a time."""
     h = state.hamiltonian.matrix
-    dim = ctx.lattice.dim
+    dim = state.dim
     channels = [kind.bind(state) for kind in cfg.averaging]
     worst = 0.0
     rng = np.random.default_rng(cfg.seed)
@@ -743,9 +720,7 @@ def verify_identities(cfg: ExperimentConfig) -> IdentityReport:
             worst = float(np.maximum(worst, max_norm(lhs)))
             del lhs
         del x, hx
-    checks.append(IdentityCheck("gracefulness", worst, cfg.tolerance("gracefulness")))
-
-    return IdentityReport(tuple(checks))
+    return worst
 
 
 def _format_cell(value) -> str:
@@ -763,7 +738,7 @@ def _format_cell(value) -> str:
 
 def record_to_row(record: ExperimentRecord | ProbeRow) -> str:
     """The record's cells in field order, which is its header's: CSV_HEADER
-    for an ExperimentRecord, `cli.PROBE_HEADER` for a ProbeRow."""
+    for an ExperimentRecord, PROBE_HEADER for a ProbeRow."""
     return ",".join(_format_cell(getattr(record, f.name)) for f in fields(record))
 
 

@@ -402,6 +402,17 @@ class TestVerifyIdentities:
             "gracefulness",
         ]
 
+    @pytest.mark.parametrize("name", IDENTITY_TOLERANCES)
+    def test_each_tolerance_override_reaches_its_own_line(self, name):
+        # every name of the table has its line, in the table's order, and an
+        # override of one name moves that line's tolerance alone
+        tfi = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+        cfg = config_from_mapping(base_mapping(model=tfi, tolerance_overrides={name: 0.5}))
+        report = verify_identities(cfg)
+        assert [c.name for c in report.checks] == list(IDENTITY_TOLERANCES)
+        assert {c.name: c.tolerance for c in report.checks} == {**IDENTITY_TOLERANCES, name: 0.5}
+        assert [line.split()[0] for line in report.lines() if "5.0e-01" in line] == [name]
+
     def test_zero_kick_productions_vanish(self):
         data = base_mapping()
         data["kick"]["strength"] = 0.0

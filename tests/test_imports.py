@@ -497,3 +497,40 @@ def test_one_function_raises_the_overflow_guard():
         for owner in _raisers(p.read_text(encoding="utf-8"), OVERFLOW)
     ]
     assert raisers == ["entropy.py:_exp_guard"]
+
+
+def test_the_scan_sees_every_builder_of_a_check():
+    source = (
+        "class IdentityReport:\n    checks: tuple[IdentityCheck, ...]\n"
+        "def verify(r):\n    return tuple(IdentityCheck(k, v) for k, v in r.items())\n"
+        "def extra():\n    return experiments.IdentityCheck('a', 1.0, 1.0)\n"
+    )
+    assert _readers(source, "IdentityCheck") == ["<module>", "verify", "extra"]
+
+
+def test_identity_checks_are_built_at_one_call_site():
+    # verify builds every check from its one table of residuals, so a check
+    # spelled out on its own adds a reader; the module-level read is
+    # IdentityReport's field annotation
+    readers = [
+        f"{p.name}:{owner}"
+        for p in [*MODULES, INIT]
+        for owner in _readers(p.read_text(encoding="utf-8"), "IdentityCheck")
+    ]
+    assert readers == ["experiments.py:<module>", "experiments.py:verify_identities"]
+
+
+def test_the_scan_sees_every_caller_of_the_me_statistics():
+    source = (
+        "from .averaging import averaged_E_stats\n"
+        "def route(blocks, rows):\n    return averaged_E_stats(blocks, rows)\n"
+        "def verify(blocks, rows):\n    report, bs = averaging.averaged_E_stats(blocks, rows)\n"
+    )
+    assert _readers(source, "averaged_E_stats") == ["route", "verify"]
+
+
+def test_one_function_runs_the_operator_route():
+    # the sweep rows and verify's bs-equality share one operator route; a
+    # second pairing of ME's blocks with the populations adds a reader
+    source = (PACKAGE / "experiments.py").read_text(encoding="utf-8")
+    assert _readers(source, "averaged_E_stats") == ["_operator_route"]

@@ -107,25 +107,6 @@ def test_rotations_and_the_temporal_apply_match_the_explicit_products(solve, n):
             assert max_norm(got - want) <= tol, tau
 
 
-# N = 9 (dim 512) gathers the result back in two slabs of rows
-@pytest.mark.parametrize("n", (2, 3, 4, 6, 9))
-def test_the_momentum_rotations_match_the_dense_momentum_basis(n):
-    sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
-    dim = sectors.dim
-    f = _dense_momentum_basis(sectors)
-    ones = _identity_blocks(sectors.dims)
-    x = _probe(dim, n)
-    tol = RTOL * max_norm(x)
-    assert max_norm(f.conj().T @ f - np.eye(dim)) <= tol
-    assert max_norm(sectors.rotate_to_sectors(x, ones) - f.conj().T @ x @ f) <= tol
-    # a real matrix is rotated like its complex copy
-    assert max_norm(sectors.rotate_to_sectors(x.real, ones) - f.conj().T @ x.real @ f) <= tol
-    y = x.copy()
-    out = sectors.rotate_from_sectors(y, ones)
-    assert out is y
-    assert max_norm(out - f @ x @ f.conj().T) <= tol
-
-
 def _dense_momentum_basis(sectors):
     """F from its definition, read off the translation's permutation alone:
     for each momentum k, each orbit r (by its least member, ascending) with
@@ -169,11 +150,12 @@ def _random_blocks(dims, seed):
 def test_the_column_passes_are_w_and_its_adjoint(n, with_blocks):
     # W = F (+)_k B_k on columns and W^dag, the one statement of both that
     # the rotations, V's columns and the kick's projection use, against the
-    # dense F built from its definition; and the rotations through the same
-    # blocks against W^dag x W and W y W^dag
+    # dense F built from its definition, which is unitary; and the rotations
+    # through the same blocks against W^dag x W and W y W^dag
     sectors = build_hamiltonian(LatticeSpec(n), HamiltonianSpec(*TFI)).sectors
     dim, dims = sectors.dim, sectors.dims
     f = _dense_momentum_basis(sectors)
+    assert max_norm(f.conj().T @ f - np.eye(dim)) <= 1e-14
     edges = np.cumsum((0, *dims))
     eye = np.eye(dim, dtype=np.complex128)
     f_alone = sectors.from_sector_columns(lambda k: eye[edges[k] : edges[k + 1]], dim)
@@ -199,7 +181,12 @@ def test_the_column_passes_are_w_and_its_adjoint(n, with_blocks):
     a = _probe(dim, n + 1)
     tol = RTOL * max_norm(a)
     assert max_norm(sectors.rotate_to_sectors(a, blocks) - w.conj().T @ a @ w) <= tol
-    assert max_norm(sectors.rotate_from_sectors(a.copy(), blocks) - w @ a @ w.conj().T) <= tol
+    # a real matrix is rotated like its complex copy
+    assert max_norm(sectors.rotate_to_sectors(a.real, blocks) - w.conj().T @ a.real @ w) <= tol
+    # in place: the rotation out returns its argument
+    y = a.copy()
+    assert sectors.rotate_from_sectors(y, blocks) is y
+    assert max_norm(y - w @ a @ w.conj().T) <= tol
 
 
 def test_the_temporal_channel_holds_no_dense_weights(monkeypatch):
