@@ -653,9 +653,11 @@ def _diagonal_trace(values: np.ndarray, blocks: list[np.ndarray], rows: list[np.
     return sum(float(np.dot(values[r], np.diagonal(b).real)) for r, b in zip(rows, blocks))
 
 
-def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray, float]:
+def conjugated_kick(
+    state: ThermalState, u: UnitaryOperator, tolerance: float = 1e-9
+) -> tuple[np.ndarray, float]:
     """u = e^{beta H/2} U e^{-beta H/2} in the computational basis, and
-    tr(rho E) from `eigenbasis_kick`, certified to 1e-9.
+    tr(rho E) from `eigenbasis_kick`, certified to `tolerance`.
 
     In the energy eigenbasis the conjugation is the entrywise factor
     e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
@@ -663,7 +665,12 @@ def conjugated_kick(state: ThermalState, u: UnitaryOperator) -> tuple[np.ndarray
     and rotated back.
     """
     (u_tilde,), stable_norm = eigenbasis_kick(state, u)
-    gate(abs(stable_norm - 1.0), 1e-9, lambda: f"tr(rho E) = {stable_norm!r} is not 1 within 1e-9")
+    gate(
+        abs(stable_norm - 1.0),
+        tolerance,
+        lambda: f"tr(rho E) = {stable_norm!r} is not 1 within "
+        f"{np.format_float_scientific(tolerance, exp_digits=1, trim='-')}",
+    )
     decomp = state.hamiltonian_decomp
     u_beta = _scale_to_u_beta(state.beta, decomp.eigenvalues, u_tilde)
     return decomp.from_eigenbasis(u_beta), stable_norm

@@ -16,16 +16,17 @@ import argparse
 import sys
 
 from .experiments import (
-    CSV_HEADER,
     PROBE_HEADER,
     ConfigError,
     ExperimentConfig,
     convergence_sweep,
+    emit_csv,
     load_config,
     locality_probe,
     record_to_row,
     saturation_scan,
     verify_identities,
+    write_lines,
 )
 from .operators import EigensolverError
 
@@ -52,21 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(lines: list, output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"failed writing {output}: {exc}") from exc
-
-
 def _run_verify(cfg: ExperimentConfig, output: str | None) -> int:
     report = verify_identities(cfg)
-    _emit(report.lines(), output)
+    write_lines(report.lines(), output)
     for check in report.checks:
         if check.floor is not None:
             print(
@@ -82,7 +71,7 @@ def _run_verify(cfg: ExperimentConfig, output: str | None) -> int:
 
 def _run_records(cfg: ExperimentConfig, runner, output: str | None) -> int:
     records = runner(cfg)
-    _emit([CSV_HEADER] + [record_to_row(r) for r in records], output)
+    emit_csv(records, output)
     if output is not None:
         print(f"wrote {len(records)} records to {output}", file=sys.stderr)
     return 0
@@ -90,7 +79,7 @@ def _run_records(cfg: ExperimentConfig, runner, output: str | None) -> int:
 
 def _run_probe(cfg: ExperimentConfig, args, output: str | None) -> int:
     rows = locality_probe(cfg, args.time, probe=args.probe)
-    _emit([PROBE_HEADER] + [record_to_row(r) for r in rows], output)
+    write_lines([PROBE_HEADER] + [record_to_row(r) for r in rows], output)
     return 0
 
 

@@ -149,18 +149,34 @@ def _exp_guard(state: ThermalState) -> None:
         )
 
 
-def _bs_value(sigma_tilde: np.ndarray, scale: np.ndarray, weights: np.ndarray) -> float:
-    """-tr[rho eta(X)] with X = diag(scale) sigma_tilde diag(scale).
+def _bs_value(blocks, scales, weights) -> float:
+    """-tr[rho eta(X)] for X block diagonal, each block diag(s) b diag(s) for
+    a block b of sigma~ and its `scales` s, clamped at 0.
 
-    All three arrays live in the eigenbasis of rho, where rho is diagonal
-    with entries `weights`.  X is scaled and symmetrized in place in
-    sigma_tilde, which is overwritten, so no dim x dim temporary is made.
+    Each block lives in a basis where rho is diagonal, with its `weights`
+    on the block's rows.  X is scaled and symmetrized in place in the
+    blocks, which are overwritten, so no temporary of their size is made.
     """
-    x = sigma_tilde
-    x *= scale[:, np.newaxis]
-    x *= scale[np.newaxis, :]
-    hermitian_part(x, out=x)
-    return _eta_trace([x], [weights])[2]
+    xs = []
+    for x, s in zip(blocks, scales):
+        x *= s[:, np.newaxis]
+        x *= s[np.newaxis, :]
+        hermitian_part(x, out=x)
+        xs.append(x)
+    return _clamped(_eta_trace(xs, weights)[2])
+
+
+def _thermal_bs_value(blocks, rows, rho: ThermalState) -> float:
+    """`_bs_value` for thermal rho, whose inverse square root is the analytic
+    exp(beta H / 2) sqrt(Z): the blocks of sigma~ in an eigenbasis of H,
+    whose rows are the eigenvectors `rows` of the spectrum, scaled by its
+    entries there and paired with the populations, behind the overflow
+    guard.  The blocks are overwritten."""
+    _exp_guard(rho)
+    energies = rho.hamiltonian_decomp.eigenvalues
+    scale = np.exp(rho.beta * energies / 2 + rho.log_partition / 2)
+    p = rho.populations
+    return _bs_value(blocks, [scale[r] for r in rows], [p[r] for r in rows])
 
 
 def bs_relative_entropy(
@@ -169,23 +185,21 @@ def bs_relative_entropy(
     """-tr[rho eta(rho^{-1/2} sigma rho^{-1/2})], the Hiai-Petz upper bound.
 
     For thermal rho the inverse square root is the analytic
-    exp(beta H / 2) sqrt(Z), evaluated entirely in the energy eigenbasis.
+    exp(beta H / 2) sqrt(Z), evaluated entirely in the energy eigenbasis, as
+    one block of `_thermal_bs_value`.
     """
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: sigma {sigma.dim}, rho {rho.dim}")
     if isinstance(rho, ThermalState):
-        _exp_guard(rho)
-        energies = rho.hamiltonian_decomp.eigenvalues
-        scale = np.exp(rho.beta * energies / 2 + rho.log_partition / 2)
         sigma_tilde = rho.hamiltonian_decomp.to_eigenbasis(sigma.matrix)
-        return EntropyValue(_clamped(_bs_value(sigma_tilde, scale, rho.populations)))
+        return EntropyValue(_thermal_bs_value([sigma_tilde], [np.arange(rho.dim)], rho))
     w, v, kernel = _rho_eigenframe(rho)
     sigma_tilde = v.conj().T @ sigma.matrix @ v
     if np.diagonal(sigma_tilde).real[kernel].sum() > KERNEL_WEIGHT_ATOL:
         return EntropyValue(0.0, support_violation=True)
     scale = np.zeros_like(w)
     scale[~kernel] = w[~kernel] ** -0.5
-    return EntropyValue(_clamped(_bs_value(sigma_tilde, scale, w)))
+    return EntropyValue(_bs_value([sigma_tilde], [scale], [w]))
 
 
 def thermo_entropy_production(beta: float, work: float) -> float:

@@ -556,6 +556,27 @@ class SpectralDecomposition:
         (v,) = self._blocks
         return v @ y @ v.conj().T
 
+    def sector_blocks(self, a: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The diagonal sector blocks of W^dag a W, for an `a` that commutes
+        with the translation of the sectors, and the index in the spectrum
+        of each block's rows.  One rotation in (`_rotate_in`); the entries
+        between sectors, which commuting with T forbids, must pass
+        `symmetry_gate` within RECONSTRUCTION_RTOL of the largest entry.
+        Without sectors the one block is V^dag a V in the order of W."""
+        y = self._rotate_in(a)
+        order = self._spectrum_order()
+        blocks, off, scale = [], 0.0, 0.0
+        for sl in self._slices:
+            band = y[sl]
+            blocks.append(band[:, sl].copy())
+            band[:, sl] = 0.0
+            # np.maximum, unlike max, carries a NaN through to the gate
+            off = np.maximum(off, max_norm(band))
+            scale = np.maximum(scale, max_norm(blocks[-1]))
+        tol = RECONSTRUCTION_RTOL * float(np.maximum(scale, off))
+        symmetry_gate(float(off), tol, "matrix", "the translation of its sectors", "cross-momentum")
+        return blocks, [order[sl] for sl in self._slices]
+
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V^dag a V, the rows and columns of W^dag a W gathered into the
         order of the spectrum."""

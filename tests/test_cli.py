@@ -437,6 +437,19 @@ class TestProbeCommand:
         cfg = write_config(tmp_path, sizes=[4, 6])
         assert main(["probe", "--config", cfg]) == 2
 
+    def test_normalization_override_reaches_the_kick_gate(self, tmp_path, capsys):
+        # tr(rho E) misses 1 by 4.4e-16 here: the default 1e-9 passes it, and
+        # an override below that residual refuses the probe, as it does a sweep
+        assert main(["probe", "--config", write_config(tmp_path)]) == 0
+        capsys.readouterr()
+        tight = {"normalization": 1e-16}
+        cfg = write_config(tmp_path, "tight.json", tolerance_overrides=tight)
+        assert main(["probe", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not 1 within 1e-16" in captured.err
+        assert main(["sweep", "--config", cfg]) == 1
+
 
 # a tiny config each command accepts, and the first line of its output
 COMMANDS = {

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from frameavg import DensityMatrix, HermitianOperator, random_density_matrix
+from frameavg.averaging import frame_average
 from frameavg.entropy import (
     EntropyValue,
+    _thermal_bs_value,
     bs_relative_entropy,
     eta,
     relative_entropy,
@@ -160,6 +162,19 @@ class TestBsRelativeEntropy:
         stable = bs_relative_entropy(sigma, state).nats
         generic = bs_relative_entropy(sigma, state.rho).nats
         assert abs(stable - generic) < 1e-8
+
+    def test_sector_blocks_match_the_one_block_route(self):
+        # a translate average is block diagonal in the momentum sectors of
+        # H's frame, and S_BS read from those blocks is the dense value
+        lat = LatticeSpec(4)
+        h = build_hamiltonian(lat, HamiltonianSpec("transverse-field-ising", {"J": 1.0, "g": 0.8}))
+        state = thermal_state(h, beta=1.0)
+        rho_prime = perturb(state, local_kick(lat, PerturbationSpec(1, sigma_x, 0.7)))
+        sigma = frame_average(rho_prime, h.sectors.translation, 4)
+        blocks, rows = state.hamiltonian_decomp.sector_blocks(sigma.matrix)
+        assert len(blocks) == 4
+        blocked = _thermal_bs_value(blocks, rows, state)
+        assert abs(blocked - bs_relative_entropy(sigma, state).nats) < 1e-12
 
 
 class TestThermoProduction:

@@ -435,9 +435,10 @@ class TestVerifyIdentities:
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)
 
     def test_each_state_is_eigensolved_once(self, monkeypatch):
-        # rho, rho' and the frame average of rho' each get one dense eigvalsh,
-        # their positivity gate, however many identities read their entropy;
-        # the gracefulness probes are not states and get none
+        # rho and rho' each get one dense eigvalsh, their positivity gate, and
+        # the frame average of rho' one per momentum sector block of H's
+        # frame (dims 6, 3, 4, 3 at N = 4), however many identities read
+        # their entropy; the gracefulness probes are not states and get none
         cfg = config_from_mapping(
             base_mapping(
                 model={"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
@@ -447,7 +448,26 @@ class TestVerifyIdentities:
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
         assert verify_identities(cfg).passed
-        assert calls == [(16, 16), (16, 16), (16, 16)]
+        assert calls == [(16, 16), (16, 16), (6, 6), (3, 3), (4, 4), (3, 3)]
+
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_no_eigh_sees_a_dim_x_dim_matrix(self, monkeypatch, n):
+        # H is solved per momentum sector and label, S_BS of the averaged
+        # state per sector block of H's frame, and ME per class block
+        tfi = {"name": "transverse-field-ising", "couplings": {"J": 1.0, "g": 0.9}}
+        channels = [
+            {"kind": "uniform-spatial"},
+            {"kind": "weighted-spatial", "R": 2.0},
+            {"kind": "temporal", "tau": 1.5},
+        ]
+        cfg = config_from_mapping(base_mapping(model=tfi, sizes=[n], averaging=channels))
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a, *args: sizes.append(a.shape[0]) or eigh(a, *args)
+        )
+        assert verify_identities(cfg).passed
+        assert sizes and max(sizes) < 2**n
 
     @pytest.mark.parametrize("n_channels", (1, 3))
     def test_each_probe_is_drawn_and_commuted_with_h_once(self, monkeypatch, n_channels):

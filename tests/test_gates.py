@@ -171,6 +171,25 @@ def _translation(monkeypatch, residual):
     spectral_decompose(h)
 
 
+def _state_translation(monkeypatch, residual):
+    """The cross-momentum gate of `SpectralDecomposition.sector_blocks` on
+    the thermal state of XXZ at N = 4 plus delta times a projector onto a
+    basis state that T moves, at delta just above the gate's tolerance,
+    found as `_broken` finds it; a NaN run reads a state with a NaN entry."""
+    state = thermal_state(build_hamiltonian(LatticeSpec(4), XXZ), 1.0)
+    decomp, rho = state.hamiltonian_decomp, state.rho.matrix
+    if np.isnan(residual):
+        rho = rho.copy()
+        rho[0, 0] = NAN
+        decomp.sector_blocks(rho)
+    breaking = np.zeros_like(rho)
+    breaking[1, 1] = 1.0
+    with pytest.raises(ValueError) as first:
+        decomp.sector_blocks(rho + 1e-6 * breaking)
+    reach, tol = (float(x) for x in re.findall(r"reach (\S+), above (\S+)$", str(first.value))[0])
+    decomp.sector_blocks(rho + 1e-6 * tol / reach * (1 + 1e-2) * breaking)
+
+
 def _site_sum(n, *letters) -> np.ndarray:
     """sum_j prod_m s_m acting on sites j + m, for letters s_0, s_1, ..."""
     lattice = LatticeSpec(n)
@@ -287,6 +306,11 @@ FAMILIES = {
         _translation,
         None,
         "operator does not commute with the translation of its sectors: off-sector",
+    ),
+    "state-translation": (
+        _state_translation,
+        None,
+        "matrix does not commute with the translation of its sectors: cross-momentum",
     ),
     "sector-flip": (
         lambda mp, r: _broken(mp, r, "flip"),
@@ -427,5 +451,5 @@ def test_a_nan_commutator_fails_the_gracefulness_line(monkeypatch):
 
 def test_a_nan_bs_entropy_fails_the_chain_line(monkeypatch):
     assert _verify_lines()["bs-chain"] == "PASS"
-    monkeypatch.setattr(experiments, "bs_relative_entropy", lambda *a: SimpleNamespace(nats=NAN))
+    monkeypatch.setattr(experiments, "_thermal_bs_value", lambda *a: NAN)
     assert _verify_lines()["bs-chain"] == "FAIL"

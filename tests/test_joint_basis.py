@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from frameavg.averaging import ReflectionParity
+from frameavg.averaging import ReflectionParity, average_translates
 from frameavg.cli import main
 from frameavg.experiments import (
     config_from_mapping,
@@ -76,6 +76,29 @@ class TestSectorForm:
         shifted = v[np.argsort(h.sectors.translation.permutation)]  # T V
         phases = np.exp(2j * np.pi * decomp.momenta / n)
         assert max_norm(shifted - v * phases[np.newaxis, :]) < 1e-13
+
+    @pytest.mark.parametrize("model,couplings", MODELS[1:])
+    @pytest.mark.parametrize("n", (3, 4, 6))
+    def test_sector_blocks_are_the_blocks_of_the_eigenbasis(self, model, couplings, n):
+        # a uniform translate sum commutes with T, so in W it is its sector
+        # blocks; each equals V^dag a V on the rows of its spectrum indices
+        h = _hamiltonian(model, couplings, n)
+        decomp = spectral_decompose(h)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        a = average_translates(x, h.sectors.translation, n)
+        blocks, rows = decomp.sector_blocks(a)
+        assert [b.shape[0] for b in blocks] == list(h.sectors.dims)
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(2**n))
+        dense = decomp.to_eigenbasis(a)
+        assert np.array_equal(np.concatenate([decomp.momenta[r] for r in rows]), h.sectors.momenta)
+        for b, r in zip(blocks, rows):
+            assert max_norm(b - dense[np.ix_(r, r)]) < 1e-13
+        # the one-block form reads V^dag a V in the order of its columns
+        w, v = np.linalg.eigh(h.matrix)
+        (block,), (r,) = SpectralDecomposition(w, eigenvectors=v).sector_blocks(a)
+        assert np.array_equal(r, np.arange(2**n))
+        assert max_norm(block - v.conj().T @ a @ v) < 1e-12
 
     def test_non_commuting_operator_raises(self):
         h = _hamiltonian("transverse-field-ising", {"J": 1.0, "g": 0.9}, 4)

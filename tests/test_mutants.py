@@ -28,10 +28,14 @@ then applies one mutation with monkeypatch and sees the same check fail:
 - prod Z K forced beside the flip prod X on XXZ with an X kick at N = 5,
   where it anticommutes with the flip and swaps its sectors: the sector
   solve refuses the pair.
+- verify's translate sum of rho' without its last translate, which is no
+  longer T-invariant: the cross-momentum gate of its sector blocks names
+  the translation and raises, and `frameavg verify` exits 1.
 
 The mutations patch names that the sweep and verify go through in the joint
 H-T eigenbasis, where every channel acts as a Schur multiplier.
 """
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -40,6 +44,7 @@ import pytest
 
 from frameavg import averaging, experiments, lattice
 from frameavg.averaging import AveragingKind
+from frameavg.cli import main
 from frameavg.experiments import (
     _SizeContext,
     config_from_mapping,
@@ -317,3 +322,33 @@ def test_a_real_structure_that_anticommutes_with_the_flip_is_refused(monkeypatch
     )
     with pytest.raises(ValueError, match="prod Z K anticommutes with the spin flip prod X"):
         convergence_sweep(cfg)
+
+
+def test_an_average_without_one_translate_trips_the_translation_gate(
+    monkeypatch, tmp_path, capsys
+):
+    mapping = {
+        "model": TFI,
+        "sizes": [4],
+        "beta": 1.0,
+        "kick": {"site": 0, "generator": "X", "strength": 0.7},
+        "averaging": [{"kind": "uniform-spatial"}],
+        "seed": 17,
+    }
+    path = tmp_path / "tfi.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["verify", "--config", str(path)]) == 0
+
+    def dropped(a, t, n_terms):
+        # weights 1 / (N - 1) on all but the last translate: unit trace kept
+        weights = np.append(np.ones(n_terms - 1) / (n_terms - 1), 0.0)
+        return averaging._translate_conjugations(a, t, n_terms, weights)
+
+    monkeypatch.setattr(experiments, "average_translates", dropped)
+    with pytest.raises(ValueError, match="does not commute with the translation"):
+        verify_identities(config_from_mapping(mapping))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "matrix does not commute with the translation of its sectors" in captured.err
