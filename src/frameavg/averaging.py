@@ -73,9 +73,6 @@ TAU_IDENTITY_FLOOR = 1e-12
 # eigenvalues closer than this fraction of the spectral width dephase as one block
 DEGENERACY_RTOL = 1e-10
 
-# off-label entries a split tolerates, relative to the entry scale
-PARITY_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class AveragingKind:
@@ -371,9 +368,10 @@ class ConjugatedPerturbation:
     tr(rho E) = 1 can be certified here and reused by deviation reports.
     The dense trace here can only be trusted to round-off at the scale of
     the largest entry of E, so the tolerance grows with that scale; the
-    factory certifies the same identity to 1e-9 at every beta through a
-    positive-term evaluation in the energy eigenbasis and records that value
-    as `normalization` (None when the pair was built by hand).
+    factory certifies the same identity to the `normalization` tolerance at
+    every beta through a positive-term evaluation in the energy eigenbasis
+    and records that value as `normalization` (None when the pair was built
+    by hand).
     """
 
     u: np.ndarray
@@ -389,9 +387,14 @@ class ConjugatedPerturbation:
 
 
 def _check_trace(norm: float, dim: int, scale: float) -> None:
-    """tr(rho E) = 1 within 1e-9 plus the round-off of a trace at E's scale."""
-    slack = 1e-9 + dim * np.finfo(np.float64).eps * scale
-    gate(abs(norm - 1.0), slack, lambda: f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}")
+    """tr(rho E) = 1 within the `normalization` tolerance plus the round-off
+    of a trace at E's scale."""
+    gate(
+        "normalization",
+        abs(norm - 1.0),
+        lambda slack: f"tr(rho E) = {norm!r} is not 1 within {slack:.3e}",
+        roundoff=dim * np.finfo(np.float64).eps * scale,
+    )
 
 
 def conjugate_normalization(state: ThermalState, u: UnitaryOperator) -> float:
@@ -473,7 +476,7 @@ def _kick_blocks(
                 parity.gate(offs, scale)
                 if real:
                     real_k = decomp.symmetry.real_name
-                    symmetry_gate(imag, PARITY_RTOL * scale, "matrix", real_k, "imaginary")
+                    symmetry_gate("parity", imag, scale, "matrix", real_k, "imaginary")
         blocks.append(block)
     return blocks
 
@@ -585,10 +588,9 @@ class ReflectionParity:
 
     def gate(self, offs: dict[tuple[int, int], float], scale: float) -> None:
         """The off-label gate: offs[(p, q)] is the largest entry a matrix
-        has between blocks p and q, and each must vanish within PARITY_RTOL
-        of the scale; a pair whose flip signs differ is blamed on the flip,
-        any other on the reflection."""
-        tol = PARITY_RTOL * scale
+        has between blocks p and q, and each must vanish within the `parity`
+        tolerance of the scale; a pair whose flip signs differ is blamed on
+        the flip, any other on the reflection."""
         flips = [self.labels[p][0] != self.labels[q][0] for p, q in offs]
         for broken, what, entries in (
             (True, self.symmetry.flip_name, "flip"),
@@ -596,7 +598,7 @@ class ReflectionParity:
         ):
             # np.max, unlike max, carries a NaN through to the gate
             off = float(np.max([r for r, f in zip(offs.values(), flips) if f == broken], initial=0))
-            symmetry_gate(off, tol, "matrix", what, f"off-{entries}")
+            symmetry_gate("parity", off, scale, "matrix", what, f"off-{entries}")
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """The values of a diagonal, given as a 1d array, on the blocks."""
@@ -654,10 +656,11 @@ def _diagonal_trace(values: np.ndarray, blocks: list[np.ndarray], rows: list[np.
 
 
 def conjugated_kick(
-    state: ThermalState, u: UnitaryOperator, tolerance: float = 1e-9
+    state: ThermalState, u: UnitaryOperator, overrides: dict[str, float] | None = None
 ) -> tuple[np.ndarray, float]:
     """u = e^{beta H/2} U e^{-beta H/2} in the computational basis, and
-    tr(rho E) from `eigenbasis_kick`, certified to `tolerance`.
+    tr(rho E) from `eigenbasis_kick`, certified to the `normalization`
+    tolerance, or to its entry in a config's tolerance `overrides`.
 
     In the energy eigenbasis the conjugation is the entrywise factor
     e^{beta (E_i - E_j) / 2}, so no matrix exponential or inverse square root
@@ -666,10 +669,11 @@ def conjugated_kick(
     """
     (u_tilde,), stable_norm = eigenbasis_kick(state, u)
     gate(
+        "normalization",
         abs(stable_norm - 1.0),
-        tolerance,
-        lambda: f"tr(rho E) = {stable_norm!r} is not 1 within "
+        lambda tolerance: f"tr(rho E) = {stable_norm!r} is not 1 within "
         f"{np.format_float_scientific(tolerance, exp_digits=1, trim='-')}",
+        overrides=overrides,
     )
     decomp = state.hamiltonian_decomp
     u_beta = _scale_to_u_beta(state.beta, decomp.eigenvalues, u_tilde)

@@ -46,6 +46,7 @@ from .lattice import (
     pauli,
 )
 from .operators import (
+    TOLERANCES,
     BlockDensityMatrix,
     commutator,
     frobenius_norm,
@@ -61,16 +62,9 @@ CSV_HEADER = (
     "bs_rel_ent_avg,beta_W,ME_deviation,entropy_density,wall_time_s"
 )
 
-# each identity's tolerance, in the order verify prints them
-IDENTITY_TOLERANCES = {
-    "unitary-invariance": 1e-9,
-    "work-identity": 1e-9,
-    "averaging-identity": 1e-9,
-    "bs-chain": 1e-9,
-    "bs-equality": 1e-8,
-    "normalization": 1e-9,
-    "gracefulness": 1e-10,
-}
+# verify's identities, the first seven families of the tolerance table, in
+# the order verify prints them: the only names tolerance_overrides may set
+IDENTITY_TOLERANCES = dict(list(TOLERANCES.items())[:7])
 
 
 class ConfigError(ValueError):
@@ -374,27 +368,27 @@ class ExperimentRecord:
 
     def __post_init__(self):
         gate(
+            "unitary-invariance",
             abs(self.s_rho_prime - self.s_rho),
-            IDENTITY_TOLERANCES["unitary-invariance"],
-            lambda: f"entropy changed under the kick: S(rho)={self.s_rho!r} "
+            lambda _: f"entropy changed under the kick: S(rho)={self.s_rho!r} "
             f"S(rho')={self.s_rho_prime!r}",
         )
         gate(
+            "work-identity",
             abs(self.beta_w - self.rel_ent_prime),
-            IDENTITY_TOLERANCES["work-identity"],
-            lambda: f"beta W = {self.beta_w!r} disagrees with S(rho'|rho) = "
+            lambda _: f"beta W = {self.beta_w!r} disagrees with S(rho'|rho) = "
             f"{self.rel_ent_prime!r}",
         )
         gate(
+            "negativity",
             -self.rel_ent_avg,
-            1e-10,
-            lambda: f"averaged entropy production is negative: {self.rel_ent_avg!r}",
+            lambda _: f"averaged entropy production is negative: {self.rel_ent_avg!r}",
         )
         decomposition = -self.s_m_rho_prime + self.s_rho_prime + self.rel_ent_prime
         gate(
+            "averaging-identity",
             abs(self.rel_ent_avg - decomposition),
-            IDENTITY_TOLERANCES["averaging-identity"],
-            lambda: f"averaged production {self.rel_ent_avg!r} disagrees with its "
+            lambda _: f"averaged production {self.rel_ent_avg!r} disagrees with its "
             f"decomposition {decomposition!r}",
         )
 
@@ -444,9 +438,10 @@ def _sweep_size(
     gates beta W against S(rho'|rho)."""
     ctx = _SizeContext(cfg, n)
     gate(
+        "normalization",
         abs(ctx.normalization - 1.0),
-        cfg.tolerance("normalization"),
-        lambda: f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}",
+        lambda _: f"tr(rho E) = {ctx.normalization!r} drifted from 1 at N={n}",
+        overrides=cfg.tolerance_overrides,
     )
     state = ctx.state
     kicked = kicked_in_eigenbasis(state, ctx.u_blocks, ctx.parity)
@@ -592,7 +587,7 @@ def locality_probe(cfg: ExperimentConfig, probe_time: float, probe: str = "X") -
     lattice = LatticeSpec(n)
     state = thermal_state(build_hamiltonian(lattice, cfg.model), cfg.beta)
     kick = local_kick(lattice, cfg.kick)
-    u, _ = conjugated_kick(state, kick, cfg.tolerance("normalization"))
+    u, _ = conjugated_kick(state, kick, cfg.tolerance_overrides)
     energies = state.hamiltonian_decomp.eigenvalues
 
     def phases(rows, cols):

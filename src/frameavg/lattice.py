@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    RECONSTRUCTION_RTOL,
     SLAB,
+    TOLERANCES,
     HermitianOperator,
     UnitaryOperator,
     _sector_slices,
@@ -499,8 +499,9 @@ def chain_symmetry(h: HermitianOperator, generator) -> ChainSymmetry | None:
     entries and their tolerance are read once for both labels.
 
     Both are tested, never read off a model name: s against g (s g - g s,
-    or s g^* s + g for the antiunitary, vanishing) within RECONSTRUCTION_RTOL
-    of g's scale, and the global product against h's entries
+    or s g^* s + g for the antiunitary, vanishing) within the
+    `reconstruction` tolerance of g's scale, the one the sector solve's
+    gates hold H to, and the global product against h's entries
     (`conjugation_defect`) within that fraction of theirs.  Only a
     degenerate chain or kick (a vanishing coupling, a generator
     proportional to 1) passes more than one flip.
@@ -518,12 +519,12 @@ def chain_symmetry(h: HermitianOperator, generator) -> ChainSymmetry | None:
     g = as_square_complex(generator, "generator")
     rows, cols, values = h.entries()
     n = h.sectors.n_terms
-    tol = RECONSTRUCTION_RTOL * max(1.0, max_norm(values) if values.size else 0.0)
+    tol = TOLERANCES["reconstruction"] * max(1.0, max_norm(values) if values.size else 0.0)
 
     def fixes(letter: str, antiunitary: bool) -> bool:
         s = _local(letter)
         kick = s @ g.conj() @ s + g if antiunitary else s @ g - g @ s
-        return not max_norm(kick) > RECONSTRUCTION_RTOL * max(1.0, max_norm(g)) and (
+        return not max_norm(kick) > TOLERANCES["reconstruction"] * max(1.0, max_norm(g)) and (
             conjugation_defect(*site_product(n, s), rows, cols, values, antiunitary) <= tol
         )
 

@@ -21,16 +21,6 @@ from itertools import combinations
 
 import numpy as np
 
-# construction tolerances
-HERMITICITY_RTOL = 1e-12
-UNITARITY_ATOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-10
-TRACE_ATOL = 1e-10
-PSD_EIGENVALUE_FLOOR = -1e-12
-# how far a symmetry's image of a labelled column may miss a phase times a
-# column of its set, in any coefficient (`symmetry_split`)
-COLUMN_ATOL = 1e-10
-
 # relative cutoff separating a genuine spectral kernel from round-off
 SUPPORT_RTOL = 1e-14
 
@@ -68,25 +58,68 @@ class OverflowGuardError(ValueError):
     """An exponential-scaling step would overflow double precision."""
 
 
-def gate(residual: float, tolerance: float, error: Callable[[], str | Exception]) -> None:
+# the tolerance of every gate family, the one place each is set: verify's
+# seven identities first, in the order it prints them, which are the only
+# names a config's tolerance_overrides may set.  A relative tolerance is
+# scaled at its gate.
+TOLERANCES = {
+    "unitary-invariance": 1e-9,
+    "work-identity": 1e-9,
+    "averaging-identity": 1e-9,
+    "bs-chain": 1e-9,
+    "bs-equality": 1e-8,
+    "normalization": 1e-9,
+    "gracefulness": 1e-10,
+    # an operator's anti-Hermitian part, relative to its entry scale
+    "hermiticity": 1e-12,
+    # |U^dag U - 1|
+    "unitarity": 1e-10,
+    # an eigensolve's residual, and the entries a symmetry of H forbids,
+    # relative to H's scale
+    "reconstruction": 1e-10,
+    # how far a state's trace may miss 1
+    "trace": 1e-10,
+    # how far below 0 a state's lowest eigenvalue may lie
+    "positivity": 1e-12,
+    # how far a symmetry's image of a labelled column may miss a phase times
+    # a column of its set, in any coefficient (`symmetry_split`)
+    "column": 1e-10,
+    # the entries between labelled blocks of the joint eigenbasis, and their
+    # imaginary part under an antiunitary, relative to the entry scale
+    "parity": 1e-10,
+    # how far a sweep row's averaged entropy production may lie below 0
+    "negativity": 1e-10,
+    # the imaginary part of the work, relative to max(1, |W|)
+    "imaginary-work": 1e-10,
+}
+
+
+def gate(
+    family: str, residual: float, error: Callable, scale=1.0, *, roundoff=0.0, overrides=None
+) -> None:
     """The one certification rule: a residual passes only if residual <=
-    tolerance, so NaN fails every gate.  `error` is called only on failure;
-    it returns the exception to raise, or a message raised as a ValueError."""
+    tolerance, so NaN fails every gate.  The tolerance is the `family`'s
+    entry of TOLERANCES, or of a config's `overrides`, times `scale`, plus
+    `roundoff`.  `error` is called only on failure, with that tolerance; it
+    returns the exception to raise, or a message raised as a ValueError."""
+    tolerance = (overrides or {}).get(family, TOLERANCES[family]) * scale + roundoff
     if not residual <= tolerance:
-        exc = error()
+        exc = error(tolerance)
         raise ValueError(exc) if isinstance(exc, str) else exc
 
 
 def symmetry_gate(
-    residual: float, tolerance: float, subject: str, symmetry: str, entries: str
+    family: str, residual: float, scale: float, subject: str, symmetry: str, entries: str
 ) -> None:
     """The commutation gate: `residual`, the largest of the `entries` of the
-    `subject` that commuting with `symmetry` forbids, must pass `gate`."""
+    `subject` that commuting with `symmetry` forbids, must pass `gate` for
+    the `family` at `scale`."""
     gate(
+        family,
         residual,
-        tolerance,
-        lambda: f"{subject} does not commute with {symmetry}: "
+        lambda tolerance: f"{subject} does not commute with {symmetry}: "
         f"{entries} entries reach {residual:.3e}, above {tolerance:.3e}",
+        scale,
     )
 
 
@@ -198,8 +231,8 @@ class HermitianOperator:
 
     - `matrix`: a dense square matrix, stored as exactly (A + A^dag) / 2,
       float64 where A is a float64 array and complex128 otherwise;
-      construction rejects inputs whose anti-Hermitian part exceeds
-      HERMITICITY_RTOL relative to the entry scale.
+      construction rejects inputs whose anti-Hermitian part exceeds the
+      `hermiticity` tolerance relative to the entry scale.
     - bit-flip terms: a `diagonal` d and `flips`, pairs (m, c) of a flip mask
       and a coefficient per basis state, for
 
@@ -272,10 +305,11 @@ class HermitianOperator:
 
 def _check_hermitian(defect: float, scale: float) -> None:
     gate(
+        "hermiticity",
         defect,
-        HERMITICITY_RTOL * scale,
-        lambda: f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
-        f"exceeds {HERMITICITY_RTOL:g} * scale {scale:.3e}",
+        lambda _: f"matrix is not Hermitian: anti-Hermitian defect {defect:.3e} "
+        f"exceeds {TOLERANCES['hermiticity']:g} * scale {scale:.3e}",
+        scale,
     )
 
 
@@ -309,7 +343,8 @@ def _hermitian_terms(diagonal, flips) -> tuple[np.ndarray, dict[int, np.ndarray]
 class UnitaryOperator:
     """A unitary certified at construction, held in one of three forms.
 
-    - `matrix`: a dense square matrix, certified by |U^dag U - 1| <= UNITARITY_ATOL.
+    - `matrix`: a dense square matrix, certified by |U^dag U - 1| within
+      the `unitarity` tolerance.
     - `permutation`: a basis permutation, U e_i = e_{permutation[i]}; a
       verified bijection is unitary by construction.
     - `factor` with `outer` = (L, R): U = 1_L x u x 1_R for a d x d unitary u.
@@ -328,12 +363,7 @@ class UnitaryOperator:
         self.permutation = None
         self.factor = None
         self.outer = None
-        if matrix is not None:
-            a = as_square_complex(matrix)
-            _check_unitary(a)
-            self._matrix = a
-            self.dim = a.shape[0]
-        elif permutation is not None:
+        if permutation is not None:
             perm = np.asarray(permutation, dtype=np.intp)
             if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
                 raise ValueError("permutation is not a bijection on the basis")
@@ -341,15 +371,24 @@ class UnitaryOperator:
             self._inverse = np.empty_like(perm)
             self._inverse[perm] = np.arange(perm.size)
             self.dim = perm.size
+            return
+        if matrix is not None:
+            u = self._matrix = as_square_complex(matrix)
+            self.dim = u.shape[0]
         else:
-            u = as_square_complex(factor, "factor")
+            u = self.factor = as_square_complex(factor, "factor")
             left, right = (int(x) for x in outer)
             if left < 1 or right < 1:
                 raise ValueError(f"outer dimensions must be >= 1, got {outer!r}")
-            _check_unitary(u)
-            self.factor = u
             self.outer = (left, right)
             self.dim = left * u.shape[0] * right
+        defect = max_norm(u.conj().T @ u - np.eye(u.shape[0]))
+        gate(
+            "unitarity",
+            defect,
+            lambda tolerance: f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} "
+            f"exceeds {tolerance:g}",
+        )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -397,15 +436,6 @@ class UnitaryOperator:
             return (self.factor.conj() @ b.reshape(-1, d, right)).reshape(a.shape)
         m = self._matrix
         return m @ a @ m.conj().T
-
-
-def _check_unitary(a: np.ndarray) -> None:
-    defect = max_norm(a.conj().T @ a - np.eye(a.shape[0]))
-    gate(
-        defect,
-        UNITARITY_ATOL,
-        lambda: f"matrix is not unitary: |U^dag U - 1| = {defect:.3e} exceeds {UNITARITY_ATOL:g}",
-    )
 
 
 class SpectralDecomposition:
@@ -561,7 +591,8 @@ class SpectralDecomposition:
         with the translation of the sectors, and the index in the spectrum
         of each block's rows.  One rotation in (`_rotate_in`); the entries
         between sectors, which commuting with T forbids, must pass
-        `symmetry_gate` within RECONSTRUCTION_RTOL of the largest entry.
+        `symmetry_gate` within the `reconstruction` tolerance of the largest
+        entry.
         Without sectors the one block is V^dag a V in the order of W."""
         y = self._rotate_in(a)
         order = self._spectrum_order()
@@ -573,8 +604,9 @@ class SpectralDecomposition:
             # np.maximum, unlike max, carries a NaN through to the gate
             off = np.maximum(off, max_norm(band))
             scale = np.maximum(scale, max_norm(blocks[-1]))
-        tol = RECONSTRUCTION_RTOL * float(np.maximum(scale, off))
-        symmetry_gate(float(off), tol, "matrix", "the translation of its sectors", "cross-momentum")
+        off, scale = float(off), float(np.maximum(scale, off))
+        translation = "the translation of its sectors"
+        symmetry_gate("reconstruction", off, scale, "matrix", translation, "cross-momentum")
         return blocks, [order[sl] for sl in self._slices]
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
@@ -649,23 +681,23 @@ def spectral_decompose(a: HermitianOperator, symmetry=None) -> SpectralDecomposi
     if symmetry is not None:
         raise ValueError("a symmetry label needs an operator that carries momentum sectors")
     m = a.matrix
-    scale = max_norm(m)
-    w, v = _certified_eigh(m, RECONSTRUCTION_RTOL * max(1.0, scale), m.shape[0], scale)
+    w, v = _certified_eigh(m, m.shape[0], max_norm(m))
     return SpectralDecomposition(w, eigenvectors=v)
 
 
-def _certified_eigh(block: np.ndarray, tol: float, dim: int, scale: float):
+def _certified_eigh(block: np.ndarray, dim: int, scale: float):
     """eigh of a Hermitian block behind the reconstruction gate, the one
     eigensolve of H: a LAPACK failure, or a residual max |V diag(w) V^dag -
-    block| above tol, raises EigensolverError(dim, scale), for the dim and
-    entry scale of the whole operator."""
+    block| above the `reconstruction` tolerance of max(1, scale), raises
+    EigensolverError(dim, scale), for the dim and entry scale of the whole
+    operator."""
     try:
         w, v = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(dim, scale) from exc
     if block.size:
         resid = max_norm((v * w[np.newaxis, :]) @ v.conj().T - block)
-        gate(resid, tol, lambda: EigensolverError(dim, scale))
+        gate("reconstruction", resid, lambda _: EigensolverError(dim, scale), max(1.0, scale))
     return w, v
 
 
@@ -696,13 +728,15 @@ def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
     with it (`ChainSymmetry` refuses one that anticommutes, which would swap
     the flip signs), so each (parity, flip sign) label is solved as a real
     block.  Every solve must reconstruct its block; all gates hold within
-    RECONSTRUCTION_RTOL of the scale.
+    the `reconstruction` tolerance of max(1, scale).
     """
     rows, cols, values = h.entries()
     scale = max_norm(values) if values.size else 0.0
-    tol = RECONSTRUCTION_RTOL * max(1.0, scale)
+    tol_scale = max(1.0, scale)
     off = sectors.translation_defect(rows, cols, values)
-    symmetry_gate(off, tol, "operator", "the translation of its sectors", "off-sector")
+    symmetry_gate(
+        "reconstruction", off, tol_scale, "operator", "the translation of its sectors", "off-sector"
+    )
     blocks = sectors.blocks_from_entries(rows, cols, values)
     slices = _sector_slices(sectors.dims)
     dim = h.dim
@@ -724,9 +758,9 @@ def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
     def solve(block):
         if conj is not None:
             imag = max_norm(block.imag) if block.size else 0.0
-            symmetry_gate(imag, tol, "operator", *names["real"])
+            symmetry_gate("reconstruction", imag, tol_scale, "operator", *names["real"])
             block = block.real
-        return _certified_eigh(block, tol, dim, scale)
+        return _certified_eigh(block, dim, scale)
 
     n = len(slices)
     values, vectors, labels = [None] * n, [None] * n, [None] * n
@@ -761,7 +795,7 @@ def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
                 # the first label the two sets differ in names the symmetry
                 first = np.flatnonzero(np.subtract(split[p][0], split[q][0]))[0]
                 off = max_norm(columns[p].conj().T @ block @ columns[q])
-                symmetry_gate(off, tol, "operator", *names[keys[first]])
+                symmetry_gate("reconstruction", off, tol_scale, "operator", *names[keys[first]])
             pieces = [(b, solve(b.conj().T @ block @ b)) for b in columns]
             values[k] = np.concatenate([w for _, (w, _) in pieces])
             vectors[k] = np.concatenate([b @ v for b, (_, v) in pieces], axis=1)
@@ -776,7 +810,7 @@ def _sector_decompose(h, sectors, symmetry=None) -> SpectralDecomposition:
         if block.size:
             expected = np.outer(phase, phase.conj()) * block
             off = max_norm(mirrored[np.ix_(mirror, mirror)] - expected)
-            symmetry_gate(off, tol, "operator", *names[0])
+            symmetry_gate("reconstruction", off, tol_scale, "operator", *names[0])
         v_bar = np.empty_like(v)
         v_bar[mirror] = phase[:, np.newaxis] * v
         values[k_bar], vectors[k_bar] = w, v_bar
@@ -885,7 +919,7 @@ def _column_involution(idx, coef, image, phase, anti: bool) -> tuple[np.ndarray,
     x, and Q^2 = 1 on the set, target an involution with q[x] q[target[x]]
     = 1 (conj(q[x]) q[target[x]] = 1 for an antiunitary Q), so a fixed
     column's phase is +-1 (of modulus 1 for an antiunitary Q).  The
-    coefficients and phases pass `gate` within COLUMN_ATOL."""
+    coefficients and phases pass `gate` within the `column` tolerance."""
     owner = np.full(image.size, -1)
     weight = np.zeros(image.size, dtype=np.complex128)
     cols = np.arange(idx[0].size)
@@ -908,13 +942,13 @@ def _column_involution(idx, coef, image, phase, anti: bool) -> tuple[np.ndarray,
         moved = (c.conj() if anti else c)[held] * phase[i[held]]
         misses.append(np.abs(moved - q_phase[held] * weight[to]))
     miss = float(np.max(np.concatenate(misses), initial=0.0))
-    gate(miss, COLUMN_ATOL, lambda: f"{off_set}: coefficients miss by {miss:.3e}")
+    gate("column", miss, lambda _: f"{off_set}: coefficients miss by {miss:.3e}")
     unsquared = "a symmetry does not square to 1 on a labelled column set"
     if (target[target] != cols).any():
         raise ValueError(unsquared)
     square = (q_phase.conj() if anti else q_phase) * q_phase[target]
     defect = float(np.max(np.abs(square - 1.0), initial=0.0))
-    gate(defect, COLUMN_ATOL, lambda: f"{unsquared}: phases miss 1 by {defect:.3e}")
+    gate("column", defect, lambda _: f"{unsquared}: phases miss 1 by {defect:.3e}")
     return target, q_phase
 
 
@@ -959,13 +993,14 @@ class BlockDensityMatrix:
     """A block-diagonal density matrix held as its diagonal blocks.
 
     The one positivity gate of the package: each block is certified
-    Hermitian on its own entry scale, the traces sum to 1 within TRACE_ATOL,
-    and no eigenvalue lies below PSD_EIGENVALUE_FLOOR, which absorbs
-    round-off from channel arithmetic.  The positivity check is the
-    per-block eigvalsh itself, whose concatenated spectrum is kept as
-    `eigenvalues`, so no state is eigensolved twice.  The blocks may be
-    given by any iterable; each is dropped once its symmetrized copy is
-    made, so a generator of blocks is held with one raw block at a time.
+    Hermitian on its own entry scale, the traces sum to 1 within the
+    `trace` tolerance, and no eigenvalue lies further below 0 than the
+    `positivity` tolerance, which absorbs round-off from channel
+    arithmetic.  The positivity check is the per-block eigvalsh itself,
+    whose concatenated spectrum is kept as `eigenvalues`, so no state is
+    eigensolved twice.  The blocks may be given by any iterable; each is
+    dropped once its symmetrized copy is made, so a generator of blocks is
+    held with one raw block at a time.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -980,13 +1015,13 @@ class BlockDensityMatrix:
         if not blocks:
             raise ValueError("need at least one block")
         tr = sum(b.trace().real for b in blocks)
-        gate(abs(tr - 1.0), TRACE_ATOL, lambda: f"trace {tr!r} is not 1 within {TRACE_ATOL:g}")
+        gate("trace", abs(tr - 1.0), lambda tol: f"trace {tr!r} is not 1 within {tol:g}")
         w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
         lo = float(w.min())
         gate(
+            "positivity",
             -lo,
-            -PSD_EIGENVALUE_FLOOR,
-            lambda: f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}",
+            lambda _: f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}",
         )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "eigenvalues", w)

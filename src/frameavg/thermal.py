@@ -109,9 +109,9 @@ class WorkReport:
 
     def __post_init__(self):
         gate(
+            "work-identity",
             abs(self.beta_work - self.relative_entropy_check),
-            1e-9,
-            lambda: "beta * W and the relative entropy of the kicked state disagree: "
+            lambda _: "beta * W and the relative entropy of the kicked state disagree: "
             f"{self.beta_work!r} vs {self.relative_entropy_check!r}",
         )
 
@@ -170,6 +170,6 @@ def work(
             f"rho' {rho_prime.dim}"
         )
     value = trace_product(hamiltonian, rho_prime.matrix - rho.matrix)
-    tol = 1e-10 * max(1.0, abs(value.real))
-    gate(abs(value.imag), tol, lambda: f"work came out non-real: {value!r}")
+    scale = max(1.0, abs(value.real))
+    gate("imaginary-work", abs(value.imag), lambda _: f"work came out non-real: {value!r}", scale)
     return value.real

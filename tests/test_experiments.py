@@ -148,11 +148,17 @@ class TestConfigParsing:
                 base_mapping(averaging=[{"kind": "uniform-spatial", "R": 2.0}])
             )
 
-    def test_tolerance_override_unknown_name(self):
-        with pytest.raises(ConfigError, match="work-identityy"):
-            config_from_mapping(
-                base_mapping(tolerance_overrides={"work-identityy": 1e-6})
-            )
+    @pytest.mark.parametrize("name", ("work-identityy", "hermiticity"))
+    def test_tolerance_override_unknown_name(self, name):
+        # a gate family outside verify's seven identities is refused like a
+        # typo, and the refusal lists the seven alone
+        with pytest.raises(ConfigError, match=name) as info:
+            config_from_mapping(base_mapping(tolerance_overrides={name: 1e-6}))
+        seven = [
+            "averaging-identity", "bs-chain", "bs-equality", "gracefulness",
+            "normalization", "unitary-invariance", "work-identity",
+        ]
+        assert str(info.value).endswith(f"; known names: {seven}")
 
     def test_tolerance_override_applied(self):
         cfg = config_from_mapping(

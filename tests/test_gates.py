@@ -23,6 +23,7 @@ from frameavg.averaging import (
     conjugated_kick,
 )
 from frameavg.experiments import (
+    IDENTITY_TOLERANCES,
     ExperimentRecord,
     config_from_mapping,
     convergence_sweep,
@@ -40,21 +41,18 @@ from frameavg.lattice import (
     translation_operator,
 )
 from frameavg.operators import (
-    HERMITICITY_RTOL,
-    PSD_EIGENVALUE_FLOOR,
-    RECONSTRUCTION_RTOL,
-    TRACE_ATOL,
-    UNITARITY_ATOL,
+    TOLERANCES,
     BlockDensityMatrix,
     DensityMatrix,
     EigensolverError,
     HermitianOperator,
+    UnitaryOperator,
     _check_hermitian,
-    _check_unitary,
     _sector_decompose,
     hermitian_part,
     max_norm,
     spectral_decompose,
+    symmetry_split,
 )
 from frameavg.thermal import (
     PerturbationSpec,
@@ -94,6 +92,16 @@ def _unchecked_blocks(monkeypatch):
     monkeypatch.setattr(
         operators, "HermitianOperator", lambda b: SimpleNamespace(matrix=np.asarray(b, complex))
     )
+
+
+def _unitary(monkeypatch, residual):
+    """UnitaryOperator's gate on the 1 x 1 matrix sqrt(1 + r), whose
+    |U^dag U - 1| is r.  Its finite check refuses a NaN entry first, so a
+    NaN run reads the defect's norm patched to NaN."""
+    if np.isnan(residual):
+        monkeypatch.setattr(operators, "max_norm", lambda a: NAN)
+        residual = 0.0
+    UnitaryOperator(np.array([[np.sqrt(1 + residual)]]))
 
 
 def _psd(monkeypatch, lowest):
@@ -164,9 +172,9 @@ def _real_gate(residual):
 
 
 def _translation(monkeypatch, residual):
+    """The off-sector gate, at H's scale max(1, max |H_ij|)."""
     h = build_hamiltonian(LatticeSpec(4), XXZ)
-    if not np.isnan(residual):
-        residual = above(RECONSTRUCTION_RTOL * max(1.0, max_norm(h.entries()[2])))
+    residual *= max(1.0, max_norm(h.entries()[2]))
     monkeypatch.setattr(MomentumSectors, "translation_defect", lambda self, *a: residual)
     spectral_decompose(h)
 
@@ -188,6 +196,31 @@ def _state_translation(monkeypatch, residual):
         decomp.sector_blocks(rho + 1e-6 * breaking)
     reach, tol = (float(x) for x in re.findall(r"reach (\S+), above (\S+)$", str(first.value))[0])
     decomp.sector_blocks(rho + 1e-6 * tol / reach * (1 + 1e-2) * breaking)
+
+
+def _column_coefficients(residual):
+    """The coefficient gate of `_column_involution`: Q swaps e_0 and e_1
+    with the phases (1, 1 + r), so it maps the first term of the column
+    e_0 + e_1 home and misses the second by r."""
+    column = (np.array([0]), np.ones(1), np.array([1]), np.ones(1))
+    symmetry_split([((), column)], [(np.array([1, 0]), np.array([1.0, 1 + residual]))])
+
+
+def _column_phases(monkeypatch, residual):
+    """The phase gate of `_column_involution`: Q fixes the unit column e_0
+    with the phase sqrt(1 + r), so Q^2 misses 1 there by r.  A NaN phase
+    fails the coefficient gate first, so a NaN run reads the phases' miss,
+    the second np.max of the step, patched to NaN."""
+    if np.isnan(residual):
+        largest, calls = np.max, []
+
+        def nan_second(a, **kwargs):
+            calls.append(a)
+            return NAN if len(calls) == 2 else largest(a, **kwargs)
+
+        monkeypatch.setattr(np, "max", nan_second)
+        residual = 0.0
+    symmetry_split([((), (np.arange(1), np.ones(1)))], [(np.arange(1), np.sqrt([1 + residual]))])
 
 
 def _site_sum(n, *letters) -> np.ndarray:
@@ -241,90 +274,105 @@ def _broken(monkeypatch, residual, which):
     _sector_decompose(HermitianOperator(h + delta * breaking()), sectors, symmetry)
 
 
-# family: (trigger(monkeypatch, residual), tolerance, or None where the
-# trigger places a residual just above it itself, and the gate's message)
+# family: (trigger(monkeypatch, residual), the gate's family in the
+# tolerance table, and the gate's message).  The trigger is fed a NaN or a
+# residual just above the family's tolerance at unit scale; a gate of a
+# larger scale scales it (`_translation`), or reads its tolerance off a
+# first failure instead (`_state_translation`, `_broken`)
 FAMILIES = {
     "hermitian": (
         lambda mp, r: _check_hermitian(r, 1.0),
-        HERMITICITY_RTOL,
+        "hermiticity",
         "matrix is not Hermitian: anti-Hermitian defect",
     ),
-    "unitary": (
-        lambda mp, r: _check_unitary(np.array([[np.sqrt(1 + r)]])),
-        UNITARITY_ATOL,
-        r"matrix is not unitary: \|U\^dag U - 1\|",
-    ),
+    "unitary": (_unitary, "unitarity", r"matrix is not unitary: \|U\^dag U - 1\|"),
     "state-trace": (
         lambda mp, r: (_unchecked_blocks(mp), BlockDensityMatrix((np.array([[1 + r]]),))),
-        TRACE_ATOL,
+        "trace",
         "trace .* is not 1 within",
     ),
     "psd": (
         lambda mp, r: _psd(mp, -r),
-        -PSD_EIGENVALUE_FLOOR,
+        "positivity",
         "matrix is not positive semidefinite: min eigenvalue",
     ),
-    "tr-rho-E": (lambda mp, r: _check_trace(1 + r, 1, 0.0), 1e-9, r"tr\(rho E\) = .* is not 1"),
-    "tr-rho-E-kick": (_conjugated_kick, 1e-9, r"tr\(rho E\) = .* is not 1 within 1e-9"),
-    "tr-rho-E-sweep": (_sweep, 1e-9, r"tr\(rho E\) = .* drifted from 1 at N=4"),
-    "record-entropy": (
-        lambda mp, r: _record(s_rho_prime=r), 1e-9, "entropy changed under the kick"
+    "tr-rho-E": (
+        lambda mp, r: _check_trace(1 + r, 1, 0.0), "normalization", r"tr\(rho E\) = .* is not 1"
     ),
-    "record-work": (lambda mp, r: _record(beta_w=r), 1e-9, r"beta W = .* disagrees with S"),
+    "tr-rho-E-kick": (
+        _conjugated_kick, "normalization", r"tr\(rho E\) = .* is not 1 within 1e-9"
+    ),
+    "tr-rho-E-sweep": (_sweep, "normalization", r"tr\(rho E\) = .* drifted from 1 at N=4"),
+    "record-entropy": (
+        lambda mp, r: _record(s_rho_prime=r), "unitary-invariance", "entropy changed under the kick"
+    ),
+    "record-work": (
+        lambda mp, r: _record(beta_w=r), "work-identity", r"beta W = .* disagrees with S"
+    ),
     "record-negative": (
         lambda mp, r: _record(rel_ent_avg=-r, s_m_rho_prime=r),
-        1e-10,
+        "negativity",
         "averaged entropy production is negative",
     ),
     "record-decomposition": (
         lambda mp, r: _record(s_m_rho_prime=-r),
-        1e-9,
+        "averaging-identity",
         "disagrees with its decomposition",
     ),
     "work-report": (
         lambda mp, r: WorkReport(work=0.0, beta_work=r, relative_entropy_check=0.0),
-        1e-9,
+        "work-identity",
         "beta \\* W and the relative entropy of the kicked state disagree",
     ),
-    "work-imaginary": (_work, 1e-10, "work came out non-real"),
+    "work-imaginary": (_work, "imaginary-work", "work came out non-real"),
     "off-flip": (
         lambda mp, r: _off_label(r, True),
-        1e-10,
+        "parity",
         "matrix does not commute with the spin flip prod X: off-flip entries reach",
     ),
     "off-parity": (
         lambda mp, r: _off_label(r, False),
-        1e-10,
+        "parity",
         "matrix does not commute with the reflection about the kicked site: off-parity",
     ),
     "real": (
         lambda mp, r: _real_gate(r),
-        1e-10,
+        "parity",
         "matrix does not commute with the antiunitary prod I K: imaginary entries reach",
+    ),
+    "column-coefficients": (
+        lambda mp, r: _column_coefficients(r),
+        "column",
+        "a symmetry does not map a labelled column set onto itself: coefficients miss by",
+    ),
+    "column-phases": (
+        _column_phases,
+        "column",
+        "a symmetry does not square to 1 on a labelled column set: phases miss 1 by",
     ),
     "sector-translation": (
         _translation,
-        None,
+        "reconstruction",
         "operator does not commute with the translation of its sectors: off-sector",
     ),
     "state-translation": (
         _state_translation,
-        None,
+        "reconstruction",
         "matrix does not commute with the translation of its sectors: cross-momentum",
     ),
     "sector-flip": (
         lambda mp, r: _broken(mp, r, "flip"),
-        None,
+        "reconstruction",
         "operator does not commute with the spin flip prod X of its sectors: off-flip",
     ),
     "sector-reflection": (
         lambda mp, r: _broken(mp, r, "reflection"),
-        None,
+        "reconstruction",
         "operator does not commute with the site reflection of its sectors: off-parity",
     ),
     "sector-antiunitary": (
         lambda mp, r: _broken(mp, r, "antiunitary"),
-        None,
+        "reconstruction",
         "operator does not commute with the antiunitary prod I K of its sectors: imaginary",
     ),
 }
@@ -333,13 +381,19 @@ FAMILIES = {
 @pytest.mark.parametrize("residual", ("above", "nan"))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_gate_fails_just_above_its_tolerance_and_on_nan(monkeypatch, family, residual):
-    trigger, tolerance, message = FAMILIES[family]
-    if residual == "nan":
-        value = NAN
-    else:
-        value = above(tolerance) if tolerance is not None else 0.0
+    trigger, name, message = FAMILIES[family]
+    value = NAN if residual == "nan" else above(TOLERANCES[name])
     with pytest.raises(ValueError, match=message):
         trigger(monkeypatch, value)
+
+
+def test_every_tolerance_is_driven_by_a_gate_test():
+    # each family of the table is fed a residual just above its tolerance and
+    # a NaN: by FAMILIES, by the eigensolve test below (reconstruction), or,
+    # for verify's seven identities, by the test that moves each one's line
+    # (tests/test_experiments.py); a family added without a test fails here
+    driven = {name for _, name, _ in FAMILIES.values()} | {"reconstruction"}
+    assert set(TOLERANCES) == driven | set(IDENTITY_TOLERANCES)
 
 
 @pytest.mark.parametrize("failure", ("lapack", "below", "above", "nan"))
@@ -347,13 +401,13 @@ def test_a_gate_fails_just_above_its_tolerance_and_on_nan(monkeypatch, family, r
 def test_every_eigensolve_of_h_is_gated_by_one_routine(monkeypatch, form, failure):
     # the dense solve and each sector block's solve both go through
     # `_certified_eigh`: a LAPACK failure, a reconstruction residual above
-    # RECONSTRUCTION_RTOL of the operator's scale (every eigenvalue shifted
-    # by delta leaves a residual of delta) or a NaN raises EigensolverError
-    # there, naming the whole operator's dim and scale
+    # the `reconstruction` tolerance of the operator's scale (every
+    # eigenvalue shifted by delta leaves a residual of delta) or a NaN raises
+    # EigensolverError there, naming the whole operator's dim and scale
     h = build_hamiltonian(LatticeSpec(4), XXZ)
     op = h if form == "sector" else HermitianOperator(h.matrix)
     scale = max_norm(h.matrix)
-    tol = RECONSTRUCTION_RTOL * max(1.0, scale)
+    tol = TOLERANCES["reconstruction"] * max(1.0, scale)
     shift = {"below": tol * (1 - 1e-2), "above": tol * (1 + 1e-2), "nan": NAN}.get(failure)
     eigh, certified, raised = np.linalg.eigh, operators._certified_eigh, []
 

@@ -534,3 +534,100 @@ def test_one_function_runs_the_operator_route():
     # second pairing of ME's blocks with the populations adds a reader
     source = (PACKAGE / "experiments.py").read_text(encoding="utf-8")
     assert _readers(source, "averaged_E_stats") == ["_operator_route"]
+
+
+# the certification gates of operators.py, whose first argument names a
+# family of its tolerance table
+GATES = {"gate", "symmetry_gate"}
+
+
+def _gate_calls(source: str) -> list[ast.Call]:
+    """Each call of a gate, bare or as `operators.<gate>`, outside the
+    gates' own bodies (symmetry_gate passes its family on to gate)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in GATES:
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                bare = isinstance(f, ast.Name) and f.id in GATES
+                qualified = (
+                    isinstance(f, ast.Attribute)
+                    and f.attr in GATES
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "operators"
+                )
+                if bare or qualified:
+                    found.append(child)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+
+
+def _gate_faults(source: str, families) -> list[str]:
+    """Each gate call that names no key of `families` by a string literal,
+    or that holds a numeric literal among its arguments: as a whole
+    argument, or inside one any but 0 and 1, which shift or floor a
+    residual or a scale (|x - 1|, max(1, scale)) and are never a tolerance."""
+    faults = []
+    for call in _gate_calls(source):
+        family = call.args[0] if call.args else None
+        named = isinstance(family, ast.Constant) and family.value in families
+        arguments = [*call.args, *(k.value for k in call.keywords)]
+        stated = any(_is_number(a) for a in arguments) or any(
+            _is_number(n) and n.value not in (0, 1) for a in arguments for n in ast.walk(a)
+        )
+        if not named or stated:
+            faults.append(ast.unparse(call))
+    return faults
+
+
+def _tolerance_table() -> dict[str, float]:
+    tree = ast.parse((PACKAGE / "operators.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TOLERANCES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("operators.py defines no TOLERANCES")
+
+
+def test_the_scan_sees_a_gate_that_states_its_tolerance():
+    source = (
+        "def symmetry_gate(family, r, scale):\n    gate(family, r, lambda t: 'x', scale)\n"
+        "gate('trace', abs(tr - 1.0), lambda t: f'{t:g}')\n"
+        "symmetry_gate('parity', r, max(1.0, s), 'm', 'T', 'off')\n"
+        "parity.gate(offs, 1e-10)\n"
+        "gate('trace', r, err, 1e-9 * scale)\n"
+        "gate('trace', r, err, 1.0)\n"
+        "operators.gate('trace', r, err, roundoff=2e-16)\n"
+        "gate('tr', r, err)\n"
+        "gate(r, 1e-10, err)\n"
+        "symmetry_gate(name, r, s, 'm', 'T', 'off')\n"
+    )
+    assert _gate_faults(source, {"trace", "parity"}) == [
+        "gate('trace', r, err, 1e-09 * scale)",
+        "gate('trace', r, err, 1.0)",
+        "operators.gate('trace', r, err, roundoff=2e-16)",
+        "gate('tr', r, err)",
+        "gate(r, 1e-10, err)",
+        "symmetry_gate(name, r, s, 'm', 'T', 'off')",
+    ]
+
+
+def test_every_gate_names_its_family_and_states_no_tolerance():
+    # each tolerance is stated once, in the table: a gate that spelled out
+    # its own, or named a family the table lacks, is listed here
+    table = _tolerance_table()
+    sources = [p.read_text(encoding="utf-8") for p in [*MODULES, INIT]]
+    assert [f for s in sources for f in _gate_faults(s, table)] == []
+    # and every family but three of verify's lines has a gate
+    named = {call.args[0].value for s in sources for call in _gate_calls(s)}
+    assert set(table) - named == {"bs-chain", "bs-equality", "gracefulness"}

@@ -73,8 +73,8 @@ class TestBlockGateParity:
             [[0.5, 0.0], [0.0, 0.5 + 1e-9]],
             [[1.0 + 1e-9, 0.0], [0.0, -1e-9]],
             [[0.5, 0.0], [0.0, np.nan]],
-            # below PSD_EIGENVALUE_FLOOR, above the -2e-12 a shifted Cholesky
-            # gate would let through
+            # below the `positivity` floor, above the -2e-12 a shifted
+            # Cholesky gate would let through
             [[1.0 + 1.5e-12, 0.0], [0.0, -1.5e-12]],
         ),
         ids=(
